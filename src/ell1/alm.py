@@ -160,45 +160,58 @@ def palm_solve(P, config, observer=None):
 
 
 def _gram_factor(A):
+    """Row Gram A A^T and its Cholesky factor."""
+    gram = A.gram_dd() if hasattr(A, "gram_dd") else A @ A.T
     try:
-        gram = A.gram_dd() if hasattr(A, "gram_dd") else A @ A.T
-        return chol_factor(gram)
+        return gram, chol_factor(gram)
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             "row Gram A A^T is not positive definite; the dual solver "
             "needs full row rank") from exc
 
 
-def dual_y_solve(state, A, z_next, b):
+def dual_y_solve(state, gram, Az, Ax, b):
     """Least-squares multiplier step of the dual iteration.
 
-    Solves beta A A^T y = beta A z_next - (A x - b) through the cached
-    factor, with one refinement pass; the result is certified to relative
-    residual 1e-10 or IllConditionedError is raised.
+    Solves beta G y = beta A z_next - (A x - b) through the cached factor
+    of the row Gram G = A A^T, with one refinement pass. The caller passes
+    the products Az = A z_next and Ax = A state.x, and the residual is
+    measured against G itself, so the step takes no dictionary product.
+    The result is certified to relative residual 1e-10, or
+    IllConditionedError is raised; a non-finite residual fails the
+    certificate.
     """
-    rhs = A @ z_next - (A @ state.x - b) / state.beta
+    rhs = Az - (Ax - b) / state.beta
+    bound = _Y_REFINE_TOL * max(1.0, float(np.linalg.norm(rhs)))
     y = state.gram_chol.solve(rhs)
-    resid = rhs - A @ (A.T @ y)
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if float(np.linalg.norm(resid)) > _Y_REFINE_TOL * scale:
+    resid = rhs - gram @ y
+    res = float(np.linalg.norm(resid))
+    if np.isfinite(res) and res > bound:
         y = y + state.gram_chol.solve(resid)
-        resid = rhs - A @ (A.T @ y)
-        if float(np.linalg.norm(resid)) > _Y_REFINE_TOL * scale:
-            raise IllConditionedError(
-                "dual least-squares step failed its residual contract")
+        res = float(np.linalg.norm(rhs - gram @ y))
+    if not res <= bound:
+        raise IllConditionedError(
+            "dual least-squares step failed its residual contract")
     return y
 
 
-def _y_cg_step(state, A, z_next, b):
-    """Single conjugate-gradient step on the y system, warm started."""
-    rhs = A @ z_next - (A @ state.x - b) / state.beta
-    r = rhs - A @ (A.T @ state.y)
+def _y_cg_step(state, A, Aty, Az, Ax, b):
+    """Single conjugate-gradient step on the y system, warm started.
+
+    Aty = A^T state.y, Az = A z_next and Ax = A state.x come from the
+    caller; the step itself takes three products. A non-finite residual
+    or curvature raises IllConditionedError.
+    """
+    rhs = Az - (Ax - b) / state.beta
+    r = rhs - A @ Aty
     rr = float(r @ r)
+    if not np.isfinite(rr):
+        raise IllConditionedError("non-finite residual in the y step")
     if rr == 0.0:
         return state.y
     Ar = A @ (A.T @ r)
     curv = float(r @ Ar)
-    if curv <= 0.0:
+    if not (np.isfinite(curv) and curv > 0.0):
         raise IllConditionedError("row Gram lost positive definiteness")
     return state.y + (rr / curv) * r
 
@@ -208,8 +221,13 @@ def dalm_solve(P, config, observer=None):
 
     Per iteration: z <- clamp(A^T y + x/beta) onto the unit l-inf ball,
     y from the row-Gram least-squares step, then x <- x - beta (z - A^T y).
+    Each iteration takes three dictionary products, A z, A^T y and A x,
+    plus one solve with the factor of A A^T; A^T y and A x carry over to
+    the next iteration, and the y-step certificate uses the cached Gram.
+    Setup takes three more: A A^T and the products of the zero start.
     beta defaults to 1 (option "beta"); option "y_cg_step" replaces the
-    exact y solve with one warm-started conjugate-gradient step.
+    exact y solve with one warm-started conjugate-gradient step, which
+    costs three more products per iteration.
     Converges when ||b - A x|| <= config.tol ||b|| and the duality gap
     against the box-scaled multiplier, ||x||_1 - b'y / max(1, ||A'y||_inf),
     is within config.tol of zero relative to max(1, ||x||_1); by weak
@@ -228,25 +246,29 @@ def dalm_solve(P, config, observer=None):
     if not beta > 0:
         raise ValueError("beta must be positive")
     cg_mode = bool(config.opt("y_cg_step", False))
-    gram = _gram_factor(A)
-    state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, gram)
+    gram, chol = _gram_factor(A)
+    state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, chol)
+    Aty = A.T @ state.y
+    Ax = A @ state.x
     trace = [TraceEntry(0, 0.0, b_norm, 0)]
     notes = []
     history = []
     it = 0
     converged = False
     while it < config.max_iter:
-        z = project_box_linf(A.T @ state.y + state.x / beta)
+        z = project_box_linf(Aty + state.x / beta)
+        Az = A @ z
         if cg_mode:
-            y = _y_cg_step(state, A, z, b)
+            y = _y_cg_step(state, A, Aty, Az, Ax, b)
         else:
-            y = dual_y_solve(state, A, z, b)
+            y = dual_y_solve(state, gram, Az, Ax, b)
         x_prev = state.x
         Aty = A.T @ y
         x = x_prev - beta * (z - Aty)
-        state = DalmState(x, y, z, beta, gram)
+        state = DalmState(x, y, z, beta, chol)
         it += 1
-        r = b - A @ x
+        Ax = A @ x
+        r = b - Ax
         res_norm = float(np.linalg.norm(r))
         l1 = float(np.sum(np.abs(x)))
         trace.append(TraceEntry(it, l1, res_norm, support_size(x)))

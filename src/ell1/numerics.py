@@ -44,8 +44,17 @@ def project_box_linf(z):
     return np.asarray(out).reshape(arr.shape)
 
 
+def _require_finite(arr):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 class CholFactor:
-    """Upper-triangular factor R with R^T R equal to the factored SPD matrix."""
+    """Upper-triangular factor R with R^T R equal to the factored SPD matrix.
+
+    R is checked for finiteness once, here; solves then check only their
+    right-hand side, so a cached factor is never rescanned.
+    """
 
     __slots__ = ("R",)
 
@@ -53,6 +62,7 @@ class CholFactor:
         R = np.ascontiguousarray(R, dtype=np.float64)
         if R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("factor must be square, got shape %r" % (R.shape,))
+        _require_finite(R)
         self.R = R
 
     @property
@@ -60,9 +70,15 @@ class CholFactor:
         return self.R.shape[0]
 
     def solve(self, rhs):
-        """Solve (R^T R) x = rhs by two triangular solves."""
-        y = solve_triangular(self.R, rhs, trans="T", lower=False)
-        return solve_triangular(self.R, y, trans="N", lower=False)
+        """Solve (R^T R) x = rhs by two triangular solves.
+
+        A non-finite rhs raises ValueError.
+        """
+        _require_finite(rhs)
+        y = solve_triangular(self.R, rhs, trans="T", lower=False,
+                             check_finite=False)
+        return solve_triangular(self.R, y, trans="N", lower=False,
+                                check_finite=False)
 
     def matrix(self):
         """Reassemble R^T R (testing and refactorization checks)."""
@@ -126,7 +142,9 @@ def chol_append(factor, gram_col, diag):
     out = np.zeros((m + 1, m + 1))
     out[:m, :m] = factor.R
     if m:
-        u = solve_triangular(factor.R, g, trans="T", lower=False)
+        _require_finite(g)
+        u = solve_triangular(factor.R, g, trans="T", lower=False,
+                             check_finite=False)
         out[:m, m] = u
         d2 = float(diag) - float(u @ u)
     else:

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from ell1 import synth
-from ell1.alm import (AlmState, DalmState, dalm_solve, dual_y_solve,
-                      palm_solve)
+from ell1 import robust, synth
+from ell1.alm import (AlmState, DalmState, _y_cg_step, dalm_solve,
+                      dual_y_solve, palm_solve)
 from ell1.exceptions import IllConditionedError
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig, StoppingRule
-from ell1.numerics import chol_factor
+from ell1.numerics import CholFactor, chol_factor
 from ell1.pdipa import pdipa_solve
 
 
@@ -100,7 +100,7 @@ def test_dual_y_identity_gram():
     b = rng.standard_normal(3)
     z = np.clip(rng.standard_normal(6), -1.0, 1.0)
     state = make_dalm_state(A, x=x, beta=2.0)
-    y = dual_y_solve(state, A, z, b)
+    y = dual_y_solve(state, A @ A.T, A @ z, A @ x, b)
     np.testing.assert_allclose(y, A @ z - (A @ x - b) / 2.0, atol=1e-12)
 
 
@@ -113,7 +113,7 @@ def test_dual_y_matches_dense_solve():
         z = np.clip(rng.standard_normal(4), -1.0, 1.0)
         beta = float(rng.uniform(0.5, 3.0))
         state = make_dalm_state(A, x=x, beta=beta)
-        y = dual_y_solve(state, A, z, b)
+        y = dual_y_solve(state, A @ A.T, A @ z, A @ x, b)
         want = np.linalg.solve(beta * (A @ A.T),
                                beta * (A @ z) - (A @ x - b))
         np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-12)
@@ -125,9 +125,37 @@ def test_dual_y_beta_homogeneity():
     b = rng.standard_normal(3)
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     z = np.clip(rng.standard_normal(7), -1.0, 1.0)
-    y1 = dual_y_solve(make_dalm_state(A, x=x, beta=1.0), A, z, b)
-    y2 = dual_y_solve(make_dalm_state(A, x=x, beta=2.0), A, z, b)
+    y1 = dual_y_solve(make_dalm_state(A, x=x, beta=1.0), A @ A.T, A @ z,
+                      A @ x, b)
+    y2 = dual_y_solve(make_dalm_state(A, x=x, beta=2.0), A @ A.T, A @ z,
+                      A @ x, b)
     np.testing.assert_allclose(y1, y2, atol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_y_steps_reject_non_finite_states():
+    A = np.array([[1.0, 1.0]])
+    b = np.array([1.0])
+    zero = np.zeros(2)
+    # a factor whose solve overflows: y = inf, so G y is NaN against a
+    # zero Gram and -inf against a unit one
+    tiny = DalmState(zero, np.zeros(1), zero, 1.0,
+                     CholFactor(np.array([[1e-170]])))
+    for gram in (np.zeros((1, 1)), np.ones((1, 1))):
+        with pytest.raises(IllConditionedError):
+            dual_y_solve(tiny, gram, A @ zero, A @ zero, b)
+    with pytest.raises(IllConditionedError):
+        dual_y_solve(make_dalm_state(A), np.full((1, 1), np.nan), A @ zero,
+                     A @ zero, b)
+    # CG step: a NaN multiplier makes the residual NaN
+    nan_y = make_dalm_state(A, y=np.array([np.nan]))
+    with pytest.raises(IllConditionedError):
+        _y_cg_step(nan_y, A, A.T @ nan_y.y, A @ zero, A @ zero, b)
+    # CG step: A (A^T r) overflows, so the curvature is not finite
+    huge = np.array([[1e200, 1e200]])
+    with pytest.raises(IllConditionedError):
+        _y_cg_step(make_dalm_state(A), huge, np.zeros(2), huge @ zero,
+                   huge @ zero, b)
 
 
 def test_dalm_rejects_rank_deficient_rows():
@@ -202,6 +230,60 @@ def test_dalm_single_cg_mode_converges_on_general_instances():
     l1_exact = float(np.sum(np.abs(exact.x_star)))
     l1_cg = float(np.sum(np.abs(cg.x_star)))
     assert abs(l1_cg - l1_exact) <= 1e-5 * l1_exact
+
+
+def counting_view(A):
+    """View of A that counts the matrix products taken with it."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                count[0] += 1
+            plain = tuple(v.view(np.ndarray) if isinstance(v, Counting)
+                          else v for v in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return A.view(Counting), count
+
+
+# setup: the row Gram plus A^T y and A x of the zero start
+_DALM_SETUP_PRODUCTS = 3
+
+
+@pytest.mark.parametrize("options, per_iter",
+                         [({}, 3), ({"y_cg_step": True}, 6)])
+def test_dalm_products_per_iteration(options, per_iter):
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    cfg = SolverConfig(tol=1e-7, max_iter=400, options=options)
+    plain = dalm_solve(P, cfg)
+    P.A, count = counting_view(P.A)
+    res = dalm_solve(P, cfg)
+    assert res.iterations >= 50
+    assert count[0] <= per_iter * res.iterations + _DALM_SETUP_PRODUCTS
+    assert np.array_equal(res.x_star, plain.x_star)
+
+
+def test_cab_dalm_products_per_iteration(monkeypatch):
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
+    cfg = SolverConfig(tol=1e-7, max_iter=400)
+    plain = robust.cab_solve(P.A, b_bad, "dalm", cfg)
+    counts = []
+    init = robust.ExtendedDictionary.__init__
+
+    def counting_init(self, A, identity_scale=1.0):
+        init(self, A, identity_scale)
+        self.A, count = counting_view(self.A)
+        counts.append(count)
+
+    monkeypatch.setattr(robust.ExtendedDictionary, "__init__",
+                        counting_init)
+    x, e, res = robust.cab_solve(P.A, b_bad, "dalm", cfg)
+    assert len(counts) == 1
+    assert res.iterations >= 50
+    assert counts[0][0] <= 3 * res.iterations + _DALM_SETUP_PRODUCTS
+    assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
 
 
 def test_dalm_honors_stopping_rule():

@@ -170,6 +170,21 @@ def test_chol_solve():
                                rtol=1e-9, atol=1e-11)
 
 
+def test_chol_factor_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        R = np.eye(3)
+        R[0, 2] = bad
+        with pytest.raises(ValueError):
+            numerics.CholFactor(R)
+        F = numerics.chol_factor(np.eye(3))
+        rhs = np.ones(3)
+        rhs[1] = bad
+        with pytest.raises(ValueError):
+            F.solve(rhs)
+        with pytest.raises(ValueError):
+            numerics.chol_append(F, rhs, 4.0)
+
+
 # ---------------------------------------------------------------- pcg
 
 def test_pcg_identity_one_iteration():
