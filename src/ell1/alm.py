@@ -9,14 +9,12 @@ Rule of thumb: the dual solver wins when d is much smaller than n, the
 primal one when the dictionary is tall.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
-from ell1.model import (SolverResult, StopRecord, TraceEntry, stop_wanted,
-                        support_size)
+from ell1.model import Monitor
 from ell1.numerics import (CholFactor, chol_factor, project_box_linf,
                            soft_threshold, spectral_norm_sq)
 
@@ -107,11 +105,10 @@ def palm_solve(P, config, observer=None):
     """
     A, b = P.A, P.b
     n = P.n
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolverResult(np.zeros(n), 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, 0.0, 0)])
+        return mon.trivial(n, penalized=False)
     mu = float(config.opt("mu0", 1.0))
     rho = float(config.opt("rho", 2.0))
     if not mu > 0 or not rho > 1:
@@ -122,9 +119,7 @@ def palm_solve(P, config, observer=None):
         tau = 1.01 * spectral_norm_sq(A)
     x = np.zeros(n)
     y = np.zeros(P.d)
-    trace = [TraceEntry(0, 0.0, b_norm, 0)]
-    notes = []
-    history = []
+    mon.record(0, 0.0, b_norm, x)
     it = 0
     converged = False
     while it < config.max_iter:
@@ -139,24 +134,17 @@ def palm_solve(P, config, observer=None):
         res_norm = float(np.linalg.norm(r))
         y = y + mu * r
         l1 = float(np.sum(np.abs(x)))
-        trace.append(TraceEntry(it, l1, res_norm, support_size(x)))
+        mon.record(it, l1, res_norm, x)
         if observer is not None:
             observer(AlmState(x.copy(), y.copy(), mu, rho, tau))
         rel = res_norm / b_norm
-        if rel <= config.tol:
+        if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True
             break
-        if config.stopping is not None:
-            history.append(StopRecord(x.copy(), l1, rel))
-            history = history[-2:]
-            if stop_wanted(config, history, P):
-                converged = True
-                break
         mu *= rho
     if not converged and it >= config.max_iter:
-        notes.append("inner-iteration budget exhausted")
-    return SolverResult(x, it, time.perf_counter() - t0, converged, trace,
-                        notes=tuple(notes))
+        mon.notes.append("inner-iteration budget exhausted")
+    return mon.result(x, it, converged)
 
 
 def _gram_factor(A):
@@ -237,11 +225,10 @@ def dalm_solve(P, config, observer=None):
     """
     A, b = P.A, P.b
     n = P.n
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolverResult(np.zeros(n), 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, 0.0, 0)])
+        return mon.trivial(n, penalized=False)
     beta = float(config.opt("beta", 1.0))
     if not beta > 0:
         raise ValueError("beta must be positive")
@@ -250,9 +237,7 @@ def dalm_solve(P, config, observer=None):
     state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, chol)
     Aty = A.T @ state.y
     Ax = A @ state.x
-    trace = [TraceEntry(0, 0.0, b_norm, 0)]
-    notes = []
-    history = []
+    mon.record(0, 0.0, b_norm, state.x)
     it = 0
     converged = False
     while it < config.max_iter:
@@ -271,7 +256,7 @@ def dalm_solve(P, config, observer=None):
         r = b - Ax
         res_norm = float(np.linalg.norm(r))
         l1 = float(np.sum(np.abs(x)))
-        trace.append(TraceEntry(it, l1, res_norm, support_size(x)))
+        mon.record(it, l1, res_norm, x)
         if observer is not None:
             observer(state, x_prev)
         rel = res_norm / b_norm
@@ -279,16 +264,10 @@ def dalm_solve(P, config, observer=None):
         # from below, so l1 minus the bound brackets the suboptimality
         scale = max(1.0, float(np.max(np.abs(Aty))))
         gap = l1 - float(b @ y) / scale
-        if rel <= config.tol and gap <= config.tol * max(1.0, l1):
+        if ((rel <= config.tol and gap <= config.tol * max(1.0, l1))
+                or mon.rule_met(x, l1, rel)):
             converged = True
             break
-        if config.stopping is not None:
-            history.append(StopRecord(x.copy(), l1, rel))
-            history = history[-2:]
-            if stop_wanted(config, history, P):
-                converged = True
-                break
     if not converged and it >= config.max_iter:
-        notes.append("iteration budget exhausted")
-    return SolverResult(state.x, it, time.perf_counter() - t0, converged,
-                        trace, notes=tuple(notes))
+        mon.notes.append("iteration budget exhausted")
+    return mon.result(state.x, it, converged)

@@ -8,22 +8,19 @@ form |x_i| <= u_i, taking damped Newton steps whose reduced linear systems
 are solved inexactly by diagonally preconditioned conjugate gradients.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
-from ell1.model import (SolverResult, StopRecord, TraceEntry,
-                        kkt_from_correlation, stop_wanted, support_size)
-from ell1.numerics import pcg_solve
+from ell1.model import Monitor, kkt_from_correlation
+from ell1.numerics import pcg_solve, truncate_small
 
 _ALPHA_CAP = 1e8
 _CURV_FLOOR = 1e-14    # relative curvature below this counts as flat
 _MAX_HALVINGS = 50
 _ARMIJO = 0.01
 _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
-_TRUNCATE_REL = 1e-7   # barrier haze threshold relative to ||x||_inf
 
 
 @dataclass
@@ -126,18 +123,15 @@ def gpsr_solve(P, lam, config, observer=None):
         lam = config.resolved_lambda(P)
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     if float(np.max(np.abs(A.T @ b))) == 0.0:
-        return SolverResult(np.zeros(n), 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, float(np.linalg.norm(b)), 0)])
+        return mon.trivial(n, penalized=True)
 
     z = np.zeros(2 * n)
     x = np.zeros(n)
     r = -b.copy()          # A x - b
     grad_x = A.T @ r
-    trace = [TraceEntry(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), 0)]
-    notes = []
-    history = []
+    mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x)
     it = 0
     converged = False
     while it < config.max_iter:
@@ -149,7 +143,7 @@ def gpsr_solve(P, lam, config, observer=None):
         g = np.where((z > 0.0) | (grad < 0.0), grad, 0.0)
         if float(g @ g) == 0.0:
             # first-order point of the split program; kkt said otherwise
-            notes.append("zero projected gradient before kkt tolerance")
+            mon.notes.append("zero projected gradient before kkt tolerance")
             break
         alpha = gpsr_step_size(g, A)
         accepted = False
@@ -164,7 +158,7 @@ def gpsr_solve(P, lam, config, observer=None):
                 break
             alpha *= 0.5
         if not accepted:
-            notes.append("projection backtracking stalled")
+            mon.notes.append("projection backtracking stalled")
             converged = kkt <= config.tol * lam
             break
         it += 1
@@ -175,35 +169,15 @@ def gpsr_solve(P, lam, config, observer=None):
             r = r + Adx
         grad_x = A.T @ r
         F_cur = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-        trace.append(TraceEntry(it, F_cur, float(np.linalg.norm(r)),
-                                support_size(x)))
+        mon.record(it, F_cur, float(np.linalg.norm(r)), x)
         if observer is not None:
             observer(SplitIterate(z.copy()))
-        if config.stopping is not None:
-            kkt = kkt_from_correlation(x, -grad_x, lam)
-            history.append(StopRecord(x.copy(), F_cur, kkt))
-            history = history[-2:]
-            if stop_wanted(config, history, P):
-                return SolverResult(x, it, time.perf_counter() - t0, True,
-                                    trace, notes=tuple(notes))
+        if mon.rule_met(x, F_cur,
+                        lambda: kkt_from_correlation(x, -grad_x, lam)):
+            return mon.result(x, it, True)
     if not converged:
         converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
-    return SolverResult(x, it, time.perf_counter() - t0, converged, trace,
-                        notes=tuple(notes))
-
-
-def _truncate_small(x):
-    """Snap barrier haze to exact zeros.
-
-    The log barrier keeps every coordinate slightly away from zero;
-    entries at or below 1e-7 of the largest magnitude are artifacts of
-    that, not support.
-    """
-    out = x.copy()
-    top = float(np.max(np.abs(out))) if out.size else 0.0
-    if top > 0.0:
-        out[np.abs(out) <= _TRUNCATE_REL * top] = 0.0
-    return out
+    return mon.result(x, it, converged)
 
 
 def _barrier_value(t, lam, r, x, u):
@@ -236,10 +210,9 @@ def tnipm_solve(P, lam, config, observer=None):
         lam = config.resolved_lambda(P)
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     if float(np.max(np.abs(A.T @ b))) == 0.0:
-        return SolverResult(np.zeros(n), 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, float(np.linalg.norm(b)), 0)])
+        return mon.trivial(n, penalized=True)
 
     pcg_tol = config.opt("pcg_tol", 1e-4)
     pcg_cap = config.opt("pcg_max_iter", None)
@@ -247,9 +220,6 @@ def tnipm_solve(P, lam, config, observer=None):
     x = np.zeros(n)
     u = np.ones(n)
     t = 1.0 / lam
-    trace = []
-    notes = []
-    history = []
     it = 0
     converged = False
     pcg_capped = 0
@@ -257,18 +227,13 @@ def tnipm_solve(P, lam, config, observer=None):
         r = A @ x - b
         Ar = A.T @ r
         obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-        trace.append(TraceEntry(it, obj, float(np.linalg.norm(r)),
-                                support_size(_truncate_small(x))))
-        if config.stopping is not None:
-            kkt_now = kkt_from_correlation(x, -Ar, lam)
-            history.append(StopRecord(x.copy(), obj, kkt_now))
-            history = history[-2:]
-            if stop_wanted(config, history, P):
-                converged = True
-                x = _truncate_small(x)
-                break
+        mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x))
+        if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
+            converged = True
+            x = truncate_small(x)
+            break
         if 2.0 * n / t <= config.tol * (1.0 + obj):
-            xt = _truncate_small(x)
+            xt = truncate_small(x)
             ct = A.T @ (b - A @ xt)
             if kkt_from_correlation(xt, ct, lam) <= config.tol * lam:
                 converged = True
@@ -325,7 +290,7 @@ def tnipm_solve(P, lam, config, observer=None):
             observer(BarrierIterate(x.copy(), u.copy(), t))
         if decrement_sq <= 0.25:
             t *= 10.0
-    x = _truncate_small(x)
+    x = truncate_small(x)
     if not converged:
         rt = A @ x - b
         objt = 0.5 * float(rt @ rt) + lam * float(np.sum(np.abs(x)))
@@ -334,6 +299,5 @@ def tnipm_solve(P, lam, config, observer=None):
                 <= config.tol * lam):
             converged = True
     if pcg_capped:
-        notes.append("pcg hit its iteration cap %d times" % pcg_capped)
-    return SolverResult(x, it, time.perf_counter() - t0, converged, trace,
-                        notes=tuple(notes))
+        mon.notes.append("pcg hit its iteration cap %d times" % pcg_capped)
+    return mon.result(x, it, converged)

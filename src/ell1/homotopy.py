@@ -9,14 +9,13 @@ costs O(d^2 + d n).
 """
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ell1 import numerics
 from ell1.exceptions import DegenerateSupportError, NotPositiveDefiniteError
-from ell1.model import SolverResult, TraceEntry, support_size
+from ell1.model import Monitor, kkt_from_correlation
 from ell1.operators import DenseDictionary
 
 _TIE = 1e-12          # gamma tie window: removal wins inside it
@@ -125,30 +124,32 @@ def _ridge_factor(D, support, notes):
     return numerics.chol_factor(G)
 
 
-def solve_path(D, b, target_lambda, config, path_csv=None, observer=None):
+def solve_path(D, b, target_lambda, config, path_csv=None, observer=None,
+               ground_truth=None):
     """Run the path on a dictionary operator down to target_lambda.
 
     Returns (SolverResult, reached_lambda). Each loop pass handles one
     breakpoint; budget exhaustion returns the best iterate unconverged.
     observer, when given, receives a PathState snapshot after every
-    breakpoint.
+    breakpoint. config.stopping is checked at every breakpoint, with the
+    kkt residual at target_lambda in its kkt slot; ground_truth serves
+    the ground-truth-distance rule.
     """
     if target_lambda < 0:
         raise ValueError("target lambda must be nonnegative")
     _, n = D.shape
     b = np.asarray(b, dtype=np.float64)
-    t0 = time.perf_counter()
-    notes = []
+    mon = Monitor(config, b, ground_truth)
     x = np.zeros(n)
     c = D.adjoint(b)
     lam0 = float(np.max(np.abs(c))) if n else 0.0
-    trace = []
-    path_rows = []
+    lams = []
 
     def record(it, lam, res_norm):
         obj = 0.5 * res_norm ** 2 + lam * float(np.sum(np.abs(x)))
-        trace.append(TraceEntry(it, obj, res_norm, support_size(x)))
-        path_rows.append((lam, support_size(x), obj))
+        mon.record(it, obj, res_norm, x)
+        lams.append(lam)
+        return obj
 
     def snapshot(lam):
         if observer is not None:
@@ -160,10 +161,10 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None):
 
     if lam0 <= target_lambda or lam0 == 0.0:
         # zero is already optimal at the target
-        record(0, max(lam0, target_lambda), float(np.linalg.norm(b)))
-        result = SolverResult(x, 0, time.perf_counter() - t0, True, trace)
-        _dump_path(path_csv, path_rows)
-        return result, max(lam0, target_lambda)
+        lam = max(lam0, target_lambda)
+        result = mon.trivial(n, penalized=True)
+        _dump_path(path_csv, [lam], result.trace)
+        return result, lam
 
     lam = lam0
     j0 = int(np.argmax(np.abs(c)))
@@ -182,7 +183,7 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None):
         try:
             d_I, chol = _solve_direction(chol, D, support, sgn)
         except DegenerateSupportError:
-            chol = _ridge_factor(D, support, notes)
+            chol = _ridge_factor(D, support, mon.notes)
             d_I = chol.solve(sgn)
         v = D.apply_columns(support, d_I)
         w = D.adjoint(v)
@@ -219,7 +220,7 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None):
                 support.append(i_plus)
             except NotPositiveDefiniteError:
                 support.append(i_plus)
-                chol = _ridge_factor(D, support, notes)
+                chol = _ridge_factor(D, support, mon.notes)
             mask[i_plus] = True
         # fresh correlations each breakpoint: O(dn), same class as the step
         r = residual()
@@ -232,30 +233,32 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None):
             lam = lam_step
         else:
             lam = lam_emp
-        record(it, lam, float(np.linalg.norm(r)))
+        obj = record(it, lam, float(np.linalg.norm(r)))
         snapshot(lam)
-        if lam <= finish_floor:
+        if lam <= finish_floor or mon.rule_met(
+                x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):
             converged = True
             break
 
-    result = SolverResult(x, it, time.perf_counter() - t0, converged, trace,
-                          notes=tuple(notes))
-    _dump_path(path_csv, path_rows)
+    result = mon.result(x, it, converged)
+    _dump_path(path_csv, lams, result.trace)
     return result, lam
 
 
-def _dump_path(path_csv, rows):
+def _dump_path(path_csv, lams, trace):
     if path_csv is None:
         return
     with open(path_csv, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh, lineterminator="\n")
         wr.writerow(["lambda", "support_size", "objective"])
-        for lam, size, obj in rows:
-            wr.writerow(["%.17g" % lam, size, "%.17g" % obj])
+        for lam, entry in zip(lams, trace):
+            wr.writerow(["%.17g" % lam, entry.support_size,
+                         "%.17g" % entry.objective])
 
 
 def homotopy_solve(P, target_lambda, config, path_csv=None, observer=None):
     """Path solver on a dense instance down to target_lambda."""
     result, _ = solve_path(DenseDictionary(P.A), P.b, target_lambda, config,
-                           path_csv=path_csv, observer=observer)
+                           path_csv=path_csv, observer=observer,
+                           ground_truth=P.ground_truth)
     return result

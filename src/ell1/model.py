@@ -5,6 +5,7 @@ The objective all lambda-form solvers minimize is
 and the equality-constrained solvers target min ||x||_1 subject to A x = b.
 """
 
+import time
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -15,8 +16,8 @@ TraceEntry = namedtuple("TraceEntry", "iteration objective residual_norm support
 StopRecord = namedtuple("StopRecord", "x objective kkt")
 StopRecord.__new__.__defaults__ = (None,)
 
-_STOP_KINDS = ("relative-objective", "relative-estimate",
-               "ground-truth-distance", "kkt-residual")
+_RELATIVE_KINDS = ("relative-objective", "relative-estimate")
+_STOP_KINDS = _RELATIVE_KINDS + ("ground-truth-distance", "kkt-residual")
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,14 @@ class SolverConfig:
     """Common solver knobs.
 
     lam=None means the default 1e-2 * ||A^T b||_inf resolved per instance.
-    stopping=None lets each solver use its native criterion (KKT residual
-    for the lambda-form solvers). Algorithm-specific constants are read
-    from `options` and documented in the solver docstrings.
+    Every solver stops on its native criterion at `tol` (KKT residual for
+    the lambda-form solvers, feasibility and gap for the equality form).
+    A `stopping` rule is checked in addition, once per iteration of every
+    solver, and a solve it ends reports converged=True. Its kkt slot holds
+    the KKT residual for the penalized solvers (homotopy: at the target
+    weight) and the relative primal residual ||b - A x|| / ||b|| for
+    pdipa, palm and dalm. Algorithm-specific constants are read from
+    `options` and documented in the solver docstrings.
     """
 
     lam: float = None
@@ -173,21 +179,6 @@ def kkt_from_correlation(x, c, lam):
     return worst
 
 
-def stop_wanted(config, history, problem):
-    """Solver-side hook for the optional user stopping rule.
-
-    Returns False when no rule is set or a relative rule lacks history;
-    otherwise defers to check_stop.
-    """
-    rule = config.stopping
-    if rule is None or not history:
-        return False
-    if rule.kind in ("relative-objective", "relative-estimate") \
-            and len(history) < 2:
-        return False
-    return check_stop(history, rule, ground_truth=problem.ground_truth)
-
-
 def check_stop(history, rule, ground_truth=None):
     """Evaluate a stopping rule on the latest iterate snapshot(s).
 
@@ -199,7 +190,7 @@ def check_stop(history, rule, ground_truth=None):
     if len(history) == 0:
         raise ValueError("history is empty")
     last = history[-1]
-    if rule.kind in ("relative-objective", "relative-estimate"):
+    if rule.kind in _RELATIVE_KINDS:
         if len(history) < 2:
             raise ValueError("relative rules need at least two history entries")
         prev = history[-2]
@@ -240,3 +231,62 @@ def relative_error(x, reference):
     if denom == 0.0:
         raise ValueError("reference must be nonzero")
     return float(np.linalg.norm(np.asarray(x) - reference)) / denom
+
+
+class Monitor:
+    """Clock, trace, notes and user stopping rule of one solver run.
+
+    Built at the start of a solve; every solver records its trace through
+    it, asks it whether config.stopping holds, and gets its SolverResult
+    from it, including the single answer to an input whose optimum is
+    x = 0.
+    """
+
+    def __init__(self, config, b, ground_truth=None):
+        self._t0 = time.perf_counter()
+        self._rule = config.stopping
+        self._b = b
+        self._ground_truth = ground_truth
+        self._last = ()
+        self.trace = []
+        self.notes = []
+
+    def record(self, it, objective, residual_norm, x):
+        """Append the trace entry of iterate x."""
+        self.trace.append(TraceEntry(it, objective, residual_norm,
+                                     support_size(x)))
+
+    def rule_met(self, x, objective, kkt):
+        """Whether config.stopping holds at iterate x.
+
+        kkt is the value the kkt-residual rule compares, or a callable
+        returning it. With no rule set this does nothing and returns
+        False; otherwise the record joins the last one and check_stop
+        decides (a relative rule needs two records).
+        """
+        rule = self._rule
+        if rule is None:
+            return False
+        if callable(kkt):
+            kkt = kkt()
+        self._last = self._last[-1:] + (StopRecord(x.copy(), objective, kkt),)
+        if rule.kind in _RELATIVE_KINDS and len(self._last) < 2:
+            return False
+        return check_stop(self._last, rule, ground_truth=self._ground_truth)
+
+    def result(self, x, iterations, converged):
+        """The run's SolverResult, timed from the monitor's creation."""
+        return SolverResult(x, iterations, time.perf_counter() - self._t0,
+                            converged, self.trace, notes=tuple(self.notes))
+
+    def trivial(self, n, penalized):
+        """x = 0 after 0 iterations, for an input where zero is optimal.
+
+        That is A^T b = 0 for the penalized form, whose trace entry
+        carries F(0) = 1/2 ||b||^2, and b = 0 for the equality form, whose
+        trace entry carries ||0||_1 = 0.
+        """
+        x = np.zeros(n)
+        b_norm = float(np.linalg.norm(self._b))
+        self.record(0, 0.5 * b_norm ** 2 if penalized else 0.0, b_norm, x)
+        return self.result(x, 0, True)

@@ -44,6 +44,20 @@ def project_box_linf(z):
     return np.asarray(out).reshape(arr.shape)
 
 
+def truncate_small(x):
+    """Copy of x with barrier haze snapped to exact zeros.
+
+    A log barrier keeps every coordinate slightly away from zero; entries
+    at or below 1e-7 of the largest magnitude are artifacts of that, not
+    support.
+    """
+    out = x.copy()
+    top = float(np.max(np.abs(out))) if out.size else 0.0
+    if top > 0.0:
+        out[np.abs(out) <= 1e-7 * top] = 0.0
+    return out
+
+
 def _require_finite(arr):
     if not np.all(np.isfinite(arr)):
         raise ValueError("array must not contain infs or NaNs")

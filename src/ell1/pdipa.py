@@ -7,14 +7,13 @@ taken each iteration; eliminating the slack block reduces the linear algebra
 to one d x d Cholesky solve of the weighted normal matrix.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ell1 import numerics
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
-from ell1.model import SolverResult, TraceEntry, support_size
+from ell1.model import Monitor
 
 _BOUNDARY = 0.99  # fraction-to-boundary damping
 _SIGMA = 0.1      # centering: target a tenth of the current duality measure
@@ -98,14 +97,15 @@ def pdipa_solve(P, config, observer=None):
     """Interior-point solve of min ||x||_1 s.t. A x = b.
 
     Returns the recombined signed estimate. observer, when given, receives
-    the PdipaState after every accepted step.
+    the PdipaState after every accepted step. The stopping-rule kkt slot
+    carries the relative primal residual ||b - A x|| / ||b||.
     """
     A, b = P.A, P.b
     d, n = A.shape
-    t0 = time.perf_counter()
-    if np.linalg.norm(b) == 0.0:
-        return SolverResult(np.zeros(n), 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, 0.0, 0)])
+    mon = Monitor(config, b, P.ground_truth)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return mon.trivial(n, penalized=False)
 
     two_n = 2 * n
     c = np.ones(two_n)
@@ -113,7 +113,7 @@ def pdipa_solve(P, config, observer=None):
     y = np.zeros(d)
     z = np.ones(two_n)
     mu = float(x @ z) / two_n
-    b_scale = max(1.0, float(np.linalg.norm(b)))
+    b_scale = max(1.0, b_norm)
     c_scale = 1.0 + np.sqrt(two_n)
     gap_tol = min(config.tol, _GAP_TOL)
 
@@ -124,8 +124,6 @@ def pdipa_solve(P, config, observer=None):
         Atv = A.T @ v
         return np.concatenate([Atv, -Atv])
 
-    trace = []
-    notes = []
     converged = False
     it = 0
     while it < config.max_iter:
@@ -133,11 +131,13 @@ def pdipa_solve(P, config, observer=None):
         rd = c - adjoint_ext(y) - z
         obj = float(c @ x)
         gap = obj - float(b @ y)
-        trace.append(TraceEntry(it, obj, float(np.linalg.norm(rp)),
-                                support_size(x[:n] - x[n:])))
-        if (np.linalg.norm(rp) <= _FEAS_TOL * b_scale
+        rp_norm = float(np.linalg.norm(rp))
+        x_signed = x[:n] - x[n:]
+        mon.record(it, obj, rp_norm, x_signed)
+        if ((rp_norm <= _FEAS_TOL * b_scale
                 and np.linalg.norm(rd) <= _FEAS_TOL * c_scale
-                and gap <= gap_tol * (1.0 + abs(obj))):
+                and gap <= gap_tol * (1.0 + abs(obj)))
+                or mon.rule_met(x_signed, obj, rp_norm / b_norm)):
             converged = True
             break
         it += 1
@@ -154,11 +154,11 @@ def pdipa_solve(P, config, observer=None):
         try:
             dx, dy, dz = _eliminate(x, z, rp, rd, rc, apply_ext, adjoint_ext, M)
         except IllConditionedError:
-            notes.append("stopped on ill-conditioned normal matrix")
+            mon.notes.append("stopped on ill-conditioned normal matrix")
             break
         if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
                 and np.all(np.isfinite(dz))):
-            notes.append("stopped on non-finite step")
+            mon.notes.append("stopped on non-finite step")
             break
         alpha_p = _step_to_boundary(x, dx)
         alpha_d = _step_to_boundary(z, dz)
@@ -172,7 +172,7 @@ def pdipa_solve(P, config, observer=None):
             alpha_p *= 0.5
             alpha_d *= 0.5
         else:
-            notes.append("stopped on stalled duality measure")
+            mon.notes.append("stopped on stalled duality measure")
             break
         x = x_new
         y = y + alpha_d * dy
@@ -181,5 +181,4 @@ def pdipa_solve(P, config, observer=None):
         if observer is not None:
             observer(PdipaState(x.copy(), y.copy(), z.copy(), mu))
 
-    return SolverResult(x[:n] - x[n:], it, time.perf_counter() - t0,
-                        converged, trace, notes=tuple(notes))
+    return mon.result(x[:n] - x[n:], it, converged)

@@ -24,13 +24,13 @@ from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import solve_path
 from ell1.model import kkt_from_correlation
-from ell1.numerics import chol_factor, soft_threshold, spectral_norm_sq
+from ell1.numerics import (chol_factor, soft_threshold, spectral_norm_sq,
+                           truncate_small)
 from ell1.pdipa import pdipa_solve
 from ell1.shrinkage import fista_solve, ist_solve
 
 _MAX_HALVINGS = 50
 _ARMIJO = 0.01
-_TRUNCATE_REL = 1e-7
 
 
 class _AdjointView:
@@ -260,14 +260,6 @@ def _column_gram_factor(B):
             "B must have full column rank") from exc
 
 
-def _truncate_small(v):
-    out = v.copy()
-    top = float(np.max(np.abs(out))) if out.size else 0.0
-    if top > 0.0:
-        out[np.abs(out) <= _TRUNCATE_REL * top] = 0.0
-    return out
-
-
 def _default_align_lambda(prob, gram):
     w0 = gram.solve(prob.B.T @ prob.b)
     lam0 = float(np.max(np.abs(prob.b - prob.B @ w0)))
@@ -293,7 +285,7 @@ def align_gp_solve(prob, lam, config):
         raise ValueError("lambda must be positive")
 
     def polished(e_raw):
-        e_t = _truncate_small(e_raw)
+        e_t = truncate_small(e_raw)
         return gram.solve(B.T @ (b - e_t)), e_t
 
     w = gram.solve(B.T @ b)

@@ -7,15 +7,12 @@ t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
 objective decay.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
-from ell1.model import (SolverResult, StopRecord, TraceEntry,
-                        kkt_from_correlation, objective, stop_wanted,
-                        support_size)
+from ell1.model import Monitor, kkt_from_correlation
 from ell1.numerics import soft_threshold, spectral_norm_sq
 
 _ALPHA_MIN = 1e-30
@@ -113,18 +110,14 @@ def ist_solve(P, schedule, config, observer=None):
     """
     A, b = P.A, P.b
     n = P.n
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     if schedule is None:
         schedule = default_schedule(P, config.resolved_lambda(P))
     lam_target = schedule.lambda_target
     x = np.zeros(n)
     if float(np.max(np.abs(A.T @ b))) == 0.0:
-        return SolverResult(x, 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, float(np.linalg.norm(b)), 0)])
+        return mon.trivial(n, penalized=True)
 
-    trace = []
-    notes = []
-    history = []
     it = 0
     converged = False
     alpha = 1.0
@@ -157,28 +150,25 @@ def ist_solve(P, schedule, config, observer=None):
             x, Ax, g = cand, Acand, g_new
             resid = b - Ax
             F_cur = 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(x)))
-            trace.append(TraceEntry(it, F_cur, float(np.linalg.norm(resid)),
-                                    support_size(x)))
+            mon.record(it, F_cur, float(np.linalg.norm(resid)), x)
             if observer is not None:
                 observer(x.copy(), lam, dF)
             kkt = kkt_from_correlation(x, -g, lam)
-            history.append(StopRecord(x.copy(), F_cur, kkt))
-            history = history[-2:]
+            # the rule sees every iterate, stage ends included
+            rule_met = mon.rule_met(x, F_cur, kkt)
             if kkt <= config.tol * lam:
                 if final_stage:
                     converged = True
                 break
-            if stop_wanted(config, history, P):
-                return SolverResult(x, it, time.perf_counter() - t0, True,
-                                    trace, notes=tuple(notes))
+            if rule_met:
+                return mon.result(x, it, True)
         if stalled and final_stage and kkt <= config.tol * lam:
             converged = True
         if stalled and not final_stage:
             continue
         if it >= config.max_iter and not converged:
             break
-    return SolverResult(x, it, time.perf_counter() - t0, converged, trace,
-                        notes=tuple(notes))
+    return mon.result(x, it, converged)
 
 
 def fista_t_next(t):
@@ -239,12 +229,11 @@ def fista_solve(P, config, observer=None):
     """
     A, b = P.A, P.b
     n = P.n
-    t0 = time.perf_counter()
+    mon = Monitor(config, b, P.ground_truth)
     lam_bar = config.resolved_lambda(P)
     x = np.zeros(n)
     if float(np.max(np.abs(A.T @ b))) == 0.0:
-        return SolverResult(x, 0, time.perf_counter() - t0, True,
-                            [TraceEntry(0, 0.0, float(np.linalg.norm(b)), 0)])
+        return mon.trivial(n, penalized=True)
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")
 
@@ -261,8 +250,6 @@ def fista_solve(P, config, observer=None):
 
     x_prev = x.copy()
     t_prev = t_cur = 1.0
-    trace = []
-    history = []
     converged = False
     it = 0
     while it < config.max_iter:
@@ -280,19 +267,15 @@ def fista_solve(P, config, observer=None):
                                                    0.5 * float(r_y @ r_y))
         x_prev, x = x, x_next
         t_prev, t_cur = t_cur, fista_t_next(t_cur)
-        trace.append(TraceEntry(it, F_next, float(np.linalg.norm(r_next)),
-                                support_size(x)))
+        mon.record(it, F_next, float(np.linalg.norm(r_next)), x)
         kkt = kkt_from_correlation(x, -(A.T @ r_next), lam)
         if observer is not None:
             observer(FistaState(x_prev.copy(), x.copy(), t_prev, t_cur, L),
                      y, lam)
-        history.append(StopRecord(x.copy(), F_next, kkt))
-        history = history[-2:]
-        if lam == lam_bar and kkt <= config.tol * lam_bar:
-            converged = True
-            break
-        if stop_wanted(config, history, P):
+        # the rule sees every iterate, so it is asked first
+        if (mon.rule_met(x, F_next, kkt)
+                or (lam == lam_bar and kkt <= config.tol * lam_bar)):
             converged = True
             break
         lam = max(beta * lam, lam_bar)
-    return SolverResult(x, it, time.perf_counter() - t0, converged, trace)
+    return mon.result(x, it, converged)

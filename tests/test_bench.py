@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from ell1.bench import (PhaseGrid, SweepResult, environment_metadata,
-                        interpolate_success_contour, phase_contour_svg,
-                        phase_grid_to_csv, run_corruption_sweep,
-                        run_noise_sweep, run_phase_grid, solve_named,
-                        sweep_svg, sweep_to_csv, write_summary_json)
-from ell1.model import SolverConfig
+from ell1.bench import (SOLVER_NAMES, PhaseGrid, SweepResult,
+                        environment_metadata, interpolate_success_contour,
+                        phase_contour_svg, phase_grid_to_csv,
+                        run_corruption_sweep, run_noise_sweep, run_phase_grid,
+                        solve_named, sweep_svg, sweep_to_csv,
+                        write_summary_json)
+from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
+                        TraceEntry, relative_error)
 from ell1.synth import GenSpec, make_instance
 
 
@@ -66,6 +68,29 @@ class TestSolveNamed:
         a = solve_named("gp", P, cfg)
         b = solve_named("gpsr", P, cfg)
         assert np.array_equal(a.x_star, b.x_star)
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_stopping_rule_and_trivial_input(self, name):
+        P = make_instance(GenSpec(n=200, d=100, k=8, seed=11))
+        free = solve_named(name, P, SolverConfig())
+        rule = StoppingRule("ground-truth-distance", 0.5)
+        res = solve_named(name, P, SolverConfig(stopping=rule))
+        assert res.converged and res.iterations < free.iterations
+        assert relative_error(res.x_star, P.ground_truth) <= 0.5
+
+        penalized = name not in ("pdipa", "palm", "dalm")
+        cases = [(np.eye(3), np.zeros(3))]
+        if penalized:  # A^T b = 0 with b != 0: F(0) = 1/2 ||b||^2
+            cases.append((np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0]]),
+                          np.array([0.0, 1.0])))
+        for A, b in cases:
+            res = solve_named(name, ProblemInstance(A, b),
+                              SolverConfig(lam=0.1))
+            assert res.converged and res.iterations == 0
+            assert np.array_equal(res.x_star, np.zeros(3))
+            b_norm = float(np.linalg.norm(b))
+            want = 0.5 * b_norm ** 2 if penalized else 0.0
+            assert res.trace == [TraceEntry(0, want, b_norm, 0)]
 
 
 class TestPhaseGridRuns:
