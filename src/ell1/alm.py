@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
+from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
+                             NumericalBreakdownError)
 from ell1.model import Monitor
 from ell1.numerics import (CholFactor, chol_factor, project_box_linf,
                            soft_threshold, spectral_norm_sq)
@@ -101,7 +102,10 @@ def palm_solve(P, config, observer=None):
     Converges when ||b - A x|| <= config.tol ||b||; iterations counts
     inner steps, and config.max_iter caps that total. observer, when
     given, receives the AlmState after every outer iteration. The
-    stopping-rule kkt slot carries the relative primal residual.
+    stopping-rule kkt slot carries the relative primal residual. A
+    multiplier or residual that leaves the float range, as when b lies
+    outside the range of A and the multiplier grows without bound,
+    raises NumericalBreakdownError.
     """
     A, b = P.A, P.b
     n = P.n
@@ -133,6 +137,9 @@ def palm_solve(P, config, observer=None):
         r = b - A @ x
         res_norm = float(np.linalg.norm(r))
         y = y + mu * r
+        if not (np.isfinite(res_norm) and np.all(np.isfinite(y))):
+            raise NumericalBreakdownError(
+                "multiplier or residual became non-finite at mu = %g" % mu)
         l1 = float(np.sum(np.abs(x)))
         mon.record(it, l1, res_norm, x)
         if observer is not None:

@@ -167,16 +167,15 @@ def kkt_from_correlation(x, c, lam):
     """kkt_residual when the correlation c = A^T (b - A x) is already known.
 
     Iterative solvers compute c as part of their own gradient work; this
-    avoids paying the matrix products twice.
+    avoids paying the matrix products twice. One elementwise pass: an
+    entry on the support deviates by |c_i - lam sgn x_i|, one off it by
+    |c_i| - lam, and the worst deviation is floored at 0. A NaN anywhere
+    in x or c makes the result NaN, which fails every tolerance test.
     """
-    on = x != 0.0
-    worst = 0.0
-    if np.any(on):
-        worst = float(np.max(np.abs(c[on] - lam * np.sign(x[on]))))
-    off = ~on
-    if np.any(off):
-        worst = max(worst, float(np.max(np.abs(c[off])) - lam), 0.0)
-    return worst
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    dev = np.where(x != 0.0, np.abs(c - lam * np.sign(x)), np.abs(c) - lam)
+    return float(dev.max(initial=0.0))
 
 
 def check_stop(history, rule, ground_truth=None):
@@ -220,8 +219,9 @@ def support_size(x, rel_tol=1e-10):
     x = np.asarray(x)
     if x.size == 0:
         return 0
-    cutoff = rel_tol * max(float(np.max(np.abs(x))), 1.0)
-    return int(np.count_nonzero(np.abs(x) > cutoff))
+    mag = np.abs(x)
+    cutoff = rel_tol * max(float(mag.max()), 1.0)
+    return int(np.count_nonzero(mag > cutoff))
 
 
 def relative_error(x, reference):

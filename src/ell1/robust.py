@@ -432,7 +432,12 @@ def ist_block_step(B, b, w, e, lam, alpha):
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     r = b - B @ w - e
-    w_next = w + (B.T @ r) / alpha
+    return _block_step(w, e, r, B.T @ r, lam, alpha)
+
+
+def _block_step(w, e, r, Btr, lam, alpha):
+    """ist_block_step from the residual r = b - B w - e and Btr = B^T r."""
+    w_next = w + Btr / alpha
     e_next = soft_threshold(e + r / alpha, lam / alpha)
     return w_next, e_next
 
@@ -446,6 +451,10 @@ def align_ist_solve(prob, lam, config):
     meets the kkt tolerance at lam; the iteration cap returns the current
     iterate otherwise. lam=None uses 1e-2 times the peak least-squares
     residual. Returns (w, e).
+
+    Each iteration takes 2 products with B: the residual r = b - B w - e
+    and B^T r of the new iterate serve both its convergence test and the
+    next block step.
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)
@@ -456,10 +465,13 @@ def align_ist_solve(prob, lam, config):
     alpha = 1.01 * (spectral_norm_sq(B) + 1.0)
     w = np.zeros(prob.m)
     e = np.zeros(prob.d)
+    r = b - B @ w - e
+    Btr = B.T @ r
     for _ in range(config.max_iter):
-        w, e = ist_block_step(B, b, w, e, lam, alpha)
+        w, e = _block_step(w, e, r, Btr, lam, alpha)
         r = b - B @ w - e
-        if (float(np.max(np.abs(B.T @ r))) <= config.tol
+        Btr = B.T @ r
+        if (float(np.max(np.abs(Btr))) <= config.tol
                 and kkt_from_correlation(e, r, lam) <= config.tol * lam):
             break
     return w, e

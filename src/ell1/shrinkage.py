@@ -187,16 +187,19 @@ def fista_t_next(t):
 
 
 def _backtrack(y, L_prev, eta, lam, P, g_y, f_y):
-    """Grow L by eta until the quadratic model majorizes F at the prox point."""
+    """Grow L by eta until the quadratic model majorizes F at the prox point.
+
+    Each trial takes one product, A x_next.
+    """
     A, b = P.A, P.b
     L = L_prev
     for _ in range(_MAX_BACKTRACK + 1):
         x_next = soft_threshold(y - g_y / L, lam / L)
         r_next = A @ x_next - b
-        F_next = 0.5 * float(r_next @ r_next) + lam * float(np.sum(np.abs(x_next)))
+        l1 = lam * float(np.sum(np.abs(x_next)))
+        F_next = 0.5 * float(r_next @ r_next) + l1
         delta = x_next - y
-        Q = (f_y + float(g_y @ delta) + 0.5 * L * float(delta @ delta)
-             + lam * float(np.sum(np.abs(x_next))))
+        Q = f_y + float(g_y @ delta) + 0.5 * L * float(delta @ delta) + l1
         if F_next <= Q + 1e-12 * max(1.0, abs(Q)):  # slack for exact ties
             return L, x_next, r_next, F_next
         L *= eta
@@ -226,13 +229,22 @@ def fista_solve(P, config, observer=None):
     the measured squared spectral norm, as the convergence-bound analysis
     assumes). observer, when given, receives (FistaState, y, lambda) after
     every step. Honors config.stopping when set.
+
+    Each iteration takes 2 dictionary products, plus 1 per extra
+    backtracking trial: A x_next, and g = A^T (A x_next - b), which the
+    kkt test needs and the next iteration reuses. The extrapolated point
+    y = x + c (x - x_prev) needs none, because its residual and gradient
+    are the same combination of the carried ones for x and x_prev. Set-up
+    takes A^T b, plus the spectral norm when exact_L is set.
     """
     A, b = P.A, P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
     lam_bar = config.resolved_lambda(P)
     x = np.zeros(n)
-    if float(np.max(np.abs(A.T @ b))) == 0.0:
+    Atb = A.T @ b
+    Atb_max = float(np.max(np.abs(Atb)))
+    if Atb_max == 0.0:
         return mon.trivial(n, penalized=True)
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")
@@ -245,18 +257,22 @@ def fista_solve(P, config, observer=None):
         # tiny inflation keeps the majorization valid under roundoff
         sn = A.norm_sq() if hasattr(A, "norm_sq") else spectral_norm_sq(A)
         L = sn * (1.0 + 1e-9)
-    lam = max(0.9 * float(np.max(np.abs(A.T @ b))), lam_bar) \
+    lam = max(0.9 * Atb_max, lam_bar) \
         if config.opt("continuation", True) else lam_bar
 
+    # residual A x - b and gradient A^T (A x - b) at x and at x_prev
     x_prev = x.copy()
+    r_x = r_prev = -b
+    g_x = g_prev = -Atb
     t_prev = t_cur = 1.0
     converged = False
     it = 0
     while it < config.max_iter:
         it += 1
-        y = x + ((t_prev - 1.0) / t_cur) * (x - x_prev)
-        r_y = A @ y - b
-        g_y = A.T @ r_y
+        c = (t_prev - 1.0) / t_cur
+        y = x + c * (x - x_prev)
+        r_y = r_x + c * (r_x - r_prev)
+        g_y = g_x + c * (g_x - g_prev)
         if exact_L:
             x_next = soft_threshold(y - g_y / L, lam / L)
             r_next = A @ x_next - b
@@ -266,9 +282,11 @@ def fista_solve(P, config, observer=None):
             L, x_next, r_next, F_next = _backtrack(y, L, eta, lam, P, g_y,
                                                    0.5 * float(r_y @ r_y))
         x_prev, x = x, x_next
+        r_prev, r_x = r_x, r_next
+        g_prev, g_x = g_x, A.T @ r_next
         t_prev, t_cur = t_cur, fista_t_next(t_cur)
         mon.record(it, F_next, float(np.linalg.norm(r_next)), x)
-        kkt = kkt_from_correlation(x, -(A.T @ r_next), lam)
+        kkt = kkt_from_correlation(x, -g_x, lam)
         if observer is not None:
             observer(FistaState(x_prev.copy(), x.copy(), t_prev, t_cur, L),
                      y, lam)

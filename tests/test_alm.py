@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ell1 import robust, synth
+from ell1 import bench, robust, synth
 from ell1.alm import (AlmState, DalmState, _y_cg_step, dalm_solve,
                       dual_y_solve, palm_solve)
-from ell1.exceptions import IllConditionedError
+from ell1.exceptions import IllConditionedError, NumericalBreakdownError
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig, StoppingRule
 from ell1.numerics import CholFactor, chol_factor
@@ -80,6 +80,16 @@ def test_palm_rejects_bad_penalty_options():
         palm_solve(P, SolverConfig(options={"mu0": 0.0}))
     with pytest.raises(ValueError):
         palm_solve(P, SolverConfig(options={"rho": 1.0}))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_palm_raises_when_b_is_outside_the_range_of_A():
+    # the multiplier grows without bound and overflows; the run must end
+    # in a typed error, not in a budget of NaN steps
+    P = ProblemInstance(np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0]]),
+                        np.array([0.0, 1.0]))
+    with pytest.raises(NumericalBreakdownError):
+        bench.solve_named("palm", P, SolverConfig(lam=0.1))
 
 
 # --- dual_y_solve ----------------------------------------------------------
@@ -232,28 +242,13 @@ def test_dalm_single_cg_mode_converges_on_general_instances():
     assert abs(l1_cg - l1_exact) <= 1e-5 * l1_exact
 
 
-def counting_view(A):
-    """View of A that counts the matrix products taken with it."""
-    count = [0]
-
-    class Counting(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul and method == "__call__":
-                count[0] += 1
-            plain = tuple(v.view(np.ndarray) if isinstance(v, Counting)
-                          else v for v in inputs)
-            return getattr(ufunc, method)(*plain, **kwargs)
-
-    return A.view(Counting), count
-
-
 # setup: the row Gram plus A^T y and A x of the zero start
 _DALM_SETUP_PRODUCTS = 3
 
 
 @pytest.mark.parametrize("options, per_iter",
                          [({}, 3), ({"y_cg_step": True}, 6)])
-def test_dalm_products_per_iteration(options, per_iter):
+def test_dalm_products_per_iteration(options, per_iter, counting_view):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     cfg = SolverConfig(tol=1e-7, max_iter=400, options=options)
     plain = dalm_solve(P, cfg)
@@ -264,7 +259,7 @@ def test_dalm_products_per_iteration(options, per_iter):
     assert np.array_equal(res.x_star, plain.x_star)
 
 
-def test_cab_dalm_products_per_iteration(monkeypatch):
+def test_cab_dalm_products_per_iteration(monkeypatch, counting_view):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
     cfg = SolverConfig(tol=1e-7, max_iter=400)

@@ -115,6 +115,36 @@ def test_kkt_requires_positive_lambda():
         model.kkt_residual(np.zeros(P.n), P, 0.0)
 
 
+def test_kkt_from_correlation_matches_split_definition():
+    # worst of |c_i - lam sgn x_i| on the support and |c_i| - lam off it,
+    # floored at 0, taken over the two index sets separately
+    rng = np.random.default_rng(14)
+    for trial in range(50):
+        n = int(rng.integers(1, 30))
+        x = rng.standard_normal(n) * (rng.random(n) < 0.4)
+        c = rng.standard_normal(n)
+        lam = float(rng.uniform(0.1, 2.0))
+        if trial % 3 == 0:
+            c[x != 0] = lam * np.sign(x[x != 0])   # exact optimality on it
+        on = x != 0.0
+        parts = [0.0]
+        if on.any():
+            parts.append(float(np.max(np.abs(c[on] - lam * np.sign(x[on])))))
+        if (~on).any():
+            parts.append(float(np.max(np.abs(c[~on]))) - lam)
+        assert model.kkt_from_correlation(x, c, lam) == max(parts)
+
+
+@pytest.mark.parametrize("x, c", [([1.0, 0.0], [0.5, np.nan]),
+                                  ([1.0, 0.0], [np.nan, 0.1]),
+                                  ([np.nan, 0.0], [0.5, 0.1])])
+def test_kkt_from_correlation_propagates_nan(x, c):
+    # a NaN must fail every tolerance test, not read as converged
+    kkt = model.kkt_from_correlation(np.array(x), np.array(c), 0.5)
+    assert np.isnan(kkt)
+    assert not kkt <= 1e-6
+
+
 # ---------------------------------------------------------------- check_stop
 
 def test_check_stop_relative_objective():

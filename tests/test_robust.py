@@ -11,6 +11,7 @@ from ell1.robust import (AlignmentProblem, ExtendedDictionary,
                          align_gp_solve, align_homotopy_solve,
                          align_ist_solve, align_palm_solve, cab_solve,
                          ist_block_step)
+from ell1.numerics import spectral_norm_sq
 from ell1.shrinkage import fista_solve
 from ell1.synth import GenSpec, corrupt_entries, gen_bouquet_dict, \
     make_instance
@@ -359,6 +360,27 @@ class TestAlignIst:
         with pytest.raises(ValueError):
             ist_block_step(np.ones((2, 1)), np.ones(2), np.zeros(1),
                            np.zeros(2), 1.0, 0.0)
+
+    def test_products_per_iteration(self, counting_view):
+        # the residual and B^T r of each convergence test feed the next
+        # step, so every iteration takes 2 products; set-up takes B^T B
+        # and the residual pair of the zero start
+        prob, w0, mask = corrupted_alignment(3041, d=60, m=7)
+        lam = 0.05 * float(np.max(np.abs(prob.b)))
+        cfg = SolverConfig(tol=1e-9, max_iter=60000)
+        alpha = 1.01 * (spectral_norm_sq(prob.B) + 1.0)
+        w, e = np.zeros(prob.m), np.zeros(prob.d)
+        for it in range(1, cfg.max_iter + 1):
+            w, e = ist_block_step(prob.B, prob.b, w, e, lam, alpha)
+            r = prob.b - prob.B @ w - e
+            if (float(np.max(np.abs(prob.B.T @ r))) <= cfg.tol
+                    and kkt_from_correlation(e, r, lam) <= cfg.tol * lam):
+                break
+        prob.B, count = counting_view(prob.B)
+        w2, e2 = align_ist_solve(prob, lam, cfg)
+        assert 50 <= it < cfg.max_iter
+        assert count[0] <= 2 * it + 3
+        assert np.array_equal(w2, w) and np.array_equal(e2, e)
 
     def test_agrees_with_barrier_solver(self):
         prob, w0, mask = corrupted_alignment(3037, d=60, m=7)

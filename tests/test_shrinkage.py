@@ -1,12 +1,14 @@
 """Tests for the shrinkage solvers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ell1 import homotopy, shrinkage, synth
+from ell1 import homotopy, robust, shrinkage, synth
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
-                        kkt_residual, objective)
+                        kkt_from_correlation, kkt_residual, objective)
 from ell1.numerics import soft_threshold, spectral_norm_sq
 from ell1.shrinkage import (ContinuationSchedule, backtrack_L, bb_alpha,
                             default_schedule, fista_solve, fista_t_next,
@@ -298,6 +300,77 @@ def test_fista_objective_bound_with_exact_L():
     for t in run.trace:
         bound = 2.0 * L_f * dist0 / (t.iteration + 1) ** 2
         assert t.objective - F_star <= bound
+
+
+def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
+    """fista_solve's default iteration with A y and A^T (A y - b) taken
+    afresh at every extrapolated point y, as backtrack_L does: 4 products
+    per step. Returns (x, iterations, backtracking trials beyond the
+    first of each step, summed over the run)."""
+    A, b = P.A, P.b
+    x = x_prev = np.zeros(A.shape[1])
+    t_prev = t_cur = L = 1.0
+    lam = max(0.9 * float(np.max(np.abs(A.T @ b))), lam_bar)
+    for it in range(1, max_iter + 1):
+        y = x + ((t_prev - 1.0) / t_cur) * (x - x_prev)
+        L, x_next = backtrack_L(y, L, eta, lam, P)
+        x_prev, x = x, x_next
+        t_prev, t_cur = t_cur, fista_t_next(t_cur)
+        kkt = kkt_from_correlation(x, -(A.T @ (A @ x - b)), lam)
+        if lam == lam_bar and kkt <= tol * lam_bar:
+            break
+        lam = max(beta * lam, lam_bar)
+    # every extra trial multiplied L, which starts at 1, by eta
+    return x, it, round(np.log(L) / np.log(eta))
+
+
+# setup: A^T b for the default lambda and A^T b for the continuation start
+_FISTA_SETUP_PRODUCTS = 2
+_FISTA_CONFIG = SolverConfig(tol=1e-8, max_iter=3000)
+
+
+def test_fista_products_per_iteration(counting_view):
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    x_ref, it_ref, extra = textbook_fista(
+        P, _FISTA_CONFIG.resolved_lambda(P), _FISTA_CONFIG.tol,
+        _FISTA_CONFIG.max_iter)
+    plain = fista_solve(P, _FISTA_CONFIG)
+    P.A, count = counting_view(P.A)
+    res = fista_solve(P, _FISTA_CONFIG)
+    assert res.converged and res.iterations >= 50
+    assert count[0] <= 2 * res.iterations + extra + _FISTA_SETUP_PRODUCTS
+    assert np.array_equal(res.x_star, plain.x_star)
+    assert res.iterations == it_ref
+    assert np.linalg.norm(res.x_star - x_ref) \
+        <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
+    ext = SimpleNamespace(A=robust.ExtendedDictionary(P.A), b=b_bad)
+    x_ref, it_ref, extra = textbook_fista(
+        ext, 1e-2 * float(np.max(np.abs(ext.A.T @ b_bad))),
+        _FISTA_CONFIG.tol, _FISTA_CONFIG.max_iter)
+    plain = robust.cab_solve(P.A, b_bad, "fista", _FISTA_CONFIG)
+    counts = []
+    init = robust.ExtendedDictionary.__init__
+
+    def counting_init(self, A, identity_scale=1.0):
+        init(self, A, identity_scale)
+        self.A, count = counting_view(self.A)
+        counts.append(count)
+
+    monkeypatch.setattr(robust.ExtendedDictionary, "__init__",
+                        counting_init)
+    x, e, res = robust.cab_solve(P.A, b_bad, "fista", _FISTA_CONFIG)
+    assert len(counts) == 1
+    assert res.converged and res.iterations >= 50
+    assert counts[0][0] <= 2 * res.iterations + extra + _FISTA_SETUP_PRODUCTS
+    assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
+    assert res.iterations == it_ref
+    assert np.linalg.norm(res.x_star - x_ref) \
+        <= 1e-10 * np.linalg.norm(x_ref)
 
 
 @pytest.mark.invariant
