@@ -1,8 +1,9 @@
-"""Pure numpy fallback for the compiled kernels.
+"""The four inner kernels that numerics builds on, in numpy.
 
-Active when the Cython extension is missing or ELL1_NO_EXT is set.
-Semantics must match ell1._accel._fastkernels exactly; when the extension
-is present the test suite cross-checks the two implementations.
+soft_threshold and project_box_linf work on float64 arrays of any shape
+and return new arrays; chol_update and chol_downdate modify an upper
+Cholesky factor in place. numerics calls them as ``_accel.<name>``, so a
+caller that replaces a kernel here (a profiler, say) sees every call.
 """
 
 import numpy as np

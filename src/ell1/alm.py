@@ -257,7 +257,8 @@ def dalm_solve(P, config, observer=None):
         x_prev = state.x
         Aty = A.T @ y
         x = x_prev - beta * (z - Aty)
-        state = DalmState(x, y, z, beta, chol)
+        # z is in the box by projection; skip DalmState's rescan of it
+        state.x, state.y, state.z = x, y, z
         it += 1
         Ax = A @ x
         r = b - Ax
@@ -265,7 +266,7 @@ def dalm_solve(P, config, observer=None):
         l1 = float(np.sum(np.abs(x)))
         mon.record(it, l1, res_norm, x)
         if observer is not None:
-            observer(state, x_prev)
+            observer(DalmState(x, y, z, beta, chol), x_prev)
         rel = res_norm / b_norm
         # certified gap: y scaled into the dual box bounds the optimum
         # from below, so l1 minus the bound brackets the suboptimality

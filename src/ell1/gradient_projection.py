@@ -14,12 +14,10 @@ import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, kkt_from_correlation
-from ell1.numerics import pcg_solve, truncate_small
+from ell1.numerics import _MAX_HALVINGS, BoxBarrier, pcg_solve, truncate_small
 
 _ALPHA_CAP = 1e8
 _CURV_FLOOR = 1e-14    # relative curvature below this counts as flat
-_MAX_HALVINGS = 50
-_ARMIJO = 0.01
 _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
 
 
@@ -140,7 +138,7 @@ def gpsr_solve(P, lam, config, observer=None):
             converged = True
             break
         grad = np.concatenate([grad_x + lam, lam - grad_x])
-        g = np.where((z > 0.0) | (grad < 0.0), grad, 0.0)
+        g = gpsr_direction(z, grad)
         if float(g @ g) == 0.0:
             # first-order point of the split program; kkt said otherwise
             mon.notes.append("zero projected gradient before kkt tolerance")
@@ -178,15 +176,6 @@ def gpsr_solve(P, lam, config, observer=None):
     if not converged:
         converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
     return mon.result(x, it, converged)
-
-
-def _barrier_value(t, lam, r, x, u):
-    up = u + x
-    um = u - x
-    if float(np.min(up)) <= 0.0 or float(np.min(um)) <= 0.0:
-        return np.inf
-    return (t * (0.5 * float(r @ r) + lam * float(np.sum(u)))
-            - float(np.sum(np.log(up))) - float(np.sum(np.log(um))))
 
 
 def tnipm_solve(P, lam, config, observer=None):
@@ -239,57 +228,28 @@ def tnipm_solve(P, lam, config, observer=None):
                 converged = True
                 x = xt
                 break
-        up = u + x
-        um = u - x
-        p = 1.0 / up
-        q = 1.0 / um
-        g_x = t * Ar + (q - p)
-        g_u = t * lam - p - q
-        pp = p * p
-        qq = q * q
-        diag_sum = pp + qq
-        diag_diff = pp - qq
-        d_red = 4.0 * pp * qq / diag_sum
-        rhs = -g_x + diag_diff * (g_u / diag_sum)
+        bar = BoxBarrier(x, u, t, lam)
+        g_x = t * Ar + bar.g_bar
+        d_red = bar.d_red
         op = lambda v: t * (A.T @ (A @ v)) + d_red * v
-        sol = pcg_solve(op, rhs, precond=t * col_sq + d_red,
+        sol = pcg_solve(op, bar.reduced_rhs(g_x), precond=t * col_sq + d_red,
                         tol=pcg_tol, max_iter=pcg_cap)
         if not sol.converged:
             pcg_capped += 1
         dx = sol.x
-        du = -(g_u + diag_diff * dx) / diag_sum
-        decrement_sq = -(float(g_x @ dx) + float(g_u @ du))
-        # largest step keeping the iterate strictly interior
-        s = 1.0
-        dup = du + dx
-        dum = du - dx
-        shrinking = dup < 0.0
-        if np.any(shrinking):
-            s = min(s, 0.99 * float(np.min(up[shrinking] / -dup[shrinking])))
-        shrinking = dum < 0.0
-        if np.any(shrinking):
-            s = min(s, 0.99 * float(np.min(um[shrinking] / -dum[shrinking])))
-        F_t = _barrier_value(t, lam, r, x, u)
+        du = bar.bound_step(dx)
+        decrement_sq = -(float(g_x @ dx) + float(bar.g_u @ du))
         Adx = A @ dx
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            F_new = _barrier_value(t, lam, r + s * Adx, x + s * dx,
-                                   u + s * du)
-            if F_new <= F_t - _ARMIJO * s * decrement_sq:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
+        step = bar.backtrack(r, dx, du, decrement_sq, lambda s: r + s * Adx)
+        if step is None:
             raise NumericalBreakdownError(
                 "barrier line search exhausted without an interior "
                 "decrease")
-        x = x + s * dx
-        u = u + s * du
+        _, x, u = step
         it += 1
         if observer is not None:
             observer(BarrierIterate(x.copy(), u.copy(), t))
-        if decrement_sq <= 0.25:
-            t *= 10.0
+        t = bar.next_weight(decrement_sq)
     x = truncate_small(x)
     if not converged:
         rt = A @ x - b

@@ -1,8 +1,9 @@
 """Shared numerical kernels: shrinkage, box projection, Cholesky machinery,
-preconditioned conjugate gradients, spectral norm estimation.
+preconditioned conjugate gradients, spectral norm estimation, and the
+interior-point pieces (fraction to boundary, box-barrier Newton step and
+its Armijo backtrack) that pdipa, tnipm and align_gp_solve share.
 
-The elementwise kernels and the rank-1 factor updates dispatch to the
-compiled backend in ell1._accel when it is available.
+The elementwise kernels and the rank-1 factor updates run in ell1._accel.
 """
 
 from collections import namedtuple
@@ -32,16 +33,18 @@ def soft_threshold(u, a):
     a = float(a)
     if not a >= 0.0:
         raise ValueError("threshold a must be nonnegative, got %g" % a)
-    arr = np.ascontiguousarray(u, dtype=np.float64)
-    out = _accel.soft_threshold(arr.ravel(), a)
-    return np.asarray(out).reshape(arr.shape)
+    u = np.asarray(u, dtype=np.float64)
+    # a ufunc returns a scalar for 0-d input; asarray keeps it an array
+    return np.asarray(_accel.soft_threshold(u, a))
 
 
 def project_box_linf(z):
-    """Orthogonal projection onto the unit l-inf ball (clamp to [-1, 1])."""
-    arr = np.ascontiguousarray(z, dtype=np.float64)
-    out = _accel.project_box_linf(arr.ravel())
-    return np.asarray(out).reshape(arr.shape)
+    """Orthogonal projection onto the unit l-inf ball (clamp to [-1, 1]).
+
+    Accepts any array shape; returns a new float64 array of that shape.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return np.asarray(_accel.project_box_linf(z))
 
 
 def truncate_small(x):
@@ -291,3 +294,100 @@ def spectral_norm_sq(A, tol=1e-6, max_iter=1000):
             continue
         v = w / nw
     return theta
+
+
+_BOUNDARY = 0.99     # fraction-to-boundary damping
+_MAX_HALVINGS = 50   # step halvings before a backtracking search gives up
+_ARMIJO = 0.01       # sufficient-decrease share of the Newton decrement
+
+
+def fraction_to_boundary(v, dv):
+    """Damped largest step s <= 1 keeping v + s dv positive, for v > 0.
+
+    1.0 when no entry of dv is negative; otherwise the smaller of 1 and
+    0.99 times the smallest blocking ratio v_i / -dv_i.
+    """
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, _BOUNDARY * float(np.min(-v[neg] / dv[neg])))
+
+
+def box_barrier_value(t, lam, r, u, up, um):
+    """t (1/2 ||r||^2 + lam sum(u)) - sum log(up) - sum log(um).
+
+    up = u + v and um = u - v are the slacks of |v| <= u; both must be
+    positive.
+    """
+    return (t * (0.5 * float(r @ r) + lam * float(np.sum(u)))
+            - float(np.sum(np.log(up))) - float(np.sum(np.log(um))))
+
+
+class BoxBarrier:
+    """Newton step on box_barrier_value at a strictly interior (v, u).
+
+    The u block is eliminated exactly; the residual r and how it depends
+    on v stay with the caller. The caller adds t times the gradient of
+    1/2 ||r||^2 to g_bar, the barrier part of the v gradient, to get the
+    full v gradient g_v, and solves (t H_r + diag(d_red)) dv =
+    reduced_rhs(g_v) with its own Hessian H_r of 1/2 ||r||^2. Then
+    bound_step(dv) gives du and backtrack the step length. g_u is the u
+    gradient; diag_sum and diag_diff are the barrier Hessian's diagonal
+    blocks on (v, v) and (u, u), and on (v, u).
+    """
+
+    __slots__ = ("v", "u", "t", "lam", "up", "um", "g_bar", "g_u",
+                 "diag_sum", "diag_diff", "d_red")
+
+    def __init__(self, v, u, t, lam):
+        self.v, self.u, self.t, self.lam = v, u, t, lam
+        self.up = u + v
+        self.um = u - v
+        p = 1.0 / self.up
+        q = 1.0 / self.um
+        self.g_bar = q - p
+        self.g_u = t * lam - p - q
+        pp = p * p
+        qq = q * q
+        self.diag_sum = pp + qq
+        self.diag_diff = pp - qq
+        self.d_red = 4.0 * pp * qq / self.diag_sum
+
+    def reduced_rhs(self, g_v):
+        """Right-hand side in v once du is eliminated; g_v is the full
+        v gradient."""
+        return -g_v + self.diag_diff * (self.g_u / self.diag_sum)
+
+    def bound_step(self, dv):
+        """du from the bound block's row of the Newton system."""
+        return -(self.g_u + self.diag_diff * dv) / self.diag_sum
+
+    def backtrack(self, r, dv, du, decrement_sq, trial_residual):
+        """Armijo backtracking from the fraction-to-boundary step.
+
+        Starts at the damped largest step keeping u + v and u - v
+        positive and halves it up to 50 times until the step stays
+        strictly interior and the barrier value drops by
+        0.01 s decrement_sq. trial_residual(s) is the residual at step s.
+        Returns (s, v + s dv, u + s du), or None when every trial fails.
+        """
+        s = min(fraction_to_boundary(self.up, du + dv),
+                fraction_to_boundary(self.um, du - dv))
+        t, lam = self.t, self.lam
+        F_t = box_barrier_value(t, lam, r, self.u, self.up, self.um)
+        for _ in range(_MAX_HALVINGS + 1):
+            v_new = self.v + s * dv
+            u_new = self.u + s * du
+            up = u_new + v_new
+            um = u_new - v_new
+            if float(np.min(up)) > 0.0 and float(np.min(um)) > 0.0:
+                F_new = box_barrier_value(t, lam, trial_residual(s), u_new,
+                                          up, um)
+                if F_new <= F_t - _ARMIJO * s * decrement_sq:
+                    return s, v_new, u_new
+            s *= 0.5
+        return None
+
+    def next_weight(self, decrement_sq):
+        """Tenfold barrier weight once the decrement certifies the center."""
+        return self.t * 10.0 if decrement_sq <= 0.25 else self.t

@@ -15,7 +15,6 @@ from ell1 import numerics
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
 from ell1.model import Monitor
 
-_BOUNDARY = 0.99  # fraction-to-boundary damping
 _SIGMA = 0.1      # centering: target a tenth of the current duality measure
 _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-6
@@ -29,14 +28,6 @@ class PdipaState:
     y: np.ndarray   # length d
     z: np.ndarray   # length 2n, > 0
     mu: float       # duality measure x'z / (2n)
-
-
-def _step_to_boundary(v, dv):
-    """Largest multiple of dv keeping v + a*dv positive, damped."""
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, _BOUNDARY * float(np.min(-v[neg] / dv[neg])))
 
 
 def _factor_with_jitter(M):
@@ -160,8 +151,8 @@ def pdipa_solve(P, config, observer=None):
                 and np.all(np.isfinite(dz))):
             mon.notes.append("stopped on non-finite step")
             break
-        alpha_p = _step_to_boundary(x, dx)
-        alpha_d = _step_to_boundary(z, dz)
+        alpha_p = numerics.fraction_to_boundary(x, dx)
+        alpha_d = numerics.fraction_to_boundary(z, dz)
         # keep the duality measure monotone: halve until it drops
         for _ in range(40):
             x_new = x + alpha_p * dx

@@ -24,13 +24,10 @@ from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import solve_path
 from ell1.model import kkt_from_correlation
-from ell1.numerics import (chol_factor, soft_threshold, spectral_norm_sq,
-                           truncate_small)
+from ell1.numerics import (BoxBarrier, chol_factor, soft_threshold,
+                           spectral_norm_sq, truncate_small)
 from ell1.pdipa import pdipa_solve
 from ell1.shrinkage import fista_solve, ist_solve
-
-_MAX_HALVINGS = 50
-_ARMIJO = 0.01
 
 
 class _AdjointView:
@@ -300,21 +297,12 @@ def align_gp_solve(prob, lam, config):
             c = b - B @ w_t - e_t
             if kkt_from_correlation(e_t, c, lam) <= config.tol * lam:
                 return w_t, e_t
-        up = u + e
-        um = u - e
-        p = 1.0 / up
-        q = 1.0 / um
+        bar = BoxBarrier(e, u, t, lam)
         g_w = -t * (B.T @ r)
-        g_e = -t * r + (q - p)
-        g_u = t * lam - p - q
-        pp = p * p
-        qq = q * q
-        diag_sum = pp + qq
-        diag_diff = pp - qq
-        d_red = 4.0 * pp * qq / diag_sum
-        rhs_e = -g_e + diag_diff * (g_u / diag_sum)
-        denom = t + d_red
-        weight = t * d_red / denom
+        g_e = -t * r + bar.g_bar
+        rhs_e = bar.reduced_rhs(g_e)
+        denom = t + bar.d_red
+        weight = t * bar.d_red / denom
         try:
             step_fac = chol_factor(B.T @ (B * weight[:, None]))
         except NotPositiveDefiniteError as exc:
@@ -322,46 +310,18 @@ def align_gp_solve(prob, lam, config):
                 "reduced alignment system lost definiteness") from exc
         dw = step_fac.solve(-g_w - t * (B.T @ (rhs_e / denom)))
         de = (rhs_e - t * (B @ dw)) / denom
-        du = -(g_u + diag_diff * de) / diag_sum
+        du = bar.bound_step(de)
         decrement_sq = -(float(g_w @ dw) + float(g_e @ de)
-                         + float(g_u @ du))
-        s = 1.0
-        dup = du + de
-        dum = du - de
-        shrinking = dup < 0.0
-        if np.any(shrinking):
-            s = min(s, 0.99 * float(np.min(up[shrinking] / -dup[shrinking])))
-        shrinking = dum < 0.0
-        if np.any(shrinking):
-            s = min(s, 0.99 * float(np.min(um[shrinking] / -dum[shrinking])))
-        F_t = (t * (0.5 * float(r @ r) + lam * float(np.sum(u)))
-               - float(np.sum(np.log(up))) - float(np.sum(np.log(um))))
+                         + float(bar.g_u @ du))
         Bdw = B @ dw
-        accepted = False
-        for _ in range(_MAX_HALVINGS + 1):
-            e_new = e + s * de
-            u_new = u + s * du
-            up_new = u_new + e_new
-            um_new = u_new - e_new
-            if (float(np.min(up_new)) > 0.0
-                    and float(np.min(um_new)) > 0.0):
-                r_new = r - s * Bdw - s * de
-                F_new = (t * (0.5 * float(r_new @ r_new)
-                              + lam * float(np.sum(u_new)))
-                         - float(np.sum(np.log(up_new)))
-                         - float(np.sum(np.log(um_new))))
-                if F_new <= F_t - _ARMIJO * s * decrement_sq:
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
+        step = bar.backtrack(r, de, du, decrement_sq,
+                             lambda s: r - s * Bdw - s * de)
+        if step is None:
             raise NumericalBreakdownError(
                 "alignment barrier line search exhausted")
+        s, e, u = step
         w = w + s * dw
-        e = e_new
-        u = u_new
-        if decrement_sq <= 0.25:
-            t *= 10.0
+        t = bar.next_weight(decrement_sq)
     return polished(e)
 
 

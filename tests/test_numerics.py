@@ -17,12 +17,33 @@ def random_spd(rng, n, cond_lo=1.0, cond_hi=10.0):
 
 # ---------------------------------------------------------------- soft threshold
 
+def assert_fresh_array_like(fn, u, expected):
+    # same shape as u, float64, u neither aliased nor modified
+    before = np.array(u, copy=True)
+    out = fn(u)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == np.shape(u)
+    assert out.dtype == np.float64
+    assert not np.shares_memory(out, u)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(u, before)
+
+
 def test_soft_threshold_examples():
     assert numerics.soft_threshold(np.array([0.7]), 1.0) == pytest.approx([0.0])
     np.testing.assert_allclose(
         numerics.soft_threshold(np.array([2.0, -3.0]), 0.5), [1.5, -2.5])
     x = np.array([0.3, -4.2, 0.0])
     np.testing.assert_array_equal(numerics.soft_threshold(x, 0.0), x)
+    shrink = lambda u: numerics.soft_threshold(u, 1.0)
+    assert_fresh_array_like(shrink, np.float64(3.0), 2.0)
+    assert_fresh_array_like(shrink, np.array(-0.5), 0.0)
+    assert_fresh_array_like(shrink, np.array([[2.0, -0.5], [-3.0, 1.5]]),
+                            [[1.0, 0.0], [-2.0, 0.5]])
+    strided = np.arange(-4.0, 4.0)[::3]          # [-4, -1, 2]
+    assert_fresh_array_like(shrink, strided, [-3.0, 0.0, 1.0])
+    assert_fresh_array_like(shrink, np.array([[4.0, 0.0], [0.0, -4.0]]).T,
+                            [[3.0, 0.0], [0.0, -3.0]])
 
 
 def test_soft_threshold_rejects_negative_threshold():
@@ -70,6 +91,15 @@ def test_project_box_examples():
     np.testing.assert_allclose(
         numerics.project_box_linf(np.array([0.9, -0.9])), [0.9, -0.9])
     assert numerics.project_box_linf(np.array([])).shape == (0,)
+    project = numerics.project_box_linf
+    assert_fresh_array_like(project, np.float64(-3.0), -1.0)
+    assert_fresh_array_like(project, np.array(0.25), 0.25)
+    assert_fresh_array_like(project, np.array([[2.0, -0.5], [-3.0, 0.5]]),
+                            [[1.0, -0.5], [-1.0, 0.5]])
+    strided = np.arange(-4.0, 4.0)[::3]          # [-4, -1, 2]
+    assert_fresh_array_like(project, strided, [-1.0, -1.0, 1.0])
+    assert_fresh_array_like(project, np.array([[1.5, 0.0], [0.0, -0.5]]).T,
+                            [[1.0, 0.0], [0.0, -0.5]])
 
 
 @pytest.mark.invariant
@@ -278,3 +308,99 @@ def test_spectral_norm_sq_accuracy_property():
         est = numerics.spectral_norm_sq(A, tol=1e-9)
         truth = float(np.max(np.linalg.eigvalsh(A.T @ A)))
         assert abs(est - truth) / truth <= 1e-6
+
+
+# ------------------------------------------------------ interior-point steps
+
+def test_fraction_to_boundary_full_step_without_blocking_entries():
+    v = np.array([1.0, 2.0, 0.5])
+    assert numerics.fraction_to_boundary(v, np.array([0.0, 3.0, 1e9])) == 1.0
+    assert numerics.fraction_to_boundary(v, np.zeros(3)) == 1.0
+
+
+def test_fraction_to_boundary_examples():
+    v = np.array([1.0, 2.0, 0.5])
+    # blocking ratios v_i / -dv_i: 0.5 and 0.25; the smaller one binds
+    s = numerics.fraction_to_boundary(v, np.array([-2.0, 1.0, -2.0]))
+    assert s == 0.99 * 0.25
+    # a blocking ratio beyond 1/0.99 leaves the full step
+    assert numerics.fraction_to_boundary(v, np.array([-0.5, 0.0, 0.0])) == 1.0
+
+
+@pytest.mark.invariant
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.floats(1e-6, 1e6)),
+    arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))))))
+def test_fraction_to_boundary_stays_strictly_positive(vdv):
+    v, dv = vdv
+    s = numerics.fraction_to_boundary(v, dv)
+    assert 0.0 < s <= 1.0
+    assert np.all(v + s * dv > 0.0)
+    neg = dv < 0
+    if np.any(neg):
+        assert s == min(1.0, 0.99 * np.min(v[neg] / -dv[neg]))
+    else:
+        assert s == 1.0
+
+
+def test_box_barrier_value_example():
+    r = np.array([1.0, 2.0])
+    v = np.array([0.5, -0.5])
+    u = np.ones(2)
+    want = 2.0 * (0.5 * 5.0 + 0.1 * 2.0) - 2.0 * np.log(1.5) - 2.0 * np.log(0.5)
+    got = numerics.box_barrier_value(2.0, 0.1, r, u, u + v, u - v)
+    assert got == pytest.approx(want)
+
+
+def test_box_barrier_step_solves_the_full_newton_system():
+    # barrier objective t (1/2 ||A v - b||^2 + lam sum(u)) - sum log(u +- v):
+    # eliminating du and solving the reduced system in v must reproduce
+    # the dense Newton step in (v, u)
+    rng = np.random.default_rng(3)
+    n, t, lam = 6, 3.0, 0.2
+    A = rng.standard_normal((4, n))
+    b = rng.standard_normal(4)
+    u = rng.uniform(0.5, 2.0, n)
+    v = u * rng.uniform(-0.9, 0.9, n)
+    bar = numerics.BoxBarrier(v, u, t, lam)
+    r = A @ v - b
+    g_v = t * (A.T @ r) + bar.g_bar
+    H_vv = t * (A.T @ A) + np.diag(bar.diag_sum)
+    H = np.block([[H_vv, np.diag(bar.diag_diff)],
+                  [np.diag(bar.diag_diff), np.diag(bar.diag_sum)]])
+    full = np.linalg.solve(H, -np.concatenate([g_v, bar.g_u]))
+    dv = np.linalg.solve(t * (A.T @ A) + np.diag(bar.d_red),
+                         bar.reduced_rhs(g_v))
+    du = bar.bound_step(dv)
+    np.testing.assert_allclose(np.concatenate([dv, du]), full, atol=1e-10)
+
+    decrement_sq = -(float(g_v @ dv) + float(bar.g_u @ du))
+    assert decrement_sq > 0.0
+    s, v_s, u_s = bar.backtrack(r, dv, du, decrement_sq,
+                                lambda s: r + s * (A @ dv))
+    assert 0.0 < s <= 1.0
+    np.testing.assert_array_equal(v_s, v + s * dv)
+    np.testing.assert_array_equal(u_s, u + s * du)
+    assert np.all(np.abs(v_s) < u_s)
+    F_t = numerics.box_barrier_value(t, lam, r, u, u + v, u - v)
+    F_s = numerics.box_barrier_value(t, lam, A @ v_s - b, u_s, u_s + v_s,
+                                     u_s - v_s)
+    assert F_s <= F_t - 0.01 * s * decrement_sq
+
+
+def test_box_barrier_backtrack_gives_up_on_an_ascent_direction():
+    v, u = np.zeros(3), np.ones(3)
+    bar = numerics.BoxBarrier(v, u, 1.0, 1.0)
+    r = np.ones(3)
+    # at u = 1 the barrier pull 2/u outweighs t lam = 1, so shrinking u
+    # raises the value at every step length and every halving fails
+    du = -np.ones(3)
+    assert bar.backtrack(r, np.zeros(3), du, 1.0, lambda s: r) is None
+
+
+def test_box_barrier_next_weight():
+    bar = numerics.BoxBarrier(np.zeros(2), np.ones(2), 5.0, 1.0)
+    assert bar.next_weight(0.25) == 50.0
+    assert bar.next_weight(0.3) == 5.0
