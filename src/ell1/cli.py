@@ -329,7 +329,7 @@ def _cmd_align(args):
         obj = float(np.sum(np.abs(e)))
         kkt = float(np.max(np.abs(r)))
         converged = bool(np.linalg.norm(r)
-                         <= 10.0 * cfg.tol * max(1.0, np.linalg.norm(b)))
+                         <= 10.0 * cfg.tol * np.linalg.norm(b))
     else:
         lam_field = cfg.lam
         if lam_field is None:
@@ -338,7 +338,7 @@ def _cmd_align(args):
                + lam_field * float(np.sum(np.abs(e))))
         grad_w = float(np.max(np.abs(B.T @ r)))
         kkt = max(grad_w, kkt_from_correlation(e, r, lam_field))
-        scale = max(1.0, float(np.max(np.abs(B.T @ b))))
+        scale = float(np.max(np.abs(B.T @ b)))
         converged = bool(grad_w <= 10.0 * cfg.tol * scale
                          and kkt_from_correlation(e, r, lam_field)
                          <= 10.0 * cfg.tol * lam_field)

@@ -124,22 +124,21 @@ def _ridge_factor(D, support, notes):
     return numerics.chol_factor(G)
 
 
-def solve_path(D, b, target_lambda, config, path_csv=None, observer=None,
-               ground_truth=None):
-    """Run the path on a dictionary operator down to target_lambda.
+def homotopy_solve(P, target_lambda, config, path_csv=None, observer=None):
+    """Run the path of instance P down to target_lambda.
 
-    Returns (SolverResult, reached_lambda). Each loop pass handles one
-    breakpoint; budget exhaustion returns the best iterate unconverged.
-    observer, when given, receives a PathState snapshot after every
-    breakpoint. config.stopping is checked at every breakpoint, with the
-    kkt residual at target_lambda in its kkt slot; ground_truth serves
-    the ground-truth-distance rule.
+    P.A is a dense matrix or a dictionary operator. Each loop pass handles
+    one breakpoint; budget exhaustion returns the best iterate
+    unconverged. observer, when given, receives a PathState snapshot after
+    every breakpoint. config.stopping is checked at every breakpoint, with
+    the kkt residual at target_lambda in its kkt slot.
     """
     if target_lambda < 0:
         raise ValueError("target lambda must be nonnegative")
+    D = _as_dictionary(P.A)
+    b = P.b
     _, n = D.shape
-    b = np.asarray(b, dtype=np.float64)
-    mon = Monitor(config, b, ground_truth)
+    mon = Monitor(config, b, P.ground_truth)
     x = np.zeros(n)
     c = D.adjoint(b)
     lam0 = float(np.max(np.abs(c))) if n else 0.0
@@ -164,7 +163,7 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None,
         lam = max(lam0, target_lambda)
         result = mon.trivial(n, penalized=True)
         _dump_path(path_csv, [lam], result.trace)
-        return result, lam
+        return result
 
     lam = lam0
     j0 = int(np.argmax(np.abs(c)))
@@ -242,7 +241,7 @@ def solve_path(D, b, target_lambda, config, path_csv=None, observer=None,
 
     result = mon.result(x, it, converged)
     _dump_path(path_csv, lams, result.trace)
-    return result, lam
+    return result
 
 
 def _dump_path(path_csv, lams, trace):
@@ -255,10 +254,3 @@ def _dump_path(path_csv, lams, trace):
             wr.writerow(["%.17g" % lam, entry.support_size,
                          "%.17g" % entry.objective])
 
-
-def homotopy_solve(P, target_lambda, config, path_csv=None, observer=None):
-    """Path solver on a dense instance down to target_lambda."""
-    result, _ = solve_path(DenseDictionary(P.A), P.b, target_lambda, config,
-                           path_csv=path_csv, observer=observer,
-                           ground_truth=P.ground_truth)
-    return result

@@ -9,7 +9,7 @@ The elementwise kernels and the rank-1 factor updates run in ell1._accel.
 from collections import namedtuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from ell1 import _accel
 from ell1.exceptions import NotPositiveDefiniteError, NumericalBreakdownError
@@ -66,6 +66,21 @@ def _require_finite(arr):
         raise ValueError("array must not contain infs or NaNs")
 
 
+# LAPACK's triangular solve, looked up once: solve_triangular repeats the
+# lookup and its argument checks on every call, which dominate small solves
+_TRTRS = get_lapack_funcs("trtrs", (np.empty((0, 0)),))
+
+
+def _lower_solve(L, rhs, trans, overwrite=0):
+    """Solve L y = rhs (trans=0) or L^T y = rhs (trans=1) for a lower
+    triangular, F-ordered L, which LAPACK then reads in place."""
+    y, info = _TRTRS(L, rhs, lower=1, trans=trans, overwrite_b=overwrite)
+    if info > 0:
+        raise LinAlgError("singular matrix: resolution failed at diagonal %d"
+                          % (info - 1))
+    return y
+
+
 class CholFactor:
     """Upper-triangular factor R with R^T R equal to the factored SPD matrix.
 
@@ -91,11 +106,15 @@ class CholFactor:
 
         A non-finite rhs raises ValueError.
         """
+        rhs = np.asarray(rhs, dtype=np.float64)
         _require_finite(rhs)
-        y = solve_triangular(self.R, rhs, trans="T", lower=False,
-                             check_finite=False)
-        return solve_triangular(self.R, y, trans="N", lower=False,
-                                check_finite=False)
+        if rhs.shape[0] != self.dim:
+            raise ValueError("rhs length %d does not match factor dim %d"
+                             % (rhs.shape[0], self.dim))
+        if not rhs.size:
+            return np.zeros(rhs.shape)
+        y = _lower_solve(self.R.T, rhs, 0)
+        return _lower_solve(self.R.T, y, 1, overwrite=1)
 
     def matrix(self):
         """Reassemble R^T R (testing and refactorization checks)."""
@@ -160,8 +179,7 @@ def chol_append(factor, gram_col, diag):
     out[:m, :m] = factor.R
     if m:
         _require_finite(g)
-        u = solve_triangular(factor.R, g, trans="T", lower=False,
-                             check_finite=False)
+        u = _lower_solve(factor.R.T, g, 0)
         out[:m, m] = u
         d2 = float(diag) - float(u @ u)
     else:

@@ -8,10 +8,16 @@ signal and corruption parts.
 
 AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
-sparse. Three solvers attack that objective (log-barrier Newton,
-regularization path in e with re-solved w, block soft-thresholding) and a
-fourth runs the multiplier method on the equality-constrained form
-min ||e||_1 subject to b = B w + e.
+sparse. With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
+an ordinary penalized l1 problem in e, with dictionary Q2^T and data
+Q2^T b; w then follows from the normal equations. align_ist_solve and
+align_homotopy_solve run ist_solve and homotopy_solve on that reduced
+problem. align_gp_solve (log-barrier Newton in w, e and the bounds on e)
+and align_palm_solve (the multiplier method on the exact-fit form
+min ||e||_1 subject to b = B w + e) keep loops of their own: they work
+with products by the d x m matrix B, and on the reduced problem every
+product is by the dense (d - m) x d matrix Q2^T instead, which made tnipm
+and palm there slower than these loops on 200 x 12 problems.
 """
 
 from dataclasses import dataclass
@@ -22,12 +28,12 @@ from ell1.alm import dalm_solve, palm_solve
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.gradient_projection import gpsr_solve
-from ell1.homotopy import solve_path
-from ell1.model import kkt_from_correlation
+from ell1.homotopy import homotopy_solve
+from ell1.model import ProblemInstance, kkt_from_correlation
 from ell1.numerics import (BoxBarrier, chol_factor, soft_threshold,
                            spectral_norm_sq, truncate_small)
 from ell1.pdipa import pdipa_solve
-from ell1.shrinkage import fista_solve, ist_solve
+from ell1.shrinkage import default_schedule, fista_solve, ist_solve
 
 
 class _AdjointView:
@@ -201,8 +207,7 @@ def cab_solve(A, b, solver, config):
     if solver == "pdipa":
         res = pdipa_solve(prob, config)
     elif solver == "homotopy":
-        res, _ = solve_path(ext, prob.b, config.resolved_lambda(prob),
-                            config)
+        res = homotopy_solve(prob, config.resolved_lambda(prob), config)
     elif solver == "gp":
         res = gpsr_solve(prob, config.resolved_lambda(prob), config)
     elif solver == "ist":
@@ -325,116 +330,50 @@ def align_gp_solve(prob, lam, config):
     return polished(e)
 
 
-def align_homotopy_solve(prob, config):
-    """Path-following in the error block with w re-solved at every step.
+def _reduced_align_solve(prob, lam, solve):
+    """Solve the penalized alignment objective as an l1 problem in e alone.
 
-    Starts from the least-squares fit (e = 0, weight at the peak residual)
-    and walks the weight down, moving only the active error coordinates
-    along their sign direction between events; after each step w is
-    re-solved from the normal equations and the active set rebuilt, which
-    is what lets fresh coordinates enter despite the identity block
-    updating only its own support. A block-coordinate cleanup at the
-    target weight (config.lam, default 1e-2 of the peak residual) tightens
-    the answer to the joint optimum. Returns (w, e).
-    """
-    B, b = prob.B, prob.b
-    d = prob.d
-    gram = _column_gram_factor(B)
-
-    def w_solve(err):
-        return gram.solve(B.T @ (b - err))
-
-    w = w_solve(np.zeros(d))
-    c = b - B @ w
-    lam0 = float(np.max(np.abs(c)))
-    target = config.lam if config.lam is not None else 1e-2 * lam0
-    e = np.zeros(d)
-    if lam0 <= target or lam0 == 0.0:
-        return w, e
-    lam = lam0
-    for _ in range(config.max_iter):
-        if lam <= target:
-            break
-        active = (np.abs(c) >= lam * (1.0 - 1e-9)) | (e != 0.0)
-        step_dir = np.where(np.abs(c) > 0, np.sign(c), np.sign(e))
-        gamma = lam - target
-        inactive = ~active
-        if np.any(inactive):
-            gamma = min(gamma,
-                        float(np.min(lam - np.abs(c[inactive]))))
-        closing = active & (e * step_dir < 0.0)
-        if np.any(closing):
-            gamma = min(gamma,
-                        float(np.min(-e[closing] / step_dir[closing])))
-        gamma = max(gamma, 1e-12 * lam0)  # anti-stall floor
-        e = e + np.where(active, gamma * step_dir, 0.0)
-        lam = lam - gamma
-        w = w_solve(e)
-        c = b - B @ w - e
-    # block-coordinate cleanup at the target weight
-    lam = target
-    for _ in range(config.max_iter):
-        e = soft_threshold(b - B @ w, lam)
-        w = w_solve(e)
-        c = b - B @ w - e
-        if kkt_from_correlation(e, c, lam) <= config.tol * lam:
-            break
-    return w, e
-
-
-def ist_block_step(B, b, w, e, lam, alpha):
-    """One block soft-threshold sweep on the alignment objective.
-
-    Both blocks take the gradient step of length 1/alpha; only the error
-    block is thresholded, the coefficient block passes through unchanged.
-    Returns (w_next, e_next).
-    """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    r = b - B @ w - e
-    return _block_step(w, e, r, B.T @ r, lam, alpha)
-
-
-def _block_step(w, e, r, Btr, lam, alpha):
-    """ist_block_step from the residual r = b - B w - e and Btr = B^T r."""
-    w_next = w + Btr / alpha
-    e_next = soft_threshold(e + r / alpha, lam / alpha)
-    return w_next, e_next
-
-
-def align_ist_solve(prob, lam, config):
-    """Plain block soft-thresholding on the alignment objective.
-
-    Fixed step 1/alpha with alpha just above the curvature bound
-    ||B||^2 + 1 of the stacked system. Stops when the coefficient block
-    satisfies the normal equations to config.tol and the error block
-    meets the kkt tolerance at lam; the iteration cap returns the current
-    iterate otherwise. lam=None uses 1e-2 times the peak least-squares
-    residual. Returns (w, e).
-
-    Each iteration takes 2 products with B: the residual r = b - B w - e
-    and B^T r of the new iterate serve both its convergence test and the
-    next block step.
+    With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
+    min over e of 1/2 ||Q2^T (b - e)||^2 + lam ||e||_1: the standard
+    penalized problem with dictionary Q2^T and data Q2^T b. solve(P, lam)
+    runs one of the package's solvers on it and returns its SolverResult;
+    w then comes from the normal equations at the returned e. lam=None
+    uses 1e-2 times the peak least-squares residual. Returns (w, e).
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)
     if lam is None:
         lam = _default_align_lambda(prob, gram)
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    alpha = 1.01 * (spectral_norm_sq(B) + 1.0)
-    w = np.zeros(prob.m)
-    e = np.zeros(prob.d)
-    r = b - B @ w - e
-    Btr = B.T @ r
-    for _ in range(config.max_iter):
-        w, e = _block_step(w, e, r, Btr, lam, alpha)
-        r = b - B @ w - e
-        Btr = B.T @ r
-        if (float(np.max(np.abs(Btr))) <= config.tol
-                and kkt_from_correlation(e, r, lam) <= config.tol * lam):
-            break
-    return w, e
+    Q2t = np.ascontiguousarray(
+        np.linalg.qr(B, mode="complete")[0][:, prob.m:].T)
+    e = solve(ProblemInstance(Q2t, Q2t @ b), lam).x_star
+    return gram.solve(B.T @ (b - e)), e
+
+
+def align_homotopy_solve(prob, config):
+    """Regularization path of the alignment objective in the error block.
+
+    Runs homotopy_solve on the QR-reduced problem in e (see
+    _reduced_align_solve), from the least-squares fit (e = 0, weight at
+    the peak residual) down to config.lam, default 1e-2 of the peak
+    residual, then re-solves w from the normal equations. Returns (w, e).
+    """
+    return _reduced_align_solve(
+        prob, config.lam,
+        lambda P, lam: homotopy_solve(P, lam, config))
+
+
+def align_ist_solve(prob, lam, config):
+    """Soft-threshold iterations on the alignment objective.
+
+    Runs ist_solve, with its warm-started continuation down to lam, on the
+    QR-reduced problem in e (see _reduced_align_solve), then re-solves w
+    from the normal equations. lam=None uses 1e-2 times the peak
+    least-squares residual. Returns (w, e).
+    """
+    return _reduced_align_solve(
+        prob, lam,
+        lambda P, lam: ist_solve(P, default_schedule(P, lam), config))
 
 
 def align_palm_solve(prob, config):

@@ -249,13 +249,14 @@ class TestCabCommand:
 
 
 class TestAlignCommand:
-    def make_misaligned(self, workdir, seed=5):
+    def make_misaligned(self, workdir, seed=5, scale=1.0):
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((40, 5))
         w0 = rng.standard_normal(5)
         b = B @ w0
         b[7] += 5.0
         b[20] -= 3.0
+        b *= scale
         np.savetxt(workdir / "B.csv", B, fmt="%.17g", delimiter=",")
         np.savetxt(workdir / "b.csv", b[:, None], fmt="%.17g",
                    delimiter=",")
@@ -282,6 +283,17 @@ class TestAlignCommand:
         payload = json.loads((workdir / "a.json").read_text())
         assert payload["lambda"] > 0
         assert payload["converged"] is True
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
+    def test_unconverged_in_any_units(self, workdir, scale):
+        # one palm step leaves w far off at every scale of b, so the
+        # convergence test must not read a small b as converged
+        self.make_misaligned(workdir, scale=scale)
+        rc = run(["align", "--algo", "palm", "--max-iter", "1",
+                  "--basis", "B.csv", "--rhs", "b.csv", "--out", "a.json"])
+        assert rc == 1
+        payload = json.loads((workdir / "a.json").read_text())
+        assert payload["converged"] is False
 
     def test_wide_basis_rejected(self, workdir):
         np.savetxt(workdir / "B.csv", np.ones((3, 5)), fmt="%.17g",

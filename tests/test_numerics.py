@@ -200,6 +200,31 @@ def test_chol_solve():
                                rtol=1e-9, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [1, 2, 12, 200])
+def test_chol_solve_bitwise_matches_solve_triangular(n):
+    from scipy.linalg import solve_triangular
+    rng = np.random.default_rng(n)
+    F = numerics.chol_factor(random_spd(rng, n))
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        y = solve_triangular(F.R, rhs, trans="T", lower=False)
+        ref = solve_triangular(F.R, y, trans="N", lower=False)
+        assert F.solve(rhs).tobytes() == ref.tobytes()
+    g = rng.standard_normal(n)
+    grown = numerics.chol_append(F, g, float(g @ g) + n + 1.0)
+    u = solve_triangular(F.R, g, trans="T", lower=False)
+    assert grown.R[:n, n].tobytes() == u.tobytes()
+
+
+def test_chol_solve_edge_cases():
+    F = numerics.chol_factor(np.diag([4.0, 1.0]))
+    with pytest.raises(ValueError):
+        F.solve(np.ones(3))
+    assert numerics.CholFactor(np.zeros((0, 0))).solve(np.zeros(0)).shape \
+        == (0,)
+    with pytest.raises(np.linalg.LinAlgError):
+        numerics.CholFactor(np.diag([1.0, 0.0])).solve(np.ones(2))
+
+
 def test_chol_factor_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         R = np.eye(3)

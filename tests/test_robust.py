@@ -9,9 +9,7 @@ from ell1.exceptions import IllConditionedError
 from ell1.model import SolverConfig, kkt_from_correlation
 from ell1.robust import (AlignmentProblem, ExtendedDictionary,
                          align_gp_solve, align_homotopy_solve,
-                         align_ist_solve, align_palm_solve, cab_solve,
-                         ist_block_step)
-from ell1.numerics import spectral_norm_sq
+                         align_ist_solve, align_palm_solve, cab_solve)
 from ell1.shrinkage import fista_solve
 from ell1.synth import GenSpec, corrupt_entries, gen_bouquet_dict, \
     make_instance
@@ -338,50 +336,6 @@ class TestAlignHomotopy:
 
 
 class TestAlignIst:
-    def test_block_step_hand_example(self):
-        B = np.array([[1.0], [1.0]])
-        b = np.array([3.0, 1.0])
-        w, e = ist_block_step(B, b, np.zeros(1), np.zeros(2), 2.0, 4.0)
-        np.testing.assert_allclose(w, [1.0], atol=1e-15)
-        np.testing.assert_allclose(e, [0.25, 0.0], atol=1e-15)
-
-    def test_block_step_keeps_fixed_point(self):
-        # at a solution both blocks must stay put
-        prob, w0, mask = corrupted_alignment(3031, d=60, m=7)
-        lam = 0.05 * float(np.max(np.abs(prob.b)))
-        w, e = align_gp_solve(prob, lam, SolverConfig(tol=1e-10,
-                                                      max_iter=400))
-        alpha = 1.01 * (float(np.linalg.norm(prob.B, 2)) ** 2 + 1.0)
-        w2, e2 = ist_block_step(prob.B, prob.b, w, e, lam, alpha)
-        assert np.linalg.norm(w2 - w) <= 1e-7 * (1.0 + np.linalg.norm(w))
-        assert np.linalg.norm(e2 - e) <= 1e-7 * (1.0 + np.linalg.norm(e))
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ist_block_step(np.ones((2, 1)), np.ones(2), np.zeros(1),
-                           np.zeros(2), 1.0, 0.0)
-
-    def test_products_per_iteration(self, counting_view):
-        # the residual and B^T r of each convergence test feed the next
-        # step, so every iteration takes 2 products; set-up takes B^T B
-        # and the residual pair of the zero start
-        prob, w0, mask = corrupted_alignment(3041, d=60, m=7)
-        lam = 0.05 * float(np.max(np.abs(prob.b)))
-        cfg = SolverConfig(tol=1e-9, max_iter=60000)
-        alpha = 1.01 * (spectral_norm_sq(prob.B) + 1.0)
-        w, e = np.zeros(prob.m), np.zeros(prob.d)
-        for it in range(1, cfg.max_iter + 1):
-            w, e = ist_block_step(prob.B, prob.b, w, e, lam, alpha)
-            r = prob.b - prob.B @ w - e
-            if (float(np.max(np.abs(prob.B.T @ r))) <= cfg.tol
-                    and kkt_from_correlation(e, r, lam) <= cfg.tol * lam):
-                break
-        prob.B, count = counting_view(prob.B)
-        w2, e2 = align_ist_solve(prob, lam, cfg)
-        assert 50 <= it < cfg.max_iter
-        assert count[0] <= 2 * it + 3
-        assert np.array_equal(w2, w) and np.array_equal(e2, e)
-
     def test_agrees_with_barrier_solver(self):
         prob, w0, mask = corrupted_alignment(3037, d=60, m=7)
         lam = 0.05 * float(np.max(np.abs(prob.b)))
@@ -394,6 +348,34 @@ class TestAlignIst:
         F1 = 0.5 * float(r1 @ r1) + lam * float(np.sum(np.abs(e1)))
         F2 = 0.5 * float(r2 @ r2) + lam * float(np.sum(np.abs(e2)))
         assert abs(F1 - F2) <= 1e-5 * max(1.0, abs(F1))
+
+
+REDUCED_ALIGNERS = {
+    "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
+    "homotopy": align_homotopy_solve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
+def test_reduced_aligner_rank_deficient_raises(name):
+    B = np.ones((4, 2))  # rank 1
+    with pytest.raises(IllConditionedError):
+        REDUCED_ALIGNERS[name](AlignmentProblem(B, np.arange(4.0)),
+                               SolverConfig(tol=1e-8, max_iter=50))
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
+@pytest.mark.parametrize("s", [1e-8, 1e8])
+def test_reduced_aligner_scale_covariance(name, s):
+    # b -> s b must give (s w, s e): the default weight scales with b and
+    # every stopping test is relative
+    prob, w0, mask = corrupted_alignment(3051, d=60, m=7)
+    cfg = SolverConfig(tol=1e-9, max_iter=60000)
+    w, e = REDUCED_ALIGNERS[name](prob, cfg)
+    w_s, e_s = REDUCED_ALIGNERS[name](AlignmentProblem(prob.B, s * prob.b),
+                                      cfg)
+    assert np.linalg.norm(w_s - s * w) <= 1e-9 * np.linalg.norm(s * w)
+    assert np.linalg.norm(e_s - s * e) <= 1e-9 * np.linalg.norm(s * e)
 
 
 class TestAlignPalm:
