@@ -11,6 +11,7 @@ import csv
 import json
 import platform
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,8 +29,28 @@ from ell1.synth import (GenSpec, RNG_NAME, add_noise, corrupt_entries,
                         gen_bouquet_dict, gen_gaussian_dict,
                         gen_sparse_signal, make_instance, trial_seed)
 
-SOLVER_NAMES = ("pdipa", "homotopy", "gpsr", "tnipm", "ist", "fista",
-                "palm", "dalm")
+# One row per solver: its form ("equality" or "penalized"), whether it
+# runs on an implicit dictionary such as cab_solve's [A, sI] (tnipm forms
+# A * A), and its entry (P, config) -> SolverResult, which calls the
+# solver through this module's global name so that patching it reaches
+# every caller.
+SolverRow = namedtuple("SolverRow", "form implicit entry")
+
+SOLVERS = {
+    "pdipa": SolverRow("equality", True, lambda P, c: pdipa_solve(P, c)),
+    "homotopy": SolverRow("penalized", True, lambda P, c: homotopy_solve(
+        P, c.resolved_lambda(P), c)),
+    "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(
+        P, c.resolved_lambda(P), c)),
+    "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(
+        P, c.resolved_lambda(P), c)),
+    "ist": SolverRow("penalized", True, lambda P, c: ist_solve(P, None, c)),
+    "fista": SolverRow("penalized", True, lambda P, c: fista_solve(P, c)),
+    "palm": SolverRow("equality", True, lambda P, c: palm_solve(P, c)),
+    "dalm": SolverRow("equality", True, lambda P, c: dalm_solve(P, c)),
+}
+SOLVER_NAMES = tuple(SOLVERS)  # the eight solvers, without aliases
+SOLVERS["gp"] = SOLVERS["gpsr"]  # short name of GPSR
 
 # near-zero relative penalty for noiseless recovery runs, where the
 # penalized solvers should approximate the equality-constrained answer;
@@ -38,28 +59,19 @@ SOLVER_NAMES = ("pdipa", "homotopy", "gpsr", "tnipm", "ist", "fista",
 _PHASE_LAM_REL = 1e-4
 
 
+def solver_names(implicit=False):
+    """Every accepted solver name; with implicit=True only those whose
+    solver runs on an implicit dictionary."""
+    return tuple(name for name, row in SOLVERS.items()
+                 if row.implicit or not implicit)
+
+
 def solve_named(name, P, config):
-    """Dispatch one problem to a solver family by name ("gp" = "gpsr")."""
-    if name == "gp":
-        name = "gpsr"
-    if name == "pdipa":
-        return pdipa_solve(P, config)
-    if name == "homotopy":
-        return homotopy_solve(P, config.resolved_lambda(P), config)
-    if name == "gpsr":
-        return gpsr_solve(P, config.resolved_lambda(P), config)
-    if name == "tnipm":
-        return tnipm_solve(P, config.resolved_lambda(P), config)
-    if name == "ist":
-        return ist_solve(P, None, config)
-    if name == "fista":
-        return fista_solve(P, config)
-    if name == "palm":
-        return palm_solve(P, config)
-    if name == "dalm":
-        return dalm_solve(P, config)
-    raise ValueError("unknown solver %r (choose from %s)"
-                     % (name, ", ".join(SOLVER_NAMES)))
+    """Run the solver named by a key of SOLVERS on P."""
+    if name not in SOLVERS:
+        raise ValueError("unknown solver %r (choose from %s)"
+                         % (name, ", ".join(SOLVERS)))
+    return SOLVERS[name].entry(P, config)
 
 
 @dataclass(frozen=True)

@@ -20,23 +20,27 @@ import time
 
 import numpy as np
 
-from ell1.bench import (SOLVER_NAMES, PhaseGrid, SweepResult,
+from ell1.bench import (SOLVERS, PhaseGrid, SweepResult,
                         interpolate_success_contour, phase_contour_svg,
                         phase_grid_to_csv, run_noise_sweep, run_phase_grid,
-                        solve_named, sweep_svg, sweep_to_csv,
+                        solve_named, solver_names, sweep_svg, sweep_to_csv,
                         write_summary_json)
 from ell1.exceptions import NumericalError
 from ell1.model import (ProblemInstance, SolverConfig, kkt_from_correlation,
                         kkt_residual, objective)
-from ell1.robust import (AlignmentProblem, ExtendedDictionary,
-                         _column_gram_factor, _default_align_lambda,
-                         align_gp_solve, align_homotopy_solve,
-                         align_ist_solve, align_palm_solve, cab_solve)
+from ell1.robust import (AlignmentProblem, _cab_problem, _column_gram_factor,
+                         _default_align_lambda, align_gp_solve,
+                         align_homotopy_solve, align_ist_solve,
+                         align_palm_solve, cab_solve)
 from ell1.synth import GenSpec, make_instance
 
-_EQUALITY_ALGOS = ("pdipa", "palm", "dalm")
-_CAB_ALGOS = ("pdipa", "homotopy", "gp", "ist", "fista", "palm", "dalm")
-_ALIGN_ALGOS = ("gp", "homotopy", "ist", "palm")
+# the aligners: form and entry (problem, config) -> (w, e)
+_ALIGNERS = {
+    "gp": ("penalized", lambda p, c: align_gp_solve(p, c.lam, c)),
+    "homotopy": ("penalized", align_homotopy_solve),
+    "ist": ("penalized", lambda p, c: align_ist_solve(p, c.lam, c)),
+    "palm": ("equality", align_palm_solve),
+}
 _FMT = "%.17g"
 
 
@@ -134,6 +138,22 @@ def _result_payload(algo, n, d, lam, iterations, converged, wall_time, x,
     return payload
 
 
+def _certificate(algo, P, x, cfg):
+    """(lambda, objective, KKT residual) of x on the problem algo saw.
+
+    A penalized solver reports its resolved weight, F(x) and the KKT
+    residual of F. An equality-form solver reports no weight; it, and a
+    zero weight (homotopy driven to a zero target), report the l1 norm
+    and the largest constraint violation.
+    """
+    lam = (None if SOLVERS[algo].form == "equality"
+           else cfg.resolved_lambda(P))
+    if not lam:
+        return (lam, float(np.sum(np.abs(x))),
+                float(np.max(np.abs(P.A @ x - P.b))))
+    return lam, objective(x, P, lam), kkt_residual(x, P, lam)
+
+
 def _cmd_solve(args):
     A = _load_matrix(args.matrix)
     b = _load_vector(args.rhs, "rhs")
@@ -141,21 +161,10 @@ def _cmd_solve(args):
     P = ProblemInstance(A, b)
     cfg = _solver_config(args, tol=1e-6, max_iter=5000)
     res = solve_named(args.algo, P, cfg)
-    x = res.x_star
-    lam_field = None if args.algo in _EQUALITY_ALGOS else cfg.resolved_lambda(P)
-    if not lam_field:
-        # equality-constrained form, including a homotopy run driven to a
-        # zero target: no penalty weight, so the certificate is the
-        # constraint violation and the objective is the l1 norm
-        obj = float(np.sum(np.abs(x)))
-        kkt = float(np.max(np.abs(A @ x - b)))
-    else:
-        obj = objective(x, P, lam_field)
-        kkt = kkt_residual(x, P, lam_field)
-    payload = _result_payload(args.algo, P.n, P.d, lam_field,
-                              res.iterations, bool(res.converged),
-                              res.wall_time_seconds, x, obj, kkt, cfg,
-                              args.seed)
+    lam, obj, kkt = _certificate(args.algo, P, res.x_star, cfg)
+    payload = _result_payload(args.algo, P.n, P.d, lam, res.iterations,
+                              bool(res.converged), res.wall_time_seconds,
+                              res.x_star, obj, kkt, cfg, args.seed)
     _write_json(args.out, payload)
     return 0 if res.converged else 1
 
@@ -224,9 +233,9 @@ def _parse_solver_list(text):
     if not names:
         raise _CliError("need at least one solver name")
     for name in names:
-        if name != "gp" and name not in SOLVER_NAMES:
+        if name not in SOLVERS:
             raise _CliError("unknown solver %r (choose from %s)"
-                            % (name, ", ".join(SOLVER_NAMES)))
+                            % (name, ", ".join(SOLVERS)))
     return names
 
 
@@ -280,22 +289,10 @@ def _cmd_cab(args):
     cfg = _solver_config(args, tol=1e-8, max_iter=4000)
     x, e, res = cab_solve(A, b, args.algo, cfg)
     d, n = A.shape
-    e_weight = cfg.opt("e_weight", 1.0)
-    ext = ExtendedDictionary(A, identity_scale=1.0 / e_weight)
-    w = np.concatenate([x, e * e_weight])
-    r = b - ext @ w
-    if args.algo in _EQUALITY_ALGOS:
-        lam_field = None
-        obj = float(np.sum(np.abs(w)))
-        kkt = float(np.max(np.abs(r)))
-    else:
-        lam_field = cfg.lam
-        if lam_field is None:
-            # same default the backend resolved on the stacked system
-            lam_field = 1e-2 * float(np.max(np.abs(ext.T @ b)))
-        obj = 0.5 * float(r @ r) + lam_field * float(np.sum(np.abs(w)))
-        kkt = kkt_from_correlation(w, ext.T @ r, lam_field)
-    payload = _result_payload(args.algo, n, d, lam_field, res.iterations,
+    # certified on the stacked answer and system the backend saw
+    lam, obj, kkt = _certificate(args.algo, _cab_problem(A, b, cfg),
+                                 res.x_star, cfg)
+    payload = _result_payload(args.algo, n, d, lam, res.iterations,
                               bool(res.converged), res.wall_time_seconds,
                               x, obj, kkt, cfg, args.seed, e=e)
     _write_json(args.out, payload)
@@ -311,29 +308,23 @@ def _cmd_align(args):
     except ValueError as exc:
         raise _CliError(str(exc))
     cfg = _solver_config(args, tol=1e-8, max_iter=5000)
+    form, entry = _ALIGNERS[args.algo]
     t0 = time.perf_counter()
-    if args.algo == "gp":
-        w, e = align_gp_solve(prob, args.lam, cfg)
-    elif args.algo == "homotopy":
-        w, e = align_homotopy_solve(prob, cfg)
-    elif args.algo == "ist":
-        w, e = align_ist_solve(prob, args.lam, cfg)
-    else:
-        w, e = align_palm_solve(prob, cfg)
+    w, e = entry(prob, cfg)
     wall = time.perf_counter() - t0
     r = b - B @ w - e
     # the alignment solvers return plain (w, e); iteration counts are not
     # part of their contract, so convergence is certified after the fact
-    if args.algo == "palm":
-        lam_field = None
+    lam_field = None if form == "equality" else cfg.lam
+    if form == "penalized" and lam_field is None:
+        lam_field = _default_align_lambda(prob, _column_gram_factor(B))
+    if not lam_field:
+        # the exact-fit form, and a zero weight, which solves it
         obj = float(np.sum(np.abs(e)))
         kkt = float(np.max(np.abs(r)))
         converged = bool(np.linalg.norm(r)
                          <= 10.0 * cfg.tol * np.linalg.norm(b))
     else:
-        lam_field = cfg.lam
-        if lam_field is None:
-            lam_field = _default_align_lambda(prob, _column_gram_factor(B))
         obj = (0.5 * float(r @ r)
                + lam_field * float(np.sum(np.abs(e))))
         grad_w = float(np.max(np.abs(B.T @ r)))
@@ -479,8 +470,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = subs.add_parser("solve", help="run one solver on a CSV instance")
-    sp.add_argument("--algo", choices=SOLVER_NAMES + ("gp",),
-                    default="fista")
+    sp.add_argument("--algo", choices=solver_names(), default="fista")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--rhs", required=True)
     _add_config_flags(sp)
@@ -501,8 +491,7 @@ def build_parser():
 
     sp = subs.add_parser("phase", help="success-rate grid over sparsity "
                                        "and sampling rates")
-    sp.add_argument("--algo", choices=SOLVER_NAMES + ("gp",),
-                    required=True)
+    sp.add_argument("--algo", choices=solver_names(), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--grid", required=True,
                     help="RxC cell counts, e.g. 16x16")
@@ -543,7 +532,8 @@ def build_parser():
 
     sp = subs.add_parser("cab", help="split a CSV instance into sparse "
                                      "signal plus sparse corruption")
-    sp.add_argument("--algo", choices=_CAB_ALGOS, default="homotopy")
+    sp.add_argument("--algo", choices=solver_names(implicit=True),
+                    default="homotopy")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--rhs", required=True)
     _add_config_flags(sp)
@@ -555,7 +545,7 @@ def build_parser():
 
     sp = subs.add_parser("align", help="tall regression with sparse "
                                        "gross errors")
-    sp.add_argument("--algo", choices=_ALIGN_ALGOS, default="palm")
+    sp.add_argument("--algo", choices=tuple(_ALIGNERS), default="palm")
     sp.add_argument("--basis", required=True)
     sp.add_argument("--rhs", required=True)
     _add_config_flags(sp)

@@ -83,9 +83,10 @@ class SolverConfig:
     A `stopping` rule is checked in addition, once per iteration of every
     solver, and a solve it ends reports converged=True. Its kkt slot holds
     the KKT residual for the penalized solvers (homotopy: at the target
-    weight) and the relative primal residual ||b - A x|| / ||b|| for
-    pdipa, palm and dalm. Algorithm-specific constants are read from
-    `options` and documented in the solver docstrings.
+    weight) and the relative primal residual ||b - A x|| / ||b|| for the
+    equality-form ones; bench.SOLVERS gives each solver's form.
+    Algorithm-specific constants are read from `options` and documented
+    in the solver docstrings.
     """
 
     lam: float = None

@@ -24,16 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ell1.alm import dalm_solve, palm_solve
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
-from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, kkt_from_correlation
 from ell1.numerics import (BoxBarrier, chol_factor, soft_threshold,
                            spectral_norm_sq, truncate_small)
-from ell1.pdipa import pdipa_solve
-from ell1.shrinkage import default_schedule, fista_solve, ist_solve
+from ell1.shrinkage import default_schedule, ist_solve
 
 
 class _AdjointView:
@@ -178,48 +175,37 @@ class _OperatorProblem:
         return self.A.shape[1]
 
 
-_CAB_BACKENDS = ("pdipa", "homotopy", "gp", "ist", "fista", "palm", "dalm")
+def _cab_problem(A, b, config):
+    """The stacked system b = [A, sI] w with s = 1 / option "e_weight"."""
+    e_weight = float(config.opt("e_weight", 1.0))
+    if not e_weight > 0:
+        raise ValueError("e_weight must be positive")
+    ext = ExtendedDictionary(A, identity_scale=1.0 / e_weight)
+    return _OperatorProblem(ext, b)
 
 
 def cab_solve(A, b, solver, config):
     """Solve the corruption-extended system with the chosen backend.
 
-    Builds the implicit [A, s I] dictionary and hands it to one of
-    pdipa, homotopy, gp, ist, fista, palm, or dalm. The equality-form
-    backends (pdipa, palm, dalm) minimize the l1 norm of the stacked
-    vector subject to the extended system; the penalized backends use
-    config.lam (model default when unset), with homotopy following its
-    path down to that weight. Option "e_weight" (default 1) scales the
-    corruption penalty relative to the signal penalty. Returns
+    Builds the implicit [A, s I] dictionary and runs the named solver of
+    bench.SOLVERS on it; every solver that runs on an implicit dictionary
+    is a backend. The equality-form backends minimize the l1 norm of the
+    stacked vector subject to the extended system; the penalized backends
+    use config.lam (model default when unset), with homotopy following
+    its path down to that weight. Option "e_weight" (default 1) scales
+    the corruption penalty relative to the signal penalty. Returns
     (x, e, record) where record is the backend's solver output on the
     stacked variable.
     """
-    if solver not in _CAB_BACKENDS:
+    from ell1 import bench  # bench imports this module
+    backends = bench.solver_names(implicit=True)
+    if solver not in backends:
         raise ValueError("unknown cab backend %r (choose from %s)"
-                         % (solver, ", ".join(_CAB_BACKENDS)))
-    e_weight = float(config.opt("e_weight", 1.0))
-    if not e_weight > 0:
-        raise ValueError("e_weight must be positive")
-    scale = 1.0 / e_weight
-    ext = ExtendedDictionary(A, identity_scale=scale)
-    prob = _OperatorProblem(ext, b)
-    n = ext.A.shape[1]
-    if solver == "pdipa":
-        res = pdipa_solve(prob, config)
-    elif solver == "homotopy":
-        res = homotopy_solve(prob, config.resolved_lambda(prob), config)
-    elif solver == "gp":
-        res = gpsr_solve(prob, config.resolved_lambda(prob), config)
-    elif solver == "ist":
-        res = ist_solve(prob, None, config)
-    elif solver == "fista":
-        res = fista_solve(prob, config)
-    elif solver == "palm":
-        res = palm_solve(prob, config)
-    else:
-        res = dalm_solve(prob, config)
-    w = res.x_star
-    return w[:n], scale * w[n:], res
+                         % (solver, ", ".join(backends)))
+    prob = _cab_problem(A, b, config)
+    res = bench.solve_named(solver, prob, config)
+    n = prob.A.A.shape[1]
+    return res.x_star[:n], prob.A.scale * res.x_star[n:], res
 
 
 @dataclass
@@ -283,6 +269,8 @@ def align_gp_solve(prob, lam, config):
     gram = _column_gram_factor(B)
     if lam is None:
         lam = _default_align_lambda(prob, gram)
+        if lam == 0.0:  # b lies in range(B): the least-squares fit is exact
+            return gram.solve(B.T @ b), np.zeros(d)
     if not lam > 0:
         raise ValueError("lambda must be positive")
 
@@ -313,6 +301,10 @@ def align_gp_solve(prob, lam, config):
         except NotPositiveDefiniteError as exc:
             raise IllConditionedError(
                 "reduced alignment system lost definiteness") from exc
+        except ValueError as exc:  # the factor of overflowed weights
+            raise IllConditionedError(
+                "alignment barrier weights overflowed before the optimality "
+                "test held: lambda is below the roundoff of the fit") from exc
         dw = step_fac.solve(-g_w - t * (B.T @ (rhs_e / denom)))
         de = (rhs_e - t * (B @ dw)) / denom
         du = bar.bound_step(de)
@@ -344,6 +336,8 @@ def _reduced_align_solve(prob, lam, solve):
     gram = _column_gram_factor(B)
     if lam is None:
         lam = _default_align_lambda(prob, gram)
+        if lam == 0.0:  # b lies in range(B): the least-squares fit is exact
+            return gram.solve(B.T @ b), np.zeros(prob.d)
     Q2t = np.ascontiguousarray(
         np.linalg.qr(B, mode="complete")[0][:, prob.m:].T)
     e = solve(ProblemInstance(Q2t, Q2t @ b), lam).x_star

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ell1.bench import SOLVERS, solver_names
 from ell1.cli import run
 
 
@@ -98,6 +99,18 @@ class TestSolve:
                   "--rhs", str(b_path), "--out", "r.json"])
         assert rc == 0
         assert json.loads((workdir / "r.json").read_text())["algo"] == "gp"
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_every_table_name_runs(self, workdir, name):
+        A_path, b_path, _ = write_instance(workdir, n=20, d=10, k=2)
+        rc = run(["solve", "--algo", name, "--matrix", str(A_path),
+                  "--rhs", str(b_path), "--max-iter", "200",
+                  "--out", "r.json"])
+        assert rc in (0, 1)
+        payload = json.loads((workdir / "r.json").read_text())
+        assert payload["algo"] == name and len(payload["x"]) == 20
+        equality = SOLVERS[name].form == "equality"
+        assert (payload["lambda"] is None) == equality
 
     def test_budget_exhaustion_exit_1_with_results(self, workdir):
         A_path, b_path, _ = write_instance(workdir)
@@ -239,6 +252,41 @@ class TestCabCommand:
         x = np.asarray(payload["x"])
         assert np.linalg.norm(x - x0) <= 1e-2 * np.linalg.norm(x0)
 
+    @pytest.mark.parametrize("name", solver_names(implicit=True))
+    def test_every_implicit_name_runs(self, workdir, name):
+        self.make_corrupted(workdir)
+        rc = run(["cab", "--algo", name, "--matrix", "A.csv",
+                  "--rhs", "b.csv", "--max-iter", "300", "--out", "c.json"])
+        assert rc in (0, 1)
+        payload = json.loads((workdir / "c.json").read_text())
+        assert payload["algo"] == name
+        assert len(payload["x"]) == 60 and len(payload["e"]) == 30
+        equality = SOLVERS[name].form == "equality"
+        assert (payload["lambda"] is None) == equality
+
+    def test_tnipm_is_no_backend(self, workdir):
+        self.make_corrupted(workdir)
+        assert run(["cab", "--algo", "tnipm", "--matrix", "A.csv",
+                    "--rhs", "b.csv", "--out", "c.json"]) == 2
+
+    def test_zero_weight_reports_equality_fields(self, workdir):
+        # as `solve` does: a zero weight is certified by the constraint
+        # violation, and the objective is the l1 norm of the stacked answer
+        self.make_corrupted(workdir)
+        rc = run(["cab", "--algo", "homotopy", "--lambda", "0",
+                  "--matrix", "A.csv", "--rhs", "b.csv", "--out", "c.json"])
+        assert rc == 0
+        payload = json.loads((workdir / "c.json").read_text())
+        assert payload["lambda"] == 0.0
+        x, e = np.asarray(payload["x"]), np.asarray(payload["e"])
+        A = np.loadtxt(workdir / "A.csv", delimiter=",")
+        b = np.loadtxt(workdir / "b.csv", delimiter=",")
+        violation = float(np.max(np.abs(A @ x + e - b)))
+        assert payload["objective"] == pytest.approx(
+            np.sum(np.abs(x)) + np.sum(np.abs(e)))
+        assert payload["kkt_residual"] <= 1e-10
+        assert payload["kkt_residual"] == pytest.approx(violation, abs=1e-14)
+
     def test_e_weight_echoed(self, workdir):
         self.make_corrupted(workdir)
         rc = run(["cab", "--matrix", "A.csv", "--rhs", "b.csv",
@@ -294,6 +342,44 @@ class TestAlignCommand:
         assert rc == 1
         payload = json.loads((workdir / "a.json").read_text())
         assert payload["converged"] is False
+
+    @pytest.mark.parametrize("algo", ["gp", "homotopy", "ist", "palm"])
+    def test_zero_rhs_exact_fit(self, workdir, algo):
+        B = np.random.default_rng(1).standard_normal((10, 2))
+        np.savetxt(workdir / "B.csv", B, fmt="%.17g", delimiter=",")
+        np.savetxt(workdir / "b.csv", np.zeros((10, 1)), fmt="%.17g",
+                   delimiter=",")
+        rc = run(["align", "--algo", algo, "--basis", "B.csv",
+                  "--rhs", "b.csv", "--out", "a.json"])
+        assert rc == 0
+        payload = json.loads((workdir / "a.json").read_text())
+        assert payload["converged"] is True
+        assert payload["x"] == [0.0, 0.0] and payload["e"] == [0.0] * 10
+
+    def test_zero_weight_reports_exact_fit_fields(self, workdir):
+        # homotopy at weight 0 solves the exact-fit form, and is certified
+        # as palm is: by the constraint violation
+        w0 = self.make_misaligned(workdir)
+        rc = run(["align", "--algo", "homotopy", "--lambda", "0",
+                  "--basis", "B.csv", "--rhs", "b.csv", "--out", "a.json"])
+        assert rc == 0
+        payload = json.loads((workdir / "a.json").read_text())
+        assert payload["lambda"] == 0.0 and payload["converged"] is True
+        w, e = np.asarray(payload["x"]), np.asarray(payload["e"])
+        assert np.linalg.norm(w - w0) <= 1e-8 * np.linalg.norm(w0)
+        assert payload["objective"] == pytest.approx(np.sum(np.abs(e)))
+        assert payload["kkt_residual"] <= 1e-10
+
+    def test_rhs_in_range_gp_reports_numerical_failure(self, workdir,
+                                                       capsys):
+        w0 = self.make_misaligned(workdir)
+        B = np.loadtxt(workdir / "B.csv", delimiter=",")
+        np.savetxt(workdir / "b.csv", (B @ w0)[:, None], fmt="%.17g",
+                   delimiter=",")
+        rc = run(["align", "--algo", "gp", "--basis", "B.csv",
+                  "--rhs", "b.csv", "--out", "a.json"])
+        assert rc == 1
+        assert "solver failure" in capsys.readouterr().err
 
     def test_wide_basis_rejected(self, workdir):
         np.savetxt(workdir / "B.csv", np.ones((3, 5)), fmt="%.17g",

@@ -110,6 +110,25 @@ class TestCabSolve:
         with pytest.raises(ValueError):
             cab_solve(np.eye(3), np.ones(3), "ist", cfg)
 
+    def test_gp_and_gpsr_are_one_backend(self):
+        A, x0, b_clean, b_bad, mask = corrupted_instance(3)
+        cfg = SolverConfig(tol=1e-8, max_iter=300)
+        x1, e1, res1 = cab_solve(A, b_bad, "gp", cfg)
+        x2, e2, res2 = cab_solve(A, b_bad, "gpsr", cfg)
+        assert x1.tobytes() == x2.tobytes() and e1.tobytes() == e2.tobytes()
+        assert (res1.iterations, res1.converged) == (res2.iterations,
+                                                     res2.converged)
+
+    def test_tnipm_is_no_backend(self):
+        # tnipm forms A * A, so it cannot run on the implicit [A, sI]
+        with pytest.raises(ValueError) as info:
+            cab_solve(np.eye(3), np.ones(3), "tnipm",
+                      SolverConfig(tol=1e-6, max_iter=10))
+        listed = str(info.value).split("choose from ")[1].rstrip(")")
+        assert sorted(listed.split(", ")) == sorted(
+            ["pdipa", "homotopy", "gpsr", "gp", "ist", "fista", "palm",
+             "dalm"])
+
     @pytest.mark.parametrize("backend", ["pdipa", "palm", "dalm"])
     def test_equality_backends_recover_exactly(self, backend):
         A, x0, b_clean, b_bad, mask = corrupted_instance(3)
@@ -376,6 +395,33 @@ def test_reduced_aligner_scale_covariance(name, s):
                                       cfg)
     assert np.linalg.norm(w_s - s * w) <= 1e-9 * np.linalg.norm(s * w)
     assert np.linalg.norm(e_s - s * e) <= 1e-9 * np.linalg.norm(s * e)
+
+
+ALL_ALIGNERS = {
+    "gp": lambda prob, cfg: align_gp_solve(prob, None, cfg),
+    "homotopy": align_homotopy_solve,
+    "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
+    "palm": align_palm_solve,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALIGNERS))
+def test_zero_rhs_gives_the_exact_zero_fit(name):
+    # the default weight is 0 at b = 0, where (w, e) = (0, 0) is exact
+    prob = AlignmentProblem(np.random.default_rng(0)
+                            .standard_normal((10, 2)), np.zeros(10))
+    w, e = ALL_ALIGNERS[name](prob, SolverConfig(tol=1e-8, max_iter=50))
+    assert np.all(w == 0.0) and np.all(e == 0.0)
+
+
+def test_align_gp_rhs_in_range_is_a_numerical_failure():
+    # b = B w0 leaves a least-squares residual of roundoff size, so the
+    # default weight sits below what the optimality test can resolve
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((40, 5))
+    prob = AlignmentProblem(B, B @ rng.standard_normal(5))
+    with pytest.raises(IllConditionedError):
+        align_gp_solve(prob, None, SolverConfig(tol=1e-8, max_iter=5000))
 
 
 class TestAlignPalm:
