@@ -21,6 +21,8 @@ from ell1.numerics import (CholFactor, chol_factor, project_box_linf,
 
 _INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
 _Y_REFINE_TOL = 1e-10  # relative residual contract of the dual y-step
+MU0 = 1.0              # starting penalty weight of the primal multiplier loops
+RHO = 2.0              # their per-outer-iteration penalty growth factor
 
 
 @dataclass
@@ -98,7 +100,7 @@ def palm_solve(P, config, observer=None):
     Every outer iteration minimizes the penalized Lagrangian in x (at
     most 200 accelerated shrinkage steps, inner tolerance 1e-2/mu), then
     takes the multiplier ascent step y <- y + mu (b - A x) and grows
-    mu <- rho mu. Defaults mu0 = 1, rho = 2 (options "mu0", "rho").
+    mu <- rho mu, from mu = MU0 = 1 with rho = RHO = 2.
     Converges when ||b - A x|| <= config.tol ||b||; iterations counts
     inner steps, and config.max_iter caps that total. observer, when
     given, receives the AlmState after every outer iteration. The
@@ -113,10 +115,7 @@ def palm_solve(P, config, observer=None):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return mon.trivial(n, penalized=False)
-    mu = float(config.opt("mu0", 1.0))
-    rho = float(config.opt("rho", 2.0))
-    if not mu > 0 or not rho > 1:
-        raise ValueError("mu0 must be positive and rho must exceed 1")
+    mu = MU0
     if hasattr(A, "norm_sq"):
         tau = 1.01 * A.norm_sq()
     else:
@@ -143,12 +142,12 @@ def palm_solve(P, config, observer=None):
         l1 = float(np.sum(np.abs(x)))
         mon.record(it, l1, res_norm, x)
         if observer is not None:
-            observer(AlmState(x.copy(), y.copy(), mu, rho, tau))
+            observer(AlmState(x.copy(), y.copy(), mu, RHO, tau))
         rel = res_norm / b_norm
         if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True
             break
-        mu *= rho
+        mu *= RHO
     if not converged and it >= config.max_iter:
         mon.notes.append("inner-iteration budget exhausted")
     return mon.result(x, it, converged)
@@ -190,27 +189,6 @@ def dual_y_solve(state, gram, Az, Ax, b):
     return y
 
 
-def _y_cg_step(state, A, Aty, Az, Ax, b):
-    """Single conjugate-gradient step on the y system, warm started.
-
-    Aty = A^T state.y, Az = A z_next and Ax = A state.x come from the
-    caller; the step itself takes three products. A non-finite residual
-    or curvature raises IllConditionedError.
-    """
-    rhs = Az - (Ax - b) / state.beta
-    r = rhs - A @ Aty
-    rr = float(r @ r)
-    if not np.isfinite(rr):
-        raise IllConditionedError("non-finite residual in the y step")
-    if rr == 0.0:
-        return state.y
-    Ar = A @ (A.T @ r)
-    curv = float(r @ Ar)
-    if not (np.isfinite(curv) and curv > 0.0):
-        raise IllConditionedError("row Gram lost positive definiteness")
-    return state.y + (rr / curv) * r
-
-
 def dalm_solve(P, config, observer=None):
     """Dual three-step iteration: project, least-squares, multiplier.
 
@@ -220,9 +198,7 @@ def dalm_solve(P, config, observer=None):
     plus one solve with the factor of A A^T; A^T y and A x carry over to
     the next iteration, and the y-step certificate uses the cached Gram.
     Setup takes three more: A A^T and the products of the zero start.
-    beta defaults to 1 (option "beta"); option "y_cg_step" replaces the
-    exact y solve with one warm-started conjugate-gradient step, which
-    costs three more products per iteration.
+    beta defaults to 1 (option "beta").
     Converges when ||b - A x|| <= config.tol ||b|| and the duality gap
     against the box-scaled multiplier, ||x||_1 - b'y / max(1, ||A'y||_inf),
     is within config.tol of zero relative to max(1, ||x||_1); by weak
@@ -239,7 +215,6 @@ def dalm_solve(P, config, observer=None):
     beta = float(config.opt("beta", 1.0))
     if not beta > 0:
         raise ValueError("beta must be positive")
-    cg_mode = bool(config.opt("y_cg_step", False))
     gram, chol = _gram_factor(A)
     state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, chol)
     Aty = A.T @ state.y
@@ -250,10 +225,7 @@ def dalm_solve(P, config, observer=None):
     while it < config.max_iter:
         z = project_box_linf(Aty + state.x / beta)
         Az = A @ z
-        if cg_mode:
-            y = _y_cg_step(state, A, Aty, Az, Ax, b)
-        else:
-            y = dual_y_solve(state, gram, Az, Ax, b)
+        y = dual_y_solve(state, gram, Az, Ax, b)
         x_prev = state.x
         Aty = A.T @ y
         x = x_prev - beta * (z - Aty)

@@ -19,6 +19,7 @@ from ell1.numerics import _MAX_HALVINGS, BoxBarrier, pcg_solve, truncate_small
 _ALPHA_CAP = 1e8
 _CURV_FLOOR = 1e-14    # relative curvature below this counts as flat
 _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
+PCG_TOL = 1e-4         # relative residual at which tnipm's PCG stops
 
 
 @dataclass
@@ -122,13 +123,14 @@ def gpsr_solve(P, lam, config, observer=None):
     if not lam > 0:
         raise ValueError("lambda must be positive")
     mon = Monitor(config, b, P.ground_truth)
-    if float(np.max(np.abs(A.T @ b))) == 0.0:
+    Atb = A.T @ b
+    if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, penalized=True)
 
     z = np.zeros(2 * n)
     x = np.zeros(n)
     r = -b.copy()          # A x - b
-    grad_x = A.T @ r
+    grad_x = -Atb
     mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x)
     it = 0
     converged = False
@@ -189,9 +191,9 @@ def tnipm_solve(P, lam, config, observer=None):
     iteration stops when the gap estimate 2n/t is below tol relative to
     the objective and the truncated iterate meets the kkt tolerance.
     Backtracking that cannot find a decreasing interior step raises
-    NumericalBreakdownError. Options: pcg_tol (1e-4), pcg_max_iter
-    (dimension default). observer receives the BarrierIterate after
-    every accepted step. Honors config.stopping.
+    NumericalBreakdownError. PCG stops at relative residual PCG_TOL
+    (1e-4) or after as many steps as the dimension. observer receives
+    the BarrierIterate after every accepted step. Honors config.stopping.
     """
     A, b = P.A, P.b
     n = P.n
@@ -203,8 +205,6 @@ def tnipm_solve(P, lam, config, observer=None):
     if float(np.max(np.abs(A.T @ b))) == 0.0:
         return mon.trivial(n, penalized=True)
 
-    pcg_tol = config.opt("pcg_tol", 1e-4)
-    pcg_cap = config.opt("pcg_max_iter", None)
     col_sq = np.sum(A * A, axis=0)
     x = np.zeros(n)
     u = np.ones(n)
@@ -233,7 +233,7 @@ def tnipm_solve(P, lam, config, observer=None):
         d_red = bar.d_red
         op = lambda v: t * (A.T @ (A @ v)) + d_red * v
         sol = pcg_solve(op, bar.reduced_rhs(g_x), precond=t * col_sq + d_red,
-                        tol=pcg_tol, max_iter=pcg_cap)
+                        tol=PCG_TOL)
         if not sol.converged:
             pcg_capped += 1
         dx = sol.x

@@ -1,7 +1,7 @@
 """Shared numerical kernels: shrinkage, box projection, Cholesky machinery,
 preconditioned conjugate gradients, spectral norm estimation, and the
-interior-point pieces (fraction to boundary, box-barrier Newton step and
-its Armijo backtrack) that pdipa, tnipm and align_gp_solve share.
+interior-point pieces: the fraction to boundary, which pdipa and tnipm
+share, and tnipm's box-barrier Newton step with its Armijo backtrack.
 
 The elementwise kernels and the rank-1 factor updates run in ell1._accel.
 """

@@ -10,26 +10,26 @@ AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
 sparse. With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
 an ordinary penalized l1 problem in e, with dictionary Q2^T and data
-Q2^T b; w then follows from the normal equations. align_ist_solve and
-align_homotopy_solve run ist_solve and homotopy_solve on that reduced
-problem. align_gp_solve (log-barrier Newton in w, e and the bounds on e)
-and align_palm_solve (the multiplier method on the exact-fit form
-min ||e||_1 subject to b = B w + e) keep loops of their own: they work
-with products by the d x m matrix B, and on the reduced problem every
-product is by the dense (d - m) x d matrix Q2^T instead, which made tnipm
-and palm there slower than these loops on 200 x 12 problems.
+Q2^T b; w then follows from the normal equations. align_gp_solve,
+align_ist_solve and align_homotopy_solve run gpsr_solve, ist_solve and
+homotopy_solve on that reduced problem. align_palm_solve (the multiplier
+method on the exact-fit form min ||e||_1 subject to b = B w + e) keeps a
+loop of its own: it works with products by the d x m matrix B, and on the
+reduced problem every product is by the dense (d - m) x d matrix Q2^T
+instead, which made palm there slower than this loop on 200 x 12
+problems.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
-                             NumericalBreakdownError)
+from ell1.alm import MU0, RHO
+from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
+from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
-from ell1.model import ProblemInstance, kkt_from_correlation
-from ell1.numerics import (BoxBarrier, chol_factor, soft_threshold,
-                           spectral_norm_sq, truncate_small)
+from ell1.model import ProblemInstance
+from ell1.numerics import chol_factor, soft_threshold, spectral_norm_sq
 from ell1.shrinkage import default_schedule, ist_solve
 
 
@@ -254,74 +254,6 @@ def _default_align_lambda(prob, gram):
     return 1e-2 * lam0
 
 
-def align_gp_solve(prob, lam, config):
-    """Log-barrier Newton solve of the alignment objective.
-
-    Bounds the error block by -u <= e <= u, walks the central path in
-    (w, e, u), and eliminates first the bound block and then the error
-    block so each Newton step costs one m x m factorization. lam=None
-    uses 1e-2 times the peak least-squares residual. On return w is
-    re-solved exactly from the truncated e, so the normal-equations
-    residual vanishes at machine precision. Returns (w, e).
-    """
-    B, b = prob.B, prob.b
-    d, m = B.shape
-    gram = _column_gram_factor(B)
-    if lam is None:
-        lam = _default_align_lambda(prob, gram)
-        if lam == 0.0:  # b lies in range(B): the least-squares fit is exact
-            return gram.solve(B.T @ b), np.zeros(d)
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-
-    def polished(e_raw):
-        e_t = truncate_small(e_raw)
-        return gram.solve(B.T @ (b - e_t)), e_t
-
-    w = gram.solve(B.T @ b)
-    e = np.zeros(d)
-    u = np.ones(d) * max(1.0, float(np.max(np.abs(b))))
-    t = 1.0 / lam
-    for _ in range(config.max_iter):
-        r = b - B @ w - e
-        obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(e)))
-        if 2.0 * d / t <= config.tol * (1.0 + obj):
-            w_t, e_t = polished(e)
-            c = b - B @ w_t - e_t
-            if kkt_from_correlation(e_t, c, lam) <= config.tol * lam:
-                return w_t, e_t
-        bar = BoxBarrier(e, u, t, lam)
-        g_w = -t * (B.T @ r)
-        g_e = -t * r + bar.g_bar
-        rhs_e = bar.reduced_rhs(g_e)
-        denom = t + bar.d_red
-        weight = t * bar.d_red / denom
-        try:
-            step_fac = chol_factor(B.T @ (B * weight[:, None]))
-        except NotPositiveDefiniteError as exc:
-            raise IllConditionedError(
-                "reduced alignment system lost definiteness") from exc
-        except ValueError as exc:  # the factor of overflowed weights
-            raise IllConditionedError(
-                "alignment barrier weights overflowed before the optimality "
-                "test held: lambda is below the roundoff of the fit") from exc
-        dw = step_fac.solve(-g_w - t * (B.T @ (rhs_e / denom)))
-        de = (rhs_e - t * (B @ dw)) / denom
-        du = bar.bound_step(de)
-        decrement_sq = -(float(g_w @ dw) + float(g_e @ de)
-                         + float(bar.g_u @ du))
-        Bdw = B @ dw
-        step = bar.backtrack(r, de, du, decrement_sq,
-                             lambda s: r - s * Bdw - s * de)
-        if step is None:
-            raise NumericalBreakdownError(
-                "alignment barrier line search exhausted")
-        s, e, u = step
-        w = w + s * dw
-        t = bar.next_weight(decrement_sq)
-    return polished(e)
-
-
 def _reduced_align_solve(prob, lam, solve):
     """Solve the penalized alignment objective as an l1 problem in e alone.
 
@@ -342,6 +274,18 @@ def _reduced_align_solve(prob, lam, solve):
         np.linalg.qr(B, mode="complete")[0][:, prob.m:].T)
     e = solve(ProblemInstance(Q2t, Q2t @ b), lam).x_star
     return gram.solve(B.T @ (b - e)), e
+
+
+def align_gp_solve(prob, lam, config):
+    """Gradient projection (GPSR) on the alignment objective.
+
+    Runs gpsr_solve on the QR-reduced problem in e (see
+    _reduced_align_solve), then re-solves w from the normal equations.
+    lam=None uses 1e-2 times the peak least-squares residual. Returns
+    (w, e).
+    """
+    return _reduced_align_solve(
+        prob, lam, lambda P, lam: gpsr_solve(P, lam, config))
 
 
 def align_homotopy_solve(prob, config):
@@ -376,16 +320,13 @@ def align_palm_solve(prob, config):
     Alternates the two closed-form block updates of the penalized
     Lagrangian (w from the cached normal equations, e by shrinkage with
     threshold 1/mu), then steps the multiplier and grows mu geometrically
-    (options "mu0" and "rho", defaults 1 and 2). Converges when the fit
+    (from alm.MU0 = 1 by the factor alm.RHO = 2). Converges when the fit
     residual drops below config.tol * ||b||. Returns (w, e) with
     b - B w - e at the constraint tolerance.
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)
-    mu = float(config.opt("mu0", 1.0))
-    rho = float(config.opt("rho", 2.0))
-    if not mu > 0 or not rho > 1:
-        raise ValueError("mu0 must be positive and rho must exceed 1")
+    mu = MU0
     b_norm = float(np.linalg.norm(b))
     w = gram.solve(B.T @ b)
     e = np.zeros(prob.d)
@@ -408,5 +349,5 @@ def align_palm_solve(prob, config):
         y = y + mu * r
         if float(np.linalg.norm(r)) <= config.tol * b_norm:
             break
-        mu *= rho
+        mu *= RHO
     return w, e

@@ -19,6 +19,9 @@ _ALPHA_MIN = 1e-30
 _ALPHA_MAX = 1e30
 _MAX_DOUBLINGS = 50   # step halvings (alpha doublings) before declaring a stall
 _MAX_BACKTRACK = 100
+L0 = 1.0              # fista's starting Lipschitz estimate
+ETA = 1.5             # fista's backtracking growth factor for L
+BETA = 0.5            # fista's per-iteration lambda decay under continuation
 
 
 @dataclass(frozen=True)
@@ -114,15 +117,16 @@ def ist_solve(P, schedule, config, observer=None):
     if schedule is None:
         schedule = default_schedule(P, config.resolved_lambda(P))
     lam_target = schedule.lambda_target
-    x = np.zeros(n)
-    if float(np.max(np.abs(A.T @ b))) == 0.0:
+    Atb = A.T @ b
+    if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, penalized=True)
 
     it = 0
     converged = False
     alpha = 1.0
-    Ax = A @ x
-    g = A.T @ (Ax - b)
+    x = np.zeros(n)
+    Ax = np.zeros(P.d)
+    g = -Atb
     for lam in schedule.stages():
         final_stage = lam == lam_target
         kkt = kkt_from_correlation(x, -g, lam)
@@ -224,11 +228,13 @@ def backtrack_L(y, L_prev, eta, lam, P):
 def fista_solve(P, config, observer=None):
     """Accelerated shrinkage with per-iteration lambda continuation.
 
-    Options (config.options): L0 (default 1.0), eta (1.5), beta (0.5),
-    continuation (True), exact_L (False: use backtracking; True: fix L to
-    the measured squared spectral norm, as the convergence-bound analysis
-    assumes). observer, when given, receives (FistaState, y, lambda) after
-    every step. Honors config.stopping when set.
+    Backtracking starts from L = L0 (1.0) and grows it by ETA (1.5);
+    continuation shrinks lambda by BETA (0.5) per iteration. Options
+    (config.options): continuation (True), exact_L (False: use
+    backtracking; True: fix L to the measured squared spectral norm, as
+    the convergence-bound analysis assumes). observer, when given,
+    receives (FistaState, y, lambda) after every step. Honors
+    config.stopping when set.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
     backtracking trial: A x_next, and g = A^T (A x_next - b), which the
@@ -249,9 +255,7 @@ def fista_solve(P, config, observer=None):
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")
 
-    eta = config.opt("eta", 1.5)
-    L = config.opt("L0", 1.0)
-    beta = config.opt("beta", 0.5)
+    L = L0
     exact_L = config.opt("exact_L", False)
     if exact_L:
         # tiny inflation keeps the majorization valid under roundoff
@@ -279,7 +283,7 @@ def fista_solve(P, config, observer=None):
             F_next = (0.5 * float(r_next @ r_next)
                       + lam * float(np.sum(np.abs(x_next))))
         else:
-            L, x_next, r_next, F_next = _backtrack(y, L, eta, lam, P, g_y,
+            L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, P, g_y,
                                                    0.5 * float(r_y @ r_y))
         x_prev, x = x, x_next
         r_prev, r_x = r_x, r_next
@@ -295,5 +299,5 @@ def fista_solve(P, config, observer=None):
                 or (lam == lam_bar and kkt <= config.tol * lam_bar)):
             converged = True
             break
-        lam = max(beta * lam, lam_bar)
+        lam = max(BETA * lam, lam_bar)
     return mon.result(x, it, converged)

@@ -370,8 +370,9 @@ class TestAlignCommand:
         assert payload["objective"] == pytest.approx(np.sum(np.abs(e)))
         assert payload["kkt_residual"] <= 1e-10
 
-    def test_rhs_in_range_gp_reports_numerical_failure(self, workdir,
-                                                       capsys):
+    def test_rhs_in_range_gp_fits_but_is_not_certified(self, workdir):
+        # the default weight is roundoff-sized at b = B w0, below what the
+        # optimality certificate can resolve, yet w is the exact fit
         w0 = self.make_misaligned(workdir)
         B = np.loadtxt(workdir / "B.csv", delimiter=",")
         np.savetxt(workdir / "b.csv", (B @ w0)[:, None], fmt="%.17g",
@@ -379,7 +380,10 @@ class TestAlignCommand:
         rc = run(["align", "--algo", "gp", "--basis", "B.csv",
                   "--rhs", "b.csv", "--out", "a.json"])
         assert rc == 1
-        assert "solver failure" in capsys.readouterr().err
+        payload = json.loads((workdir / "a.json").read_text())
+        assert payload["converged"] is False
+        w = np.asarray(payload["x"])
+        assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
 
     def test_wide_basis_rejected(self, workdir):
         np.savetxt(workdir / "B.csv", np.ones((3, 5)), fmt="%.17g",

@@ -269,6 +269,12 @@ class TestAlignGp:
             align_gp_solve(AlignmentProblem(B, np.ones(4)), 0.1,
                            SolverConfig(tol=1e-8, max_iter=50))
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_explicit_nonpositive_weight_rejected(self, lam):
+        prob, w0, mask = corrupted_alignment(3011)
+        with pytest.raises(ValueError):
+            align_gp_solve(prob, lam, SolverConfig(tol=1e-8, max_iter=50))
+
     def test_clean_data_reduces_to_least_squares(self):
         rng = np.random.default_rng(4)
         B = rng.standard_normal((30, 4))
@@ -370,6 +376,7 @@ class TestAlignIst:
 
 
 REDUCED_ALIGNERS = {
+    "gp": lambda prob, cfg: align_gp_solve(prob, None, cfg),
     "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
     "homotopy": align_homotopy_solve,
 }
@@ -414,14 +421,19 @@ def test_zero_rhs_gives_the_exact_zero_fit(name):
     assert np.all(w == 0.0) and np.all(e == 0.0)
 
 
-def test_align_gp_rhs_in_range_is_a_numerical_failure():
+@pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
+def test_reduced_aligner_rhs_in_range_fits_exactly(name):
     # b = B w0 leaves a least-squares residual of roundoff size, so the
-    # default weight sits below what the optimality test can resolve
+    # default weight is roundoff too; the reduced problem's data is that
+    # residual, and w comes back as the least-squares fit
     rng = np.random.default_rng(5)
     B = rng.standard_normal((40, 5))
-    prob = AlignmentProblem(B, B @ rng.standard_normal(5))
-    with pytest.raises(IllConditionedError):
-        align_gp_solve(prob, None, SolverConfig(tol=1e-8, max_iter=5000))
+    w0 = rng.standard_normal(5)
+    prob = AlignmentProblem(B, B @ w0)
+    w, e = REDUCED_ALIGNERS[name](prob, SolverConfig(tol=1e-8,
+                                                     max_iter=5000))
+    assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
+    assert np.max(np.abs(e)) <= 1e-12 * np.max(np.abs(prob.b))
 
 
 class TestAlignPalm:
@@ -440,15 +452,6 @@ class TestAlignPalm:
                                 .standard_normal((10, 2)), np.zeros(10))
         w, e = align_palm_solve(prob, SolverConfig(tol=1e-8, max_iter=50))
         assert np.all(w == 0.0) and np.all(e == 0.0)
-
-    def test_bad_options(self):
-        prob, w0, mask = corrupted_alignment(3043, d=20, m=3)
-        with pytest.raises(ValueError):
-            align_palm_solve(prob, SolverConfig(
-                tol=1e-8, max_iter=50, options={"rho": 1.0}))
-        with pytest.raises(ValueError):
-            align_palm_solve(prob, SolverConfig(
-                tol=1e-8, max_iter=50, options={"mu0": 0.0}))
 
 
 @functools.lru_cache(maxsize=None)
