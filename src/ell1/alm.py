@@ -23,6 +23,7 @@ _INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
 _Y_REFINE_TOL = 1e-10  # relative residual contract of the dual y-step
 MU0 = 1.0              # starting penalty weight of the primal multiplier loops
 RHO = 2.0              # their per-outer-iteration penalty growth factor
+_STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 
 
 @dataclass
@@ -105,9 +106,9 @@ def palm_solve(P, config, observer=None):
     inner steps, and config.max_iter caps that total. observer, when
     given, receives the AlmState after every outer iteration. The
     stopping-rule kkt slot carries the relative primal residual. A
-    multiplier or residual that leaves the float range, as when b lies
-    outside the range of A and the multiplier grows without bound,
-    raises NumericalBreakdownError.
+    residual norm above its minimum for _STALL_STEPS (10) outer steps in
+    a row (b outside the range of A), or a non-finite multiplier or
+    residual, raises NumericalBreakdownError.
     """
     A, b = P.A, P.b
     n = P.n
@@ -125,6 +126,7 @@ def palm_solve(P, config, observer=None):
     mon.record(0, 0.0, b_norm, x)
     it = 0
     converged = False
+    best_res, stalled = b_norm, 0
     while it < config.max_iter:
         # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
         # 1/mu so the gradient step keeps the 1/tau length
@@ -147,6 +149,11 @@ def palm_solve(P, config, observer=None):
         if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True
             break
+        stalled = 0 if res_norm < best_res else stalled + 1
+        best_res = min(best_res, res_norm)
+        if stalled == _STALL_STEPS:
+            raise NumericalBreakdownError(
+                "residual stalled at %g: b is outside range(A)" % best_res)
         mu *= RHO
     if not converged and it >= config.max_iter:
         mon.notes.append("inner-iteration budget exhausted")

@@ -41,9 +41,9 @@ SOLVERS = {
     "homotopy": SolverRow("penalized", True, lambda P, c: homotopy_solve(
         P, c.resolved_lambda(P), c)),
     "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(
-        P, c.resolved_lambda(P), c)),
+        P, c.lam, c)),
     "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(
-        P, c.resolved_lambda(P), c)),
+        P, c.lam, c)),
     "ist": SolverRow("penalized", True, lambda P, c: ist_solve(P, None, c)),
     "fista": SolverRow("penalized", True, lambda P, c: fista_solve(P, c)),
     "palm": SolverRow("equality", True, lambda P, c: palm_solve(P, c)),

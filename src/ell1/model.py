@@ -82,9 +82,9 @@ class SolverConfig:
     the lambda-form solvers, feasibility and gap for the equality form).
     A `stopping` rule is checked in addition, once per iteration of every
     solver, and a solve it ends reports converged=True. Its kkt slot holds
-    the KKT residual for the penalized solvers (homotopy: at the target
-    weight) and the relative primal residual ||b - A x|| / ||b|| for the
-    equality-form ones; bench.SOLVERS gives each solver's form.
+    the KKT residual for the penalized solvers (homotopy and gpsr: at the
+    target weight) and the relative primal residual ||b - A x|| / ||b||
+    for the equality-form ones; bench.SOLVERS gives each solver's form.
     Algorithm-specific constants are read from `options` and documented
     in the solver docstrings.
     """
@@ -103,10 +103,10 @@ class SolverConfig:
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
-    def resolved_lambda(self, problem):
+    def resolved_lambda(self, problem, Atb=None):
         if self.lam is not None:
             return float(self.lam)
-        return default_lambda(problem)
+        return default_lambda(problem, Atb)
 
     def opt(self, name, default):
         return self.options.get(name, default)
@@ -130,10 +130,10 @@ class SolverResult:
             raise ValueError("trace may hold at most one entry per iteration")
 
 
-def default_lambda(problem):
-    """Default regularization weight: 1e-2 * ||A^T b||_inf."""
-    scale = float(np.max(np.abs(problem.A.T @ problem.b))) if problem.n else 0.0
-    return 1e-2 * scale
+def default_lambda(problem, Atb=None):
+    """Default weight 1e-2 ||A^T b||_inf; Atb, if given, is A^T b."""
+    Atb = problem.A.T @ problem.b if Atb is None else Atb
+    return 1e-2 * float(np.max(np.abs(Atb), initial=0.0))
 
 
 def objective(x, problem, lam):

@@ -82,10 +82,11 @@ def bb_alpha(s, g):
     return min(max(ratio, _ALPHA_MIN), _ALPHA_MAX)
 
 
-def default_schedule(P, lam_target):
-    """Warm-start schedule from 0.9 ||A^T b||_inf down to lam_target."""
-    start = 0.9 * float(np.max(np.abs(P.A.T @ P.b)))
-    return ContinuationSchedule(max(start, lam_target), 0.5, lam_target)
+def default_schedule(P, lam_target, Atb=None, beta=0.5):
+    """Schedule 0.9 ||A^T b||_inf -> lam_target by beta; Atb is A^T b."""
+    Atb = P.A.T @ P.b if Atb is None else Atb
+    start = 0.9 * float(np.max(np.abs(Atb)))
+    return ContinuationSchedule(max(start, lam_target), beta, lam_target)
 
 
 def objective_delta(x, cand, Ax, Acand, g, lam):
@@ -114,10 +115,10 @@ def ist_solve(P, schedule, config, observer=None):
     A, b = P.A, P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
-    if schedule is None:
-        schedule = default_schedule(P, config.resolved_lambda(P))
-    lam_target = schedule.lambda_target
     Atb = A.T @ b
+    if schedule is None:
+        schedule = default_schedule(P, config.resolved_lambda(P, Atb), Atb)
+    lam_target = schedule.lambda_target
     if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, penalized=True)
 
@@ -246,9 +247,9 @@ def fista_solve(P, config, observer=None):
     A, b = P.A, P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
-    lam_bar = config.resolved_lambda(P)
-    x = np.zeros(n)
     Atb = A.T @ b
+    lam_bar = config.resolved_lambda(P, Atb)
+    x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
     if Atb_max == 0.0:
         return mon.trivial(n, penalized=True)

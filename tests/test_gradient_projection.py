@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ell1 import synth
 from ell1.exceptions import NumericalBreakdownError
@@ -182,6 +184,41 @@ def test_gpsr_honors_stopping_rule():
     assert res.converged and res.iterations <= 3
 
 
+def test_gpsr_kkt_rule_reads_the_target_weight():
+    # an early continuation stage must not meet the rule for the target
+    P = synth.make_instance(synth.GenSpec(n=200, d=100, k=8, seed=11))
+    lam = 1e-3 * float(np.max(np.abs(P.A.T @ P.b)))
+    rule = StoppingRule(kind="kkt-residual", threshold=1e-2 * lam)
+    res = gpsr_solve(P, lam, SolverConfig(stopping=rule))
+    assert res.converged
+    assert kkt_residual(res.x_star, P, lam) <= 1e-2 * lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(-26, 26),
+       st.sampled_from([1e-1, 1e-2, 1e-3]))
+def test_gpsr_scale_covariant(seed, log2_scale, rel_lam):
+    # b -> s b with lam -> s lam for s = 2^k in [1.5e-8, 6.7e7]: every
+    # product and comparison scales exactly, so a units-dependent constant
+    # is the only thing that can move the answer or the step count
+    spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
+                         noise_sigma=0.01)
+    P = synth.make_instance(spec)
+    lam = rel_lam * float(np.max(np.abs(P.A.T @ P.b)))
+    s = 2.0 ** log2_scale
+    cfg = SolverConfig(tol=1e-6, max_iter=5000)
+    ref = gpsr_solve(P, lam, cfg)
+    Ps = ProblemInstance(P.A, s * P.b)
+    res = gpsr_solve(Ps, s * lam, cfg)
+    assert res.iterations == ref.iterations
+    assert res.converged == ref.converged
+    np.testing.assert_array_equal(res.x_star, s * ref.x_star)
+    for run, prob, weight in ((ref, P, lam), (res, Ps, s * lam)):
+        if run.converged:
+            assert (kkt_residual(run.x_star, prob, weight)
+                    <= 10 * cfg.tol * weight)
+
+
 # --- tnipm_solve -----------------------------------------------------------
 
 
@@ -257,13 +294,14 @@ def test_tnipm_broken_inner_solve_raises(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def gpsr_run(seed):
+    """Problem, target weight, [(SplitIterate, stage weight)] and result."""
     spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
                          noise_sigma=0.01)
     P = synth.make_instance(spec)
     lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
     iterates = []
     res = gpsr_solve(P, lam, SolverConfig(tol=1e-7, max_iter=20000),
-                     observer=iterates.append)
+                     observer=lambda it, lam_s: iterates.append((it, lam_s)))
     return P, lam, iterates, res
 
 
@@ -279,27 +317,44 @@ def tnipm_run(seed):
     return P, lam, iterates, res
 
 
+def split_change(z_prev, z_next, A, b, lam):
+    """Q(z_next) - Q(z_prev) of the split objective at weight lam.
+
+    Evaluated as an exact quadratic difference, so its sign stays
+    meaningful after consecutive objectives agree to machine precision.
+    """
+    n = z_prev.shape[0] // 2
+    dx = (z_next[:n] - z_next[n:]) - (z_prev[:n] - z_prev[n:])
+    Adx = A @ dx
+    grad = split_gradient(z_prev, A, b, lam)
+    return float(grad @ (z_next - z_prev)) + 0.5 * float(Adx @ Adx)
+
+
 @pytest.mark.invariant
 def test_gpsr_iterates_feasible_and_objective_non_increasing():
-    # the pairwise change is recomputed here as an exact quadratic
-    # difference, so the non-increase check stays meaningful even after
-    # consecutive objectives agree to machine precision
+    # continuation: each step is monotone at its own stage weight, and the
+    # target objective is non-increasing through the final stage. An early
+    # stage may raise the target objective on its way down.
     total = 0
     for seed in range(1800, 1910):
         P, lam, iterates, res = gpsr_run(seed)
         assert res.converged
-        zs = [np.zeros(2 * P.n)] + [it.z for it in iterates]
+        weights = [lam_s for _, lam_s in iterates]
+        assert all(a >= b for a, b in zip(weights, weights[1:]))
+        assert weights[-1] == lam
+        zs = [np.zeros(2 * P.n)] + [it.z for it, _ in iterates]
         for z in zs:
             assert np.all(z >= 0.0)
-        for z_prev, z_next in zip(zs, zs[1:]):
-            grad = split_gradient(z_prev, P.A, P.b, lam)
-            n = P.n
-            dx = (z_next[:n] - z_next[n:]) - (z_prev[:n] - z_prev[n:])
-            Adx = P.A @ dx
-            dQ = float(grad @ (z_next - z_prev)) + 0.5 * float(Adx @ Adx)
-            Q_here = split_objective(z_prev, P.A, P.b, lam)
-            assert dQ <= 1e-15 * (1.0 + abs(Q_here))
+        for z_prev, z_next, lam_s in zip(zs, zs[1:], weights):
+            Q_here = split_objective(z_prev, P.A, P.b, lam_s)
+            assert (split_change(z_prev, z_next, P.A, P.b, lam_s)
+                    <= 1e-15 * (1.0 + abs(Q_here)))
             total += 1
+        # the iterate the final stage starts from, then its own steps
+        Q_final = [split_objective(z, P.A, P.b, lam)
+                   for z in zs[weights.index(lam):]]
+        for Q_prev, Q_next in zip(Q_final, Q_final[1:]):
+            assert Q_next <= Q_prev + 1e-15 * (1.0 + abs(Q_prev))
         assert (split_objective(zs[-1], P.A, P.b, lam)
                 < split_objective(zs[0], P.A, P.b, lam))
     assert total >= 100
@@ -309,9 +364,9 @@ def test_gpsr_iterates_feasible_and_objective_non_increasing():
 def test_direction_never_opposes_the_gradient():
     total = 0
     for seed in range(1800, 1910):
-        P, lam, iterates, _ = gpsr_run(seed)
-        for it in iterates:
-            grad = split_gradient(it.z, P.A, P.b, lam)
+        P, _, iterates, _ = gpsr_run(seed)
+        for it, lam_s in iterates:
+            grad = split_gradient(it.z, P.A, P.b, lam_s)
             g = gpsr_direction(it.z, grad)
             assert float(g @ grad) >= 0.0
             total += 1

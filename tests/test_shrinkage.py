@@ -324,8 +324,8 @@ def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
     return x, it, round(np.log(L) / np.log(eta))
 
 
-# setup: A^T b for the default lambda and A^T b for the continuation start
-_FISTA_SETUP_PRODUCTS = 2
+# setup: one A^T b, for both the default lambda and the continuation start
+_FISTA_SETUP_PRODUCTS = 1
 _FISTA_CONFIG = SolverConfig(tol=1e-8, max_iter=3000)
 
 
