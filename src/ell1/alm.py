@@ -24,6 +24,7 @@ _Y_REFINE_TOL = 1e-10  # relative residual contract of the dual y-step
 MU0 = 1.0              # starting penalty weight of the primal multiplier loops
 RHO = 2.0              # their per-outer-iteration penalty growth factor
 _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
+_STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
 
 
 @dataclass
@@ -106,9 +107,9 @@ def palm_solve(P, config, observer=None):
     inner steps, and config.max_iter caps that total. observer, when
     given, receives the AlmState after every outer iteration. The
     stopping-rule kkt slot carries the relative primal residual. A
-    residual norm above its minimum for _STALL_STEPS (10) outer steps in
-    a row (b outside the range of A), or a non-finite multiplier or
-    residual, raises NumericalBreakdownError.
+    residual norm stuck above its minimum, and that above 1e3 eps ||b||,
+    for _STALL_STEPS (10) outer steps (b outside the range of A), or a
+    non-finite multiplier or residual, raises NumericalBreakdownError.
     """
     A, b = P.A, P.b
     n = P.n
@@ -127,6 +128,7 @@ def palm_solve(P, config, observer=None):
     it = 0
     converged = False
     best_res, stalled = b_norm, 0
+    floor = _STALL_FLOOR * np.finfo(np.float64).eps * b_norm
     while it < config.max_iter:
         # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
         # 1/mu so the gradient step keeps the 1/tau length
@@ -151,7 +153,7 @@ def palm_solve(P, config, observer=None):
             break
         stalled = 0 if res_norm < best_res else stalled + 1
         best_res = min(best_res, res_norm)
-        if stalled == _STALL_STEPS:
+        if stalled == _STALL_STEPS and best_res > floor:
             raise NumericalBreakdownError(
                 "residual stalled at %g: b is outside range(A)" % best_res)
         mu *= RHO

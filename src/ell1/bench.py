@@ -39,7 +39,7 @@ SolverRow = namedtuple("SolverRow", "form implicit entry")
 SOLVERS = {
     "pdipa": SolverRow("equality", True, lambda P, c: pdipa_solve(P, c)),
     "homotopy": SolverRow("penalized", True, lambda P, c: homotopy_solve(
-        P, c.resolved_lambda(P), c)),
+        P, c.lam, c)),
     "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(
         P, c.lam, c)),
     "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(

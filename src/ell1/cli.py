@@ -147,7 +147,7 @@ def _certificate(algo, P, x, cfg):
     and the largest constraint violation.
     """
     lam = (None if SOLVERS[algo].form == "equality"
-           else cfg.resolved_lambda(P))
+           else cfg.resolved_lambda(P.A.T @ P.b))
     if not lam:
         return (lam, float(np.sum(np.abs(x))),
                 float(np.max(np.abs(P.A @ x - P.b))))

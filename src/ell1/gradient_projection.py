@@ -116,13 +116,12 @@ def gpsr_solve(P, lam, config, observer=None):
     the segment to that point and sets the next alpha by Barzilai-Borwein:
     2 products, no backtracking. lam=None resolves the default weight.
     observer receives (SplitIterate, stage weight) after every step;
-    config.stopping sees every iterate, with the KKT residual at lam.
+    config.stopping sees only the last stage, whose weight is lam.
     """
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
-    if lam is None:
-        lam = config.resolved_lambda(P, Atb)
+    lam = config.resolved_lambda(Atb) if lam is None else lam
     if not lam > 0:
         raise ValueError("lambda must be positive")
     mon = Monitor(config, b, P.ground_truth)
@@ -135,7 +134,7 @@ def gpsr_solve(P, lam, config, observer=None):
     grad_x = -Atb
     mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x)
     it, alpha = 0, None
-    for lam_s in default_schedule(P, lam, Atb, _DECAY).stages():
+    for lam_s in default_schedule(Atb, lam, _DECAY).stages():
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
                and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
@@ -164,8 +163,8 @@ def gpsr_solve(P, lam, config, observer=None):
             mon.record(it, F_cur, float(np.sqrt(rr)), x)
             if observer is not None:
                 observer(SplitIterate(z.copy()), lam_s)
-            if mon.rule_met(x, F_cur,
-                            lambda: kkt_from_correlation(x, -grad_x, lam)):
+            if lam_s == lam and mon.rule_met(
+                    x, F_cur, lambda: kkt_from_correlation(x, -grad_x, lam)):
                 return mon.result(x, it, True)
     converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
     return mon.result(x, it, converged)
@@ -189,8 +188,7 @@ def tnipm_solve(P, lam, config, observer=None):
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
-    if lam is None:
-        lam = config.resolved_lambda(P, Atb)
+    lam = config.resolved_lambda(Atb) if lam is None else lam
     if not lam > 0:
         raise ValueError("lambda must be positive")
     mon = Monitor(config, b, P.ground_truth)

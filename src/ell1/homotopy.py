@@ -131,16 +131,19 @@ def homotopy_solve(P, target_lambda, config, path_csv=None, observer=None):
     one breakpoint; budget exhaustion returns the best iterate
     unconverged. observer, when given, receives a PathState snapshot after
     every breakpoint. config.stopping is checked at every breakpoint, with
-    the kkt residual at target_lambda in its kkt slot.
+    the kkt residual at target_lambda in its kkt slot. target_lambda=None
+    resolves config's weight.
     """
-    if target_lambda < 0:
-        raise ValueError("target lambda must be nonnegative")
     D = _as_dictionary(P.A)
     b = P.b
+    c = D.adjoint(b)
+    if target_lambda is None:
+        target_lambda = config.resolved_lambda(c)
+    if target_lambda < 0:
+        raise ValueError("target lambda must be nonnegative")
     _, n = D.shape
     mon = Monitor(config, b, P.ground_truth)
     x = np.zeros(n)
-    c = D.adjoint(b)
     lam0 = float(np.max(np.abs(c))) if n else 0.0
     lams = []
 

@@ -83,7 +83,7 @@ class SolverConfig:
     A `stopping` rule is checked in addition, once per iteration of every
     solver, and a solve it ends reports converged=True. Its kkt slot holds
     the KKT residual for the penalized solvers (homotopy and gpsr: at the
-    target weight) and the relative primal residual ||b - A x|| / ||b||
+    target weight, gpsr in its last stage only) and ||b - A x|| / ||b||
     for the equality-form ones; bench.SOLVERS gives each solver's form.
     Algorithm-specific constants are read from `options` and documented
     in the solver docstrings.
@@ -103,10 +103,8 @@ class SolverConfig:
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
-    def resolved_lambda(self, problem, Atb=None):
-        if self.lam is not None:
-            return float(self.lam)
-        return default_lambda(problem, Atb)
+    def resolved_lambda(self, Atb):
+        return float(self.lam) if self.lam is not None else default_lambda(Atb)
 
     def opt(self, name, default):
         return self.options.get(name, default)
@@ -130,9 +128,8 @@ class SolverResult:
             raise ValueError("trace may hold at most one entry per iteration")
 
 
-def default_lambda(problem, Atb=None):
-    """Default weight 1e-2 ||A^T b||_inf; Atb, if given, is A^T b."""
-    Atb = problem.A.T @ problem.b if Atb is None else Atb
+def default_lambda(Atb):
+    """Default weight 1e-2 ||A^T b||_inf, from Atb = A^T b."""
     return 1e-2 * float(np.max(np.abs(Atb), initial=0.0))
 
 

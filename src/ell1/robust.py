@@ -20,7 +20,7 @@ instead, which made palm there slower than this loop on 200 x 12
 problems.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance
 from ell1.numerics import chol_factor, soft_threshold, spectral_norm_sq
-from ell1.shrinkage import default_schedule, ist_solve
+from ell1.shrinkage import ist_solve
 
 
 class _AdjointView:
@@ -311,7 +311,7 @@ def align_ist_solve(prob, lam, config):
     """
     return _reduced_align_solve(
         prob, lam,
-        lambda P, lam: ist_solve(P, default_schedule(P, lam), config))
+        lambda P, lam: ist_solve(P, None, replace(config, lam=lam)))
 
 
 def align_palm_solve(prob, config):

@@ -82,9 +82,8 @@ def bb_alpha(s, g):
     return min(max(ratio, _ALPHA_MIN), _ALPHA_MAX)
 
 
-def default_schedule(P, lam_target, Atb=None, beta=0.5):
-    """Schedule 0.9 ||A^T b||_inf -> lam_target by beta; Atb is A^T b."""
-    Atb = P.A.T @ P.b if Atb is None else Atb
+def default_schedule(Atb, lam_target, beta=0.5):
+    """Schedule 0.9 ||A^T b||_inf -> lam_target by beta, from Atb = A^T b."""
     start = 0.9 * float(np.max(np.abs(Atb)))
     return ContinuationSchedule(max(start, lam_target), beta, lam_target)
 
@@ -110,14 +109,15 @@ def ist_solve(P, schedule, config, observer=None):
     step doubles alpha (halving the step) up to 50 times before the stage
     is declared stalled. observer, when given, receives
     (x, lambda, objective_change) after every accepted step. Honors
-    config.stopping when set.
+    config.stopping when set. schedule=None runs default_schedule down
+    to config's weight.
     """
     A, b = P.A, P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
     Atb = A.T @ b
     if schedule is None:
-        schedule = default_schedule(P, config.resolved_lambda(P, Atb), Atb)
+        schedule = default_schedule(Atb, config.resolved_lambda(Atb))
     lam_target = schedule.lambda_target
     if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, penalized=True)
@@ -248,7 +248,7 @@ def fista_solve(P, config, observer=None):
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
     Atb = A.T @ b
-    lam_bar = config.resolved_lambda(P, Atb)
+    lam_bar = config.resolved_lambda(Atb)
     x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
     if Atb_max == 0.0:

@@ -74,6 +74,15 @@ def test_palm_budget_returns_best_iterate():
     assert "inner-iteration budget exhausted" in res.notes
 
 
+def test_palm_unreachable_tol_on_a_feasible_input_exhausts_the_budget():
+    # the residual sits at roundoff and stops falling, which is no sign
+    # that b is outside the range of A
+    P = synth.make_instance(synth.GenSpec(n=100, d=50, k=4, seed=13))
+    res = palm_solve(P, SolverConfig(tol=1e-30, max_iter=20000))
+    assert not res.converged and res.iterations == 20000
+    assert "inner-iteration budget exhausted" in res.notes
+
+
 def test_palm_raises_when_b_is_outside_the_range_of_A():
     # the residual norm can never drop below 1; the run must end in a
     # typed error once it stalls, before the multiplier overflows

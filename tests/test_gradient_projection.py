@@ -175,30 +175,44 @@ def test_gpsr_rejects_nonpositive_lambda():
 
 
 def test_gpsr_honors_stopping_rule():
+    # a relative rule compares iterates of the last stage, whose weight is
+    # lam; a loose one stops the run at the second step of that stage
     rng = np.random.default_rng(12)
     A = rng.standard_normal((20, 40)) / np.sqrt(20)
     P = ProblemInstance(A, rng.standard_normal(20))
     lam = 0.1 * float(np.max(np.abs(A.T @ P.b)))
     rule = StoppingRule(kind="relative-objective", threshold=0.5)
-    res = gpsr_solve(P, lam, SolverConfig(stopping=rule))
-    assert res.converged and res.iterations <= 3
+    weights = []
+    res = gpsr_solve(P, lam, SolverConfig(stopping=rule),
+                     observer=lambda z, lam_s: weights.append(lam_s))
+    assert res.converged and len(weights) == res.iterations
+    assert weights[-2:] == [lam, lam] and weights[-3] > lam
+    assert res.iterations < gpsr_solve(P, lam, SolverConfig()).iterations
 
 
-def test_gpsr_kkt_rule_reads_the_target_weight():
+@pytest.mark.parametrize("kind, threshold", [
+    ("kkt-residual", 1e-2), ("relative-objective", 1e-3),
+    ("relative-estimate", 1e-3)])
+def test_gpsr_stopping_rule_reads_the_target_weight(kind, threshold):
     # an early continuation stage must not meet the rule for the target
     P = synth.make_instance(synth.GenSpec(n=200, d=100, k=8, seed=11))
     lam = 1e-3 * float(np.max(np.abs(P.A.T @ P.b)))
-    rule = StoppingRule(kind="kkt-residual", threshold=1e-2 * lam)
-    res = gpsr_solve(P, lam, SolverConfig(stopping=rule))
-    assert res.converged
-    assert kkt_residual(res.x_star, P, lam) <= 1e-2 * lam
+    if kind == "kkt-residual":
+        threshold *= lam
+    weights = []
+    res = gpsr_solve(P, lam, SolverConfig(
+        stopping=StoppingRule(kind=kind, threshold=threshold)),
+        observer=lambda z, lam_s: weights.append(lam_s))
+    assert res.converged and weights[-1] == lam
+    if kind == "kkt-residual":
+        assert kkt_residual(res.x_star, P, lam) <= threshold
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.integers(-26, 26),
+@given(st.integers(0, 10**6), st.integers(-27, 27),
        st.sampled_from([1e-1, 1e-2, 1e-3]))
 def test_gpsr_scale_covariant(seed, log2_scale, rel_lam):
-    # b -> s b with lam -> s lam for s = 2^k in [1.5e-8, 6.7e7]: every
+    # b -> s b with lam -> s lam for s = 2^k in [7.5e-9, 1.3e8]: every
     # product and comparison scales exactly, so a units-dependent constant
     # is the only thing that can move the answer or the step count
     spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,

@@ -51,8 +51,8 @@ def test_solver_result_trace_bound():
 
 def test_default_lambda():
     P = ProblemInstance(np.eye(2), np.array([2.0, -5.0]))
-    assert SolverConfig().resolved_lambda(P) == pytest.approx(0.05)
-    assert SolverConfig(lam=0.7).resolved_lambda(P) == 0.7
+    assert SolverConfig().resolved_lambda(P.A.T @ P.b) == pytest.approx(0.05)
+    assert SolverConfig(lam=0.7).resolved_lambda(P.A.T @ P.b) == 0.7
 
 
 # ---------------------------------------------------------------- objective

@@ -332,7 +332,7 @@ _FISTA_CONFIG = SolverConfig(tol=1e-8, max_iter=3000)
 def test_fista_products_per_iteration(counting_view):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     x_ref, it_ref, extra = textbook_fista(
-        P, _FISTA_CONFIG.resolved_lambda(P), _FISTA_CONFIG.tol,
+        P, _FISTA_CONFIG.resolved_lambda(P.A.T @ P.b), _FISTA_CONFIG.tol,
         _FISTA_CONFIG.max_iter)
     plain = fista_solve(P, _FISTA_CONFIG)
     P.A, count = counting_view(P.A)
@@ -436,7 +436,7 @@ def test_default_schedule_shape():
     A = rng.standard_normal((10, 20))
     P = ProblemInstance(A, rng.standard_normal(10))
     lam = 0.01 * float(np.max(np.abs(A.T @ P.b)))
-    sch = default_schedule(P, lam)
+    sch = default_schedule(A.T @ P.b, lam)
     assert sch.lambda_start == pytest.approx(
         0.9 * float(np.max(np.abs(A.T @ P.b))))
     assert sch.lambda_target == lam and sch.beta == 0.5
