@@ -207,13 +207,14 @@ def dalm_solve(P, config, observer=None):
     plus one solve with the factor of A A^T; A^T y and A x carry over to
     the next iteration, and the y-step certificate uses the cached Gram.
     Setup takes three more: A A^T and the products of the zero start.
-    beta defaults to 1 (option "beta").
+    The penalty beta = ||b||_1 / d carries the units of x, so the
+    iterates scale with b and the iteration count does not.
     Converges when ||b - A x|| <= config.tol ||b|| and the duality gap
     against the box-scaled multiplier, ||x||_1 - b'y / max(1, ||A'y||_inf),
-    is within config.tol of zero relative to max(1, ||x||_1); by weak
-    duality that certifies the l1 value itself. observer, when given,
-    receives (state, x_prev) after every iteration. The stopping-rule kkt
-    slot carries the relative primal residual.
+    is within config.tol of zero relative to ||x||_1; by weak duality that
+    certifies the l1 value itself. observer, when given, receives
+    (state, x_prev) after every iteration. The stopping-rule kkt slot
+    carries the relative primal residual.
     """
     A, b = P.A, P.b
     n = P.n
@@ -221,9 +222,7 @@ def dalm_solve(P, config, observer=None):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return mon.trivial(n, penalized=False)
-    beta = float(config.opt("beta", 1.0))
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    beta = float(np.sum(np.abs(b))) / P.d
     gram, chol = _gram_factor(A)
     state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, chol)
     Aty = A.T @ state.y
@@ -253,7 +252,7 @@ def dalm_solve(P, config, observer=None):
         # from below, so l1 minus the bound brackets the suboptimality
         scale = max(1.0, float(np.max(np.abs(Aty))))
         gap = l1 - float(b @ y) / scale
-        if ((rel <= config.tol and gap <= config.tol * max(1.0, l1))
+        if ((rel <= config.tol and gap <= config.tol * l1)
                 or mon.rule_met(x, l1, rel)):
             converged = True
             break

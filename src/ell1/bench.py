@@ -31,20 +31,19 @@ from ell1.synth import (GenSpec, RNG_NAME, add_noise, corrupt_entries,
 
 # One row per solver: its form ("equality" or "penalized"), whether it
 # runs on an implicit dictionary such as cab_solve's [A, sI] (tnipm forms
-# A * A), and its entry (P, config) -> SolverResult, which calls the
-# solver through this module's global name so that patching it reaches
+# A * A), and its entry (P, config) -> SolverResult. Every solver takes
+# its weight from config.lam; the entry calls it through this module's
+# global name, looked up at call time, so that patching that name reaches
 # every caller.
 SolverRow = namedtuple("SolverRow", "form implicit entry")
 
 SOLVERS = {
     "pdipa": SolverRow("equality", True, lambda P, c: pdipa_solve(P, c)),
-    "homotopy": SolverRow("penalized", True, lambda P, c: homotopy_solve(
-        P, c.lam, c)),
-    "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(
-        P, c.lam, c)),
-    "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(
-        P, c.lam, c)),
-    "ist": SolverRow("penalized", True, lambda P, c: ist_solve(P, None, c)),
+    "homotopy": SolverRow("penalized", True,
+                          lambda P, c: homotopy_solve(P, c)),
+    "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(P, c)),
+    "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(P, c)),
+    "ist": SolverRow("penalized", True, lambda P, c: ist_solve(P, c)),
     "fista": SolverRow("penalized", True, lambda P, c: fista_solve(P, c)),
     "palm": SolverRow("equality", True, lambda P, c: palm_solve(P, c)),
     "dalm": SolverRow("equality", True, lambda P, c: dalm_solve(P, c)),

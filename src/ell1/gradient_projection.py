@@ -106,22 +106,22 @@ def gpsr_step_size(g, A):
     return _bb_step(gg, float(Av @ Av))
 
 
-def gpsr_solve(P, lam, config, observer=None):
+def gpsr_solve(P, config, observer=None):
     """GPSR-BB on the nonnegative split, under warm-started continuation.
 
-    Stage weights fall from 0.9 ||A^T b||_inf by 0.2 to lam. A middle
-    stage ends at a KKT residual of 0.1 times its weight, the last one at
-    config.tol * lam; config.max_iter caps the steps of all stages. A step
-    projects z - alpha grad onto z >= 0, moves to the exact minimizer on
-    the segment to that point and sets the next alpha by Barzilai-Borwein:
-    2 products, no backtracking. lam=None resolves the default weight.
-    observer receives (SplitIterate, stage weight) after every step;
-    config.stopping sees only the last stage, whose weight is lam.
+    Stage weights fall from 0.9 ||A^T b||_inf by 0.2 to lam, config's
+    weight. A middle stage ends at a KKT residual of 0.1 times its weight,
+    the last one at config.tol * lam; config.max_iter caps the steps of
+    all stages. A step projects z - alpha grad onto z >= 0, moves to the
+    exact minimizer on the segment to that point and sets the next alpha
+    by Barzilai-Borwein: 2 products, no backtracking. observer receives
+    (SplitIterate, stage weight) after every step; config.stopping sees
+    only the last stage, whose weight is lam.
     """
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
-    lam = config.resolved_lambda(Atb) if lam is None else lam
+    lam = config.resolved_lambda(Atb)
     if not lam > 0:
         raise ValueError("lambda must be positive")
     mon = Monitor(config, b, P.ground_truth)
@@ -134,7 +134,7 @@ def gpsr_solve(P, lam, config, observer=None):
     grad_x = -Atb
     mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x)
     it, alpha = 0, None
-    for lam_s in default_schedule(Atb, lam, _DECAY).stages():
+    for lam_s in default_schedule(Atb, lam, _DECAY):
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
                and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
@@ -170,7 +170,7 @@ def gpsr_solve(P, lam, config, observer=None):
     return mon.result(x, it, converged)
 
 
-def tnipm_solve(P, lam, config, observer=None):
+def tnipm_solve(P, config, observer=None):
     """Truncated-Newton log-barrier solve of the |x_i| <= u_i form.
 
     Newton steps on the weighted barrier objective eliminate the bound
@@ -188,7 +188,7 @@ def tnipm_solve(P, lam, config, observer=None):
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
-    lam = config.resolved_lambda(Atb) if lam is None else lam
+    lam = config.resolved_lambda(Atb)
     if not lam > 0:
         raise ValueError("lambda must be positive")
     mon = Monitor(config, b, P.ground_truth)

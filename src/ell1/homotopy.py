@@ -124,23 +124,22 @@ def _ridge_factor(D, support, notes):
     return numerics.chol_factor(G)
 
 
-def homotopy_solve(P, target_lambda, config, path_csv=None, observer=None):
-    """Run the path of instance P down to target_lambda.
+def homotopy_solve(P, config, observer=None, path_csv=None):
+    """Run the path of instance P down to config's weight.
 
     P.A is a dense matrix or a dictionary operator. Each loop pass handles
     one breakpoint; budget exhaustion returns the best iterate
     unconverged. observer, when given, receives a PathState snapshot after
     every breakpoint. config.stopping is checked at every breakpoint, with
-    the kkt residual at target_lambda in its kkt slot. target_lambda=None
-    resolves config's weight.
+    the kkt residual at the target weight in its kkt slot. config.lam = 0
+    follows the path to the equality-constrained solution. path_csv, when
+    given, names a CSV file that receives (lambda, support size,
+    objective) per breakpoint.
     """
     D = _as_dictionary(P.A)
     b = P.b
     c = D.adjoint(b)
-    if target_lambda is None:
-        target_lambda = config.resolved_lambda(c)
-    if target_lambda < 0:
-        raise ValueError("target lambda must be nonnegative")
+    target_lambda = config.resolved_lambda(c)
     _, n = D.shape
     mon = Monitor(config, b, P.ground_truth)
     x = np.zeros(n)

@@ -75,18 +75,20 @@ class ProblemInstance:
 
 @dataclass
 class SolverConfig:
-    """Common solver knobs.
+    """Common solver knobs; every solver is solve(P, config, observer=None).
 
-    lam=None means the default 1e-2 * ||A^T b||_inf resolved per instance.
-    Every solver stops on its native criterion at `tol` (KKT residual for
-    the lambda-form solvers, feasibility and gap for the equality form).
-    A `stopping` rule is checked in addition, once per iteration of every
-    solver, and a solve it ends reports converged=True. Its kkt slot holds
-    the KKT residual for the penalized solvers (homotopy and gpsr: at the
-    target weight, gpsr in its last stage only) and ||b - A x|| / ||b||
-    for the equality-form ones; bench.SOLVERS gives each solver's form.
-    Algorithm-specific constants are read from `options` and documented
-    in the solver docstrings.
+    lam is the penalized solvers' only source of their weight; lam=None
+    means the default 1e-2 * ||A^T b||_inf resolved per instance, and the
+    equality-form solvers ignore it. Every solver stops on its native
+    criterion at `tol` (KKT residual for the lambda-form solvers,
+    feasibility and gap for the equality form). A `stopping` rule is
+    checked in addition, once per iteration, and a solve it ends reports
+    converged=True. Its kkt slot holds the KKT residual at the target
+    weight for the penalized solvers and ||b - A x|| / ||b|| for the
+    equality-form ones; bench.SOLVERS gives each solver's form. The
+    continuation solvers (gpsr, ist, fista) check the rule only once they
+    have reached the target weight. Algorithm-specific constants are read
+    from `options` and documented in the solver docstrings.
     """
 
     lam: float = None

@@ -254,15 +254,16 @@ def _default_align_lambda(prob, gram):
     return 1e-2 * lam0
 
 
-def _reduced_align_solve(prob, lam, solve):
+def _reduced_align_solve(prob, lam, config, solver):
     """Solve the penalized alignment objective as an l1 problem in e alone.
 
     With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
     min over e of 1/2 ||Q2^T (b - e)||^2 + lam ||e||_1: the standard
-    penalized problem with dictionary Q2^T and data Q2^T b. solve(P, lam)
-    runs one of the package's solvers on it and returns its SolverResult;
-    w then comes from the normal equations at the returned e. lam=None
-    uses 1e-2 times the peak least-squares residual. Returns (w, e).
+    penalized problem with dictionary Q2^T and data Q2^T b. solver, one of
+    the package's penalized solvers, runs on it with config at weight
+    lam; w then comes from the normal equations at the returned e.
+    lam=None uses 1e-2 times the peak least-squares residual. Returns
+    (w, e).
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)
@@ -272,7 +273,7 @@ def _reduced_align_solve(prob, lam, solve):
             return gram.solve(B.T @ b), np.zeros(prob.d)
     Q2t = np.ascontiguousarray(
         np.linalg.qr(B, mode="complete")[0][:, prob.m:].T)
-    e = solve(ProblemInstance(Q2t, Q2t @ b), lam).x_star
+    e = solver(ProblemInstance(Q2t, Q2t @ b), replace(config, lam=lam)).x_star
     return gram.solve(B.T @ (b - e)), e
 
 
@@ -284,8 +285,7 @@ def align_gp_solve(prob, lam, config):
     lam=None uses 1e-2 times the peak least-squares residual. Returns
     (w, e).
     """
-    return _reduced_align_solve(
-        prob, lam, lambda P, lam: gpsr_solve(P, lam, config))
+    return _reduced_align_solve(prob, lam, config, gpsr_solve)
 
 
 def align_homotopy_solve(prob, config):
@@ -296,9 +296,7 @@ def align_homotopy_solve(prob, config):
     the peak residual) down to config.lam, default 1e-2 of the peak
     residual, then re-solves w from the normal equations. Returns (w, e).
     """
-    return _reduced_align_solve(
-        prob, config.lam,
-        lambda P, lam: homotopy_solve(P, lam, config))
+    return _reduced_align_solve(prob, config.lam, config, homotopy_solve)
 
 
 def align_ist_solve(prob, lam, config):
@@ -309,9 +307,7 @@ def align_ist_solve(prob, lam, config):
     from the normal equations. lam=None uses 1e-2 times the peak
     least-squares residual. Returns (w, e).
     """
-    return _reduced_align_solve(
-        prob, lam,
-        lambda P, lam: ist_solve(P, None, replace(config, lam=lam)))
+    return _reduced_align_solve(prob, lam, config, ist_solve)
 
 
 def align_palm_solve(prob, config):

@@ -24,40 +24,6 @@ ETA = 1.5             # fista's backtracking growth factor for L
 BETA = 0.5            # fista's per-iteration lambda decay under continuation
 
 
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """Decreasing lambda schedule for warm-started solves."""
-
-    lambda_start: float
-    beta: float
-    lambda_target: float
-
-    def __post_init__(self):
-        if not self.lambda_target > 0:
-            raise ValueError("lambda_target must be positive")
-        if self.lambda_start < self.lambda_target:
-            raise ValueError("lambda_start must be >= lambda_target")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must lie in (0, 1)")
-
-    def stages(self):
-        """Lambda values, descending, ending exactly at lambda_target.
-
-        At least five stages are used whenever there is room to descend;
-        cold starts at small lambda are noticeably slower.
-        """
-        if self.lambda_start == self.lambda_target:
-            return [self.lambda_target]
-        vals = [self.lambda_start]
-        while vals[-1] > self.lambda_target:
-            vals.append(max(vals[-1] * self.beta, self.lambda_target))
-        if len(vals) < 5:
-            ratio = (self.lambda_target / self.lambda_start) ** 0.25
-            vals = [self.lambda_start * ratio ** i for i in range(5)]
-            vals[-1] = self.lambda_target
-        return vals
-
-
 @dataclass
 class FistaState:
     """Momentum solver state after one accepted step."""
@@ -82,10 +48,28 @@ def bb_alpha(s, g):
     return min(max(ratio, _ALPHA_MIN), _ALPHA_MAX)
 
 
-def default_schedule(Atb, lam_target, beta=0.5):
-    """Schedule 0.9 ||A^T b||_inf -> lam_target by beta, from Atb = A^T b."""
-    start = 0.9 * float(np.max(np.abs(Atb)))
-    return ContinuationSchedule(max(start, lam_target), beta, lam_target)
+def default_schedule(Atb, lam, beta=0.5):
+    """Stage weights from 0.9 ||A^T b||_inf down by beta, from Atb = A^T b.
+
+    The list descends and ends exactly at lam. At least five stages are
+    used whenever there is room to descend; cold starts at small lambda
+    are noticeably slower.
+    """
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    if not 0 < beta < 1:
+        raise ValueError("beta must lie in (0, 1)")
+    start = max(0.9 * float(np.max(np.abs(Atb))), lam)
+    if start == lam:
+        return [lam]
+    vals = [start]
+    while vals[-1] > lam:
+        vals.append(max(vals[-1] * beta, lam))
+    if len(vals) < 5:
+        ratio = (lam / start) ** 0.25
+        vals = [start * ratio ** i for i in range(5)]
+        vals[-1] = lam
+    return vals
 
 
 def objective_delta(x, cand, Ax, Acand, g, lam):
@@ -102,77 +86,58 @@ def objective_delta(x, cand, Ax, Acand, g, lam):
             + lam * float(np.sum(np.abs(cand) - np.abs(x))))
 
 
-def ist_solve(P, schedule, config, observer=None):
-    """Soft-threshold iterations over the continuation schedule.
+def ist_solve(P, config, observer=None):
+    """Soft-threshold iterations over default_schedule's stage weights.
 
-    Each inner step must strictly decrease the stage objective; a rejected
-    step doubles alpha (halving the step) up to 50 times before the stage
-    is declared stalled. observer, when given, receives
-    (x, lambda, objective_change) after every accepted step. Honors
-    config.stopping when set. schedule=None runs default_schedule down
-    to config's weight.
+    A stage ends at a KKT residual of config.tol times its weight;
+    config.max_iter caps the steps of all stages. Each step must strictly
+    decrease the stage objective; a rejected step doubles alpha (halving
+    the step) up to 50 times before the stage is declared stalled.
+    observer, when given, receives (x, stage weight, objective_change)
+    after every accepted step. config.stopping sees only the last stage,
+    whose weight is config's.
     """
     A, b = P.A, P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth)
     Atb = A.T @ b
-    if schedule is None:
-        schedule = default_schedule(Atb, config.resolved_lambda(Atb))
-    lam_target = schedule.lambda_target
+    lam = config.resolved_lambda(Atb)
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, penalized=True)
 
     it = 0
-    converged = False
     alpha = 1.0
     x = np.zeros(n)
     Ax = np.zeros(P.d)
     g = -Atb
-    for lam in schedule.stages():
-        final_stage = lam == lam_target
-        kkt = kkt_from_correlation(x, -g, lam)
-        if kkt <= config.tol * lam:
-            if final_stage:
-                converged = True
-            continue
-        stalled = False
-        while it < config.max_iter:
-            accepted = False
+    for lam_s in default_schedule(Atb, lam):
+        while (it < config.max_iter
+               and kkt_from_correlation(x, -g, lam_s) > config.tol * lam_s):
             for _ in range(_MAX_DOUBLINGS):
-                cand = soft_threshold(x - g / alpha, lam / alpha)
+                cand = soft_threshold(x - g / alpha, lam_s / alpha)
                 Acand = A @ cand
-                dF = objective_delta(x, cand, Ax, Acand, g, lam)
+                dF = objective_delta(x, cand, Ax, Acand, g, lam_s)
                 if dF < 0.0:
-                    accepted = True
                     break
                 alpha = min(alpha * 2.0, _ALPHA_MAX)
-            if not accepted:
-                stalled = True
+            else:  # stalled: no step decreases the stage objective
                 break
             it += 1
             g_new = A.T @ (Acand - b)
             alpha = bb_alpha(cand - x, g_new - g)
             x, Ax, g = cand, Acand, g_new
             resid = b - Ax
-            F_cur = 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(x)))
+            F_cur = (0.5 * float(resid @ resid)
+                     + lam_s * float(np.sum(np.abs(x))))
             mon.record(it, F_cur, float(np.linalg.norm(resid)), x)
             if observer is not None:
-                observer(x.copy(), lam, dF)
-            kkt = kkt_from_correlation(x, -g, lam)
-            # the rule sees every iterate, stage ends included
-            rule_met = mon.rule_met(x, F_cur, kkt)
-            if kkt <= config.tol * lam:
-                if final_stage:
-                    converged = True
-                break
-            if rule_met:
+                observer(x.copy(), lam_s, dF)
+            if lam_s == lam and mon.rule_met(
+                    x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
                 return mon.result(x, it, True)
-        if stalled and final_stage and kkt <= config.tol * lam:
-            converged = True
-        if stalled and not final_stage:
-            continue
-        if it >= config.max_iter and not converged:
-            break
+    converged = kkt_from_correlation(x, -g, lam) <= config.tol * lam
     return mon.result(x, it, converged)
 
 
@@ -234,8 +199,9 @@ def fista_solve(P, config, observer=None):
     (config.options): continuation (True), exact_L (False: use
     backtracking; True: fix L to the measured squared spectral norm, as
     the convergence-bound analysis assumes). observer, when given,
-    receives (FistaState, y, lambda) after every step. Honors
-    config.stopping when set.
+    receives (FistaState, y, lambda) after every step. config.stopping
+    is checked only once lambda has reached config's weight, with the KKT
+    residual at that weight in its kkt slot.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
     backtracking trial: A x_next, and g = A^T (A x_next - b), which the
@@ -295,9 +261,8 @@ def fista_solve(P, config, observer=None):
         if observer is not None:
             observer(FistaState(x_prev.copy(), x.copy(), t_prev, t_cur, L),
                      y, lam)
-        # the rule sees every iterate, so it is asked first
-        if (mon.rule_met(x, F_next, kkt)
-                or (lam == lam_bar and kkt <= config.tol * lam_bar)):
+        if lam == lam_bar and (kkt <= config.tol * lam_bar
+                               or mon.rule_met(x, F_next, kkt)):
             converged = True
             break
         lam = max(BETA * lam, lam_bar)

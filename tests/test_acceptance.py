@@ -38,14 +38,15 @@ def test_criterion_1_exact_recovery_agreement():
     # n=200, d=100, k=10, noise-free: the equality-form solvers and the
     # full path each land on the ground truth in at least 95/100 trials
     t0 = time.monotonic()
-    cfg = SolverConfig(tol=1e-8, max_iter=2000)
+    # lam=0 sends homotopy to the equality-form answer the others target
+    cfg = SolverConfig(lam=0.0, tol=1e-8, max_iter=2000)
     wins = {"pdipa": 0, "homotopy": 0, "palm": 0, "dalm": 0}
     for t in range(100):
         P = make_instance(GenSpec(n=200, d=100, k=10,
                                   seed=trial_seed(1000, t)))
         nrm = np.linalg.norm(P.ground_truth)
         for name, res in (("pdipa", pdipa_solve(P, cfg)),
-                          ("homotopy", homotopy_solve(P, 0.0, cfg)),
+                          ("homotopy", homotopy_solve(P, cfg)),
                           ("palm", palm_solve(P, cfg)),
                           ("dalm", dalm_solve(P, cfg))):
             err = np.linalg.norm(res.x_star - P.ground_truth) / nrm
@@ -66,10 +67,9 @@ def test_criterion_2_matched_weight_cross_agreement():
                                   seed=trial_seed(3000, t)))
         lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
         cfg = SolverConfig(lam=lam, tol=1e-6, max_iter=20000)
-        ref = homotopy_solve(P, lam, cfg)
-        F_ref = objective(ref.x_star, P, lam)
-        results = [ref, gpsr_solve(P, lam, cfg), tnipm_solve(P, lam, cfg),
-                   ist_solve(P, None, cfg), fista_solve(P, cfg)]
+        results = [solver(P, cfg) for solver in (
+            homotopy_solve, gpsr_solve, tnipm_solve, ist_solve, fista_solve)]
+        F_ref = objective(results[0].x_star, P, lam)
         for res in results:
             F = objective(res.x_star, P, lam)
             worst_obj = max(worst_obj, abs(F - F_ref) / abs(F_ref))
@@ -111,13 +111,13 @@ def test_criterion_3_momentum_convergence_bound():
 def test_criterion_4_path_length_and_support():
     # noise-free k <= 5: the path reaches the exact support in at most
     # 2k breakpoints in at least 95/100 trials
-    cfg = SolverConfig(tol=1e-8, max_iter=500)
+    cfg = SolverConfig(lam=0.0, tol=1e-8, max_iter=500)
     ok = 0
     for t in range(100):
         k = t % 5 + 1
         P = make_instance(GenSpec(n=200, d=100, k=k,
                                   seed=trial_seed(2000, t)))
-        res = homotopy_solve(P, 0.0, cfg)
+        res = homotopy_solve(P, cfg)
         supp = set(np.flatnonzero(np.abs(res.x_star) > 1e-8).tolist())
         want = set(np.flatnonzero(P.ground_truth).tolist())
         ok += (supp == want) and (res.iterations <= 2 * k)

@@ -187,19 +187,18 @@ def test_dalm_orthonormal_rows_matches_homotopy():
     x_true = np.zeros(40)
     x_true[[3, 11, 29]] = [1.2, -0.7, 0.4]
     P = ProblemInstance(A, A @ x_true)
-    ref = homotopy_solve(P, 1e-10, SolverConfig(tol=1e-10, max_iter=1000))
+    ref = homotopy_solve(P, SolverConfig(lam=1e-10, tol=1e-10,
+                                         max_iter=1000))
     res = dalm_solve(P, SolverConfig(tol=1e-9, max_iter=2000))
     assert res.converged
     assert float(np.max(np.abs(res.x_star - ref.x_star))) <= 1e-6
 
 
 def test_dalm_recovers_dense_spike_regime():
-    # beta matched to the entry scale of x; the default 1 also gets there
-    # but needs an order of magnitude more iterations
+    # beta follows the scale of b, which is that of x: no tuning needed
     spec = synth.GenSpec(n=2000, d=1000, k=200, seed=7)
     P = synth.make_instance(spec)
-    res = dalm_solve(P, SolverConfig(tol=1e-4, max_iter=3000,
-                                     options={"beta": 0.004}))
+    res = dalm_solve(P, SolverConfig(tol=1e-4, max_iter=3000))
     assert res.converged
     err = (np.linalg.norm(res.x_star - P.ground_truth)
            / np.linalg.norm(P.ground_truth))
@@ -309,8 +308,7 @@ def test_palm_and_dalm_agree_on_the_l1_value():
         spec = synth.GenSpec(n=100, d=50, k=1 + seed % 4, seed=seed)
         P = synth.make_instance(spec)
         rp = palm_solve(P, SolverConfig(tol=1e-7, max_iter=20000))
-        rd = dalm_solve(P, SolverConfig(tol=1e-7, max_iter=20000,
-                                        options={"beta": 0.2}))
+        rd = dalm_solve(P, SolverConfig(tol=1e-7, max_iter=20000))
         assert rp.converged and rd.converged
         l1_p = float(np.sum(np.abs(rp.x_star)))
         l1_d = float(np.sum(np.abs(rd.x_star)))

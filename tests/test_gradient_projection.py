@@ -1,6 +1,7 @@
 """Tests for the gradient projection and log-barrier solvers."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ell1 import synth
+from ell1.bench import SOLVERS, solve_named
 from ell1.exceptions import NumericalBreakdownError
 from ell1.gradient_projection import (BarrierIterate, SplitIterate,
                                       gpsr_direction, gpsr_solve,
@@ -132,7 +134,7 @@ def test_gpsr_orthonormal_closed_form():
     Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     b = rng.standard_normal(30)
     P = ProblemInstance(Q, b)
-    res = gpsr_solve(P, 0.3, SolverConfig(tol=1e-8, max_iter=5000))
+    res = gpsr_solve(P, SolverConfig(lam=0.3, tol=1e-8, max_iter=5000))
     assert res.converged
     np.testing.assert_allclose(res.x_star, soft_threshold(Q.T @ b, 0.3),
                                atol=1e-6)
@@ -140,7 +142,7 @@ def test_gpsr_orthonormal_closed_form():
 
 def test_gpsr_zero_data():
     P = ProblemInstance(np.eye(3), np.zeros(3))
-    res = gpsr_solve(P, 1.0, SolverConfig())
+    res = gpsr_solve(P, SolverConfig(lam=1.0))
     assert res.converged and res.iterations == 0
     np.testing.assert_array_equal(res.x_star, np.zeros(3))
 
@@ -153,8 +155,8 @@ def test_gpsr_matches_homotopy_at_small_lambda():
     x_true[idx] = rng.standard_normal(10)
     P = ProblemInstance(A, A @ x_true)
     lam = 1e-3 * float(np.max(np.abs(A.T @ P.b)))
-    ref = homotopy_solve(P, lam, SolverConfig(tol=1e-10, max_iter=5000))
-    res = gpsr_solve(P, lam, SolverConfig(tol=1e-7, max_iter=50000))
+    ref = homotopy_solve(P, SolverConfig(lam=lam, tol=1e-10, max_iter=5000))
+    res = gpsr_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=50000))
     assert res.converged
     F_ref = objective(ref.x_star, P, lam)
     assert abs(objective(res.x_star, P, lam) - F_ref) <= 1e-6 * abs(F_ref)
@@ -163,7 +165,7 @@ def test_gpsr_matches_homotopy_at_small_lambda():
 def test_gpsr_budget_returns_best_iterate():
     spec = synth.GenSpec(n=60, d=30, k=5, seed=10)
     P = synth.make_instance(spec)
-    res = gpsr_solve(P, None, SolverConfig(tol=1e-12, max_iter=3))
+    res = gpsr_solve(P, SolverConfig(tol=1e-12, max_iter=3))
     assert not res.converged and res.iterations == 3
     assert len(res.trace) == 4
 
@@ -171,7 +173,7 @@ def test_gpsr_budget_returns_best_iterate():
 def test_gpsr_rejects_nonpositive_lambda():
     P = ProblemInstance(np.eye(2), np.ones(2))
     with pytest.raises(ValueError):
-        gpsr_solve(P, 0.0, SolverConfig())
+        gpsr_solve(P, SolverConfig(lam=0.0))
 
 
 def test_gpsr_honors_stopping_rule():
@@ -183,11 +185,11 @@ def test_gpsr_honors_stopping_rule():
     lam = 0.1 * float(np.max(np.abs(A.T @ P.b)))
     rule = StoppingRule(kind="relative-objective", threshold=0.5)
     weights = []
-    res = gpsr_solve(P, lam, SolverConfig(stopping=rule),
+    res = gpsr_solve(P, SolverConfig(lam=lam, stopping=rule),
                      observer=lambda z, lam_s: weights.append(lam_s))
     assert res.converged and len(weights) == res.iterations
     assert weights[-2:] == [lam, lam] and weights[-3] > lam
-    assert res.iterations < gpsr_solve(P, lam, SolverConfig()).iterations
+    assert res.iterations < gpsr_solve(P, SolverConfig(lam=lam)).iterations
 
 
 @pytest.mark.parametrize("kind, threshold", [
@@ -200,35 +202,43 @@ def test_gpsr_stopping_rule_reads_the_target_weight(kind, threshold):
     if kind == "kkt-residual":
         threshold *= lam
     weights = []
-    res = gpsr_solve(P, lam, SolverConfig(
-        stopping=StoppingRule(kind=kind, threshold=threshold)),
+    res = gpsr_solve(P, SolverConfig(
+        lam=lam, stopping=StoppingRule(kind=kind, threshold=threshold)),
         observer=lambda z, lam_s: weights.append(lam_s))
     assert res.converged and weights[-1] == lam
     if kind == "kkt-residual":
         assert kkt_residual(res.x_star, P, lam) <= threshold
 
 
+@pytest.mark.parametrize("name", ["gpsr", "ist", "homotopy", "dalm"])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(-27, 27),
        st.sampled_from([1e-1, 1e-2, 1e-3]))
-def test_gpsr_scale_covariant(seed, log2_scale, rel_lam):
+def test_scale_covariant(name, seed, log2_scale, rel_lam):
     # b -> s b with lam -> s lam for s = 2^k in [7.5e-9, 1.3e8]: every
     # product and comparison scales exactly, so a units-dependent constant
-    # is the only thing that can move the answer or the step count
+    # is the only thing that can move the answer or the step count (dalm
+    # reads no weight; tnipm, fista, palm and pdipa still carry such
+    # constants)
     spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
                          noise_sigma=0.01)
     P = synth.make_instance(spec)
     lam = rel_lam * float(np.max(np.abs(P.A.T @ P.b)))
     s = 2.0 ** log2_scale
-    cfg = SolverConfig(tol=1e-6, max_iter=5000)
-    ref = gpsr_solve(P, lam, cfg)
+    cfg = SolverConfig(lam=lam, tol=1e-6, max_iter=5000)
+    ref = solve_named(name, P, cfg)
     Ps = ProblemInstance(P.A, s * P.b)
-    res = gpsr_solve(Ps, s * lam, cfg)
+    res = solve_named(name, Ps, replace(cfg, lam=s * lam))
     assert res.iterations == ref.iterations
     assert res.converged == ref.converged
     np.testing.assert_array_equal(res.x_star, s * ref.x_star)
     for run, prob, weight in ((ref, P, lam), (res, Ps, s * lam)):
-        if run.converged:
+        if not run.converged:
+            continue
+        if SOLVERS[name].form == "equality":
+            assert (np.linalg.norm(prob.b - prob.A @ run.x_star)
+                    <= 10 * cfg.tol * np.linalg.norm(prob.b))
+        else:
             assert (kkt_residual(run.x_star, prob, weight)
                     <= 10 * cfg.tol * weight)
 
@@ -241,7 +251,7 @@ def test_tnipm_orthonormal_closed_form():
     Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
     b = rng.standard_normal(30)
     P = ProblemInstance(Q, b)
-    res = tnipm_solve(P, 0.3, SolverConfig(tol=1e-8, max_iter=500))
+    res = tnipm_solve(P, SolverConfig(lam=0.3, tol=1e-8, max_iter=500))
     assert res.converged
     np.testing.assert_allclose(res.x_star, soft_threshold(Q.T @ b, 0.3),
                                atol=1e-6)
@@ -251,7 +261,7 @@ def test_tnipm_interior_start_takes_a_clean_first_step():
     spec = synth.GenSpec(n=30, d=15, k=3, seed=21)
     P = synth.make_instance(spec)
     seen = []
-    tnipm_solve(P, None, SolverConfig(max_iter=1), observer=seen.append)
+    tnipm_solve(P, SolverConfig(max_iter=1), observer=seen.append)
     assert len(seen) == 1
     first = seen[0]
     assert np.all(np.abs(first.x) < first.u)
@@ -266,23 +276,23 @@ def test_tnipm_matches_gpsr():
     x_true[idx] = rng.standard_normal(10)
     P = ProblemInstance(A, A @ x_true)
     lam = 1e-2 * float(np.max(np.abs(A.T @ P.b)))
-    cfg = SolverConfig(tol=1e-7, max_iter=50000)
-    F_gp = objective(gpsr_solve(P, lam, cfg).x_star, P, lam)
-    res = tnipm_solve(P, lam, SolverConfig(tol=1e-7, max_iter=500))
+    cfg = SolverConfig(lam=lam, tol=1e-7, max_iter=50000)
+    F_gp = objective(gpsr_solve(P, cfg).x_star, P, lam)
+    res = tnipm_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=500))
     assert res.converged
     assert abs(objective(res.x_star, P, lam) - F_gp) <= 1e-5 * abs(F_gp)
 
 
 def test_tnipm_zero_data():
     P = ProblemInstance(np.eye(3), np.zeros(3))
-    res = tnipm_solve(P, 1.0, SolverConfig())
+    res = tnipm_solve(P, SolverConfig(lam=1.0))
     assert res.converged and res.iterations == 0
 
 
 def test_tnipm_budget_and_truncation():
     spec = synth.GenSpec(n=60, d=30, k=5, seed=11)
     P = synth.make_instance(spec)
-    res = tnipm_solve(P, None, SolverConfig(tol=1e-12, max_iter=2))
+    res = tnipm_solve(P, SolverConfig(tol=1e-12, max_iter=2))
     assert not res.converged and res.iterations == 2
     top = float(np.max(np.abs(res.x_star)))
     small = np.abs(res.x_star) <= 1e-7 * top
@@ -300,7 +310,7 @@ def test_tnipm_broken_inner_solve_raises(monkeypatch):
 
     monkeypatch.setattr("ell1.gradient_projection.pcg_solve", bad_pcg)
     with pytest.raises(NumericalBreakdownError):
-        tnipm_solve(P, None, SolverConfig(max_iter=10))
+        tnipm_solve(P, SolverConfig(max_iter=10))
 
 
 # --- invariants ------------------------------------------------------------
@@ -314,7 +324,7 @@ def gpsr_run(seed):
     P = synth.make_instance(spec)
     lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
     iterates = []
-    res = gpsr_solve(P, lam, SolverConfig(tol=1e-7, max_iter=20000),
+    res = gpsr_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=20000),
                      observer=lambda it, lam_s: iterates.append((it, lam_s)))
     return P, lam, iterates, res
 
@@ -326,7 +336,7 @@ def tnipm_run(seed):
     P = synth.make_instance(spec)
     lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
     iterates = []
-    res = tnipm_solve(P, lam, SolverConfig(tol=1e-7, max_iter=500),
+    res = tnipm_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=500),
                       observer=iterates.append)
     return P, lam, iterates, res
 
@@ -410,9 +420,9 @@ def test_both_solvers_meet_the_kkt_contract():
         spec = synth.GenSpec(n=50, d=25, k=1 + seed % 4, seed=seed)
         P = synth.make_instance(spec)
         lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
-        cfg = SolverConfig(tol=1e-6, max_iter=20000)
+        cfg = SolverConfig(lam=lam, tol=1e-6, max_iter=20000)
         for solver in (gpsr_solve, tnipm_solve):
-            res = solver(P, lam, cfg)
+            res = solver(P, cfg)
             assert res.converged
             assert kkt_residual(res.x_star, P, lam) <= 10 * cfg.tol * lam
             cases += 1

@@ -140,7 +140,7 @@ def test_gammas_match_exhaustive_enumeration():
 
 def test_solve_identity_reaches_soft_threshold():
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, 1.0, SolverConfig())
+    r = homotopy_solve(P, SolverConfig(lam=1.0))
     assert np.allclose(r.x_star, [2.0, 0.0], rtol=0, atol=1e-12)
     assert r.converged and r.iterations == 1
     assert len(r.trace) == r.iterations
@@ -148,7 +148,7 @@ def test_solve_identity_reaches_soft_threshold():
 
 def test_solve_zero_rhs():
     P = ProblemInstance(np.eye(2), np.zeros(2))
-    r = homotopy_solve(P, 0.0, SolverConfig())
+    r = homotopy_solve(P, SolverConfig(lam=0.0))
     assert np.all(r.x_star == 0.0)
     assert r.converged and r.iterations == 0
     assert len(r.trace) == 1
@@ -156,14 +156,14 @@ def test_solve_zero_rhs():
 
 def test_solve_target_above_start_returns_zero():
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, 10.0, SolverConfig())
+    r = homotopy_solve(P, SolverConfig(lam=10.0))
     assert np.all(r.x_star == 0.0) and r.converged and r.iterations == 0
 
 
 def test_solve_negative_target_rejected():
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
     with pytest.raises(ValueError):
-        homotopy_solve(P, -0.5, SolverConfig())
+        homotopy_solve(P, SolverConfig(lam=-0.5))
 
 
 def test_solve_recovers_sparse_signal_exactly():
@@ -173,7 +173,7 @@ def test_solve_recovers_sparse_signal_exactly():
     x0 = np.zeros(200)
     sup = rng.choice(200, 5, replace=False)
     x0[sup] = rng.standard_normal(5)
-    r = homotopy_solve(ProblemInstance(A, A @ x0), 0.0, SolverConfig())
+    r = homotopy_solve(ProblemInstance(A, A @ x0), SolverConfig(lam=0.0))
     assert r.converged
     assert r.iterations <= 5 + 3  # one add per true atom plus small slack
     assert np.linalg.norm(r.x_star - x0) <= 1e-8 * np.linalg.norm(x0)
@@ -183,7 +183,7 @@ def test_solve_recovers_sparse_signal_exactly():
 
 def test_solve_budget_exhaustion_keeps_best_iterate():
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, 0.0, SolverConfig(max_iter=1))
+    r = homotopy_solve(P, SolverConfig(lam=0.0, max_iter=1))
     assert not r.converged and r.iterations == 1
     assert np.allclose(r.x_star, [2.0, 0.0], atol=1e-12)
 
@@ -191,7 +191,7 @@ def test_solve_budget_exhaustion_keeps_best_iterate():
 def test_solve_path_csv_dump(tmp_path):
     out = tmp_path / "path.csv"
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, 0.0, SolverConfig(), path_csv=str(out))
+    r = homotopy_solve(P, SolverConfig(lam=0.0), path_csv=str(out))
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["lambda", "support_size", "objective"]
@@ -217,7 +217,7 @@ def path_run(seed):
         P = synth.make_instance(spec)
         lam0 = float(np.max(np.abs(P.A.T @ P.b)))
         states = []
-        homotopy_solve(P, 0.05 * lam0, SolverConfig(max_iter=400),
+        homotopy_solve(P, SolverConfig(lam=0.05 * lam0, max_iter=400),
                        observer=states.append)
         _STATE_CACHE[seed] = (P, states)
     return _STATE_CACHE[seed]
@@ -270,7 +270,7 @@ def test_invariant_support_recovery_rate():
         d = int(np.ceil(4 * k * np.log(n)))
         spec = synth.GenSpec(n=n, d=d, k=k, seed=synth.trial_seed(92, trial))
         P = synth.make_instance(spec)
-        r = homotopy_solve(P, 0.0, SolverConfig(max_iter=400))
+        r = homotopy_solve(P, SolverConfig(lam=0.0, max_iter=400))
         got = np.flatnonzero(np.abs(r.x_star) > 1e-8)
         if r.converged and set(got) == set(np.flatnonzero(P.ground_truth)):
             hits += 1
@@ -287,5 +287,5 @@ def test_no_fresh_factorization_on_clean_path(monkeypatch):
     A /= np.linalg.norm(A, axis=0)
     x0 = np.zeros(200)
     x0[rng.choice(200, 5, replace=False)] = rng.standard_normal(5)
-    homotopy_solve(ProblemInstance(A, A @ x0), 0.0, SolverConfig())
+    homotopy_solve(ProblemInstance(A, A @ x0), SolverConfig(lam=0.0))
     assert not calls  # rank-1 updates only inside the loop

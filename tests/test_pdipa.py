@@ -129,7 +129,8 @@ def test_solve_recovers_sparse_signal():
     assert r.converged
     assert np.linalg.norm(r.x_star - x0) <= 1e-6 * np.linalg.norm(x0)
     # path solver agrees on the same instance, certifying uniqueness
-    h = homotopy.homotopy_solve(ProblemInstance(A, A @ x0), 0.0, SolverConfig())
+    h = homotopy.homotopy_solve(ProblemInstance(A, A @ x0),
+                                SolverConfig(lam=0.0))
     assert np.linalg.norm(r.x_star - h.x_star) <= 1e-6 * np.linalg.norm(h.x_star)
 
 

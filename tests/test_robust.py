@@ -1,10 +1,12 @@
 """Corruption-aware solving: extended dictionaries and alignment."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ell1 import robust
 from ell1.exceptions import IllConditionedError
 from ell1.model import SolverConfig, kkt_from_correlation
 from ell1.robust import (AlignmentProblem, ExtendedDictionary,
@@ -402,6 +404,27 @@ def test_reduced_aligner_scale_covariance(name, s):
                                       cfg)
     assert np.linalg.norm(w_s - s * w) <= 1e-9 * np.linalg.norm(s * w)
     assert np.linalg.norm(e_s - s * e) <= 1e-9 * np.linalg.norm(s * e)
+
+
+@pytest.mark.parametrize("solver, align", [
+    ("gpsr_solve", lambda prob, cfg: align_gp_solve(prob, cfg.lam, cfg)),
+    ("ist_solve", lambda prob, cfg: align_ist_solve(prob, cfg.lam, cfg)),
+    ("homotopy_solve", align_homotopy_solve)], ids=["gp", "ist", "homotopy"])
+def test_reduced_aligner_reaches_the_patched_module_global(solver, align,
+                                                           monkeypatch):
+    # a profiler wraps robust.<solver> in place, so the aligners must look
+    # their solver up at call time; it runs with config at the weight
+    prob, w0, mask = corrupted_alignment(3051, d=60, m=7)
+    cfg = SolverConfig(tol=1e-9, max_iter=10, lam=0.25)
+    weights = []
+
+    def spy(P, config):
+        weights.append(config.lam)
+        return SimpleNamespace(x_star=np.zeros(P.n))
+
+    monkeypatch.setattr(robust, solver, spy)
+    w, e = align(prob, cfg)
+    assert weights == [0.25] and not np.any(e)
 
 
 ALL_ALIGNERS = {

@@ -10,9 +10,8 @@ from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation, kkt_residual, objective)
 from ell1.numerics import soft_threshold, spectral_norm_sq
-from ell1.shrinkage import (ContinuationSchedule, backtrack_L, bb_alpha,
-                            default_schedule, fista_solve, fista_t_next,
-                            ist_solve)
+from ell1.shrinkage import (backtrack_L, bb_alpha, default_schedule,
+                            fista_solve, fista_t_next, ist_solve)
 
 
 # --- bb_alpha --------------------------------------------------------------
@@ -42,37 +41,39 @@ def test_bb_matches_rayleigh_quotient_on_quadratics():
         assert bb_alpha(s, g) == pytest.approx(want, rel=1e-12)
 
 
-# --- ContinuationSchedule --------------------------------------------------
+# --- default_schedule ------------------------------------------------------
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ContinuationSchedule(1.0, 0.5, 0.0)
+        default_schedule(np.ones(3), 0.0)
     with pytest.raises(ValueError):
-        ContinuationSchedule(0.5, 0.5, 1.0)
+        default_schedule(np.ones(3), 0.5, beta=1.0)
     with pytest.raises(ValueError):
-        ContinuationSchedule(1.0, 1.0, 0.5)
+        default_schedule(np.ones(3), 0.5, beta=0.0)
 
 
 def test_schedule_pads_to_five_stages():
-    sch = ContinuationSchedule(0.8, 0.5, 0.1)
-    stages = sch.stages()
+    # halving takes the start 0.9 to 0.2 in four stages: padded to five
+    stages = default_schedule(np.array([0.5, -1.0]), 0.2)
     assert len(stages) == 5
-    assert stages[0] == 0.8 and stages[-1] == 0.1
+    assert stages[0] == 0.9 and stages[-1] == 0.2
+    assert stages[2] == pytest.approx(0.9 * (0.2 / 0.9) ** 0.5)
     assert all(a > b for a, b in zip(stages, stages[1:]))
 
 
 def test_schedule_natural_geometric_run():
-    sch = ContinuationSchedule(1000.0, 0.5, 1.0)
-    stages = sch.stages()
-    assert stages[0] == 1000.0 and stages[-1] == 1.0
+    stages = default_schedule(np.array([1000.0 / 0.9]), 1.0)
+    assert stages[0] == 0.9 * (1000.0 / 0.9) and stages[-1] == 1.0
     assert all(a > b for a, b in zip(stages, stages[1:]))
     for prev, cur in zip(stages, stages[1:]):
         assert cur == max(0.5 * prev, 1.0)
 
 
 def test_schedule_flat_when_start_equals_target():
-    assert ContinuationSchedule(0.3, 0.5, 0.3).stages() == [0.3]
+    # a target at or above the start is a single stage
+    assert default_schedule(np.array([0.3]), 0.3) == [0.3]
+    assert default_schedule(np.array([0.3]), 0.5) == [0.5]
 
 
 # --- fista_t_next ----------------------------------------------------------
@@ -165,15 +166,14 @@ def test_ist_orthonormal_closed_form():
     b = rng.standard_normal(8)
     lam = 0.3
     P = ProblemInstance(Q, b)
-    r = ist_solve(P, ContinuationSchedule(lam, 0.5, lam),
-                  SolverConfig(lam=lam, tol=1e-8))
+    r = ist_solve(P, SolverConfig(lam=lam, tol=1e-8))
     assert r.converged
     assert np.max(np.abs(r.x_star - soft_threshold(Q.T @ b, lam))) <= 1e-6
 
 
 def test_ist_zero_rhs():
     P = ProblemInstance(np.eye(4), np.zeros(4))
-    r = ist_solve(P, None, SolverConfig(lam=0.1))
+    r = ist_solve(P, SolverConfig(lam=0.1))
     assert r.converged and r.iterations == 0
     assert np.all(r.x_star == 0.0)
 
@@ -187,8 +187,8 @@ def test_ist_matches_path_solver_objective():
     P = ProblemInstance(A, A @ x0)
     lam = 0.01 * float(np.max(np.abs(A.T @ P.b)))
     F_ref = objective(
-        homotopy.homotopy_solve(P, lam, SolverConfig()).x_star, P, lam)
-    r = ist_solve(P, None, SolverConfig(lam=lam, tol=1e-7, max_iter=20000))
+        homotopy.homotopy_solve(P, SolverConfig(lam=lam)).x_star, P, lam)
+    r = ist_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=20000))
     assert r.converged
     assert abs(objective(r.x_star, P, lam) - F_ref) <= 1e-5 * abs(F_ref)
 
@@ -198,41 +198,65 @@ def test_ist_budget_cap():
     A = rng.standard_normal((20, 40))
     A /= np.linalg.norm(A, axis=0)
     P = ProblemInstance(A, rng.standard_normal(20))
-    r = ist_solve(P, None, SolverConfig(lam=0.05, max_iter=3))
+    r = ist_solve(P, SolverConfig(lam=0.05, max_iter=3))
     assert not r.converged and r.iterations == 3
 
 
 def test_ist_honors_stopping_rule():
+    # a relative rule compares iterates of the last stage, whose weight is
+    # lam; a loose one stops the run at the second step of that stage
     rng = np.random.default_rng(21)
     A = rng.standard_normal((20, 40))
     A /= np.linalg.norm(A, axis=0)
     P = ProblemInstance(A, rng.standard_normal(20))
     lam = 0.1 * float(np.max(np.abs(A.T @ P.b)))
     rule = StoppingRule(kind="relative-objective", threshold=0.5)
-    r = ist_solve(P, ContinuationSchedule(lam, 0.5, lam),
-                  SolverConfig(lam=lam, stopping=rule))
-    assert r.converged and r.iterations <= 3
+    weights = []
+    r = ist_solve(P, SolverConfig(lam=lam, stopping=rule),
+                  observer=lambda x, lam_s, dF: weights.append(lam_s))
+    assert r.converged and len(weights) == r.iterations
+    assert weights[-2:] == [lam, lam] and weights[-3] > lam
+    assert r.iterations < ist_solve(P, SolverConfig(lam=lam)).iterations
+
+
+@pytest.mark.parametrize("kind, threshold", [
+    ("kkt-residual", 1e-2), ("relative-objective", 1e-3),
+    ("relative-estimate", 1e-3)])
+@pytest.mark.parametrize("solver", [ist_solve, fista_solve])
+def test_rule_reads_the_target_weight(solver, kind, threshold):
+    # an early continuation stage must not meet the rule for the target
+    P = synth.make_instance(synth.GenSpec(n=200, d=100, k=8, seed=11))
+    lam = 1e-3 * float(np.max(np.abs(P.A.T @ P.b)))
+    if kind == "kkt-residual":
+        threshold *= lam
+    res = solver(P, SolverConfig(
+        lam=lam, stopping=StoppingRule(kind=kind, threshold=threshold)))
+    assert res.converged
+    assert kkt_residual(res.x_star, P, lam) <= lam
+    if kind == "kkt-residual":
+        assert kkt_residual(res.x_star, P, lam) <= threshold
 
 
 @pytest.mark.invariant
 def test_ist_objective_strictly_decreases_at_fixed_lambda():
-    # verified on exact pairwise differences, which stay meaningful after
-    # the objectives themselves agree to machine precision
+    # every step lowers the objective at its stage's weight; verified on
+    # exact pairwise differences, which stay meaningful after the
+    # objectives themselves agree to machine precision
     for seed in range(1200, 1310):
         spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
                              noise_sigma=0.02)
         P = synth.make_instance(spec)
         lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
-        xs = []
-        ist_solve(P, ContinuationSchedule(lam, 0.5, lam),
-                  SolverConfig(lam=lam, tol=1e-8, max_iter=3000),
-                  observer=lambda x, la, dF: xs.append(x))
+        steps = []
+        ist_solve(P, SolverConfig(lam=lam, tol=1e-8, max_iter=3000),
+                  observer=lambda x, la, dF: steps.append((x, la)))
+        assert steps[-1][1] == lam
         prev = np.zeros(P.n)
-        for cur in xs:
+        for cur, la in steps:
             Ap = P.A @ prev
             Ac = P.A @ cur
             dF = shrinkage.objective_delta(prev, cur, Ap, Ac,
-                                           P.A.T @ (Ap - P.b), lam)
+                                           P.A.T @ (Ap - P.b), la)
             assert dF < 0.0
             prev = cur
 
@@ -266,7 +290,7 @@ def test_fista_matches_path_solver_objective():
     P = ProblemInstance(A, A @ x0)
     lam = 0.01 * float(np.max(np.abs(A.T @ P.b)))
     F_ref = objective(
-        homotopy.homotopy_solve(P, lam, SolverConfig()).x_star, P, lam)
+        homotopy.homotopy_solve(P, SolverConfig(lam=lam)).x_star, P, lam)
     r = fista_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=20000))
     assert r.converged
     assert abs(objective(r.x_star, P, lam) - F_ref) <= 1e-5 * abs(F_ref)
@@ -400,9 +424,8 @@ def test_returned_solutions_are_shrinkage_fixed_points():
         lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
         L = spectral_norm_sq(P.A) * 1.01
         for solver in (
-                lambda: ist_solve(P, ContinuationSchedule(lam, 0.5, lam),
-                                  SolverConfig(lam=lam, tol=1e-9,
-                                               max_iter=20000)),
+                lambda: ist_solve(P, SolverConfig(lam=lam, tol=1e-9,
+                                                  max_iter=20000)),
                 lambda: fista_solve(P, SolverConfig(lam=lam, tol=1e-9,
                                                     max_iter=20000))):
             r = solver()
@@ -436,7 +459,8 @@ def test_default_schedule_shape():
     A = rng.standard_normal((10, 20))
     P = ProblemInstance(A, rng.standard_normal(10))
     lam = 0.01 * float(np.max(np.abs(A.T @ P.b)))
-    sch = default_schedule(A.T @ P.b, lam)
-    assert sch.lambda_start == pytest.approx(
-        0.9 * float(np.max(np.abs(A.T @ P.b))))
-    assert sch.lambda_target == lam and sch.beta == 0.5
+    stages = default_schedule(A.T @ P.b, lam)
+    assert stages[0] == 0.9 * float(np.max(np.abs(A.T @ P.b)))
+    assert stages[-1] == lam
+    for prev, cur in zip(stages, stages[1:]):
+        assert cur == max(0.5 * prev, lam)
