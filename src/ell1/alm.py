@@ -9,15 +9,13 @@ Rule of thumb: the dual solver wins when d is much smaller than n, the
 primal one when the dictionary is tall.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.model import Monitor
-from ell1.numerics import (CholFactor, chol_factor, project_box_linf,
-                           soft_threshold, spectral_norm_sq)
+from ell1.numerics import (chol_factor, project_box_linf, soft_threshold,
+                           spectral_norm_sq)
 
 _INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
 _Y_REFINE_TOL = 1e-10  # relative residual contract of the dual y-step
@@ -25,50 +23,6 @@ MU0 = 1.0              # starting penalty weight of the primal multiplier loops
 RHO = 2.0              # their per-outer-iteration penalty growth factor
 _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 _STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
-
-
-@dataclass
-class AlmState:
-    """Primal multiplier-loop state.
-
-    tau is the penalty-free curvature bound (largest eigenvalue of A^T A,
-    slightly inflated); the inner shrinkage step length is 1/tau and the
-    penalty weight mu grows by the fixed factor rho every outer iteration.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    mu: float
-    rho: float
-    tau: float
-
-    def __post_init__(self):
-        if not self.mu > 0 or not self.tau > 0:
-            raise ValueError("mu and tau must be positive")
-        if not self.rho > 1:
-            raise ValueError("rho must exceed 1")
-
-
-@dataclass
-class DalmState:
-    """Dual three-step iteration state.
-
-    x doubles as the multiplier of the dual constraint z = A^T y and as
-    the running primal estimate; z stays inside the unit l-inf ball by
-    construction; gram_chol holds the once-computed factor of A A^T.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    beta: float
-    gram_chol: CholFactor
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if float(np.max(np.abs(self.z))) > 1.0:
-            raise ValueError("z must lie in the unit l-inf ball")
 
 
 def _inner_shrinkage(A, x, b_eff, shrink, tau, tol_rel, cap):
@@ -104,19 +58,21 @@ def palm_solve(P, config, observer=None):
     takes the multiplier ascent step y <- y + mu (b - A x) and grows
     mu <- rho mu, from mu = MU0 = 1 with rho = RHO = 2.
     Converges when ||b - A x|| <= config.tol ||b||; iterations counts
-    inner steps, and config.max_iter caps that total. observer, when
-    given, receives the AlmState after every outer iteration. The
-    stopping-rule kkt slot carries the relative primal residual. A
-    residual norm stuck above its minimum, and that above 1e3 eps ||b||,
-    for _STALL_STEPS (10) outer steps (b outside the range of A), or a
-    non-finite multiplier or residual, raises NumericalBreakdownError.
+    inner steps, and config.max_iter caps that total. The start point and
+    every outer iteration are recorded; an event's state holds mu, the
+    penalty of the outer step that produced the iterate (MU0 at the start
+    point). The stopping-rule kkt slot carries the relative primal
+    residual. A residual norm stuck above its minimum, and that above 1e3
+    eps ||b||, for _STALL_STEPS (10) outer steps (b outside the range of
+    A), or a non-finite multiplier or residual, raises
+    NumericalBreakdownError.
     """
     A, b = P.A, P.b
     n = P.n
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return mon.trivial(n, penalized=False)
+        return mon.trivial(n)
     mu = MU0
     if hasattr(A, "norm_sq"):
         tau = 1.01 * A.norm_sq()
@@ -124,7 +80,7 @@ def palm_solve(P, config, observer=None):
         tau = 1.01 * spectral_norm_sq(A)
     x = np.zeros(n)
     y = np.zeros(P.d)
-    mon.record(0, 0.0, b_norm, x)
+    mon.record(0, 0.0, b_norm, x, mu=mu)
     it = 0
     converged = False
     best_res, stalled = b_norm, 0
@@ -144,9 +100,7 @@ def palm_solve(P, config, observer=None):
             raise NumericalBreakdownError(
                 "multiplier or residual became non-finite at mu = %g" % mu)
         l1 = float(np.sum(np.abs(x)))
-        mon.record(it, l1, res_norm, x)
-        if observer is not None:
-            observer(AlmState(x.copy(), y.copy(), mu, RHO, tau))
+        mon.record(it, l1, res_norm, x, mu=mu)
         rel = res_norm / b_norm
         if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True
@@ -173,24 +127,24 @@ def _gram_factor(A):
             "needs full row rank") from exc
 
 
-def dual_y_solve(state, gram, Az, Ax, b):
+def dual_y_solve(chol, gram, beta, Az, Ax, b):
     """Least-squares multiplier step of the dual iteration.
 
-    Solves beta G y = beta A z_next - (A x - b) through the cached factor
-    of the row Gram G = A A^T, with one refinement pass. The caller passes
-    the products Az = A z_next and Ax = A state.x, and the residual is
+    Solves beta G y = beta A z_next - (A x - b) through chol, the cached
+    factor of the row Gram G = A A^T, with one refinement pass. The caller
+    passes the products Az = A z_next and Ax = A x, and the residual is
     measured against G itself, so the step takes no dictionary product.
     The result is certified to relative residual 1e-10, or
     IllConditionedError is raised; a non-finite residual fails the
     certificate.
     """
-    rhs = Az - (Ax - b) / state.beta
+    rhs = Az - (Ax - b) / beta
     bound = _Y_REFINE_TOL * max(1.0, float(np.linalg.norm(rhs)))
-    y = state.gram_chol.solve(rhs)
+    y = chol.solve(rhs)
     resid = rhs - gram @ y
     res = float(np.linalg.norm(resid))
     if np.isfinite(res) and res > bound:
-        y = y + state.gram_chol.solve(resid)
+        y = y + chol.solve(resid)
         res = float(np.linalg.norm(rhs - gram @ y))
     if not res <= bound:
         raise IllConditionedError(
@@ -212,41 +166,39 @@ def dalm_solve(P, config, observer=None):
     Converges when ||b - A x|| <= config.tol ||b|| and the duality gap
     against the box-scaled multiplier, ||x||_1 - b'y / max(1, ||A'y||_inf),
     is within config.tol of zero relative to ||x||_1; by weak duality that
-    certifies the l1 value itself. observer, when given, receives
-    (state, x_prev) after every iteration. The stopping-rule kkt slot
-    carries the relative primal residual.
+    certifies the l1 value itself. The start point and every iteration
+    are recorded; an event's state holds y, z (inside the unit l-inf
+    ball) and x_prev, the x the iteration started from (x itself at the
+    start point). The stopping-rule kkt slot carries the relative primal
+    residual.
     """
     A, b = P.A, P.b
     n = P.n
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return mon.trivial(n, penalized=False)
+        return mon.trivial(n)
     beta = float(np.sum(np.abs(b))) / P.d
     gram, chol = _gram_factor(A)
-    state = DalmState(np.zeros(n), np.zeros(P.d), np.zeros(n), beta, chol)
-    Aty = A.T @ state.y
-    Ax = A @ state.x
-    mon.record(0, 0.0, b_norm, state.x)
+    x, y, z = np.zeros(n), np.zeros(P.d), np.zeros(n)
+    Aty = A.T @ y
+    Ax = A @ x
+    mon.record(0, 0.0, b_norm, x, y=y, z=z, x_prev=x)
     it = 0
     converged = False
     while it < config.max_iter:
-        z = project_box_linf(Aty + state.x / beta)
+        z = project_box_linf(Aty + x / beta)
         Az = A @ z
-        y = dual_y_solve(state, gram, Az, Ax, b)
-        x_prev = state.x
+        y = dual_y_solve(chol, gram, beta, Az, Ax, b)
+        x_prev = x
         Aty = A.T @ y
         x = x_prev - beta * (z - Aty)
-        # z is in the box by projection; skip DalmState's rescan of it
-        state.x, state.y, state.z = x, y, z
         it += 1
         Ax = A @ x
         r = b - Ax
         res_norm = float(np.linalg.norm(r))
         l1 = float(np.sum(np.abs(x)))
-        mon.record(it, l1, res_norm, x)
-        if observer is not None:
-            observer(DalmState(x, y, z, beta, chol), x_prev)
+        mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev)
         rel = res_norm / b_norm
         # certified gap: y scaled into the dual box bounds the optimum
         # from below, so l1 minus the bound brackets the suboptimality
@@ -258,4 +210,4 @@ def dalm_solve(P, config, observer=None):
             break
     if not converged and it >= config.max_iter:
         mon.notes.append("iteration budget exhausted")
-    return mon.result(state.x, it, converged)
+    return mon.result(x, it, converged)

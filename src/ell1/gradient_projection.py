@@ -11,8 +11,6 @@ steps whose reduced linear systems are solved inexactly by diagonally
 preconditioned conjugate gradients.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
@@ -28,47 +26,6 @@ _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
 PCG_TOL = 1e-4         # relative residual at which tnipm's PCG stops
 
 
-@dataclass
-class SplitIterate:
-    """Nonnegative split z = [x_plus; x_minus] of length 2n."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.ascontiguousarray(self.z, dtype=np.float64)
-        if self.z.ndim != 1 or self.z.shape[0] % 2:
-            raise ValueError("z must be a vector of even length 2n")
-        if np.any(self.z < 0):
-            raise ValueError("split iterate must be componentwise nonnegative")
-
-    @property
-    def n(self):
-        return self.z.shape[0] // 2
-
-    def recombined(self):
-        """The signed vector x = z_plus - z_minus."""
-        return self.z[:self.n] - self.z[self.n:]
-
-
-@dataclass
-class BarrierIterate:
-    """Interior point (x, u, t) with |x_i| < u_i strictly and t > 0."""
-
-    x: np.ndarray
-    u: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        self.u = np.ascontiguousarray(self.u, dtype=np.float64)
-        if self.x.shape != self.u.shape or self.x.ndim != 1:
-            raise ValueError("x and u must be vectors of equal length")
-        if not np.all(np.abs(self.x) < self.u):
-            raise ValueError("barrier iterate must satisfy |x_i| < u_i")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-
-
 def gpsr_direction(z, grad):
     """Masked gradient used as the projected descent direction.
 
@@ -76,11 +33,15 @@ def gpsr_direction(z, grad):
     only when that entry is negative; moving against a nonnegative entry
     would leave the feasible set, so it is zeroed instead.
     """
-    zv = (z if isinstance(z, SplitIterate) else SplitIterate(z)).z
+    z = np.ascontiguousarray(z, dtype=np.float64)
     g = np.ascontiguousarray(grad, dtype=np.float64)
-    if g.shape != zv.shape:
+    if z.ndim != 1 or z.shape[0] % 2:
+        raise ValueError("z must be a vector of even length 2n")
+    if np.any(z < 0):
+        raise ValueError("split iterate must be componentwise nonnegative")
+    if g.shape != z.shape:
         raise ValueError("z and grad must have equal length")
-    return np.where((zv > 0.0) | (g < 0.0), g, 0.0)
+    return np.where((z > 0.0) | (g < 0.0), g, 0.0)
 
 
 def _bb_step(ss, curvature):
@@ -114,27 +75,30 @@ def gpsr_solve(P, config, observer=None):
     the last one at config.tol * lam; config.max_iter caps the steps of
     all stages. A step projects z - alpha grad onto z >= 0, moves to the
     exact minimizer on the segment to that point and sets the next alpha
-    by Barzilai-Borwein: 2 products, no backtracking. observer receives
-    (SplitIterate, stage weight) after every step; config.stopping sees
-    only the last stage, whose weight is lam.
+    by Barzilai-Borwein: 2 products, no backtracking. The start point and
+    every step are recorded; an event's weight is the stage weight and its
+    state holds z. config.stopping sees only the last stage, whose weight
+    is lam.
     """
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
     lam = config.resolved_lambda(Atb)
+    mon = Monitor(config, b, P.ground_truth, observer)
+    if float(np.max(np.abs(Atb))) == 0.0:
+        return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    mon = Monitor(config, b, P.ground_truth)
-    if float(np.max(np.abs(Atb))) == 0.0:
-        return mon.trivial(n, penalized=True)
 
+    stages = default_schedule(Atb, lam, _DECAY)
     z = np.zeros(2 * n)
     x = np.zeros(n)
     r = -b.copy()          # A x - b
     grad_x = -Atb
-    mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x)
+    mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x, stages[0],
+               z=z)
     it, alpha = 0, None
-    for lam_s in default_schedule(Atb, lam, _DECAY):
+    for lam_s in stages:
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
                and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
@@ -160,9 +124,7 @@ def gpsr_solve(P, config, observer=None):
             alpha = _bb_step(dd, gamma)
             rr = float(r @ r)
             F_cur = 0.5 * rr + lam_s * float(np.sum(np.abs(x)))
-            mon.record(it, F_cur, float(np.sqrt(rr)), x)
-            if observer is not None:
-                observer(SplitIterate(z.copy()), lam_s)
+            mon.record(it, F_cur, float(np.sqrt(rr)), x, lam_s, z=z)
             if lam_s == lam and mon.rule_met(
                     x, F_cur, lambda: kkt_from_correlation(x, -grad_x, lam)):
                 return mon.result(x, it, True)
@@ -182,18 +144,21 @@ def tnipm_solve(P, config, observer=None):
     the objective and the truncated iterate meets the kkt tolerance.
     Backtracking that cannot find a decreasing interior step raises
     NumericalBreakdownError. PCG stops at relative residual PCG_TOL
-    (1e-4) or after as many steps as the dimension. observer receives
-    the BarrierIterate after every accepted step. Honors config.stopping.
+    (1e-4) or after as many steps as the dimension. Each iteration
+    records its start point, truncated, so the first event is the start of
+    the solve; an event's state holds x_bar (the untruncated barrier
+    point), u (with |x_bar_i| < u_i) and t, the barrier weight of the step
+    taken from it. Honors config.stopping.
     """
     A, b = P.A, P.b
     n = P.n
     Atb = A.T @ b
     lam = config.resolved_lambda(Atb)
+    mon = Monitor(config, b, P.ground_truth, observer)
+    if float(np.max(np.abs(Atb))) == 0.0:
+        return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    mon = Monitor(config, b, P.ground_truth)
-    if float(np.max(np.abs(Atb))) == 0.0:
-        return mon.trivial(n, penalized=True)
 
     col_sq = np.sum(A * A, axis=0)
     x = np.zeros(n)
@@ -206,7 +171,8 @@ def tnipm_solve(P, config, observer=None):
         r = A @ x - b
         Ar = A.T @ r
         obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-        mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x))
+        mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x), lam,
+                   x_bar=x, u=u, t=t)
         if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
             converged = True
             x = truncate_small(x)
@@ -237,8 +203,6 @@ def tnipm_solve(P, config, observer=None):
                 "decrease")
         _, x, u = step
         it += 1
-        if observer is not None:
-            observer(BarrierIterate(x.copy(), u.copy(), t))
         t = bar.next_weight(decrement_sq)
     x = truncate_small(x)
     if not converged:

@@ -8,9 +8,6 @@ Gram factor is maintained by rank-1 Cholesky updates, so each breakpoint
 costs O(d^2 + d n).
 """
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
 from ell1 import numerics
@@ -20,17 +17,6 @@ from ell1.operators import DenseDictionary
 
 _TIE = 1e-12          # gamma tie window: removal wins inside it
 _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
-
-
-@dataclass
-class PathState:
-    """Snapshot of the path at one breakpoint."""
-
-    x: np.ndarray
-    support: list
-    lam: float
-    c: np.ndarray
-    chol: numerics.CholFactor
 
 
 def _as_dictionary(A):
@@ -63,17 +49,6 @@ def _solve_direction(chol, D, support, sgn):
     return d_I, fresh
 
 
-def update_direction(state, A):
-    """Full-length path direction: solves the active-set system on the
-    support of the state, zero elsewhere."""
-    D = _as_dictionary(A)
-    sgn = np.sign(state.c[state.support])
-    d_I, _ = _solve_direction(state.chol, D, list(state.support), sgn)
-    d = np.zeros(state.x.shape[0])
-    d[state.support] = d_I
-    return d
-
-
 def _gammas(lam, c, x, d, w, support_mask):
     """Step lengths to the next add event (off support: |c - gamma w| hits
     lambda - gamma) and remove event (on support: x + gamma d crosses 0)."""
@@ -104,16 +79,6 @@ def _gammas(lam, c, x, d, w, support_mask):
     return gamma_plus, i_plus, gamma_minus, i_minus
 
 
-def breakpoint_gammas(state, d, A):
-    """Public form of the step-length computation for a PathState."""
-    D = _as_dictionary(A)
-    v = D.apply_columns(state.support, d[state.support])
-    w = D.adjoint(v)
-    mask = np.zeros(state.c.shape[0], dtype=bool)
-    mask[state.support] = True
-    return _gammas(state.lam, state.c, state.x, d, w, mask)
-
-
 def _ridge_factor(D, support, notes):
     G = np.empty((len(support), len(support)))
     for col, j in enumerate(support):
@@ -124,48 +89,40 @@ def _ridge_factor(D, support, notes):
     return numerics.chol_factor(G)
 
 
-def homotopy_solve(P, config, observer=None, path_csv=None):
+def homotopy_solve(P, config, observer=None):
     """Run the path of instance P down to config's weight.
 
     P.A is a dense matrix or a dictionary operator. Each loop pass handles
-    one breakpoint; budget exhaustion returns the best iterate
-    unconverged. observer, when given, receives a PathState snapshot after
-    every breakpoint. config.stopping is checked at every breakpoint, with
-    the kkt residual at the target weight in its kkt slot. config.lam = 0
-    follows the path to the equality-constrained solution. path_csv, when
-    given, names a CSV file that receives (lambda, support size,
-    objective) per breakpoint.
+    one breakpoint and records it; budget exhaustion returns the best
+    iterate unconverged. An event's weight is the path weight at its
+    breakpoint and its state holds support (the active columns, in factor
+    order), c (the correlations A^T (b - A x)) and chol (the maintained
+    factor of the active-set Gram). config.stopping is checked at every
+    breakpoint, with the kkt residual at the target weight in its kkt
+    slot. config.lam = 0 follows the path to the equality-constrained
+    solution.
     """
     D = _as_dictionary(P.A)
     b = P.b
     c = D.adjoint(b)
     target_lambda = config.resolved_lambda(c)
     _, n = D.shape
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     x = np.zeros(n)
     lam0 = float(np.max(np.abs(c))) if n else 0.0
-    lams = []
 
     def record(it, lam, res_norm):
         obj = 0.5 * res_norm ** 2 + lam * float(np.sum(np.abs(x)))
-        mon.record(it, obj, res_norm, x)
-        lams.append(lam)
+        mon.record(it, obj, res_norm, x, lam, support=support, c=c,
+                   chol=chol)
         return obj
-
-    def snapshot(lam):
-        if observer is not None:
-            observer(PathState(x.copy(), list(support), lam, c.copy(),
-                               chol.copy()))
 
     def residual():
         return b - D.apply_columns(support, x[support])
 
     if lam0 <= target_lambda or lam0 == 0.0:
         # zero is already optimal at the target
-        lam = max(lam0, target_lambda)
-        result = mon.trivial(n, penalized=True)
-        _dump_path(path_csv, [lam], result.trace)
-        return result
+        return mon.trivial(n, target_lambda)
 
     lam = lam0
     j0 = int(np.argmax(np.abs(c)))
@@ -200,7 +157,6 @@ def homotopy_solve(P, config, observer=None, path_csv=None):
             r = residual()
             c = D.adjoint(r)
             record(it, lam, float(np.linalg.norm(r)))
-            snapshot(lam)
             converged = True
             break
 
@@ -235,24 +191,9 @@ def homotopy_solve(P, config, observer=None, path_csv=None):
         else:
             lam = lam_emp
         obj = record(it, lam, float(np.linalg.norm(r)))
-        snapshot(lam)
         if lam <= finish_floor or mon.rule_met(
                 x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):
             converged = True
             break
 
-    result = mon.result(x, it, converged)
-    _dump_path(path_csv, lams, result.trace)
-    return result
-
-
-def _dump_path(path_csv, lams, trace):
-    if path_csv is None:
-        return
-    with open(path_csv, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh, lineterminator="\n")
-        wr.writerow(["lambda", "support_size", "objective"])
-        for lam, entry in zip(lams, trace):
-            wr.writerow(["%.17g" % lam, entry.support_size,
-                         "%.17g" % entry.objective])
-
+    return mon.result(x, it, converged)

@@ -5,6 +5,7 @@ The objective all lambda-form solvers minimize is
 and the equality-constrained solvers target min ||x||_1 subject to A x = b.
 """
 
+import copy
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -12,6 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TraceEntry = namedtuple("TraceEntry", "iteration objective residual_norm support_size")
+
+
+class Event(namedtuple("Event",
+                       "iteration objective residual_norm x weight state")):
+    """What an observer receives with every trace entry of a solve.
+
+    The first three fields equal those of the TraceEntry recorded with it.
+    x is the iterate, weight the weight the objective is taken at (None
+    for the equality form), and state a dict of the solver's own
+    variables; the solver docstrings name its keys.
+    """
+
+    __slots__ = ()
+
 
 StopRecord = namedtuple("StopRecord", "x objective kkt")
 StopRecord.__new__.__defaults__ = (None,)
@@ -224,37 +239,38 @@ def support_size(x, rel_tol=1e-10):
     return int(np.count_nonzero(mag > cutoff))
 
 
-def relative_error(x, reference):
-    """||x - reference|| / ||reference||."""
-    reference = np.asarray(reference, dtype=np.float64)
-    denom = float(np.linalg.norm(reference))
-    if denom == 0.0:
-        raise ValueError("reference must be nonzero")
-    return float(np.linalg.norm(np.asarray(x) - reference)) / denom
-
-
 class Monitor:
-    """Clock, trace, notes and user stopping rule of one solver run.
+    """Clock, trace, notes, observer and user stopping rule of one run.
 
     Built at the start of a solve; every solver records its trace through
     it, asks it whether config.stopping holds, and gets its SolverResult
     from it, including the single answer to an input whose optimum is
-    x = 0.
+    x = 0. It is the only caller of the solve's observer.
     """
 
-    def __init__(self, config, b, ground_truth=None):
+    def __init__(self, config, b, ground_truth=None, observer=None):
         self._t0 = time.perf_counter()
         self._rule = config.stopping
         self._b = b
         self._ground_truth = ground_truth
+        self._observer = observer
         self._last = ()
         self.trace = []
         self.notes = []
 
-    def record(self, it, objective, residual_norm, x):
-        """Append the trace entry of iterate x."""
+    def record(self, it, objective, residual_norm, x, weight=None, **state):
+        """Append the trace entry of iterate x and tell the observer.
+
+        With an observer set, it is called with one Event carrying the
+        entry's fields, x, weight and state. It gets copies of x and of
+        every state value, so a solver passes its live arrays and nothing
+        is copied when no observer is set.
+        """
         self.trace.append(TraceEntry(it, objective, residual_norm,
                                      support_size(x)))
+        if self._observer is not None:
+            self._observer(Event(it, objective, residual_norm, x.copy(),
+                                 weight, copy.deepcopy(state)))
 
     def rule_met(self, x, objective, kkt):
         """Whether config.stopping holds at iterate x.
@@ -279,14 +295,15 @@ class Monitor:
         return SolverResult(x, iterations, time.perf_counter() - self._t0,
                             converged, self.trace, notes=tuple(self.notes))
 
-    def trivial(self, n, penalized):
+    def trivial(self, n, weight=None):
         """x = 0 after 0 iterations, for an input where zero is optimal.
 
-        That is A^T b = 0 for the penalized form, whose trace entry
-        carries F(0) = 1/2 ||b||^2, and b = 0 for the equality form, whose
-        trace entry carries ||0||_1 = 0.
+        That is A^T b = 0 for the penalized form at any weight, whose
+        trace entry carries F(0) = 1/2 ||b||^2, and b = 0 for the equality
+        form (weight None), whose trace entry carries ||0||_1 = 0.
         """
         x = np.zeros(n)
         b_norm = float(np.linalg.norm(self._b))
-        self.record(0, 0.5 * b_norm ** 2 if penalized else 0.0, b_norm, x)
+        self.record(0, 0.0 if weight is None else 0.5 * b_norm ** 2, b_norm,
+                    x, weight)
         return self.result(x, 0, True)

@@ -120,9 +120,6 @@ class CholFactor:
         """Reassemble R^T R (testing and refactorization checks)."""
         return self.R.T @ self.R
 
-    def copy(self):
-        return CholFactor(self.R.copy())
-
 
 def chol_factor(M):
     """Dense Cholesky factorization of an SPD matrix, upper convention.

@@ -7,8 +7,6 @@ taken each iteration; eliminating the slack block reduces the linear algebra
 to one d x d Cholesky solve of the weighted normal matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ell1 import numerics
@@ -18,16 +16,6 @@ from ell1.model import Monitor
 _SIGMA = 0.1      # centering: target a tenth of the current duality measure
 _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-6
-
-
-@dataclass
-class PdipaState:
-    """Strictly interior primal-dual iterate of the split LP."""
-
-    x: np.ndarray   # length 2n, > 0
-    y: np.ndarray   # length d
-    z: np.ndarray   # length 2n, > 0
-    mu: float       # duality measure x'z / (2n)
 
 
 def _factor_with_jitter(M):
@@ -52,51 +40,21 @@ def _eliminate(x, z, rp, rd, rc, apply_ext, adjoint_ext, M):
     return dx, dy, dz
 
 
-def newton_kkt_step(state, A_ext, b, mu_hat, c=None):
-    """Newton direction on the perturbed optimality system.
-
-    Solves, for the current strictly interior state,
-        A_ext dx            = b - A_ext x
-        A_ext' dy + dz      = c - A_ext' y - z
-        Z dx + X dz         = mu_hat 1 - X Z 1
-    and verifies the solution to 1e-8 relative residual; a step that cannot
-    be recovered to that accuracy raises IllConditionedError.
-    """
-    A_ext = np.asarray(A_ext, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    x, y, z = state.x, state.y, state.z
-    if c is None:
-        c = np.ones(x.shape[0])
-    rp = b - A_ext @ x
-    rd = c - A_ext.T @ y - z
-    rc = mu_hat - x * z
-    M = (A_ext * (x / z)) @ A_ext.T
-    dx, dy, dz = _eliminate(x, z, rp, rd, rc,
-                            lambda u: A_ext @ u, lambda v: A_ext.T @ v, M)
-    scale = max(1.0, np.linalg.norm(rp), np.linalg.norm(rd),
-                np.linalg.norm(rc))
-    ok = (np.linalg.norm(A_ext @ dx - rp) <= 1e-8 * scale
-          and np.linalg.norm(A_ext.T @ dy + dz - rd) <= 1e-8 * scale
-          and np.linalg.norm(z * dx + x * dz - rc) <= 1e-8 * scale)
-    if not ok or not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
-                      and np.all(np.isfinite(dz))):
-        raise IllConditionedError("Newton system residual did not close")
-    return dx, dy, dz
-
-
 def pdipa_solve(P, config, observer=None):
     """Interior-point solve of min ||x||_1 s.t. A x = b.
 
-    Returns the recombined signed estimate. observer, when given, receives
-    the PdipaState after every accepted step. The stopping-rule kkt slot
-    carries the relative primal residual ||b - A x|| / ||b||.
+    Returns the recombined signed estimate. Each iteration records its
+    start point, so the first event is the start of the solve; the
+    observer's event state holds v (the split primal, length 2n, > 0), y,
+    z (> 0) and mu = v'z / (2n). The stopping-rule kkt slot carries the
+    relative primal residual ||b - A x|| / ||b||.
     """
     A, b = P.A, P.b
     d, n = A.shape
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return mon.trivial(n, penalized=False)
+        return mon.trivial(n)
 
     two_n = 2 * n
     c = np.ones(two_n)
@@ -124,7 +82,7 @@ def pdipa_solve(P, config, observer=None):
         gap = obj - float(b @ y)
         rp_norm = float(np.linalg.norm(rp))
         x_signed = x[:n] - x[n:]
-        mon.record(it, obj, rp_norm, x_signed)
+        mon.record(it, obj, rp_norm, x_signed, v=x, y=y, z=z, mu=mu)
         if ((rp_norm <= _FEAS_TOL * b_scale
                 and np.linalg.norm(rd) <= _FEAS_TOL * c_scale
                 and gap <= gap_tol * (1.0 + abs(obj)))
@@ -169,7 +127,5 @@ def pdipa_solve(P, config, observer=None):
         y = y + alpha_d * dy
         z = z_new
         mu = mu_new
-        if observer is not None:
-            observer(PdipaState(x.copy(), y.copy(), z.copy(), mu))
 
     return mon.result(x[:n] - x[n:], it, converged)

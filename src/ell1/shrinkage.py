@@ -7,8 +7,6 @@ t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
 objective decay.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
@@ -22,17 +20,6 @@ _MAX_BACKTRACK = 100
 L0 = 1.0              # fista's starting Lipschitz estimate
 ETA = 1.5             # fista's backtracking growth factor for L
 BETA = 0.5            # fista's per-iteration lambda decay under continuation
-
-
-@dataclass
-class FistaState:
-    """Momentum solver state after one accepted step."""
-
-    x_prev: np.ndarray
-    x_cur: np.ndarray
-    t_prev: float
-    t_cur: float
-    L: float
 
 
 def bb_alpha(s, g):
@@ -93,19 +80,19 @@ def ist_solve(P, config, observer=None):
     config.max_iter caps the steps of all stages. Each step must strictly
     decrease the stage objective; a rejected step doubles alpha (halving
     the step) up to 50 times before the stage is declared stalled.
-    observer, when given, receives (x, stage weight, objective_change)
-    after every accepted step. config.stopping sees only the last stage,
-    whose weight is config's.
+    Every accepted step is recorded; an event's weight is the stage
+    weight and its state is empty. config.stopping sees only the last
+    stage, whose weight is config's.
     """
     A, b = P.A, P.b
     n = P.n
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     Atb = A.T @ b
     lam = config.resolved_lambda(Atb)
+    if float(np.max(np.abs(Atb))) == 0.0:
+        return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    if float(np.max(np.abs(Atb))) == 0.0:
-        return mon.trivial(n, penalized=True)
 
     it = 0
     alpha = 1.0
@@ -131,9 +118,7 @@ def ist_solve(P, config, observer=None):
             resid = b - Ax
             F_cur = (0.5 * float(resid @ resid)
                      + lam_s * float(np.sum(np.abs(x))))
-            mon.record(it, F_cur, float(np.linalg.norm(resid)), x)
-            if observer is not None:
-                observer(x.copy(), lam_s, dF)
+            mon.record(it, F_cur, float(np.linalg.norm(resid)), x, lam_s)
             if lam_s == lam and mon.rule_met(
                     x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
                 return mon.result(x, it, True)
@@ -176,21 +161,6 @@ def _backtrack(y, L_prev, eta, lam, P, g_y, f_y):
     raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
 
 
-def backtrack_L(y, L_prev, eta, lam, P):
-    """Smallest L = eta^j * L_prev whose quadratic model upper-bounds F at
-    the corresponding prox point; returns (L, x_next)."""
-    if not L_prev > 0:
-        raise ValueError("L_prev must be positive")
-    if not eta > 1:
-        raise ValueError("eta must exceed 1")
-    y = np.asarray(y, dtype=np.float64)
-    r_y = P.A @ y - P.b
-    g_y = P.A.T @ r_y
-    L, x_next, _, _ = _backtrack(y, L_prev, eta, lam, P, g_y,
-                                 0.5 * float(r_y @ r_y))
-    return L, x_next
-
-
 def fista_solve(P, config, observer=None):
     """Accelerated shrinkage with per-iteration lambda continuation.
 
@@ -198,10 +168,12 @@ def fista_solve(P, config, observer=None):
     continuation shrinks lambda by BETA (0.5) per iteration. Options
     (config.options): continuation (True), exact_L (False: use
     backtracking; True: fix L to the measured squared spectral norm, as
-    the convergence-bound analysis assumes). observer, when given,
-    receives (FistaState, y, lambda) after every step. config.stopping
-    is checked only once lambda has reached config's weight, with the KKT
-    residual at that weight in its kkt slot.
+    the convergence-bound analysis assumes). Every step is recorded; an
+    event's weight is the step's continuation weight and its state holds
+    y (the extrapolated point the step started from), t_prev, t (the
+    momentum weights after the step) and L. config.stopping is checked
+    only once lambda has reached config's weight, with the KKT residual at
+    that weight in its kkt slot.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
     backtracking trial: A x_next, and g = A^T (A x_next - b), which the
@@ -212,13 +184,13 @@ def fista_solve(P, config, observer=None):
     """
     A, b = P.A, P.b
     n = P.n
-    mon = Monitor(config, b, P.ground_truth)
+    mon = Monitor(config, b, P.ground_truth, observer)
     Atb = A.T @ b
     lam_bar = config.resolved_lambda(Atb)
     x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
     if Atb_max == 0.0:
-        return mon.trivial(n, penalized=True)
+        return mon.trivial(n, lam_bar)
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")
 
@@ -256,11 +228,9 @@ def fista_solve(P, config, observer=None):
         r_prev, r_x = r_x, r_next
         g_prev, g_x = g_x, A.T @ r_next
         t_prev, t_cur = t_cur, fista_t_next(t_cur)
-        mon.record(it, F_next, float(np.linalg.norm(r_next)), x)
+        mon.record(it, F_next, float(np.linalg.norm(r_next)), x, lam, y=y,
+                   t_prev=t_prev, t=t_cur, L=L)
         kkt = kkt_from_correlation(x, -g_x, lam)
-        if observer is not None:
-            observer(FistaState(x_prev.copy(), x.copy(), t_prev, t_cur, L),
-                     y, lam)
         if lam == lam_bar and (kkt <= config.tol * lam_bar
                                or mon.rule_met(x, F_next, kkt)):
             converged = True

@@ -91,14 +91,15 @@ def test_criterion_3_momentum_convergence_bound():
                                   seed=trial_seed(4000, t)))
         lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
         L = spectral_norm_sq(P.A)
-        ref = fista_solve(P, SolverConfig(lam=lam, tol=1e-14,
-                                          max_iter=100000, options=opts))
+        # the path solver lands on the minimizer exactly, up to roundoff
+        ref = homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000))
+        assert ref.converged
         F_star = objective(ref.x_star, P, lam)
         R2 = float(ref.x_star @ ref.x_star)  # the start point is 0
         xs = []
         fista_solve(P, SolverConfig(lam=lam, tol=1e-16, max_iter=500,
                                     options=opts),
-                    observer=lambda st, y, lm: xs.append(st.x_cur.copy()))
+                    observer=lambda e: xs.append(e.x))
         for k, xk in enumerate(xs, start=1):
             gap = objective(xk, P, lam) - F_star
             bound = 2.0 * L * R2 / (k + 1) ** 2

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ell1 import bench, robust, synth
-from ell1.alm import (MU0, RHO, AlmState, DalmState, dalm_solve,
-                      dual_y_solve, palm_solve)
+from ell1.alm import MU0, RHO, dalm_solve, dual_y_solve, palm_solve
 from ell1.exceptions import IllConditionedError, NumericalBreakdownError
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig, StoppingRule
@@ -16,26 +15,6 @@ from ell1.pdipa import pdipa_solve
 def two_var_lp():
     A = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
     return ProblemInstance(A, np.array([np.sqrt(2.0)]))
-
-
-# --- state types -----------------------------------------------------------
-
-
-def test_alm_state_validation():
-    AlmState(np.zeros(2), np.zeros(1), 1.0, 2.0, 3.0)
-    with pytest.raises(ValueError):
-        AlmState(np.zeros(2), np.zeros(1), 0.0, 2.0, 3.0)
-    with pytest.raises(ValueError):
-        AlmState(np.zeros(2), np.zeros(1), 1.0, 1.0, 3.0)
-
-
-def test_dalm_state_validation():
-    gram = chol_factor(np.eye(1))
-    DalmState(np.zeros(2), np.zeros(1), np.array([1.0, -1.0]), 1.0, gram)
-    with pytest.raises(ValueError):
-        DalmState(np.zeros(2), np.zeros(1), np.array([1.1, 0.0]), 1.0, gram)
-    with pytest.raises(ValueError):
-        DalmState(np.zeros(2), np.zeros(1), np.zeros(2), 0.0, gram)
 
 
 # --- palm_solve ------------------------------------------------------------
@@ -95,12 +74,6 @@ def test_palm_raises_when_b_is_outside_the_range_of_A():
 # --- dual_y_solve ----------------------------------------------------------
 
 
-def make_dalm_state(A, x=None, beta=1.0):
-    d, n = A.shape
-    return DalmState(np.zeros(n) if x is None else x, np.zeros(d),
-                     np.zeros(n), beta, chol_factor(A @ A.T))
-
-
 def test_dual_y_identity_gram():
     rng = np.random.default_rng(4)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
@@ -108,8 +81,7 @@ def test_dual_y_identity_gram():
     x = rng.standard_normal(6)
     b = rng.standard_normal(3)
     z = np.clip(rng.standard_normal(6), -1.0, 1.0)
-    state = make_dalm_state(A, x=x, beta=2.0)
-    y = dual_y_solve(state, A @ A.T, A @ z, A @ x, b)
+    y = dual_y_solve(chol_factor(A @ A.T), A @ A.T, 2.0, A @ z, A @ x, b)
     np.testing.assert_allclose(y, A @ z - (A @ x - b) / 2.0, atol=1e-12)
 
 
@@ -121,8 +93,8 @@ def test_dual_y_matches_dense_solve():
         b = rng.standard_normal(2)
         z = np.clip(rng.standard_normal(4), -1.0, 1.0)
         beta = float(rng.uniform(0.5, 3.0))
-        state = make_dalm_state(A, x=x, beta=beta)
-        y = dual_y_solve(state, A @ A.T, A @ z, A @ x, b)
+        y = dual_y_solve(chol_factor(A @ A.T), A @ A.T, beta, A @ z, A @ x,
+                         b)
         want = np.linalg.solve(beta * (A @ A.T),
                                beta * (A @ z) - (A @ x - b))
         np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-12)
@@ -134,10 +106,9 @@ def test_dual_y_beta_homogeneity():
     b = rng.standard_normal(3)
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     z = np.clip(rng.standard_normal(7), -1.0, 1.0)
-    y1 = dual_y_solve(make_dalm_state(A, x=x, beta=1.0), A @ A.T, A @ z,
-                      A @ x, b)
-    y2 = dual_y_solve(make_dalm_state(A, x=x, beta=2.0), A @ A.T, A @ z,
-                      A @ x, b)
+    chol = chol_factor(A @ A.T)
+    y1 = dual_y_solve(chol, A @ A.T, 1.0, A @ z, A @ x, b)
+    y2 = dual_y_solve(chol, A @ A.T, 2.0, A @ z, A @ x, b)
     np.testing.assert_allclose(y1, y2, atol=1e-10)
 
 
@@ -148,14 +119,13 @@ def test_y_steps_reject_non_finite_states():
     zero = np.zeros(2)
     # a factor whose solve overflows: y = inf, so G y is NaN against a
     # zero Gram and -inf against a unit one
-    tiny = DalmState(zero, np.zeros(1), zero, 1.0,
-                     CholFactor(np.array([[1e-170]])))
+    tiny = CholFactor(np.array([[1e-170]]))
     for gram in (np.zeros((1, 1)), np.ones((1, 1))):
         with pytest.raises(IllConditionedError):
-            dual_y_solve(tiny, gram, A @ zero, A @ zero, b)
+            dual_y_solve(tiny, gram, 1.0, A @ zero, A @ zero, b)
     with pytest.raises(IllConditionedError):
-        dual_y_solve(make_dalm_state(A), np.full((1, 1), np.nan), A @ zero,
-                     A @ zero, b)
+        dual_y_solve(chol_factor(A @ A.T), np.full((1, 1), np.nan), 1.0,
+                     A @ zero, A @ zero, b)
 
 
 def test_dalm_rejects_rank_deficient_rows():
@@ -261,21 +231,23 @@ def test_palm_penalty_grows_geometrically_and_residual_tracks_it():
     for seed in range(2400, 2430):
         spec = synth.GenSpec(n=80, d=40, k=1 + seed % 4, seed=seed)
         P = synth.make_instance(spec)
-        states = []
+        events = []
         res = palm_solve(P, SolverConfig(tol=1e-8, max_iter=20000),
-                         observer=states.append)
+                         observer=events.append)
         assert res.converged
-        assert len(states) >= 4
-        resids = []
-        for k, st in enumerate(states):
-            assert st.mu == MU0 * RHO ** k
-            resids.append(float(np.linalg.norm(P.b - P.A @ st.x)))
+        outer = events[1:]  # the first event is the start point
+        assert len(outer) >= 4
+        resids, mus = [], []
+        for k, e in enumerate(outer):
+            assert e.state["mu"] == MU0 * RHO ** k
+            mus.append(e.state["mu"])
+            resids.append(float(np.linalg.norm(P.b - P.A @ e.x)))
             outer_cases += 1
         # decay trend: residual stays within a factor of the c/mu law
         # calibrated on the first three outer iterations
-        c = max(resids[k] * states[k].mu for k in range(3))
-        for k in range(3, len(states)):
-            assert resids[k] <= 10.0 * c / states[k].mu
+        c = max(resids[k] * mus[k] for k in range(3))
+        for k in range(3, len(outer)):
+            assert resids[k] <= 10.0 * c / mus[k]
     assert outer_cases >= 100
 
 
@@ -286,18 +258,20 @@ def test_dalm_step_identities_hold_every_iteration():
         spec = synth.GenSpec(n=80, d=40, k=1 + seed % 4, seed=seed)
         P = synth.make_instance(spec)
         A, b = P.A, P.b
-        snaps = []
+        beta = float(np.sum(np.abs(b))) / P.d  # dalm's penalty
+        events = []
         res = dalm_solve(P, SolverConfig(tol=1e-7, max_iter=20000),
-                         observer=lambda s, xp: snaps.append((s, xp)))
+                         observer=events.append)
         assert res.converged
-        for state, x_prev in snaps:
-            assert float(np.max(np.abs(state.z))) <= 1.0
-            rhs = A @ state.z - (A @ x_prev - b) / state.beta
-            resid = rhs - A @ (A.T @ state.y)
+        for e in events[1:]:  # the first event is the start point
+            z, y, x_prev = e.state["z"], e.state["y"], e.state["x_prev"]
+            assert float(np.max(np.abs(z))) <= 1.0
+            rhs = A @ z - (A @ x_prev - b) / beta
+            resid = rhs - A @ (A.T @ y)
             scale = max(1.0, float(np.linalg.norm(rhs)))
             assert float(np.linalg.norm(resid)) <= 1e-10 * scale
-            recomputed = x_prev - state.beta * (state.z - A.T @ state.y)
-            assert np.array_equal(state.x, recomputed)
+            recomputed = x_prev - beta * (z - A.T @ y)
+            assert np.array_equal(e.x, recomputed)
             checked += 1
     assert checked >= 100
 

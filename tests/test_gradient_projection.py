@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from ell1 import synth
 from ell1.bench import SOLVERS, solve_named
 from ell1.exceptions import NumericalBreakdownError
-from ell1.gradient_projection import (BarrierIterate, SplitIterate,
-                                      gpsr_direction, gpsr_solve,
+from ell1.gradient_projection import (gpsr_direction, gpsr_solve,
                                       gpsr_step_size, tnipm_solve)
 from ell1.homotopy import homotopy_solve
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
@@ -30,30 +29,6 @@ def split_gradient(z, A, b, lam):
     n = z.shape[0] // 2
     gx = A.T @ (A @ (z[:n] - z[n:]) - b)
     return np.concatenate([gx + lam, lam - gx])
-
-
-# --- iterate types ---------------------------------------------------------
-
-
-def test_split_iterate_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        SplitIterate(np.array([1.0, -0.1]))
-    with pytest.raises(ValueError):
-        SplitIterate(np.array([1.0, 2.0, 3.0]))
-
-
-def test_split_iterate_recombines():
-    it = SplitIterate(np.array([3.0, 0.0, 1.0, 2.0]))
-    assert it.n == 2
-    np.testing.assert_allclose(it.recombined(), [2.0, -2.0])
-
-
-def test_barrier_iterate_requires_strict_interior():
-    BarrierIterate(np.array([0.5]), np.array([1.0]), 2.0)
-    with pytest.raises(ValueError):
-        BarrierIterate(np.array([1.0]), np.array([1.0]), 2.0)
-    with pytest.raises(ValueError):
-        BarrierIterate(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 # --- gpsr_direction --------------------------------------------------------
@@ -77,10 +52,11 @@ def test_direction_mixed_case():
         [3.0, -4.0])
 
 
-def test_direction_accepts_split_iterate():
-    it = SplitIterate(np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(gpsr_direction(it, np.array([5.0, -1.0])),
-                                  [0.0, -1.0])
+def test_split_iterate_rejects_negative_entries():
+    with pytest.raises(ValueError):
+        gpsr_direction(np.array([1.0, -0.1]), np.zeros(2))
+    with pytest.raises(ValueError):
+        gpsr_direction(np.array([1.0, 2.0, 3.0]), np.zeros(3))
 
 
 def test_direction_length_mismatch_raises():
@@ -186,8 +162,8 @@ def test_gpsr_honors_stopping_rule():
     rule = StoppingRule(kind="relative-objective", threshold=0.5)
     weights = []
     res = gpsr_solve(P, SolverConfig(lam=lam, stopping=rule),
-                     observer=lambda z, lam_s: weights.append(lam_s))
-    assert res.converged and len(weights) == res.iterations
+                     observer=lambda e: weights.append(e.weight))
+    assert res.converged and len(weights) == res.iterations + 1
     assert weights[-2:] == [lam, lam] and weights[-3] > lam
     assert res.iterations < gpsr_solve(P, SolverConfig(lam=lam)).iterations
 
@@ -204,7 +180,7 @@ def test_gpsr_stopping_rule_reads_the_target_weight(kind, threshold):
     weights = []
     res = gpsr_solve(P, SolverConfig(
         lam=lam, stopping=StoppingRule(kind=kind, threshold=threshold)),
-        observer=lambda z, lam_s: weights.append(lam_s))
+        observer=lambda e: weights.append(e.weight))
     assert res.converged and weights[-1] == lam
     if kind == "kkt-residual":
         assert kkt_residual(res.x_star, P, lam) <= threshold
@@ -261,11 +237,12 @@ def test_tnipm_interior_start_takes_a_clean_first_step():
     spec = synth.GenSpec(n=30, d=15, k=3, seed=21)
     P = synth.make_instance(spec)
     seen = []
-    tnipm_solve(P, SolverConfig(max_iter=1), observer=seen.append)
-    assert len(seen) == 1
-    first = seen[0]
-    assert np.all(np.abs(first.x) < first.u)
-    assert np.all(np.isfinite(first.x)) and np.all(np.isfinite(first.u))
+    tnipm_solve(P, SolverConfig(max_iter=2), observer=seen.append)
+    assert [e.iteration for e in seen] == [0, 1]
+    first = seen[1].state
+    assert np.all(np.abs(first["x_bar"]) < first["u"])
+    assert (np.all(np.isfinite(first["x_bar"]))
+            and np.all(np.isfinite(first["u"])))
 
 
 def test_tnipm_matches_gpsr():
@@ -318,14 +295,16 @@ def test_tnipm_broken_inner_solve_raises(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def gpsr_run(seed):
-    """Problem, target weight, [(SplitIterate, stage weight)] and result."""
+    """Problem, target weight, [(z, stage weight)] of the start point and
+    every step, and result."""
     spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
                          noise_sigma=0.01)
     P = synth.make_instance(spec)
     lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
     iterates = []
     res = gpsr_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=20000),
-                     observer=lambda it, lam_s: iterates.append((it, lam_s)))
+                     observer=lambda e: iterates.append((e.state["z"],
+                                                         e.weight)))
     return P, lam, iterates, res
 
 
@@ -337,7 +316,7 @@ def tnipm_run(seed):
     lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
     iterates = []
     res = tnipm_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=500),
-                      observer=iterates.append)
+                      observer=lambda e: iterates.append(e.state))
     return P, lam, iterates, res
 
 
@@ -363,10 +342,11 @@ def test_gpsr_iterates_feasible_and_objective_non_increasing():
     for seed in range(1800, 1910):
         P, lam, iterates, res = gpsr_run(seed)
         assert res.converged
-        weights = [lam_s for _, lam_s in iterates]
+        weights = [lam_s for _, lam_s in iterates[1:]]
         assert all(a >= b for a, b in zip(weights, weights[1:]))
         assert weights[-1] == lam
-        zs = [np.zeros(2 * P.n)] + [it.z for it, _ in iterates]
+        zs = [z for z, _ in iterates]
+        assert np.array_equal(zs[0], np.zeros(2 * P.n))
         for z in zs:
             assert np.all(z >= 0.0)
         for z_prev, z_next, lam_s in zip(zs, zs[1:], weights):
@@ -389,9 +369,9 @@ def test_direction_never_opposes_the_gradient():
     total = 0
     for seed in range(1800, 1910):
         P, _, iterates, _ = gpsr_run(seed)
-        for it, lam_s in iterates:
-            grad = split_gradient(it.z, P.A, P.b, lam_s)
-            g = gpsr_direction(it.z, grad)
+        for z, lam_s in iterates[1:]:
+            grad = split_gradient(z, P.A, P.b, lam_s)
+            g = gpsr_direction(z, grad)
             assert float(g @ grad) >= 0.0
             total += 1
     assert total >= 100
@@ -405,9 +385,9 @@ def test_tnipm_stays_strictly_interior():
         assert res.converged
         assert len(iterates) >= 1
         t_seen = []
-        for it in iterates:
-            assert np.all(np.abs(it.x) < it.u)
-            t_seen.append(it.t)
+        for st in iterates:
+            assert np.all(np.abs(st["x_bar"]) < st["u"])
+            t_seen.append(st["t"])
             total += 1
         assert all(a <= b for a, b in zip(t_seen, t_seen[1:]))
     assert total >= 100

@@ -1,21 +1,42 @@
 """Tests for the solution-path solver."""
 
-import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ell1 import homotopy, numerics, synth
 from ell1.exceptions import DegenerateSupportError
-from ell1.homotopy import (PathState, breakpoint_gammas, homotopy_solve,
-                           update_direction)
+from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig
+from ell1.operators import DenseDictionary
 
 
 def make_state(A, support, x, lam, c):
     G = A[:, support].T @ A[:, support]
-    return PathState(x, list(support), lam, c, numerics.chol_factor(G))
+    return SimpleNamespace(x=x, support=list(support), lam=lam, c=c,
+                           chol=numerics.chol_factor(G))
+
+
+def update_direction(st, A):
+    """Full-length path direction at a snapshot: the solver's active-set
+    solve on the support, zero elsewhere."""
+    sgn = np.sign(st.c[st.support])
+    d_I, _ = homotopy._solve_direction(st.chol, DenseDictionary(A),
+                                       st.support, sgn)
+    d = np.zeros(st.x.shape[0])
+    d[st.support] = d_I
+    return d
+
+
+def breakpoint_gammas(st, d, A):
+    """The solver's step lengths to the next add and remove events."""
+    D = DenseDictionary(A)
+    w = D.adjoint(D.apply_columns(st.support, d[st.support]))
+    mask = np.zeros(st.c.shape[0], dtype=bool)
+    mask[st.support] = True
+    return homotopy._gammas(st.lam, st.c, st.x, d, w, mask)
 
 
 def random_state(seed):
@@ -32,7 +53,7 @@ def random_state(seed):
     return make_state(A, support, x, lam, c), A
 
 
-# --- update_direction ------------------------------------------------------
+# --- path direction --------------------------------------------------------
 
 
 def test_direction_orthonormal_single_column():
@@ -62,12 +83,13 @@ def test_direction_singular_gram_raises():
     # duplicated column: the active-set Gram is rank 1
     A = np.array([[1.0, 1.0], [0.0, 0.0]])
     stale = numerics.chol_factor(np.eye(2))
-    st = PathState(np.zeros(2), [0, 1], 1.0, np.array([1.0, 1.0]), stale)
+    st = SimpleNamespace(x=np.zeros(2), support=[0, 1], lam=1.0,
+                         c=np.array([1.0, 1.0]), chol=stale)
     with pytest.raises(DegenerateSupportError):
         update_direction(st, A)
 
 
-# --- breakpoint_gammas -----------------------------------------------------
+# --- breakpoint step lengths -----------------------------------------------
 
 
 def test_gammas_removal_formula():
@@ -188,27 +210,14 @@ def test_solve_budget_exhaustion_keeps_best_iterate():
     assert np.allclose(r.x_star, [2.0, 0.0], atol=1e-12)
 
 
-def test_solve_path_csv_dump(tmp_path):
-    out = tmp_path / "path.csv"
-    P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, SolverConfig(lam=0.0), path_csv=str(out))
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "support_size", "objective"]
-    lams = [float(row[0]) for row in rows[1:]]
-    assert len(lams) == len(r.trace)
-    assert all(a > b for a, b in zip(lams, lams[1:]))
-    assert int(rows[1][1]) >= 1
-
-
 # --- path invariants -------------------------------------------------------
 
 _STATE_CACHE = {}
 
 
 def path_run(seed):
-    """One noisy instance driven to 5% of the starting lambda, with every
-    breakpoint state captured."""
+    """One noisy instance driven to 5% of the starting lambda, with the
+    event of every breakpoint captured."""
     if seed not in _STATE_CACHE:
         shapes = [(25, 50), (30, 60), (40, 80)]
         d, n = shapes[seed % 3]
@@ -216,10 +225,10 @@ def path_run(seed):
         spec = synth.GenSpec(n=n, d=d, k=k, seed=seed, noise_sigma=0.03)
         P = synth.make_instance(spec)
         lam0 = float(np.max(np.abs(P.A.T @ P.b)))
-        states = []
+        events = []
         homotopy_solve(P, SolverConfig(lam=0.05 * lam0, max_iter=400),
-                       observer=states.append)
-        _STATE_CACHE[seed] = (P, states)
+                       observer=events.append)
+        _STATE_CACHE[seed] = (P, events)
     return _STATE_CACHE[seed]
 
 
@@ -227,12 +236,13 @@ def path_run(seed):
 def test_invariant_state_conditions_every_breakpoint():
     checked = 0
     for seed in range(400, 510):
-        P, states = path_run(seed)
-        for st in states:
-            cs = st.c[st.support]
-            assert np.all(np.abs(np.abs(cs) - st.lam) <= 1e-6 * st.lam)
-            assert np.all(np.abs(st.c) <= st.lam * (1 + 1e-6))
-            xs = st.x[st.support]
+        P, events = path_run(seed)
+        for e in events:
+            lam, c, support = e.weight, e.state["c"], e.state["support"]
+            cs = c[support]
+            assert np.all(np.abs(np.abs(cs) - lam) <= 1e-6 * lam)
+            assert np.all(np.abs(c) <= lam * (1 + 1e-6))
+            xs = e.x[support]
             live = xs != 0.0
             assert np.all(np.sign(xs[live]) == np.sign(cs[live]))
             checked += 1
@@ -242,21 +252,22 @@ def test_invariant_state_conditions_every_breakpoint():
 @pytest.mark.invariant
 def test_invariant_lambda_strictly_decreasing():
     for seed in range(400, 510):
-        _, states = path_run(seed)
-        lams = [st.lam for st in states]
+        _, events = path_run(seed)
+        lams = [e.weight for e in events]
         assert all(a > b for a, b in zip(lams, lams[1:]))
 
 
 @pytest.mark.invariant
 def test_invariant_maintained_factor_matches_fresh():
     for seed in range(400, 510):
-        P, states = path_run(seed)
-        for st in states:
-            if not st.support:
+        P, events = path_run(seed)
+        for e in events:
+            support = e.state["support"]
+            if not support:
                 continue
-            G = P.A[:, st.support].T @ P.A[:, st.support]
+            G = P.A[:, support].T @ P.A[:, support]
             fresh = numerics.chol_factor(G)
-            diff = np.max(np.abs(st.chol.matrix() - fresh.matrix()))
+            diff = np.max(np.abs(e.state["chol"].matrix() - fresh.matrix()))
             assert diff <= 1e-8
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ell1 import model, numerics
+from ell1 import bench, model, numerics, synth
+from ell1.bench import SOLVER_NAMES, SOLVERS
 from ell1.model import (ProblemInstance, SolverConfig, SolverResult, StopRecord,
                         StoppingRule)
 
@@ -182,6 +183,47 @@ def test_check_stop_kkt_rule():
     hist = [StopRecord(np.zeros(2), 1.0, kkt=1e-7)]
     assert model.check_stop(hist, StoppingRule("kkt-residual", 1e-6))
     assert not model.check_stop(hist, StoppingRule("kkt-residual", 1e-8))
+
+
+# ---------------------------------------------------------------- events
+
+def _poison(value):
+    """Overwrite an array an observer received (or the factor or index
+    list it holds) with garbage."""
+    if isinstance(value, numerics.CholFactor):
+        value = value.R
+    if isinstance(value, np.ndarray):
+        value[...] = np.nan
+    elif isinstance(value, list):
+        value[:] = [-1] * len(value)
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_event_contract(name):
+    # one Event per trace entry, with the entry's fields; the observer owns
+    # what it receives, so wrecking it leaves the solve untouched
+    P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3,
+                                          noise_sigma=0.01))
+    cfg = SolverConfig(max_iter=300)
+    solve = getattr(bench, name + "_solve")
+    plain = solve(P, cfg)
+    events = []
+
+    def observer(e):
+        events.append(e)
+        assert e.x.shape == (P.n,) and isinstance(e.state, dict)
+        for value in [e.x, *e.state.values()]:
+            _poison(value)
+
+    seen = solve(P, cfg, observer)
+    assert seen.iterations >= 2
+    assert ([(e.iteration, e.objective, e.residual_norm) for e in events]
+            == [t[:3] for t in seen.trace])
+    penalized = SOLVERS[name].form != "equality"
+    assert all((e.weight is not None) == penalized for e in events)
+    assert np.array_equal(seen.x_star, plain.x_star)
+    assert seen.iterations == plain.iterations
+    assert seen.trace == plain.trace
 
 
 # ---------------------------------------------------------------- invariants

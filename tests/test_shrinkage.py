@@ -10,8 +10,8 @@ from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation, kkt_residual, objective)
 from ell1.numerics import soft_threshold, spectral_norm_sq
-from ell1.shrinkage import (backtrack_L, bb_alpha, default_schedule,
-                            fista_solve, fista_t_next, ist_solve)
+from ell1.shrinkage import (bb_alpha, default_schedule, fista_solve,
+                            fista_t_next, ist_solve)
 
 
 # --- bb_alpha --------------------------------------------------------------
@@ -104,7 +104,17 @@ def test_t_next_rejects_below_one():
         fista_t_next(0.5)
 
 
-# --- backtrack_L -----------------------------------------------------------
+# --- backtracking ----------------------------------------------------------
+
+
+def backtrack_L(y, L_prev, eta, lam, P):
+    """fista's backtracking search from y, with the residual and gradient
+    at y computed afresh; returns (L, x_next)."""
+    r_y = P.A @ y - P.b
+    g_y = P.A.T @ r_y
+    L, x_next, _, _ = shrinkage._backtrack(y, L_prev, eta, lam, P, g_y,
+                                           0.5 * float(r_y @ r_y))
+    return L, x_next
 
 
 def quad_model(x_next, y, L, lam, P):
@@ -147,14 +157,6 @@ def test_backtrack_nonfinite_gradient_breaks_down():
     P = ProblemInstance(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(NumericalBreakdownError):
         backtrack_L(np.array([np.nan]), 1.0, 2.0, 0.1, P)
-
-
-def test_backtrack_validation():
-    P = ProblemInstance(np.array([[1.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        backtrack_L(np.array([0.0]), 0.0, 2.0, 0.1, P)
-    with pytest.raises(ValueError):
-        backtrack_L(np.array([0.0]), 1.0, 1.0, 0.1, P)
 
 
 # --- ist_solve -------------------------------------------------------------
@@ -213,7 +215,7 @@ def test_ist_honors_stopping_rule():
     rule = StoppingRule(kind="relative-objective", threshold=0.5)
     weights = []
     r = ist_solve(P, SolverConfig(lam=lam, stopping=rule),
-                  observer=lambda x, lam_s, dF: weights.append(lam_s))
+                  observer=lambda e: weights.append(e.weight))
     assert r.converged and len(weights) == r.iterations
     assert weights[-2:] == [lam, lam] and weights[-3] > lam
     assert r.iterations < ist_solve(P, SolverConfig(lam=lam)).iterations
@@ -249,7 +251,7 @@ def test_ist_objective_strictly_decreases_at_fixed_lambda():
         lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
         steps = []
         ist_solve(P, SolverConfig(lam=lam, tol=1e-8, max_iter=3000),
-                  observer=lambda x, la, dF: steps.append((x, la)))
+                  observer=lambda e: steps.append((e.x, e.weight)))
         assert steps[-1][1] == lam
         prev = np.zeros(P.n)
         for cur, la in steps:
@@ -328,9 +330,9 @@ def test_fista_objective_bound_with_exact_L():
 
 def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
     """fista_solve's default iteration with A y and A^T (A y - b) taken
-    afresh at every extrapolated point y, as backtrack_L does: 4 products
-    per step. Returns (x, iterations, backtracking trials beyond the
-    first of each step, summed over the run)."""
+    afresh at every extrapolated point y, as backtrack_L above does: 4
+    products per step. Returns (x, iterations, backtracking trials beyond
+    the first of each step, summed over the run)."""
     A, b = P.A, P.b
     x = x_prev = np.zeros(A.shape[1])
     t_prev = t_cur = L = 1.0
@@ -406,13 +408,14 @@ def test_fista_step_invariants():
         lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
         log = []
         fista_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=2000),
-                    observer=lambda st, y, la: log.append((st, y, la)))
-        Ls = [st.L for st, _, _ in log]
+                    observer=log.append)
+        Ls = [e.state["L"] for e in log]
         assert all(a <= b for a, b in zip(Ls, Ls[1:]))
-        for st, y, la in log:
-            assert st.t_cur ** 2 - st.t_cur <= st.t_prev ** 2
-            F = objective(st.x_cur, P, la)
-            assert F <= quad_model(st.x_cur, y, st.L, la, P) \
+        for e in log:
+            st, la = e.state, e.weight
+            assert st["t"] ** 2 - st["t"] <= st["t_prev"] ** 2
+            F = objective(e.x, P, la)
+            assert F <= quad_model(e.x, st["y"], st["L"], la, P) \
                 + 1e-9 * max(1.0, abs(F))
 
 
