@@ -145,8 +145,9 @@ def tnipm_solve(P, config, observer=None):
     Backtracking that cannot find a decreasing interior step raises
     NumericalBreakdownError. PCG stops at relative residual PCG_TOL
     (1e-4) or after as many steps as the dimension. Each iteration
-    records its start point, truncated, so the first event is the start of
-    the solve; an event's state holds x_bar (the untruncated barrier
+    records and tests its start point, truncated, before stepping, so the
+    first event is the start of the solve and the last one the returned
+    estimate; an event's state holds x_bar (the untruncated barrier
     point), u (with |x_bar_i| < u_i) and t, the barrier weight of the step
     taken from it. Honors config.stopping.
     """
@@ -167,7 +168,7 @@ def tnipm_solve(P, config, observer=None):
     it = 0
     converged = False
     pcg_capped = 0
-    while it < config.max_iter:
+    while True:
         r = A @ x - b
         Ar = A.T @ r
         obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
@@ -175,15 +176,15 @@ def tnipm_solve(P, config, observer=None):
                    x_bar=x, u=u, t=t)
         if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
             converged = True
-            x = truncate_small(x)
             break
         if 2.0 * n / t <= config.tol * (1.0 + obj):
             xt = truncate_small(x)
             ct = A.T @ (b - A @ xt)
             if kkt_from_correlation(xt, ct, lam) <= config.tol * lam:
                 converged = True
-                x = xt
                 break
+        if it == config.max_iter:
+            break
         bar = BoxBarrier(x, u, t, lam)
         g_x = t * Ar + bar.g_bar
         d_red = bar.d_red
@@ -204,14 +205,6 @@ def tnipm_solve(P, config, observer=None):
         _, x, u = step
         it += 1
         t = bar.next_weight(decrement_sq)
-    x = truncate_small(x)
-    if not converged:
-        rt = A @ x - b
-        objt = 0.5 * float(rt @ rt) + lam * float(np.sum(np.abs(x)))
-        if (2.0 * n / t <= config.tol * (1.0 + objt)
-                and kkt_from_correlation(x, A.T @ -rt, lam)
-                <= config.tol * lam):
-            converged = True
     if pcg_capped:
         mon.notes.append("pcg hit its iteration cap %d times" % pcg_capped)
-    return mon.result(x, it, converged)
+    return mon.result(truncate_small(x), it, converged)

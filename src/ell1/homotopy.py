@@ -15,7 +15,7 @@ from ell1.exceptions import DegenerateSupportError, NotPositiveDefiniteError
 from ell1.model import Monitor, kkt_from_correlation
 from ell1.operators import DenseDictionary
 
-_TIE = 1e-12          # gamma tie window: removal wins inside it
+_TIE = 1e-12          # gamma tie window relative to lambda; removal wins in it
 _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
 
 
@@ -160,7 +160,7 @@ def homotopy_solve(P, config, observer=None):
             converged = True
             break
 
-        remove = g_minus <= g_plus + _TIE  # tie goes to removal
+        remove = g_minus <= g_plus + _TIE * lam  # tie goes to removal
         gamma = g_minus if remove else g_plus
         x[support] += gamma * d_I
         if remove:

@@ -43,8 +43,9 @@ def _eliminate(x, z, rp, rd, rc, apply_ext, adjoint_ext, M):
 def pdipa_solve(P, config, observer=None):
     """Interior-point solve of min ||x||_1 s.t. A x = b.
 
-    Returns the recombined signed estimate. Each iteration records its
-    start point, so the first event is the start of the solve; the
+    Returns the recombined signed estimate. Each iteration records and
+    tests its start point before stepping, so the first event is the start
+    of the solve and the last one the returned estimate; the
     observer's event state holds v (the split primal, length 2n, > 0), y,
     z (> 0) and mu = v'z / (2n). The stopping-rule kkt slot carries the
     relative primal residual ||b - A x|| / ||b||.
@@ -75,7 +76,7 @@ def pdipa_solve(P, config, observer=None):
 
     converged = False
     it = 0
-    while it < config.max_iter:
+    while True:
         rp = b - apply_ext(x)
         rd = c - adjoint_ext(y) - z
         obj = float(c @ x)
@@ -88,6 +89,8 @@ def pdipa_solve(P, config, observer=None):
                 and gap <= gap_tol * (1.0 + abs(obj)))
                 or mon.rule_met(x_signed, obj, rp_norm / b_norm)):
             converged = True
+            break
+        if it == config.max_iter:
             break
         it += 1
         mu_hat = _SIGMA * mu

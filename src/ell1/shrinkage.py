@@ -4,7 +4,8 @@ ist_solve runs iterative soft thresholding with spectral (Barzilai-Borwein)
 step lengths and warm-started continuation over a decreasing lambda
 schedule. fista_solve adds momentum extrapolation with the accelerated
 t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
-objective decay.
+objective decay, and restarts the momentum whenever it points uphill
+(O'Donoghue and Candes, 2015), which costs no dictionary product.
 """
 
 import numpy as np
@@ -155,7 +156,7 @@ def _backtrack(y, L_prev, eta, lam, P, g_y, f_y):
         F_next = 0.5 * float(r_next @ r_next) + l1
         delta = x_next - y
         Q = f_y + float(g_y @ delta) + 0.5 * L * float(delta @ delta) + l1
-        if F_next <= Q + 1e-12 * max(1.0, abs(Q)):  # slack for exact ties
+        if F_next <= Q + 1e-12 * abs(Q):  # relative slack for exact ties
             return L, x_next, r_next, F_next
         L *= eta
     raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
@@ -168,19 +169,24 @@ def fista_solve(P, config, observer=None):
     continuation shrinks lambda by BETA (0.5) per iteration. Options
     (config.options): continuation (True), exact_L (False: use
     backtracking; True: fix L to the measured squared spectral norm, as
-    the convergence-bound analysis assumes). Every step is recorded; an
-    event's weight is the step's continuation weight and its state holds
-    y (the extrapolated point the step started from), t_prev, t (the
-    momentum weights after the step) and L. config.stopping is checked
-    only once lambda has reached config's weight, with the KKT residual at
-    that weight in its kkt slot.
+    the convergence-bound analysis assumes). A step from y to x_next
+    after x restarts the momentum when (y - x_next) . (x_next - x) > 0,
+    that is when the momentum pointed uphill: the step is kept and t_prev
+    and t go back to 1, so the next step starts from y = x_next with no
+    extrapolation. Every step is recorded; an event's weight is the
+    step's continuation weight and its state holds y (the extrapolated
+    point the step started from), t_prev, t (the momentum weights after
+    the step, both 1 after a restart) and L. config.stopping is checked
+    only once lambda has reached config's weight, with the KKT residual
+    at that weight in its kkt slot.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
     backtracking trial: A x_next, and g = A^T (A x_next - b), which the
     kkt test needs and the next iteration reuses. The extrapolated point
     y = x + c (x - x_prev) needs none, because its residual and gradient
-    are the same combination of the carried ones for x and x_prev. Set-up
-    takes A^T b, plus the spectral norm when exact_L is set.
+    are the same combination of the carried ones for x and x_prev, and the
+    restart test reads only vectors already at hand. Set-up takes A^T b,
+    plus the spectral norm when exact_L is set.
     """
     A, b = P.A, P.b
     n = P.n
@@ -227,7 +233,13 @@ def fista_solve(P, config, observer=None):
         x_prev, x = x, x_next
         r_prev, r_x = r_x, r_next
         g_prev, g_x = g_x, A.T @ r_next
-        t_prev, t_cur = t_cur, fista_t_next(t_cur)
+        if float((y - x) @ (x - x_prev)) > 0.0:
+            # the momentum pointed uphill: keep the step, drop the momentum.
+            # The next extrapolation weight (t_prev - 1) / t is then 0, so
+            # the next y is x exactly and x_prev needs no reset
+            t_prev = t_cur = 1.0
+        else:
+            t_prev, t_cur = t_cur, fista_t_next(t_cur)
         mon.record(it, F_next, float(np.linalg.norm(r_next)), x, lam, y=y,
                    t_prev=t_prev, t=t_cur, L=L)
         kkt = kkt_from_correlation(x, -g_x, lam)

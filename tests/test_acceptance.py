@@ -83,7 +83,10 @@ def test_criterion_2_matched_weight_cross_agreement():
 
 def test_criterion_3_momentum_convergence_bound():
     # with exact step constant and fixed weight, the accelerated method
-    # obeys F(x_k) - F* <= 2 L ||x_0 - x*||^2 / (k+1)^2 for k <= 500
+    # obeys F(x_k) - F* <= 2 L ||x_0 - x*||^2 / (k+1)^2 for k <= 500.
+    # That is Beck and Teboulle's bound for plain FISTA; fista_solve
+    # restarts its momentum, and the bound is checked for the restarted
+    # iteration on these instances, not proved for it
     worst_margin = np.inf
     opts = {"continuation": False, "exact_L": True}
     for t in range(10):

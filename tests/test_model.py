@@ -226,6 +226,21 @@ def test_event_contract(name):
     assert seen.trace == plain.trace
 
 
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_budget_exit_records_the_returned_estimate(name):
+    # a run cut by max_iter still ends its trace and its events on the
+    # x_star it returns
+    P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3))
+    events = []
+    res = getattr(bench, name + "_solve")(P, SolverConfig(max_iter=3),
+                                          events.append)
+    assert not res.converged and res.iterations == 3
+    assert res.trace[-1].iteration == res.iterations
+    assert res.trace[-1].residual_norm == pytest.approx(
+        np.linalg.norm(P.b - P.A @ res.x_star), rel=1e-12)
+    np.testing.assert_array_equal(events[-1].x, res.x_star)
+
+
 # ---------------------------------------------------------------- invariants
 
 @pytest.mark.invariant

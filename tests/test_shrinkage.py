@@ -331,8 +331,9 @@ def test_fista_objective_bound_with_exact_L():
 def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
     """fista_solve's default iteration with A y and A^T (A y - b) taken
     afresh at every extrapolated point y, as backtrack_L above does: 4
-    products per step. Returns (x, iterations, backtracking trials beyond
-    the first of each step, summed over the run)."""
+    products per step. The momentum restarts whenever it pointed uphill,
+    (y - x_next) . (x_next - x) > 0. Returns (x, iterations, backtracking
+    trials beyond the first of each step, summed over the run)."""
     A, b = P.A, P.b
     x = x_prev = np.zeros(A.shape[1])
     t_prev = t_cur = L = 1.0
@@ -340,8 +341,12 @@ def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
     for it in range(1, max_iter + 1):
         y = x + ((t_prev - 1.0) / t_cur) * (x - x_prev)
         L, x_next = backtrack_L(y, L, eta, lam, P)
-        x_prev, x = x, x_next
-        t_prev, t_cur = t_cur, fista_t_next(t_cur)
+        if float((y - x_next) @ (x_next - x)) > 0.0:
+            x_prev = x = x_next
+            t_prev = t_cur = 1.0
+        else:
+            x_prev, x = x, x_next
+            t_prev, t_cur = t_cur, fista_t_next(t_cur)
         kkt = kkt_from_correlation(x, -(A.T @ (A @ x - b)), lam)
         if lam == lam_bar and kkt <= tol * lam_bar:
             break
@@ -356,13 +361,15 @@ _FISTA_CONFIG = SolverConfig(tol=1e-8, max_iter=3000)
 
 
 def test_fista_products_per_iteration(counting_view):
+    # restarted fista meets tol 1e-8 on this instance in under 50 steps;
+    # the tighter tol keeps the run long enough to measure a per-step rate
+    cfg = SolverConfig(tol=1e-12, max_iter=3000)
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     x_ref, it_ref, extra = textbook_fista(
-        P, _FISTA_CONFIG.resolved_lambda(P.A.T @ P.b), _FISTA_CONFIG.tol,
-        _FISTA_CONFIG.max_iter)
-    plain = fista_solve(P, _FISTA_CONFIG)
+        P, cfg.resolved_lambda(P.A.T @ P.b), cfg.tol, cfg.max_iter)
+    plain = fista_solve(P, cfg)
     P.A, count = counting_view(P.A)
-    res = fista_solve(P, _FISTA_CONFIG)
+    res = fista_solve(P, cfg)
     assert res.converged and res.iterations >= 50
     assert count[0] <= 2 * res.iterations + extra + _FISTA_SETUP_PRODUCTS
     assert np.array_equal(res.x_star, plain.x_star)
@@ -397,6 +404,47 @@ def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
     assert res.iterations == it_ref
     assert np.linalg.norm(res.x_star - x_ref) \
         <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_fista_restart_converges_on_a_bouquet_query():
+    # a corrupted query against a coherent bouquet dictionary, as in the
+    # face-recognition use case: without restart the momentum runs out
+    # this budget
+    A, labels = synth.gen_bouquet_dict(150, 300, 15, 0.6, 2)
+    rng = np.random.default_rng(9)
+    g = int(rng.integers(15))
+    active = rng.choice(np.flatnonzero(labels == g), size=3, replace=False)
+    x0 = np.zeros(300)
+    x0[active] = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
+    b = A @ x0
+    scale = float(np.max(np.abs(b)))
+    b_bad, _ = synth.corrupt_entries(b, 0.2, -scale, scale, seed=12)
+    x, _, res = robust.cab_solve(A, b_bad, "fista",
+                                 SolverConfig(tol=1e-8, max_iter=4000))
+    assert res.converged
+    energy = [np.linalg.norm(x[labels == k]) for k in range(15)]
+    assert int(np.argmax(energy)) == g
+
+
+def test_fista_restarts_exactly_when_momentum_points_uphill():
+    # a restart shows as t_prev = t = 1, and it comes exactly after the
+    # steps with (y - x) . (x - x_prev) > 0
+    P = synth.make_instance(synth.GenSpec(n=40, d=20, k=3, seed=1403,
+                                          noise_sigma=0.02))
+    lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
+    log = []
+    res = fista_solve(P, SolverConfig(lam=lam, tol=1e-10, max_iter=2000),
+                      observer=log.append)
+    assert res.converged
+    x_prev = np.zeros(P.n)
+    restarts = 0
+    for e in log:
+        restarted = e.state["t_prev"] == e.state["t"] == 1.0
+        uphill = float((e.state["y"] - e.x) @ (e.x - x_prev)) > 0.0
+        assert restarted == uphill
+        restarts += restarted and e.iteration > 1
+        x_prev = e.x
+    assert restarts >= 1
 
 
 @pytest.mark.invariant
