@@ -4,12 +4,15 @@ Both solvers target min ||x||_1 subject to A x = b. palm_solve attacks the
 primal with an outer multiplier loop whose inner subproblems are inexact
 accelerated shrinkage solves under a geometrically growing penalty.
 dalm_solve runs the three-step dual iteration (box projection, row-Gram
-least squares, multiplier update) with A A^T factored once per problem.
+least squares, multiplier update) on the orthonormalized rows
+R^{-T} A, built once per problem from the factor A A^T = R^T R, so that
+the least-squares step is a product and the loop never touches A.
 Rule of thumb: the dual solver wins when d is much smaller than n, the
 primal one when the dictionary is tall.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
@@ -18,7 +21,6 @@ from ell1.numerics import (chol_factor, project_box_linf, soft_threshold,
                            spectral_norm_sq)
 
 _INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
-_Y_REFINE_TOL = 1e-10  # relative residual contract of the dual y-step
 MU0 = 1.0              # starting penalty weight of the primal multiplier loops
 RHO = 2.0              # their per-outer-iteration penalty growth factor
 _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
@@ -66,6 +68,11 @@ def palm_solve(P, config, observer=None):
     eps ||b||, for _STALL_STEPS (10) outer steps (b outside the range of
     A), or a non-finite multiplier or residual, raises
     NumericalBreakdownError.
+    Set-up takes the step constant tau = 1.01 ||A||^2 from
+    numerics.spectral_norm_sq (Lanczos; 32 to 44 Gram products, each two
+    dictionary products, on a 200 x 500 Gaussian A) or from the
+    dictionary's own norm_sq. Each inner step takes 2 products, A y and
+    A^T (A y - b_eff), and each outer step 1 more, b - A x.
     """
     A, b = P.A, P.b
     n = P.n
@@ -116,61 +123,53 @@ def palm_solve(P, config, observer=None):
     return mon.result(x, it, converged)
 
 
-def _gram_factor(A):
-    """Row Gram A A^T and its Cholesky factor."""
+def _row_basis(A):
+    """Factor R of the row Gram A A^T = R^T R and the rows Q^T = R^{-T} A.
+
+    Q^T has orthonormal rows. It is taken through the adjoint, as
+    (A^T R^{-1})^T, so an implicit dictionary needs no dense form: two
+    dictionary products, the Gram and A^T R^{-1}.
+    """
     gram = A.gram_dd() if hasattr(A, "gram_dd") else A @ A.T
     try:
-        return gram, chol_factor(gram)
+        R = chol_factor(gram).R
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             "row Gram A A^T is not positive definite; the dual solver "
             "needs full row rank") from exc
-
-
-def dual_y_solve(chol, gram, beta, Az, Ax, b):
-    """Least-squares multiplier step of the dual iteration.
-
-    Solves beta G y = beta A z_next - (A x - b) through chol, the cached
-    factor of the row Gram G = A A^T, with one refinement pass. The caller
-    passes the products Az = A z_next and Ax = A x, and the residual is
-    measured against G itself, so the step takes no dictionary product.
-    The result is certified to relative residual 1e-10, or
-    IllConditionedError is raised; a non-finite residual fails the
-    certificate.
-    """
-    rhs = Az - (Ax - b) / beta
-    bound = _Y_REFINE_TOL * max(1.0, float(np.linalg.norm(rhs)))
-    y = chol.solve(rhs)
-    resid = rhs - gram @ y
-    res = float(np.linalg.norm(resid))
-    if np.isfinite(res) and res > bound:
-        y = y + chol.solve(resid)
-        res = float(np.linalg.norm(rhs - gram @ y))
-    if not res <= bound:
-        raise IllConditionedError(
-            "dual least-squares step failed its residual contract")
-    return y
+    R_inv = solve_triangular(R, np.eye(R.shape[0]))
+    return R, np.ascontiguousarray((A.T @ R_inv).T)
 
 
 def dalm_solve(P, config, observer=None):
     """Dual three-step iteration: project, least-squares, multiplier.
 
     Per iteration: z <- clamp(A^T y + x/beta) onto the unit l-inf ball,
-    y from the row-Gram least-squares step, then x <- x - beta (z - A^T y).
-    Each iteration takes three dictionary products, A z, A^T y and A x,
-    plus one solve with the factor of A A^T; A^T y and A x carry over to
-    the next iteration, and the y-step certificate uses the cached Gram.
-    Setup takes three more: A A^T and the products of the zero start.
+    y from the row-Gram least-squares step
+    beta A A^T y = beta A z - (A x - b), then x <- x - beta (z - A^T y).
+    Set-up factors A A^T = R^T R and builds the orthonormal rows
+    Q^T = R^{-T} A and u = R^{-T} b, so that A x = b is Q^T x = u and,
+    with v = R y, A^T y = Q v and the least-squares step is a product:
+    v = Q^T z - (Q^T x - u)/beta, and b'y = u'v. Each iteration takes
+    three products with Q^T (Q v, Q^T z and Q^T x) and one d x d product
+    with R^T for the residual R^T (u - Q^T x), and touches neither A nor
+    its Gram. Set-up takes two dictionary products (the Gram and
+    A^T R^{-1}) and a d x d triangular inverse; a non-finite Q^T or u
+    raises IllConditionedError.
     The penalty beta = ||b||_1 / d carries the units of x, so the
     iterates scale with b and the iteration count does not.
     Converges when ||b - A x|| <= config.tol ||b|| and the duality gap
     against the box-scaled multiplier, ||x||_1 - b'y / max(1, ||A'y||_inf),
     is within config.tol of zero relative to ||x||_1; by weak duality that
-    certifies the l1 value itself. The start point and every iteration
-    are recorded; an event's state holds y, z (inside the unit l-inf
-    ball) and x_prev, the x the iteration started from (x itself at the
-    start point). The stopping-rule kkt slot carries the relative primal
-    residual.
+    certifies the l1 value itself. The residual from Q^T x only screens:
+    an iteration that can end the solve (the screened test passes, the
+    budget is spent, or config.stopping is set) takes the product
+    b - A x, and records and tests that value. The start point and every
+    iteration are recorded; an event's state holds y (solved from v only
+    when an observer is set), z (inside the unit l-inf ball), Aty, the
+    A^T y = Q v the step used, and x_prev, the x the iteration started
+    from (x itself at the start point). The stopping-rule kkt slot carries
+    the relative primal residual.
     """
     A, b = P.A, P.b
     n = P.n
@@ -179,33 +178,37 @@ def dalm_solve(P, config, observer=None):
     if b_norm == 0.0:
         return mon.trivial(n)
     beta = float(np.sum(np.abs(b))) / P.d
-    gram, chol = _gram_factor(A)
-    x, y, z = np.zeros(n), np.zeros(P.d), np.zeros(n)
-    Aty = A.T @ y
-    Ax = A @ x
-    mon.record(0, 0.0, b_norm, x, y=y, z=z, x_prev=x)
+    R, Qt = _row_basis(A)
+    u = solve_triangular(R, b, trans="T")
+    if not (np.all(np.isfinite(Qt)) and np.all(np.isfinite(u))):
+        raise IllConditionedError(
+            "orthonormal row basis R^{-T} A or R^{-T} b is not finite")
+    x, z, Aty = np.zeros(n), np.zeros(n), np.zeros(n)
+    v, Qtx = np.zeros(P.d), np.zeros(P.d)
+    mon.record(0, 0.0, b_norm, x, y=v, z=z, x_prev=x, Aty=Aty)
     it = 0
     converged = False
     while it < config.max_iter:
         z = project_box_linf(Aty + x / beta)
-        Az = A @ z
-        y = dual_y_solve(chol, gram, beta, Az, Ax, b)
+        v = Qt @ z - (Qtx - u) / beta
         x_prev = x
-        Aty = A.T @ y
+        Aty = Qt.T @ v
         x = x_prev - beta * (z - Aty)
         it += 1
-        Ax = A @ x
-        r = b - Ax
-        res_norm = float(np.linalg.norm(r))
-        l1 = float(np.sum(np.abs(x)))
-        mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev)
-        rel = res_norm / b_norm
+        Qtx = Qt @ x
+        res_norm = float(np.linalg.norm(R.T @ (u - Qtx)))
+        l1 = float(np.abs(x).sum())
         # certified gap: y scaled into the dual box bounds the optimum
         # from below, so l1 minus the bound brackets the suboptimality
-        scale = max(1.0, float(np.max(np.abs(Aty))))
-        gap = l1 - float(b @ y) / scale
-        if ((rel <= config.tol and gap <= config.tol * l1)
-                or mon.rule_met(x, l1, rel)):
+        scale = max(1.0, float(np.abs(Aty).max()))
+        gap_ok = l1 - float(u @ v) / scale <= config.tol * l1
+        done = gap_ok and res_norm / b_norm <= config.tol
+        if done or it == config.max_iter or config.stopping is not None:
+            res_norm = float(np.linalg.norm(b - A @ x))
+            done = gap_ok and res_norm / b_norm <= config.tol
+        y = solve_triangular(R, v) if observer is not None else None
+        mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)
+        if done or mon.rule_met(x, l1, res_norm / b_norm):
             converged = True
             break
     if not converged and it >= config.max_iter:

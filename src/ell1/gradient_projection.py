@@ -143,11 +143,13 @@ def tnipm_solve(P, config, observer=None):
     iteration stops when the gap estimate 2n/t is below tol relative to
     the objective and the truncated iterate meets the kkt tolerance.
     Backtracking that cannot find a decreasing interior step raises
-    NumericalBreakdownError. PCG stops at relative residual PCG_TOL
-    (1e-4) or after as many steps as the dimension. Each iteration
-    records and tests its start point, truncated, before stepping, so the
-    first event is the start of the solve and the last one the returned
-    estimate; an event's state holds x_bar (the untruncated barrier
+    NumericalBreakdownError, unless the gap test held at the iterate it
+    started from: then that iterate is returned with converged=False and
+    a note, as the barrier weight has outgrown what roundoff can resolve.
+    PCG stops at relative residual PCG_TOL (1e-4) or after as many steps
+    as the dimension. Each iteration records and tests its start point,
+    truncated, before stepping, so the first event is the start of the
+    solve and the last one the returned estimate; an event's state holds x_bar (the untruncated barrier
     point), u (with |x_bar_i| < u_i) and t, the barrier weight of the step
     taken from it. Honors config.stopping.
     """
@@ -177,7 +179,8 @@ def tnipm_solve(P, config, observer=None):
         if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
             converged = True
             break
-        if 2.0 * n / t <= config.tol * (1.0 + obj):
+        gap_met = 2.0 * n / t <= config.tol * (1.0 + obj)
+        if gap_met:
             xt = truncate_small(x)
             ct = A.T @ (b - A @ xt)
             if kkt_from_correlation(xt, ct, lam) <= config.tol * lam:
@@ -198,6 +201,11 @@ def tnipm_solve(P, config, observer=None):
         decrement_sq = -(float(g_x @ dx) + float(bar.g_u @ du))
         Adx = A @ dx
         step = bar.backtrack(r, dx, du, decrement_sq, lambda s: r + s * Adx)
+        if step is None and gap_met:
+            # the barrier weight has outgrown roundoff: the iterate is as
+            # good as this search gets, so return it unconverged
+            mon.notes.append("barrier line search exhausted at t = %g" % t)
+            break
         if step is None:
             raise NumericalBreakdownError(
                 "barrier line search exhausted without an interior "

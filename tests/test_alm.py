@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from ell1 import bench, robust, synth
-from ell1.alm import MU0, RHO, dalm_solve, dual_y_solve, palm_solve
+from ell1 import alm, bench, robust, synth
+from ell1.alm import MU0, RHO, dalm_solve, palm_solve
 from ell1.exceptions import IllConditionedError, NumericalBreakdownError
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig, StoppingRule
-from ell1.numerics import CholFactor, chol_factor
+from ell1.numerics import CholFactor
 from ell1.pdipa import pdipa_solve
 
 
@@ -71,61 +71,80 @@ def test_palm_raises_when_b_is_outside_the_range_of_A():
         bench.solve_named("palm", P, SolverConfig(lam=0.1))
 
 
-# --- dual_y_solve ----------------------------------------------------------
+# --- the dual y-step, read from events --------------------------------------
+
+
+def _y_step_events(P):
+    """dalm's penalty and the events of its non-start iterations on P."""
+    events = []
+    dalm_solve(P, SolverConfig(tol=1e-8, max_iter=200),
+               observer=events.append)
+    return float(np.sum(np.abs(P.b))) / P.d, events[1:]
 
 
 def test_dual_y_identity_gram():
+    # with A A^T = I the least-squares step is the plain product
+    # y = A z - (A x_prev - b) / beta
     rng = np.random.default_rng(4)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    A = Q[:3, :]
-    x = rng.standard_normal(6)
-    b = rng.standard_normal(3)
-    z = np.clip(rng.standard_normal(6), -1.0, 1.0)
-    y = dual_y_solve(chol_factor(A @ A.T), A @ A.T, 2.0, A @ z, A @ x, b)
-    np.testing.assert_allclose(y, A @ z - (A @ x - b) / 2.0, atol=1e-12)
+    Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    A = Q[:6, :]
+    x0 = np.zeros(12)
+    x0[[1, 7]] = [1.5, -0.5]
+    P = ProblemInstance(A, A @ x0)
+    beta, events = _y_step_events(P)
+    assert len(events) >= 5
+    for e in events:
+        want = A @ e.state["z"] - (A @ e.state["x_prev"] - P.b) / beta
+        np.testing.assert_allclose(e.state["y"], want, atol=1e-12)
 
 
 def test_dual_y_matches_dense_solve():
     rng = np.random.default_rng(15)
+    checked = 0
     for _ in range(10):
         A = rng.standard_normal((2, 4))
-        x = rng.standard_normal(4)
-        b = rng.standard_normal(2)
-        z = np.clip(rng.standard_normal(4), -1.0, 1.0)
-        beta = float(rng.uniform(0.5, 3.0))
-        y = dual_y_solve(chol_factor(A @ A.T), A @ A.T, beta, A @ z, A @ x,
-                         b)
-        want = np.linalg.solve(beta * (A @ A.T),
-                               beta * (A @ z) - (A @ x - b))
-        np.testing.assert_allclose(y, want, rtol=1e-10, atol=1e-12)
+        P = ProblemInstance(A, A @ rng.standard_normal(4))
+        beta, events = _y_step_events(P)
+        for e in events:
+            z, x_prev = e.state["z"], e.state["x_prev"]
+            want = np.linalg.solve(beta * (A @ A.T),
+                                   beta * (A @ z) - (A @ x_prev - P.b))
+            np.testing.assert_allclose(e.state["y"], want, rtol=1e-10,
+                                       atol=1e-12)
+            checked += 1
+    assert checked >= 50
 
 
 def test_dual_y_beta_homogeneity():
+    # beta = ||b||_1 / d doubles with b, and so does x, so the y-step's
+    # (A x - b) / beta and with it y are unchanged
     rng = np.random.default_rng(16)
     A = rng.standard_normal((3, 7))
-    b = rng.standard_normal(3)
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    z = np.clip(rng.standard_normal(7), -1.0, 1.0)
-    chol = chol_factor(A @ A.T)
-    y1 = dual_y_solve(chol, A @ A.T, 1.0, A @ z, A @ x, b)
-    y2 = dual_y_solve(chol, A @ A.T, 2.0, A @ z, A @ x, b)
-    np.testing.assert_allclose(y1, y2, atol=1e-10)
+    x0 = np.zeros(7)
+    x0[[2, 5]] = [1.0, -2.0]
+    beta1, ev1 = _y_step_events(ProblemInstance(A, A @ x0))
+    beta2, ev2 = _y_step_events(ProblemInstance(A, 2.0 * (A @ x0)))
+    assert beta2 == 2.0 * beta1
+    assert len(ev1) == len(ev2) >= 5
+    for e1, e2 in zip(ev1, ev2):
+        np.testing.assert_allclose(e2.state["y"], e1.state["y"],
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(e2.x, 2.0 * e1.x, rtol=1e-10,
+                                   atol=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_y_steps_reject_non_finite_states():
-    A = np.array([[1.0, 1.0]])
-    b = np.array([1.0])
-    zero = np.zeros(2)
-    # a factor whose solve overflows: y = inf, so G y is NaN against a
-    # zero Gram and -inf against a unit one
-    tiny = CholFactor(np.array([[1e-170]]))
-    for gram in (np.zeros((1, 1)), np.ones((1, 1))):
-        with pytest.raises(IllConditionedError):
-            dual_y_solve(tiny, gram, 1.0, A @ zero, A @ zero, b)
+def test_y_steps_reject_non_finite_states(monkeypatch):
+    # u = R^{-T} b overflows: a tiny Gram factor against a huge b
+    P = ProblemInstance(np.array([[1e-10, 1e-10]]), np.array([1e300]))
     with pytest.raises(IllConditionedError):
-        dual_y_solve(chol_factor(A @ A.T), np.full((1, 1), np.nan), 1.0,
-                     A @ zero, A @ zero, b)
+        dalm_solve(P, SolverConfig())
+    # a factor whose inverse overflows makes the basis R^{-T} A non-finite
+    monkeypatch.setattr(alm, "chol_factor",
+                        lambda gram: CholFactor(np.array([[1e-310]])))
+    P = ProblemInstance(np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(IllConditionedError):
+        dalm_solve(P, SolverConfig())
 
 
 def test_dalm_rejects_rank_deficient_rows():
@@ -175,20 +194,40 @@ def test_dalm_recovers_dense_spike_regime():
     assert err <= 1e-3
 
 
-# setup: the row Gram plus A^T y and A x of the zero start
-_DALM_SETUP_PRODUCTS = 3
+# set-up: the row Gram and A^T R^{-1}; then one b - A x for the
+# certificate of the iteration that converges
+_DALM_A_PRODUCTS = 3
+
+
+def _count_basis_products(monkeypatch, counting_view):
+    """Make dalm's orthonormal row basis count its products; returns the
+    list that gets one counter per solve."""
+    counts = []
+    row_basis = alm._row_basis
+
+    def counting(A):
+        R, Qt = row_basis(A)
+        Qt, count = counting_view(Qt)
+        counts.append(count)
+        return R, Qt
+
+    monkeypatch.setattr(alm, "_row_basis", counting)
+    return counts
 
 
 @pytest.mark.parametrize("options, per_iter",
                          [({}, 3)])
-def test_dalm_products_per_iteration(options, per_iter, counting_view):
+def test_dalm_products_per_iteration(options, per_iter, counting_view,
+                                     monkeypatch):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     cfg = SolverConfig(tol=1e-7, max_iter=400, options=options)
     plain = dalm_solve(P, cfg)
     P.A, count = counting_view(P.A)
+    basis = _count_basis_products(monkeypatch, counting_view)
     res = dalm_solve(P, cfg)
-    assert res.iterations >= 50
-    assert count[0] <= per_iter * res.iterations + _DALM_SETUP_PRODUCTS
+    assert res.converged and res.iterations >= 50
+    assert count[0] == _DALM_A_PRODUCTS
+    assert len(basis) == 1 and basis[0][0] == per_iter * res.iterations
     assert np.array_equal(res.x_star, plain.x_star)
 
 
@@ -207,10 +246,12 @@ def test_cab_dalm_products_per_iteration(monkeypatch, counting_view):
 
     monkeypatch.setattr(robust.ExtendedDictionary, "__init__",
                         counting_init)
+    basis = _count_basis_products(monkeypatch, counting_view)
     x, e, res = robust.cab_solve(P.A, b_bad, "dalm", cfg)
-    assert len(counts) == 1
-    assert res.iterations >= 50
-    assert counts[0][0] <= 3 * res.iterations + _DALM_SETUP_PRODUCTS
+    assert len(counts) == 1 and len(basis) == 1
+    assert res.converged and res.iterations >= 50
+    assert counts[0][0] == _DALM_A_PRODUCTS
+    assert basis[0][0] == 3 * res.iterations
     assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
 
 
@@ -265,12 +306,17 @@ def test_dalm_step_identities_hold_every_iteration():
         assert res.converged
         for e in events[1:]:  # the first event is the start point
             z, y, x_prev = e.state["z"], e.state["y"], e.state["x_prev"]
+            Aty = e.state["Aty"]
             assert float(np.max(np.abs(z))) <= 1.0
             rhs = A @ z - (A @ x_prev - b) / beta
             resid = rhs - A @ (A.T @ y)
             scale = max(1.0, float(np.linalg.norm(rhs)))
             assert float(np.linalg.norm(resid)) <= 1e-10 * scale
-            recomputed = x_prev - beta * (z - A.T @ y)
+            # the step used A^T y as Q v, which must be A^T y itself
+            Aty_direct = A.T @ y
+            assert (float(np.linalg.norm(Aty - Aty_direct))
+                    <= 1e-12 * max(1.0, float(np.linalg.norm(Aty_direct))))
+            recomputed = x_prev - beta * (z - Aty)
             assert np.array_equal(e.x, recomputed)
             checked += 1
     assert checked >= 100

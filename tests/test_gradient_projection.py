@@ -290,6 +290,22 @@ def test_tnipm_broken_inner_solve_raises(monkeypatch):
         tnipm_solve(P, SolverConfig(max_iter=10))
 
 
+def test_tnipm_keeps_a_nearly_solved_iterate_when_the_search_fails():
+    # the benchmark's gauss-clean instance trial_seed(2004, 1, 8): the gap
+    # test has held for long when, at t = 6e19, the line search finds no
+    # decrease; that must not throw the iterate away
+    s = synth.trial_seed(2004, 1, 8)
+    A = synth.gen_gaussian_dict(200, 500, s)
+    x0 = np.sqrt(20) * synth.gen_sparse_signal(500, 20, s)
+    P = ProblemInstance(A, A @ x0)
+    lam = 1e-4 * float(np.max(np.abs(A.T @ P.b)))
+    res = tnipm_solve(P, SolverConfig(lam=lam, tol=1e-6, max_iter=5000))
+    assert res.iterations < 5000
+    assert np.linalg.norm(res.x_star - x0) <= 1e-3 * np.linalg.norm(x0)
+    assert res.converged == (kkt_residual(res.x_star, P, lam)
+                             <= 1e-6 * lam)
+
+
 # --- invariants ------------------------------------------------------------
 
 
