@@ -17,8 +17,8 @@ from scipy.linalg import solve_triangular
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.model import Monitor
-from ell1.numerics import (chol_factor, project_box_linf, soft_threshold,
-                           spectral_norm_sq)
+from ell1.numerics import chol_factor, project_box_linf, soft_threshold
+from ell1.operators import as_operator
 
 _INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
 MU0 = 1.0              # starting penalty weight of the primal multiplier loops
@@ -27,20 +27,20 @@ _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 _STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
 
 
-def _inner_shrinkage(A, x, b_eff, shrink, tau, tol_rel, cap):
-    """Accelerated proximal descent on tau/2-scaled penalty least squares.
+def _inner_shrinkage(D, x, b_eff, shrink, tau, tol_rel, cap):
+    """Accelerated proximal descent on 1/2 ||D x - b_eff||^2 + c ||x||_1.
 
-    Minimizes shrink*tau*||x||_1/tau ... concretely: the l1 weight of the
-    subproblem is shrink*tau and the gradient step length 1/tau. Stops on
-    relative iterate change <= tol_rel or after cap steps. Returns the new
-    iterate and the number of steps taken (at least one).
+    From x, prox-gradient steps of length 1/tau and threshold shrink (so
+    c = shrink * tau) under the accelerated t-sequence. Stops on relative
+    iterate change <= tol_rel or after cap steps. Returns the new iterate
+    and the number of steps taken (at least one).
     """
     t_prev = 1.0
     x_prev = x
     y_vec = x
     steps = 0
     for _ in range(cap):
-        grad = A.T @ (A @ y_vec - b_eff)
+        grad = D.adjoint(D.apply(y_vec) - b_eff)
         x_new = soft_threshold(y_vec - grad / tau, shrink)
         steps += 1
         t_new = 0.5 * (1.0 + np.sqrt(4.0 * t_prev * t_prev + 1.0))
@@ -68,23 +68,20 @@ def palm_solve(P, config, observer=None):
     eps ||b||, for _STALL_STEPS (10) outer steps (b outside the range of
     A), or a non-finite multiplier or residual, raises
     NumericalBreakdownError.
-    Set-up takes the step constant tau = 1.01 ||A||^2 from
-    numerics.spectral_norm_sq (Lanczos; 32 to 44 Gram products, each two
-    dictionary products, on a 200 x 500 Gaussian A) or from the
-    dictionary's own norm_sq. Each inner step takes 2 products, A y and
+    Set-up takes the step constant tau = 1.01 ||A||^2 from the
+    dictionary's norm_sq (for a matrix, numerics.spectral_norm_sq:
+    Lanczos, 32 to 44 Gram products, each two dictionary products, on a
+    200 x 500 Gaussian A). Each inner step takes 2 products, A y and
     A^T (A y - b_eff), and each outer step 1 more, b - A x.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return mon.trivial(n)
     mu = MU0
-    if hasattr(A, "norm_sq"):
-        tau = 1.01 * A.norm_sq()
-    else:
-        tau = 1.01 * spectral_norm_sq(A)
+    tau = 1.01 * D.norm_sq()
     x = np.zeros(n)
     y = np.zeros(P.d)
     mon.record(0, 0.0, b_norm, x, mu=mu)
@@ -96,11 +93,11 @@ def palm_solve(P, config, observer=None):
         # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
         # 1/mu so the gradient step keeps the 1/tau length
         b_eff = b + y / mu
-        x, steps = _inner_shrinkage(A, x, b_eff, 1.0 / (mu * tau), tau,
+        x, steps = _inner_shrinkage(D, x, b_eff, 1.0 / (mu * tau), tau,
                                     1e-2 / mu, min(_INNER_CAP,
                                                    config.max_iter - it))
         it += steps
-        r = b - A @ x
+        r = b - D.apply(x)
         res_norm = float(np.linalg.norm(r))
         y = y + mu * r
         if not (np.isfinite(res_norm) and np.all(np.isfinite(y))):
@@ -123,22 +120,21 @@ def palm_solve(P, config, observer=None):
     return mon.result(x, it, converged)
 
 
-def _row_basis(A):
+def _row_basis(D):
     """Factor R of the row Gram A A^T = R^T R and the rows Q^T = R^{-T} A.
 
-    Q^T has orthonormal rows. It is taken through the adjoint, as
-    (A^T R^{-1})^T, so an implicit dictionary needs no dense form: two
-    dictionary products, the Gram and A^T R^{-1}.
+    Q^T has orthonormal rows. It is taken through the adjoint of the
+    operator D, as (A^T R^{-1})^T, so an implicit dictionary needs no
+    dense form: two dictionary products, the Gram and A^T R^{-1}.
     """
-    gram = A.gram_dd() if hasattr(A, "gram_dd") else A @ A.T
     try:
-        R = chol_factor(gram).R
+        R = chol_factor(D.gram_dd()).R
     except NotPositiveDefiniteError as exc:
         raise IllConditionedError(
             "row Gram A A^T is not positive definite; the dual solver "
             "needs full row rank") from exc
     R_inv = solve_triangular(R, np.eye(R.shape[0]))
-    return R, np.ascontiguousarray((A.T @ R_inv).T)
+    return R, np.ascontiguousarray(D.adjoint(R_inv).T)
 
 
 def dalm_solve(P, config, observer=None):
@@ -171,14 +167,14 @@ def dalm_solve(P, config, observer=None):
     from (x itself at the start point). The stopping-rule kkt slot carries
     the relative primal residual.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return mon.trivial(n)
     beta = float(np.sum(np.abs(b))) / P.d
-    R, Qt = _row_basis(A)
+    R, Qt = _row_basis(D)
     u = solve_triangular(R, b, trans="T")
     if not (np.all(np.isfinite(Qt)) and np.all(np.isfinite(u))):
         raise IllConditionedError(
@@ -204,7 +200,7 @@ def dalm_solve(P, config, observer=None):
         gap_ok = l1 - float(u @ v) / scale <= config.tol * l1
         done = gap_ok and res_norm / b_norm <= config.tol
         if done or it == config.max_iter or config.stopping is not None:
-            res_norm = float(np.linalg.norm(b - A @ x))
+            res_norm = float(np.linalg.norm(b - D.apply(x)))
             done = gap_ok and res_norm / b_norm <= config.tol
         y = solve_triangular(R, v) if observer is not None else None
         mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)

@@ -29,24 +29,23 @@ from ell1.synth import (GenSpec, RNG_NAME, add_noise, corrupt_entries,
                         gen_bouquet_dict, gen_gaussian_dict,
                         gen_sparse_signal, make_instance, trial_seed)
 
-# One row per solver: its form ("equality" or "penalized"), whether it
-# runs on an implicit dictionary such as cab_solve's [A, sI] (tnipm forms
-# A * A), and its entry (P, config) -> SolverResult. Every solver takes
-# its weight from config.lam; the entry calls it through this module's
-# global name, looked up at call time, so that patching that name reaches
-# every caller.
-SolverRow = namedtuple("SolverRow", "form implicit entry")
+# One row per solver: its form ("equality" or "penalized") and its entry
+# (P, config) -> SolverResult. Every solver takes its weight from
+# config.lam and runs on a matrix or a dictionary operator, such as
+# cab_solve's [A, sI]; the entry calls it through this module's global
+# name, looked up at call time, so that patching that name reaches every
+# caller.
+SolverRow = namedtuple("SolverRow", "form entry")
 
 SOLVERS = {
-    "pdipa": SolverRow("equality", True, lambda P, c: pdipa_solve(P, c)),
-    "homotopy": SolverRow("penalized", True,
-                          lambda P, c: homotopy_solve(P, c)),
-    "gpsr": SolverRow("penalized", True, lambda P, c: gpsr_solve(P, c)),
-    "tnipm": SolverRow("penalized", False, lambda P, c: tnipm_solve(P, c)),
-    "ist": SolverRow("penalized", True, lambda P, c: ist_solve(P, c)),
-    "fista": SolverRow("penalized", True, lambda P, c: fista_solve(P, c)),
-    "palm": SolverRow("equality", True, lambda P, c: palm_solve(P, c)),
-    "dalm": SolverRow("equality", True, lambda P, c: dalm_solve(P, c)),
+    "pdipa": SolverRow("equality", lambda P, c: pdipa_solve(P, c)),
+    "homotopy": SolverRow("penalized", lambda P, c: homotopy_solve(P, c)),
+    "gpsr": SolverRow("penalized", lambda P, c: gpsr_solve(P, c)),
+    "tnipm": SolverRow("penalized", lambda P, c: tnipm_solve(P, c)),
+    "ist": SolverRow("penalized", lambda P, c: ist_solve(P, c)),
+    "fista": SolverRow("penalized", lambda P, c: fista_solve(P, c)),
+    "palm": SolverRow("equality", lambda P, c: palm_solve(P, c)),
+    "dalm": SolverRow("equality", lambda P, c: dalm_solve(P, c)),
 }
 SOLVER_NAMES = tuple(SOLVERS)  # the eight solvers, without aliases
 SOLVERS["gp"] = SOLVERS["gpsr"]  # short name of GPSR
@@ -56,13 +55,6 @@ SOLVERS["gp"] = SOLVERS["gpsr"]  # short name of GPSR
 # small enough that the shrinkage bias sits well under the success
 # tolerance, large enough that first-order solvers still converge fast
 _PHASE_LAM_REL = 1e-4
-
-
-def solver_names(implicit=False):
-    """Every accepted solver name; with implicit=True only those whose
-    solver runs on an implicit dictionary."""
-    return tuple(name for name, row in SOLVERS.items()
-                 if row.implicit or not implicit)
 
 
 def solve_named(name, P, config):

@@ -23,7 +23,7 @@ import numpy as np
 from ell1.bench import (SOLVERS, PhaseGrid, SweepResult,
                         interpolate_success_contour, phase_contour_svg,
                         phase_grid_to_csv, run_noise_sweep, run_phase_grid,
-                        solve_named, solver_names, sweep_svg, sweep_to_csv,
+                        solve_named, sweep_svg, sweep_to_csv,
                         write_summary_json)
 from ell1.exceptions import NumericalError
 from ell1.model import (ProblemInstance, SolverConfig, kkt_from_correlation,
@@ -470,7 +470,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     sp = subs.add_parser("solve", help="run one solver on a CSV instance")
-    sp.add_argument("--algo", choices=solver_names(), default="fista")
+    sp.add_argument("--algo", choices=tuple(SOLVERS), default="fista")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--rhs", required=True)
     _add_config_flags(sp)
@@ -491,7 +491,7 @@ def build_parser():
 
     sp = subs.add_parser("phase", help="success-rate grid over sparsity "
                                        "and sampling rates")
-    sp.add_argument("--algo", choices=solver_names(), required=True)
+    sp.add_argument("--algo", choices=tuple(SOLVERS), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--grid", required=True,
                     help="RxC cell counts, e.g. 16x16")
@@ -532,8 +532,7 @@ def build_parser():
 
     sp = subs.add_parser("cab", help="split a CSV instance into sparse "
                                      "signal plus sparse corruption")
-    sp.add_argument("--algo", choices=solver_names(implicit=True),
-                    default="homotopy")
+    sp.add_argument("--algo", choices=tuple(SOLVERS), default="homotopy")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--rhs", required=True)
     _add_config_flags(sp)

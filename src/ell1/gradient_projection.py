@@ -16,6 +16,7 @@ import numpy as np
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, kkt_from_correlation
 from ell1.numerics import BoxBarrier, pcg_solve, truncate_small
+from ell1.operators import as_operator
 from ell1.shrinkage import default_schedule
 
 _ALPHA_CAP = 1e8
@@ -52,9 +53,10 @@ def _bb_step(ss, curvature):
 def gpsr_step_size(g, A):
     """Exact minimizer of the split quadratic along -g, capped when flat.
 
-    The split Hessian is never formed. With g = [g_plus; g_minus] its
-    quadratic form collapses to ||A (g_plus - g_minus)||^2, one matvec.
-    Curvature at or below 1e-14 relative to ||g||^2 returns the cap 1e8.
+    A is a matrix or a dictionary operator. The split Hessian is never
+    formed. With g = [g_plus; g_minus] its quadratic form collapses to
+    ||A (g_plus - g_minus)||^2, one product. Curvature at or below 1e-14
+    relative to ||g||^2 returns the cap 1e8.
     """
     g = np.ascontiguousarray(g, dtype=np.float64)
     if g.ndim != 1 or g.shape[0] % 2:
@@ -63,7 +65,7 @@ def gpsr_step_size(g, A):
     if gg == 0.0:
         raise ValueError("g must be nonzero")
     n = g.shape[0] // 2
-    Av = A @ (g[:n] - g[n:])
+    Av = as_operator(A).apply(g[:n] - g[n:])
     return _bb_step(gg, float(Av @ Av))
 
 
@@ -80,9 +82,9 @@ def gpsr_solve(P, config, observer=None):
     state holds z. config.stopping sees only the last stage, whose weight
     is lam.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
-    Atb = A.T @ b
+    Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
     mon = Monitor(config, b, P.ground_truth, observer)
     if float(np.max(np.abs(Atb))) == 0.0:
@@ -104,23 +106,23 @@ def gpsr_solve(P, config, observer=None):
                and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
             grad = np.concatenate([grad_x + lam_s, lam_s - grad_x])
             if alpha is None:
-                alpha = gpsr_step_size(gpsr_direction(z, grad), A)
+                alpha = gpsr_step_size(gpsr_direction(z, grad), D)
             delta = np.maximum(z - alpha * grad, 0.0) - z
             dd = float(delta @ delta)
             if dd == 0.0:  # a fixed point of the projection
                 mon.notes.append("zero projected step at lambda %g" % lam_s)
                 break
-            Adx = A @ (delta[:n] - delta[n:])
+            Adx = D.apply(delta[:n] - delta[n:])
             gamma = float(Adx @ Adx)
             step = min(-float(grad @ delta) / gamma, 1.0) if gamma else 1.0
             it += 1
             z = z + step * delta
             x = z[:n] - z[n:]
             if it % _REFRESH_EVERY == 0:
-                r = A @ x - b
+                r = D.apply(x) - b
             else:
                 r = r + step * Adx
-            grad_x = A.T @ r
+            grad_x = D.adjoint(r)
             alpha = _bb_step(dd, gamma)
             rr = float(r @ r)
             F_cur = 0.5 * rr + lam_s * float(np.sum(np.abs(x)))
@@ -153,9 +155,9 @@ def tnipm_solve(P, config, observer=None):
     point), u (with |x_bar_i| < u_i) and t, the barrier weight of the step
     taken from it. Honors config.stopping.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
-    Atb = A.T @ b
+    Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
     mon = Monitor(config, b, P.ground_truth, observer)
     if float(np.max(np.abs(Atb))) == 0.0:
@@ -163,7 +165,7 @@ def tnipm_solve(P, config, observer=None):
     if not lam > 0:
         raise ValueError("lambda must be positive")
 
-    col_sq = np.sum(A * A, axis=0)
+    col_sq = D.column_norms_sq()
     x = np.zeros(n)
     u = np.ones(n)
     t = 1.0 / lam
@@ -171,8 +173,8 @@ def tnipm_solve(P, config, observer=None):
     converged = False
     pcg_capped = 0
     while True:
-        r = A @ x - b
-        Ar = A.T @ r
+        r = D.apply(x) - b
+        Ar = D.adjoint(r)
         obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
         mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x), lam,
                    x_bar=x, u=u, t=t)
@@ -182,7 +184,7 @@ def tnipm_solve(P, config, observer=None):
         gap_met = 2.0 * n / t <= config.tol * (1.0 + obj)
         if gap_met:
             xt = truncate_small(x)
-            ct = A.T @ (b - A @ xt)
+            ct = D.adjoint(b - D.apply(xt))
             if kkt_from_correlation(xt, ct, lam) <= config.tol * lam:
                 converged = True
                 break
@@ -191,7 +193,7 @@ def tnipm_solve(P, config, observer=None):
         bar = BoxBarrier(x, u, t, lam)
         g_x = t * Ar + bar.g_bar
         d_red = bar.d_red
-        op = lambda v: t * (A.T @ (A @ v)) + d_red * v
+        op = lambda v: t * D.adjoint(D.apply(v)) + d_red * v
         sol = pcg_solve(op, bar.reduced_rhs(g_x), precond=t * col_sq + d_red,
                         tol=PCG_TOL)
         if not sol.converged:
@@ -199,7 +201,7 @@ def tnipm_solve(P, config, observer=None):
         dx = sol.x
         du = bar.bound_step(dx)
         decrement_sq = -(float(g_x @ dx) + float(bar.g_u @ du))
-        Adx = A @ dx
+        Adx = D.apply(dx)
         step = bar.backtrack(r, dx, du, decrement_sq, lambda s: r + s * Adx)
         if step is None and gap_met:
             # the barrier weight has outgrown roundoff: the iterate is as

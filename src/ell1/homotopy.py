@@ -13,14 +13,10 @@ import numpy as np
 from ell1 import numerics
 from ell1.exceptions import DegenerateSupportError, NotPositiveDefiniteError
 from ell1.model import Monitor, kkt_from_correlation
-from ell1.operators import DenseDictionary
+from ell1.operators import as_operator
 
 _TIE = 1e-12          # gamma tie window relative to lambda; removal wins in it
 _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
-
-
-def _as_dictionary(A):
-    return A if hasattr(A, "adjoint") else DenseDictionary(A)
 
 
 def _solve_direction(chol, D, support, sgn):
@@ -36,9 +32,7 @@ def _solve_direction(chol, D, support, sgn):
     if np.linalg.norm(gram_d - sgn) <= tol:
         return d_I, chol
     # drifted or singular: dense refactorization
-    G = np.empty((len(support), len(support)))
-    for col, j in enumerate(support):
-        G[:, col] = D.gram_column(support, j)
+    G = _support_gram(D, support)
     try:
         fresh = numerics.chol_factor(G)
     except NotPositiveDefiniteError as exc:
@@ -79,10 +73,16 @@ def _gammas(lam, c, x, d, w, support_mask):
     return gamma_plus, i_plus, gamma_minus, i_minus
 
 
-def _ridge_factor(D, support, notes):
+def _support_gram(D, support):
+    """The active-set Gram D_I^T D_I, one column per support entry."""
     G = np.empty((len(support), len(support)))
     for col, j in enumerate(support):
         G[:, col] = D.gram_column(support, j)
+    return G
+
+
+def _ridge_factor(D, support, notes):
+    G = _support_gram(D, support)
     G[np.diag_indices_from(G)] += 1e-12 * max(np.trace(G), 1.0)
     if "ridge-regularized gram" not in notes:
         notes.append("ridge-regularized gram")
@@ -92,17 +92,16 @@ def _ridge_factor(D, support, notes):
 def homotopy_solve(P, config, observer=None):
     """Run the path of instance P down to config's weight.
 
-    P.A is a dense matrix or a dictionary operator. Each loop pass handles
-    one breakpoint and records it; budget exhaustion returns the best
-    iterate unconverged. An event's weight is the path weight at its
-    breakpoint and its state holds support (the active columns, in factor
-    order), c (the correlations A^T (b - A x)) and chol (the maintained
-    factor of the active-set Gram). config.stopping is checked at every
-    breakpoint, with the kkt residual at the target weight in its kkt
-    slot. config.lam = 0 follows the path to the equality-constrained
-    solution.
+    Each loop pass handles one breakpoint and records it; budget
+    exhaustion returns the best iterate unconverged. An event's weight is
+    the path weight at its breakpoint and its state holds support (the
+    active columns, in factor order), c (the correlations A^T (b - A x))
+    and chol (the maintained factor of the active-set Gram).
+    config.stopping is checked at every breakpoint, with the kkt residual
+    at the target weight in its kkt slot. config.lam = 0 follows the path
+    to the equality-constrained solution.
     """
-    D = _as_dictionary(P.A)
+    D = as_operator(P.A)
     b = P.b
     c = D.adjoint(b)
     target_lambda = config.resolved_lambda(c)

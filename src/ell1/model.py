@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ell1.operators import is_operator
+
 TraceEntry = namedtuple("TraceEntry", "iteration objective residual_norm support_size")
 
 
@@ -52,8 +54,10 @@ class StoppingRule:
 
 @dataclass
 class ProblemInstance:
-    """Dense instance: measurement matrix A (d x n), observation b (d,).
+    """Instance: dictionary A (d x n), observation b (d,).
 
+    A is a matrix or a dictionary operator (operators.is_operator), which
+    is kept as it is; a matrix is checked to be finite, and b always is.
     ground_truth and noise_sigma are optional bookkeeping for synthetic
     instances; solvers never read them.
     """
@@ -64,14 +68,18 @@ class ProblemInstance:
     noise_sigma: float = None
 
     def __post_init__(self):
-        self.A = np.ascontiguousarray(self.A, dtype=np.float64)
+        operator = is_operator(self.A)
+        if not operator:
+            self.A = np.ascontiguousarray(self.A, dtype=np.float64)
+            if self.A.ndim != 2:
+                raise ValueError("A must be a matrix, got shape %r"
+                                 % (self.A.shape,))
         self.b = np.ascontiguousarray(self.b, dtype=np.float64)
-        if self.A.ndim != 2:
-            raise ValueError("A must be a matrix, got shape %r" % (self.A.shape,))
         if self.b.ndim != 1 or self.b.shape[0] != self.A.shape[0]:
             raise ValueError("b must be a vector of length %d, got shape %r"
                              % (self.A.shape[0], self.b.shape))
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.b))):
+        if not (np.all(np.isfinite(self.b))
+                and (operator or np.all(np.isfinite(self.A)))):
             raise ValueError("A and b must be finite")
         if self.ground_truth is not None:
             self.ground_truth = np.ascontiguousarray(self.ground_truth,

@@ -1,8 +1,10 @@
 """Dictionary operators.
 
-Solvers touch the measurement matrix only through this interface so the
-robust variants can swap in structured dictionaries (the [A, I] extension)
-whose identity blocks are never materialized.
+Every solver calls as_operator(P.A) once and then touches the dictionary
+only through the operator protocol: apply (D w), adjoint (D^T r),
+norm_sq, gram_dd, weighted_gram_dd, column_norms_sq and the path solver's
+apply_columns, columns_dot and gram_column. DenseDictionary implements it
+for a matrix, robust.ExtendedDictionary for the implicit [A, I].
 """
 
 import numpy as np
@@ -10,14 +12,24 @@ import numpy as np
 from ell1 import numerics
 
 
+def is_operator(A):
+    """Whether A already implements the operator protocol."""
+    return hasattr(A, "adjoint")
+
+
+def as_operator(A):
+    """A itself when it is an operator, else A wrapped in DenseDictionary."""
+    return A if is_operator(A) else DenseDictionary(A)
+
+
 class DenseDictionary:
     """Explicit dense dictionary D of shape (d, N)."""
 
     def __init__(self, A):
-        self.A = np.ascontiguousarray(A, dtype=np.float64)
+        # keeps an ndarray subclass, so a counting view sees the products
+        self.A = np.require(A, np.float64, "C")
         if self.A.ndim != 2:
             raise ValueError("dictionary must be a matrix")
-        self._norm_sq = None
 
     @property
     def shape(self):
@@ -35,9 +47,6 @@ class DenseDictionary:
     def columns_dot(self, idx, v):
         return self.A[:, idx].T @ v
 
-    def column(self, j):
-        return self.A[:, j]
-
     def gram_column(self, idx, j):
         return self.A[:, idx].T @ self.A[:, j]
 
@@ -45,10 +54,8 @@ class DenseDictionary:
         return np.sum(self.A * self.A, axis=0)
 
     def norm_sq(self):
-        """Largest eigenvalue of D^T D (cached)."""
-        if self._norm_sq is None:
-            self._norm_sq = numerics.spectral_norm_sq(self.A)
-        return self._norm_sq
+        """Largest eigenvalue of D^T D."""
+        return numerics.spectral_norm_sq(self.A)
 
     def weighted_gram_dd(self, w):
         """D diag(w) D^T as a dense (d, d) matrix."""

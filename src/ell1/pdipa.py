@@ -12,6 +12,7 @@ import numpy as np
 from ell1 import numerics
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
 from ell1.model import Monitor
+from ell1.operators import as_operator
 
 _SIGMA = 0.1      # centering: target a tenth of the current duality measure
 _FEAS_TOL = 1e-8
@@ -50,8 +51,8 @@ def pdipa_solve(P, config, observer=None):
     z (> 0) and mu = v'z / (2n). The stopping-rule kkt slot carries the
     relative primal residual ||b - A x|| / ||b||.
     """
-    A, b = P.A, P.b
-    d, n = A.shape
+    D, b = as_operator(P.A), P.b
+    d, n = D.shape
     mon = Monitor(config, b, P.ground_truth, observer)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -68,10 +69,10 @@ def pdipa_solve(P, config, observer=None):
     gap_tol = min(config.tol, _GAP_TOL)
 
     def apply_ext(u):
-        return A @ (u[:n] - u[n:])
+        return D.apply(u[:n] - u[n:])
 
     def adjoint_ext(v):
-        Atv = A.T @ v
+        Atv = D.adjoint(v)
         return np.concatenate([Atv, -Atv])
 
     converged = False
@@ -96,13 +97,8 @@ def pdipa_solve(P, config, observer=None):
         mu_hat = _SIGMA * mu
         rc = mu_hat - x * z
         w = x / z
-        # [A,-A] folds onto one d x d block; structured dictionaries
-        # supply the weighted row Gram without materializing columns
-        wsum = w[:n] + w[n:]
-        if hasattr(A, "weighted_gram_dd"):
-            M = A.weighted_gram_dd(wsum)
-        else:
-            M = (A * wsum) @ A.T
+        # [A,-A] folds onto one d x d block
+        M = D.weighted_gram_dd(w[:n] + w[n:])
         try:
             dx, dy, dz = _eliminate(x, z, rp, rd, rc, apply_ext, adjoint_ext, M)
         except IllConditionedError:

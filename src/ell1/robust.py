@@ -1,10 +1,11 @@
 """Corruption-aware solving: extended dictionaries and alignment problems.
 
 ExtendedDictionary is the implicit horizontal stack [A, s I] that lets any
-of the solver families absorb gross corruption into an identity block
-without ever materializing the d x (n + d) matrix. cab_solve routes one
-extended instance through a chosen backend and splits the answer into the
-signal and corruption parts.
+of the eight solvers absorb gross corruption into an identity block
+without ever materializing the d x (n + d) matrix: it implements the
+operator protocol of operators.py. cab_solve routes one extended instance
+through a chosen solver and splits the answer into the signal and
+corruption parts.
 
 AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ell1.alm import MU0, RHO
+from ell1.alm import _STALL_FLOOR, MU0, RHO
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
@@ -59,22 +60,22 @@ class ExtendedDictionary:
 
     Signal columns come from A, corruption columns are scaled identity
     basis vectors; every product is assembled from the two blocks, so the
-    stacked matrix never exists in memory. Supports both the column-level
-    protocol of the path solver and matmul-style products (including .T)
-    for the first-order solvers, plus the structured row-Gram hooks the
-    interior-point and multiplier solvers look for.
+    stacked matrix never exists in memory. Implements the operator
+    protocol the solvers use (operators.py), with the row Grams and the
+    spectral norm taken from A alone. Matmul-style products (D @ w and
+    D.T @ r) serve model.objective, model.kkt_residual and the CLI
+    certificate. A must be finite.
     """
-
-    mode = "cab"
 
     def __init__(self, A, identity_scale=1.0):
         self.A = np.ascontiguousarray(A, dtype=np.float64)
         if self.A.ndim != 2:
             raise ValueError("dictionary must be a matrix")
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A must be finite")
         if not identity_scale > 0:
             raise ValueError("identity_scale must be positive")
         self.scale = float(identity_scale)
-        self._norm_sq = None
 
     @property
     def shape(self):
@@ -138,9 +139,7 @@ class ExtendedDictionary:
 
     def norm_sq(self):
         # rows of [A, sI] give A A^T + s^2 I, so the top eigenvalue shifts
-        if self._norm_sq is None:
-            self._norm_sq = spectral_norm_sq(self.A) + self.scale ** 2
-        return self._norm_sq
+        return spectral_norm_sq(self.A) + self.scale ** 2
 
     def weighted_gram_dd(self, w):
         d, n = self.A.shape
@@ -155,53 +154,29 @@ class ExtendedDictionary:
         return M
 
 
-class _OperatorProblem:
-    """Problem shim whose dictionary is an implicit operator."""
-
-    def __init__(self, op, b):
-        self.A = op
-        self.b = np.ascontiguousarray(b, dtype=np.float64)
-        self.ground_truth = None
-        self.noise_sigma = 0.0
-        if self.b.shape != (op.shape[0],):
-            raise ValueError("b must have length d")
-
-    @property
-    def d(self):
-        return self.A.shape[0]
-
-    @property
-    def n(self):
-        return self.A.shape[1]
-
-
 def _cab_problem(A, b, config):
     """The stacked system b = [A, sI] w with s = 1 / option "e_weight"."""
     e_weight = float(config.opt("e_weight", 1.0))
     if not e_weight > 0:
         raise ValueError("e_weight must be positive")
-    ext = ExtendedDictionary(A, identity_scale=1.0 / e_weight)
-    return _OperatorProblem(ext, b)
+    return ProblemInstance(
+        ExtendedDictionary(A, identity_scale=1.0 / e_weight), b)
 
 
 def cab_solve(A, b, solver, config):
     """Solve the corruption-extended system with the chosen backend.
 
     Builds the implicit [A, s I] dictionary and runs the named solver of
-    bench.SOLVERS on it; every solver that runs on an implicit dictionary
-    is a backend. The equality-form backends minimize the l1 norm of the
-    stacked vector subject to the extended system; the penalized backends
-    use config.lam (model default when unset), with homotopy following
-    its path down to that weight. Option "e_weight" (default 1) scales
-    the corruption penalty relative to the signal penalty. Returns
-    (x, e, record) where record is the backend's solver output on the
-    stacked variable.
+    bench.SOLVERS on it; every solver is a backend, and an unknown name
+    raises ValueError, as does a non-finite A or b. The equality-form
+    backends minimize the l1 norm of the stacked vector subject to the
+    extended system; the penalized backends use config.lam (model default
+    when unset), with homotopy following its path down to that weight.
+    Option "e_weight" (default 1) scales the corruption penalty relative
+    to the signal penalty. Returns (x, e, record) where record is the
+    backend's solver output on the stacked variable.
     """
     from ell1 import bench  # bench imports this module
-    backends = bench.solver_names(implicit=True)
-    if solver not in backends:
-        raise ValueError("unknown cab backend %r (choose from %s)"
-                         % (solver, ", ".join(backends)))
     prob = _cab_problem(A, b, config)
     res = bench.solve_named(solver, prob, config)
     n = prob.A.A.shape[1]
@@ -249,9 +224,13 @@ def _column_gram_factor(B):
 
 
 def _default_align_lambda(prob, gram):
+    """1e-2 times the peak least-squares residual, or 0 when that peak is
+    at roundoff, 1e3 eps max|b| or less: then b lies in range(B)."""
     w0 = gram.solve(prob.B.T @ prob.b)
     lam0 = float(np.max(np.abs(prob.b - prob.B @ w0)))
-    return 1e-2 * lam0
+    floor = _STALL_FLOOR * np.finfo(np.float64).eps * float(
+        np.max(np.abs(prob.b)))
+    return 1e-2 * lam0 if lam0 > floor else 0.0
 
 
 def _reduced_align_solve(prob, lam, config, solver):
@@ -262,8 +241,9 @@ def _reduced_align_solve(prob, lam, config, solver):
     penalized problem with dictionary Q2^T and data Q2^T b. solver, one of
     the package's penalized solvers, runs on it with config at weight
     lam; w then comes from the normal equations at the returned e.
-    lam=None uses 1e-2 times the peak least-squares residual. Returns
-    (w, e).
+    lam=None uses _default_align_lambda, and its zero weight, for b in
+    range(B) to roundoff, returns the exact least-squares fit with e = 0.
+    Returns (w, e).
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)

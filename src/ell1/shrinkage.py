@@ -12,7 +12,8 @@ import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, kkt_from_correlation
-from ell1.numerics import soft_threshold, spectral_norm_sq
+from ell1.numerics import soft_threshold
+from ell1.operators import as_operator
 
 _ALPHA_MIN = 1e-30
 _ALPHA_MAX = 1e30
@@ -85,10 +86,10 @@ def ist_solve(P, config, observer=None):
     weight and its state is empty. config.stopping sees only the last
     stage, whose weight is config's.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth, observer)
-    Atb = A.T @ b
+    Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
     if float(np.max(np.abs(Atb))) == 0.0:
         return mon.trivial(n, lam)
@@ -105,7 +106,7 @@ def ist_solve(P, config, observer=None):
                and kkt_from_correlation(x, -g, lam_s) > config.tol * lam_s):
             for _ in range(_MAX_DOUBLINGS):
                 cand = soft_threshold(x - g / alpha, lam_s / alpha)
-                Acand = A @ cand
+                Acand = D.apply(cand)
                 dF = objective_delta(x, cand, Ax, Acand, g, lam_s)
                 if dF < 0.0:
                     break
@@ -113,7 +114,7 @@ def ist_solve(P, config, observer=None):
             else:  # stalled: no step decreases the stage objective
                 break
             it += 1
-            g_new = A.T @ (Acand - b)
+            g_new = D.adjoint(Acand - b)
             alpha = bb_alpha(cand - x, g_new - g)
             x, Ax, g = cand, Acand, g_new
             resid = b - Ax
@@ -142,16 +143,15 @@ def fista_t_next(t):
     return t_next
 
 
-def _backtrack(y, L_prev, eta, lam, P, g_y, f_y):
+def _backtrack(y, L_prev, eta, lam, D, b, g_y, f_y):
     """Grow L by eta until the quadratic model majorizes F at the prox point.
 
-    Each trial takes one product, A x_next.
+    Each trial takes one product with the operator D, D x_next.
     """
-    A, b = P.A, P.b
     L = L_prev
     for _ in range(_MAX_BACKTRACK + 1):
         x_next = soft_threshold(y - g_y / L, lam / L)
-        r_next = A @ x_next - b
+        r_next = D.apply(x_next) - b
         l1 = lam * float(np.sum(np.abs(x_next)))
         F_next = 0.5 * float(r_next @ r_next) + l1
         delta = x_next - y
@@ -188,10 +188,10 @@ def fista_solve(P, config, observer=None):
     restart test reads only vectors already at hand. Set-up takes A^T b,
     plus the spectral norm when exact_L is set.
     """
-    A, b = P.A, P.b
+    D, b = as_operator(P.A), P.b
     n = P.n
     mon = Monitor(config, b, P.ground_truth, observer)
-    Atb = A.T @ b
+    Atb = D.adjoint(b)
     lam_bar = config.resolved_lambda(Atb)
     x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
@@ -204,8 +204,7 @@ def fista_solve(P, config, observer=None):
     exact_L = config.opt("exact_L", False)
     if exact_L:
         # tiny inflation keeps the majorization valid under roundoff
-        sn = A.norm_sq() if hasattr(A, "norm_sq") else spectral_norm_sq(A)
-        L = sn * (1.0 + 1e-9)
+        L = D.norm_sq() * (1.0 + 1e-9)
     lam = max(0.9 * Atb_max, lam_bar) \
         if config.opt("continuation", True) else lam_bar
 
@@ -224,15 +223,15 @@ def fista_solve(P, config, observer=None):
         g_y = g_x + c * (g_x - g_prev)
         if exact_L:
             x_next = soft_threshold(y - g_y / L, lam / L)
-            r_next = A @ x_next - b
+            r_next = D.apply(x_next) - b
             F_next = (0.5 * float(r_next @ r_next)
                       + lam * float(np.sum(np.abs(x_next))))
         else:
-            L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, P, g_y,
+            L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, D, b, g_y,
                                                    0.5 * float(r_y @ r_y))
         x_prev, x = x, x_next
         r_prev, r_x = r_x, r_next
-        g_prev, g_x = g_x, A.T @ r_next
+        g_prev, g_x = g_x, D.adjoint(r_next)
         if float((y - x) @ (x - x_prev)) > 0.0:
             # the momentum pointed uphill: keep the step, drop the momentum.
             # The next extrapolation weight (t_prev - 1) / t is then 0, so

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ell1.bench import SOLVERS, solver_names
+from ell1.bench import SOLVERS
 from ell1.cli import run
 
 
@@ -252,7 +252,7 @@ class TestCabCommand:
         x = np.asarray(payload["x"])
         assert np.linalg.norm(x - x0) <= 1e-2 * np.linalg.norm(x0)
 
-    @pytest.mark.parametrize("name", solver_names(implicit=True))
+    @pytest.mark.parametrize("name", tuple(SOLVERS))
     def test_every_implicit_name_runs(self, workdir, name):
         self.make_corrupted(workdir)
         rc = run(["cab", "--algo", name, "--matrix", "A.csv",
@@ -264,10 +264,15 @@ class TestCabCommand:
         equality = SOLVERS[name].form == "equality"
         assert (payload["lambda"] is None) == equality
 
-    def test_tnipm_is_no_backend(self, workdir):
+    def test_non_finite_rhs_is_a_usage_error(self, workdir, capsys):
         self.make_corrupted(workdir)
-        assert run(["cab", "--algo", "tnipm", "--matrix", "A.csv",
+        b = np.loadtxt(workdir / "b.csv", delimiter=",")
+        b[4] = np.inf
+        np.savetxt(workdir / "b.csv", b[:, None], fmt="%.17g", delimiter=",")
+        assert run(["cab", "--algo", "homotopy", "--matrix", "A.csv",
                     "--rhs", "b.csv", "--out", "c.json"]) == 2
+        assert "A and b must be finite" in capsys.readouterr().err
+        assert not (workdir / "c.json").exists()
 
     def test_zero_weight_reports_equality_fields(self, workdir):
         # as `solve` does: a zero weight is certified by the constraint
@@ -370,18 +375,19 @@ class TestAlignCommand:
         assert payload["objective"] == pytest.approx(np.sum(np.abs(e)))
         assert payload["kkt_residual"] <= 1e-10
 
-    def test_rhs_in_range_gp_fits_but_is_not_certified(self, workdir):
-        # the default weight is roundoff-sized at b = B w0, below what the
-        # optimality certificate can resolve, yet w is the exact fit
+    @pytest.mark.parametrize("algo", ["gp", "homotopy", "ist", "palm"])
+    def test_rhs_in_range_fits_exactly(self, workdir, algo):
+        # at b = B w0 the least-squares residual is roundoff, so the
+        # default weight is 0 and the exact fit is certified as such
         w0 = self.make_misaligned(workdir)
         B = np.loadtxt(workdir / "B.csv", delimiter=",")
         np.savetxt(workdir / "b.csv", (B @ w0)[:, None], fmt="%.17g",
                    delimiter=",")
-        rc = run(["align", "--algo", "gp", "--basis", "B.csv",
+        rc = run(["align", "--algo", algo, "--basis", "B.csv",
                   "--rhs", "b.csv", "--out", "a.json"])
-        assert rc == 1
+        assert rc == 0
         payload = json.loads((workdir / "a.json").read_text())
-        assert payload["converged"] is False
+        assert payload["converged"] is True
         w = np.asarray(payload["x"])
         assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ell1 import robust
+from ell1.bench import SOLVER_NAMES, solve_named
 from ell1.exceptions import IllConditionedError
 from ell1.model import SolverConfig, kkt_from_correlation
 from ell1.robust import (AlignmentProblem, ExtendedDictionary,
@@ -39,7 +40,6 @@ class TestExtendedDictionary:
         assert ext.shape == (8, 20)
         assert ext.T.shape == (20, 8)
         assert ext.T.T is ext
-        assert ext.mode == "cab"
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -121,15 +121,15 @@ class TestCabSolve:
         assert (res1.iterations, res1.converged) == (res2.iterations,
                                                      res2.converged)
 
-    def test_tnipm_is_no_backend(self):
-        # tnipm forms A * A, so it cannot run on the implicit [A, sI]
-        with pytest.raises(ValueError) as info:
-            cab_solve(np.eye(3), np.ones(3), "tnipm",
-                      SolverConfig(tol=1e-6, max_iter=10))
-        listed = str(info.value).split("choose from ")[1].rstrip(")")
-        assert sorted(listed.split(", ")) == sorted(
-            ["pdipa", "homotopy", "gpsr", "gp", "ist", "fista", "palm",
-             "dalm"])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("backend", SOLVER_NAMES)
+    def test_non_finite_input_rejected(self, backend, bad, where):
+        rng = np.random.default_rng(0)
+        A, b = rng.standard_normal((10, 20)), rng.standard_normal(10)
+        (A if where == "A" else b)[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cab_solve(A, b, backend, SolverConfig(tol=1e-6, max_iter=50))
 
     @pytest.mark.parametrize("backend", ["pdipa", "palm", "dalm"])
     def test_equality_backends_recover_exactly(self, backend):
@@ -141,11 +141,11 @@ class TestCabSolve:
         assert np.linalg.norm(e - e0) <= 1e-6 * max(np.linalg.norm(e0), 1.0)
 
     def test_penalized_backends_agree(self):
-        # same lambda, same optimum: the four penalized routes must meet
+        # same lambda, same optimum: the five penalized routes must meet
         A, x0, b_clean, b_bad, mask = corrupted_instance(3)
         cfg = SolverConfig(tol=1e-10, max_iter=8000)
         answers = [cab_solve(A, b_bad, name, cfg)
-                   for name in ("homotopy", "gp", "ist", "fista")]
+                   for name in ("homotopy", "gp", "ist", "fista", "tnipm")]
         x_ref, e_ref, _ = answers[0]
         for x, e, _ in answers[1:]:
             assert np.linalg.norm(x - x_ref) <= 1e-5 * (
@@ -165,16 +165,16 @@ class TestCabSolve:
         assert np.linalg.norm(e - b) <= 1e-6 * np.linalg.norm(b)
         assert np.linalg.norm(x) <= 1e-6 * np.linalg.norm(b)
 
-    def test_matches_dense_stack_lasso(self):
-        # implicit operator and materialized stack solve the same lasso
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_matches_dense_stack_lasso(self, name):
+        # implicit operator and materialized stack solve the same problem
         A, x0, b_clean, b_bad, mask = corrupted_instance(5, n=60, d=30, k=3)
         lam = 1e-2 * float(np.max(np.abs(
             np.concatenate([A.T @ b_bad, b_bad]))))
         cfg = SolverConfig(tol=1e-10, max_iter=8000, lam=lam)
-        x, e, _ = cab_solve(A, b_bad, "fista", cfg)
+        x, e, _ = cab_solve(A, b_bad, name, cfg)
         dense = np.hstack([A, np.eye(30)])
-        dense_prob = make_dense_problem(dense, b_bad)
-        res = fista_solve(dense_prob, cfg)
+        res = solve_named(name, make_dense_problem(dense, b_bad), cfg)
         np.testing.assert_allclose(x, res.x_star[:60], atol=1e-6)
         np.testing.assert_allclose(e, res.x_star[60:], atol=1e-6)
 

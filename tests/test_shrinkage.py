@@ -10,6 +10,7 @@ from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation, kkt_residual, objective)
 from ell1.numerics import soft_threshold, spectral_norm_sq
+from ell1.operators import as_operator
 from ell1.shrinkage import (bb_alpha, default_schedule, fista_solve,
                             fista_t_next, ist_solve)
 
@@ -112,7 +113,8 @@ def backtrack_L(y, L_prev, eta, lam, P):
     at y computed afresh; returns (L, x_next)."""
     r_y = P.A @ y - P.b
     g_y = P.A.T @ r_y
-    L, x_next, _, _ = shrinkage._backtrack(y, L_prev, eta, lam, P, g_y,
+    L, x_next, _, _ = shrinkage._backtrack(y, L_prev, eta, lam,
+                                           as_operator(P.A), P.b, g_y,
                                            0.5 * float(r_y @ r_y))
     return L, x_next
 
