@@ -28,6 +28,7 @@ from ell1.bench import (SOLVERS, PhaseGrid, SweepResult,
 from ell1.exceptions import NumericalError
 from ell1.model import (ProblemInstance, SolverConfig, kkt_from_correlation,
                         kkt_residual, objective)
+from ell1.operators import as_operator
 from ell1.robust import (AlignmentProblem, _cab_problem, _column_gram_factor,
                          _default_align_lambda, align_gp_solve,
                          align_homotopy_solve, align_ist_solve,
@@ -146,11 +147,12 @@ def _certificate(algo, P, x, cfg):
     zero weight (homotopy driven to a zero target), report the l1 norm
     and the largest constraint violation.
     """
+    D = as_operator(P.A)
     lam = (None if SOLVERS[algo].form == "equality"
-           else cfg.resolved_lambda(P.A.T @ P.b))
+           else cfg.resolved_lambda(D.adjoint(P.b)))
     if not lam:
         return (lam, float(np.sum(np.abs(x))),
-                float(np.max(np.abs(P.A @ x - P.b))))
+                float(np.max(np.abs(D.apply(x) - P.b))))
     return lam, objective(x, P, lam), kkt_residual(x, P, lam)
 
 

@@ -20,17 +20,18 @@ _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
 
 
 def _solve_direction(chol, D, support, sgn):
-    """Direction on the support: (D_I^T D_I) d = sgn. Falls back to a dense
-    refactorization when the maintained factor has drifted; raises
-    DegenerateSupportError when the Gram stays singular."""
+    """Direction on the support: (D_I^T D_I) d = sgn. Returns d, the factor
+    it came from and v = D_I d. Falls back to a dense refactorization when
+    the maintained factor has drifted; raises DegenerateSupportError when
+    the Gram stays singular."""
     if not support:
-        return np.zeros(0), chol
+        return np.zeros(0), chol, np.zeros(D.shape[0])
     d_I = chol.solve(sgn)
     v = D.apply_columns(support, d_I)
     gram_d = D.columns_dot(support, v)
     tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
     if np.linalg.norm(gram_d - sgn) <= tol:
-        return d_I, chol
+        return d_I, chol, v
     # drifted or singular: dense refactorization
     G = _support_gram(D, support)
     try:
@@ -40,7 +41,7 @@ def _solve_direction(chol, D, support, sgn):
     d_I = fresh.solve(sgn)
     if np.linalg.norm(G @ d_I - sgn) > tol:
         raise DegenerateSupportError("active-set Gram solve failed")
-    return d_I, fresh
+    return d_I, fresh, D.apply_columns(support, d_I)
 
 
 def _gammas(lam, c, x, d, w, support_mask):
@@ -138,11 +139,11 @@ def homotopy_solve(P, config, observer=None):
         it += 1
         sgn = np.sign(c[support])
         try:
-            d_I, chol = _solve_direction(chol, D, support, sgn)
+            d_I, chol, v = _solve_direction(chol, D, support, sgn)
         except DegenerateSupportError:
             chol = _ridge_factor(D, support, mon.notes)
             d_I = chol.solve(sgn)
-        v = D.apply_columns(support, d_I)
+            v = D.apply_columns(support, d_I)
         w = D.adjoint(v)
         dfull = np.zeros(n)
         dfull[support] = d_I

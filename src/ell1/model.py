@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ell1.operators import is_operator
+from ell1.operators import as_operator, is_operator
 
 TraceEntry = namedtuple("TraceEntry", "iteration objective residual_norm support_size")
 
@@ -166,7 +166,7 @@ def objective(x, problem, lam):
                          % (problem.n, x.shape))
     if not lam >= 0:
         raise ValueError("lambda must be nonnegative")
-    r = problem.b - problem.A @ x
+    r = problem.b - as_operator(problem.A).apply(x)
     return 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
 
 
@@ -182,7 +182,8 @@ def kkt_residual(x, problem, lam):
                          % (problem.n, x.shape))
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    c = problem.A.T @ (problem.b - problem.A @ x)
+    D = as_operator(problem.A)
+    c = D.adjoint(problem.b - D.apply(x))
     return kkt_from_correlation(x, c, lam)
 
 

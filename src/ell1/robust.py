@@ -62,9 +62,10 @@ class ExtendedDictionary:
     basis vectors; every product is assembled from the two blocks, so the
     stacked matrix never exists in memory. Implements the operator
     protocol the solvers use (operators.py), with the row Grams and the
-    spectral norm taken from A alone. Matmul-style products (D @ w and
-    D.T @ r) serve model.objective, model.kkt_residual and the CLI
-    certificate. A must be finite.
+    spectral norm taken from A alone. The matmul-style products (D @ w
+    and D.T @ r) are kept only because perfbench/tracer.py patches them
+    by name; the library itself calls apply and adjoint. A must be
+    finite.
     """
 
     def __init__(self, A, identity_scale=1.0):

@@ -215,19 +215,22 @@ def _count_basis_products(monkeypatch, counting_view):
     return counts
 
 
-@pytest.mark.parametrize("options, per_iter",
-                         [({}, 3)])
-def test_dalm_products_per_iteration(options, per_iter, counting_view,
-                                     monkeypatch):
+def _basis_products(iterations):
+    """Q^T z and Q v every step, and Q^T x at step 1 and every refresh."""
+    return 2 * iterations + 1 + iterations // alm._REFRESH_EVERY
+
+
+def test_dalm_products_per_iteration(counting_view, monkeypatch):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
-    cfg = SolverConfig(tol=1e-7, max_iter=400, options=options)
+    cfg = SolverConfig(tol=1e-7, max_iter=400)
     plain = dalm_solve(P, cfg)
     P.A, count = counting_view(P.A)
     basis = _count_basis_products(monkeypatch, counting_view)
     res = dalm_solve(P, cfg)
-    assert res.converged and res.iterations >= 50
+    assert res.converged and res.iterations >= alm._REFRESH_EVERY
     assert count[0] == _DALM_A_PRODUCTS
-    assert len(basis) == 1 and basis[0][0] == per_iter * res.iterations
+    assert len(basis) == 1
+    assert basis[0][0] == _basis_products(res.iterations)
     assert np.array_equal(res.x_star, plain.x_star)
 
 
@@ -249,10 +252,36 @@ def test_cab_dalm_products_per_iteration(monkeypatch, counting_view):
     basis = _count_basis_products(monkeypatch, counting_view)
     x, e, res = robust.cab_solve(P.A, b_bad, "dalm", cfg)
     assert len(counts) == 1 and len(basis) == 1
-    assert res.converged and res.iterations >= 50
+    assert res.converged and res.iterations >= alm._REFRESH_EVERY
     assert counts[0][0] == _DALM_A_PRODUCTS
-    assert basis[0][0] == 3 * res.iterations
+    assert basis[0][0] == _basis_products(res.iterations)
     assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
+
+
+def test_dalm_refresh_keeps_the_constraint_on_an_ill_conditioned_A():
+    # the step keeps Q^T x = u only up to roundoff; with no refresh of the
+    # drift, 20,000 steps end near 1e-7 relative residual on this A
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+    V, _ = np.linalg.qr(rng.standard_normal((250, 100)))
+    A = (U * np.logspace(0, -5, 100)) @ V.T  # condition number 1e5
+    x0 = np.zeros(250)
+    x0[rng.choice(250, 10, replace=False)] = rng.standard_normal(10)
+    P = ProblemInstance(A, A @ x0)
+    res = dalm_solve(P, SolverConfig(tol=1e-12, max_iter=20000))
+    assert res.iterations == 20000
+    rel = np.linalg.norm(P.b - A @ res.x_star) / np.linalg.norm(P.b)
+    assert rel <= 1e-9
+
+
+@pytest.mark.parametrize("max_iter", [50, 400])
+def test_dalm_last_entry_holds_the_true_residual(max_iter):
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    res = dalm_solve(P, SolverConfig(tol=1e-7, max_iter=max_iter))
+    # 50 steps end at the budget between two refreshes; 400 converge
+    assert res.converged == (max_iter == 400)
+    true_res = float(np.linalg.norm(P.b - P.A @ res.x_star))
+    assert abs(res.trace[-1].residual_norm - true_res) <= 1e-12 * true_res
 
 
 def test_dalm_honors_stopping_rule():

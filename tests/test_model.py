@@ -5,6 +5,8 @@ from ell1 import bench, model, numerics, synth
 from ell1.bench import SOLVER_NAMES, SOLVERS
 from ell1.model import (ProblemInstance, SolverConfig, SolverResult, StopRecord,
                         StoppingRule)
+from ell1.operators import DenseDictionary
+from ell1.robust import ExtendedDictionary
 
 
 def make_problem(rng, d=8, n=12):
@@ -107,6 +109,27 @@ def test_kkt_zero_vector_cases():
     lmax = float(np.max(np.abs(P.A.T @ P.b)))
     assert model.kkt_residual(np.zeros(P.n), P, lmax * 1.01) == 0.0
     assert model.kkt_residual(np.zeros(P.n), P, 0.5 * lmax) == pytest.approx(0.5 * lmax)
+
+
+def test_objective_and_kkt_take_any_operator():
+    # the 5 x 8 case that failed on a DenseDictionary, and the [A, 2 I]
+    # stack as a matrix, a DenseDictionary and an ExtendedDictionary
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((5, 8))
+    b = rng.standard_normal(5)
+    stack = np.hstack([A, 2.0 * np.eye(5)])
+    for M, ops in ((A, [DenseDictionary(A)]),
+                   (stack, [DenseDictionary(stack),
+                            ExtendedDictionary(A, identity_scale=2.0)])):
+        x = rng.standard_normal(M.shape[1])
+        want = model.objective(x, ProblemInstance(M, b), 0.1)
+        want_kkt = model.kkt_residual(x, ProblemInstance(M, b), 0.1)
+        for D in ops:
+            P = ProblemInstance(D, b)
+            assert model.objective(x, P, 0.1) == pytest.approx(want,
+                                                               rel=1e-12)
+            assert model.kkt_residual(x, P, 0.1) == pytest.approx(
+                want_kkt, rel=1e-12)
 
 
 def test_kkt_requires_positive_lambda():
