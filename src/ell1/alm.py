@@ -30,21 +30,23 @@ _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 _STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
 
 
-def _inner_shrinkage(D, x, b_eff, shrink, tau, tol_rel, cap):
-    """Accelerated proximal descent on 1/2 ||D x - b_eff||^2 + c ||x||_1.
+def _inner_shrinkage(grad, x, shrink, tau, tol_rel, cap):
+    """Accelerated proximal descent on f(x) + c ||x||_1 from x.
 
-    From x, prox-gradient steps of length 1/tau and threshold shrink (so
-    c = shrink * tau) under the accelerated t-sequence. Stops on relative
-    iterate change <= tol_rel or after cap steps. Returns the new iterate
-    and the number of steps taken (at least one).
+    grad(v) is the gradient of the smooth part f at v, whose Lipschitz
+    constant tau bounds; each step is a prox-gradient step of length
+    1/tau and threshold shrink (so c = shrink * tau) under the
+    accelerated t-sequence. Stops on iterate change
+    <= tol_rel max(1, ||x||) or after cap steps. Returns the new iterate
+    and the number of steps taken (at least one). palm_solve and
+    robust.align_palm_solve both run their inner solves here.
     """
     t_prev = 1.0
     x_prev = x
     y_vec = x
     steps = 0
     for _ in range(cap):
-        grad = D.adjoint(D.apply(y_vec) - b_eff)
-        x_new = soft_threshold(y_vec - grad / tau, shrink)
+        x_new = soft_threshold(y_vec - grad(y_vec) / tau, shrink)
         steps += 1
         t_new = 0.5 * (1.0 + np.sqrt(4.0 * t_prev * t_prev + 1.0))
         y_vec = x_new + ((t_prev - 1.0) / t_new) * (x_new - x_prev)
@@ -58,8 +60,9 @@ def _inner_shrinkage(D, x, b_eff, shrink, tau, tol_rel, cap):
 def palm_solve(P, config, observer=None):
     """Primal multiplier loop with inexact shrinkage inner solves.
 
-    Every outer iteration minimizes the penalized Lagrangian in x (at
-    most 200 accelerated shrinkage steps, inner tolerance 1e-2/mu), then
+    Every outer iteration minimizes the penalized Lagrangian in x with
+    _inner_shrinkage, on the gradient A^T (A x - b - y/mu) (at most
+    _INNER_CAP = 200 accelerated steps, inner tolerance 1e-2/mu), then
     takes the multiplier ascent step y <- y + mu (b - A x) and grows
     mu <- rho mu, from mu = MU0 = 1 with rho = RHO = 2.
     Converges when ||b - A x|| <= config.tol ||b||; iterations counts
@@ -96,9 +99,9 @@ def palm_solve(P, config, observer=None):
         # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
         # 1/mu so the gradient step keeps the 1/tau length
         b_eff = b + y / mu
-        x, steps = _inner_shrinkage(D, x, b_eff, 1.0 / (mu * tau), tau,
-                                    1e-2 / mu, min(_INNER_CAP,
-                                                   config.max_iter - it))
+        x, steps = _inner_shrinkage(
+            lambda v: D.adjoint(D.apply(v) - b_eff), x, 1.0 / (mu * tau),
+            tau, 1e-2 / mu, min(_INNER_CAP, config.max_iter - it))
         it += steps
         r = b - D.apply(x)
         res_norm = float(np.linalg.norm(r))

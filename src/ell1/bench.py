@@ -13,7 +13,8 @@ import platform
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -126,23 +127,44 @@ class SweepResult:
                 raise ValueError("%s must be |solvers| x |axis|" % name)
 
 
-def _phase_task(args):
-    solver, n, k, d, seed, success_tol, tol, max_iter, lam = args
-    P = make_instance(GenSpec(n=n, d=d, k=k, seed=seed))
-    lam_val = lam if lam is not None else \
-        _PHASE_LAM_REL * float(np.max(np.abs(P.A.T @ P.b)))
-    cfg = SolverConfig(tol=tol, max_iter=max_iter, lam=lam_val)
-    res = solve_named(solver, P, cfg)
+def _vanishing_weight(P, config):
+    """config at the near-zero weight _PHASE_LAM_REL ||A^T b||_inf, unless
+    config.lam pins one."""
+    if config.lam is not None:
+        return config
+    return replace(config, lam=_PHASE_LAM_REL * float(
+        np.max(np.abs(P.A.T @ P.b))))
+
+
+def _trial_means(task, cells, trials, base_seed, jobs):
+    """Mean over trials of task(cell, seed) for each (index, cell) of cells.
+
+    Trial t of a cell runs on seed trial_seed(base_seed, *index, t), so
+    every trial is an independent work item; jobs > 1 fans them over
+    processes with identical results. task returns a number or an array
+    of them. Returns an array of shape (len(cells),) + that shape.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    work = [(cell, trial_seed(base_seed, *index, t))
+            for index, cell in cells for t in range(trials)]
+    if jobs <= 1:
+        rows = [task(cell, seed) for cell, seed in work]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunk = max(1, len(work) // (4 * jobs))
+            rows = list(pool.map(task, *zip(*work), chunksize=chunk))
+    data = np.asarray(rows, dtype=np.float64)
+    return data.reshape((len(cells), trials) + data.shape[1:]).mean(axis=1)
+
+
+def _phase_task(solver, n, success_tol, config, rates, seed):
+    rho, delta = rates
+    P = make_instance(GenSpec(n=n, d=max(1, int(round(delta * n))),
+                              k=max(1, int(round(rho * n))), seed=seed))
+    res = solve_named(solver, P, _vanishing_weight(P, config))
     err = np.linalg.norm(res.x_star - P.ground_truth)
     return bool(err <= success_tol * np.linalg.norm(P.ground_truth))
-
-
-def _run_tasks(fn, tasks, jobs):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def run_phase_grid(solver, n, rho_values, delta_values, trials,
@@ -152,31 +174,22 @@ def run_phase_grid(solver, n, rho_values, delta_values, trials,
 
     Each cell runs `trials` fresh instances with k = round(rho n),
     d = round(delta n); success means the relative l2 estimation error is
-    at most success_tol. Penalized solvers run at a vanishing penalty
-    (1e-6 of the correlation peak) unless config.lam pins one. jobs > 1
-    fans the trials over processes; results are identical either way.
+    at most success_tol. config defaults to tol 1e-8 and max_iter 20000.
+    Penalized solvers run at a vanishing penalty (1e-4 of the correlation
+    peak) unless config.lam pins one. jobs > 1 fans the trials over
+    processes; results are identical either way.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tol = config.tol if config is not None else 1e-8
-    max_iter = config.max_iter if config is not None else 20000
-    lam = config.lam if config is not None else None
-    tasks = []
-    for i, rho in enumerate(rho_values):
-        for j, delta in enumerate(delta_values):
-            k = max(1, int(round(rho * n)))
-            d = max(1, int(round(delta * n)))
-            for t in range(trials):
-                tasks.append((solver, n, k, d,
-                              trial_seed(base_seed, i, j, t),
-                              success_tol, tol, max_iter, lam))
-    flags = _run_tasks(_phase_task, tasks, jobs)
-    rates = np.asarray(flags, dtype=np.float64).reshape(
-        len(rho_values), len(delta_values), trials).mean(axis=2)
+    if config is None:
+        config = SolverConfig(tol=1e-8, max_iter=20000)
+    cells = [((i, j), (rho, delta)) for i, rho in enumerate(rho_values)
+             for j, delta in enumerate(delta_values)]
+    rates = _trial_means(partial(_phase_task, solver, n, success_tol, config),
+                         cells, trials, base_seed, jobs)
     return PhaseGrid(n=n, rho_values=tuple(float(r) for r in rho_values),
                      delta_values=tuple(float(x) for x in delta_values),
-                     success_rate=rates, trials_per_cell=trials,
-                     base_seed=base_seed, success_tol=success_tol)
+                     success_rate=rates.reshape(len(rho_values), -1),
+                     trials_per_cell=trials, base_seed=base_seed,
+                     success_tol=success_tol)
 
 
 def interpolate_success_contour(grid, level):
@@ -203,24 +216,21 @@ def interpolate_success_contour(grid, level):
     return out
 
 
-def _noise_task(args):
-    solvers, n, k, d, seed, noise_sigma, tol, max_iter, lam = args
+def _noise_task(solvers, n, noise_sigma, config, cell, seed):
+    k, d = cell
     # standard-normal-scale entries (norm sqrt(k)) keep the per-entry
     # signal level fixed as k and d vary, so sigma is a meaningful SNR knob
     A = gen_gaussian_dict(d, n, seed)
     x0 = np.sqrt(k) * gen_sparse_signal(n, k, seed)
     b = add_noise(A @ x0, noise_sigma, seed)
     P = ProblemInstance(A, b, ground_truth=x0, noise_sigma=noise_sigma)
-    lam_val = lam
-    if lam_val is None:
-        if noise_sigma == 0.0:
-            # noise-free runs approximate the equality-constrained answer
-            lam_val = _PHASE_LAM_REL * float(np.max(np.abs(A.T @ b)))
-        else:
-            # threshold at the per-coordinate noise level; entries are
-            # standard-normal scale, so this trades bias and variance well
-            lam_val = noise_sigma
-    cfg = SolverConfig(tol=tol, max_iter=max_iter, lam=lam_val)
+    cfg = config
+    if config.lam is None:
+        # noise-free runs approximate the equality-constrained answer;
+        # noisy ones threshold at the per-coordinate noise level, which
+        # trades bias and variance well on standard-normal-scale entries
+        cfg = (_vanishing_weight(P, config) if noise_sigma == 0.0
+               else replace(config, lam=noise_sigma))
     rows = []
     for name in solvers:
         res = solve_named(name, P, cfg)
@@ -237,13 +247,12 @@ def run_noise_sweep(solvers, mode, spec, trials, base_seed=0, config=None,
     mode "vary-d" reads spec keys n, k, d_values; mode "vary-k" reads
     n, d, rho_values (sparsity rates, k = round(rho n)). Optional key
     noise_sigma (default 0.1). Signals carry standard-normal-scale
-    entries. When config.lam is unset, noisy runs penalize at the noise
-    level and noise-free runs at a vanishing penalty. Every solver sees
-    the same instance per (axis value, trial). Returns a SweepResult
-    with mean wall time, mean relative l2 error, and mean iterations.
+    entries. config defaults to tol 1e-6 and max_iter 5000. When
+    config.lam is unset, noisy runs penalize at the noise level and
+    noise-free runs at a vanishing penalty. Every solver sees the same
+    instance per (axis value, trial). Returns a SweepResult with mean
+    wall time, mean relative l2 error, and mean iterations.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     if mode not in ("vary-d", "vary-k"):
         raise ValueError("mode must be vary-d or vary-k")
     solvers = tuple(solvers)
@@ -255,16 +264,11 @@ def run_noise_sweep(solvers, mode, spec, trials, base_seed=0, config=None,
     else:
         axis = tuple(float(v) for v in spec["rho_values"])
         cells = [(max(1, int(round(r * n))), int(spec["d"])) for r in axis]
-    tol = config.tol if config is not None else 1e-6
-    max_iter = config.max_iter if config is not None else 5000
-    lam = config.lam if config is not None else None
-    tasks = [(solvers, n, k, d, trial_seed(base_seed, i, t), sigma,
-              tol, max_iter, lam)
-             for i, (k, d) in enumerate(cells) for t in range(trials)]
-    rows = _run_tasks(_noise_task, tasks, jobs)
-    data = np.asarray(rows, dtype=np.float64).reshape(
-        len(axis), trials, len(solvers), 3)
-    means = data.mean(axis=1)  # |axis| x |solvers| x 3
+    if config is None:
+        config = SolverConfig(tol=1e-6, max_iter=5000)
+    means = _trial_means(partial(_noise_task, solvers, n, sigma, config),
+                         [((i,), c) for i, c in enumerate(cells)], trials,
+                         base_seed, jobs)  # |axis| x |solvers| x 3
     return SweepResult(axis_name="d" if mode == "vary-d" else "rho",
                        axis_values=axis, solvers=solvers, trials=trials,
                        mean_time=means[:, :, 0].T,
@@ -272,11 +276,13 @@ def run_noise_sweep(solvers, mode, spec, trials, base_seed=0, config=None,
                        mean_iterations=means[:, :, 2].T)
 
 
-def _corruption_task(args):
-    (solvers, d, n, groups, coherence, amp, level, seed, tol,
-     max_iter) = args
+def _corruption_task(solvers, dict_spec, config, level, seed):
+    d, n = int(dict_spec["d"]), int(dict_spec["n"])
+    groups = int(dict_spec["groups"])
+    amp = float(dict_spec.get("corruption_amp", 1.0))
     rng = np.random.default_rng(seed)
-    A, labels = gen_bouquet_dict(d, n, groups, coherence, seed)
+    A, labels = gen_bouquet_dict(d, n, groups,
+                                 float(dict_spec["coherence"]), seed)
     g = int(rng.integers(groups))
     members = np.flatnonzero(labels == g)
     active = rng.choice(members, size=min(3, members.size), replace=False)
@@ -286,11 +292,10 @@ def _corruption_task(args):
     b = A @ x0
     scale = amp * float(np.max(np.abs(b)))
     b_bad, _ = corrupt_entries(b, level, -scale, scale, seed + 100000)
-    cfg = SolverConfig(tol=tol, max_iter=max_iter)
     rows = []
     for name in solvers:
         t0 = time.perf_counter()
-        x, e, _ = cab_solve(A, b_bad, name, cfg)
+        x, e, _ = cab_solve(A, b_bad, name, config)
         dt = time.perf_counter() - t0
         norms = [np.linalg.norm(x[labels == gg]) for gg in range(groups)]
         rows.append((dt, float(int(np.argmax(norms)) == g)))
@@ -306,27 +311,19 @@ def run_corruption_sweep(dict_spec, corruption_levels, solvers, trials,
     corruption range in units of the peak clean measurement. Each trial
     plants one active group, corrupts the given fraction of
     measurements, solves the corruption-extended system with each
-    backend, and scores a hit when the group with the largest
-    coefficient energy is the planted one. Returns a SweepResult with
-    success_rate and mean wall time per (backend, level).
+    backend under config (default tol 1e-8, max_iter 4000), and scores a
+    hit when the group with the largest coefficient energy is the planted
+    one. Returns a SweepResult with success_rate and mean wall time per
+    (backend, level).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     solvers = tuple(solvers)
-    d, n = int(dict_spec["d"]), int(dict_spec["n"])
-    groups = int(dict_spec["groups"])
-    coherence = float(dict_spec["coherence"])
-    amp = float(dict_spec.get("corruption_amp", 1.0))
     levels = tuple(float(v) for v in corruption_levels)
-    tol = config.tol if config is not None else 1e-8
-    max_iter = config.max_iter if config is not None else 4000
-    tasks = [(solvers, d, n, groups, coherence, amp, lv,
-              trial_seed(base_seed, i, t), tol, max_iter)
-             for i, lv in enumerate(levels) for t in range(trials)]
-    rows = _run_tasks(_corruption_task, tasks, jobs)
-    data = np.asarray(rows, dtype=np.float64).reshape(
-        len(levels), trials, len(solvers), 2)
-    means = data.mean(axis=1)
+    if config is None:
+        config = SolverConfig(tol=1e-8, max_iter=4000)
+    means = _trial_means(partial(_corruption_task, solvers, dict_spec,
+                                 config),
+                         [((i,), lv) for i, lv in enumerate(levels)],
+                         trials, base_seed, jobs)
     return SweepResult(axis_name="corruption", axis_values=levels,
                        solvers=solvers, trials=trials,
                        mean_time=means[:, :, 0].T,

@@ -167,18 +167,19 @@ def fista_solve(P, config, observer=None):
 
     Backtracking starts from L = L0 (1.0) and grows it by ETA (1.5);
     continuation shrinks lambda by BETA (0.5) per iteration. Options
-    (config.options): continuation (True), exact_L (False: use
-    backtracking; True: fix L to the measured squared spectral norm, as
-    the convergence-bound analysis assumes). A step from y to x_next
-    after x restarts the momentum when (y - x_next) . (x_next - x) > 0,
-    that is when the momentum pointed uphill: the step is kept and t_prev
-    and t go back to 1, so the next step starts from y = x_next with no
-    extrapolation. Every step is recorded; an event's weight is the
-    step's continuation weight and its state holds y (the extrapolated
-    point the step started from), t_prev, t (the momentum weights after
-    the step, both 1 after a restart) and L. config.stopping is checked
-    only once lambda has reached config's weight, with the KKT residual
-    at that weight in its kkt slot.
+    (config.options): continuation (True) and exact_L (False). exact_L
+    starts backtracking from the measured squared spectral norm times
+    1 + 1e-9 instead, as the convergence-bound analysis assumes: the
+    majorization then holds at the first trial unless roundoff breaks it.
+    A step from y to x_next after x restarts the momentum when
+    (y - x_next) . (x_next - x) > 0, that is when the momentum pointed
+    uphill: the step is kept and t_prev and t go back to 1, so the next
+    step starts from y = x_next with no extrapolation. Every step is
+    recorded; an event's weight is the step's continuation weight and its
+    state holds y (the extrapolated point the step started from), t_prev,
+    t (the momentum weights after the step, both 1 after a restart) and
+    L. config.stopping is checked only once lambda has reached config's
+    weight, with the KKT residual at that weight in its kkt slot.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
     backtracking trial: A x_next, and g = A^T (A x_next - b), which the
@@ -201,8 +202,7 @@ def fista_solve(P, config, observer=None):
         raise ValueError("lambda must be positive")
 
     L = L0
-    exact_L = config.opt("exact_L", False)
-    if exact_L:
+    if config.opt("exact_L", False):
         # tiny inflation keeps the majorization valid under roundoff
         L = D.norm_sq() * (1.0 + 1e-9)
     lam = max(0.9 * Atb_max, lam_bar) \
@@ -221,14 +221,8 @@ def fista_solve(P, config, observer=None):
         y = x + c * (x - x_prev)
         r_y = r_x + c * (r_x - r_prev)
         g_y = g_x + c * (g_x - g_prev)
-        if exact_L:
-            x_next = soft_threshold(y - g_y / L, lam / L)
-            r_next = D.apply(x_next) - b
-            F_next = (0.5 * float(r_next @ r_next)
-                      + lam * float(np.sum(np.abs(x_next))))
-        else:
-            L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, D, b, g_y,
-                                                   0.5 * float(r_y @ r_y))
+        L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, D, b, g_y,
+                                               0.5 * float(r_y @ r_y))
         x_prev, x = x, x_next
         r_prev, r_x = r_x, r_next
         g_prev, g_x = g_x, D.adjoint(r_next)

@@ -23,7 +23,6 @@ class GenSpec:
     k: int
     seed: int
     noise_sigma: float = 0.0
-    corruption_fraction: float = 0.0
 
     def __post_init__(self):
         if self.d < 1:
@@ -32,8 +31,6 @@ class GenSpec:
             raise ValueError("need 1 <= k <= n")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if not 0 <= self.corruption_fraction <= 1:
-            raise ValueError("corruption_fraction must lie in [0, 1]")
 
 
 def _rng(seed, stream):
@@ -46,11 +43,7 @@ def gen_gaussian_dict(d, n, seed):
     if d < 1 or n < 1:
         raise ValueError("d and n must be at least 1")
     A = _rng(seed, 0).standard_normal((d, n))
-    norms = np.linalg.norm(A, axis=0)
-    while np.any(norms == 0.0):  # probability ~0, but keep the contract exact
-        A = _rng(seed, 0).standard_normal((d, n))
-        norms = np.linalg.norm(A, axis=0)
-    return A / norms
+    return A / np.linalg.norm(A, axis=0)
 
 
 def gen_sparse_signal(n, k, seed):

@@ -27,6 +27,8 @@ from ell1.robust import (AlignmentProblem, align_gp_solve,
 from ell1.shrinkage import fista_solve, ist_solve
 from ell1.synth import GenSpec, make_instance, trial_seed
 
+pytestmark = pytest.mark.acceptance
+
 
 def spearman(x, y):
     rx = np.argsort(np.argsort(x))
@@ -129,6 +131,7 @@ def test_criterion_4_path_length_and_support():
     assert ok >= 95
 
 
+@pytest.mark.slow
 def test_criterion_5_noise_sweep_trends():
     # vary-d under noise: error decreases with the measurement count and
     # ends below 5e-2 for the five penalized solvers; the equality-form
@@ -213,6 +216,7 @@ def test_criterion_7_alignment_solver_agreement():
     assert wins >= 95
 
 
+@pytest.mark.slow
 def test_criterion_8_invariant_suite_green():
     # the property suites (seeded, >= 100 cases each) must pass wholesale
     root = Path(__file__).resolve().parent.parent

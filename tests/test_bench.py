@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,6 +191,7 @@ class TestNoiseSweep:
             config=SolverConfig(tol=1e-6, max_iter=30000))
         assert float(sw.mean_rel_error.max()) <= 1e-3
 
+    @pytest.mark.slow
     def test_error_decreases_with_measurements(self):
         # penalized solvers only: the equality-form families interpolate
         # the noise, so their error cannot shrink as d grows
@@ -220,6 +222,7 @@ class TestNoiseSweep:
 
 
 class TestCorruptionSweep:
+    @pytest.mark.slow
     def test_profile_over_levels(self):
         sw = run_corruption_sweep(
             {"d": 80, "n": 140, "groups": 20, "coherence": 0.6},
@@ -230,6 +233,7 @@ class TestCorruptionSweep:
         diffs = np.diff(rates)
         assert int(np.sum(diffs > 0.05)) == 0
 
+    @pytest.mark.slow
     def test_heavy_corruption_near_chance(self):
         # 2/groups bound; 400 trials concentrate the estimate
         sw = run_corruption_sweep(
@@ -248,6 +252,55 @@ class TestCorruptionSweep:
             base_seed=1, config=SolverConfig(tol=1e-6, max_iter=2000))
         assert sw.success_rate.shape == (1, 1)
         assert 0.0 <= sw.success_rate[0, 0] <= 1.0
+
+
+RUNNERS = {
+    "phase": lambda cfg: run_phase_grid("fista", 30, [0.1], [0.5], trials=2,
+                                        config=cfg),
+    "noise": lambda cfg: run_noise_sweep(
+        ["fista"], "vary-d", {"n": 30, "k": 2, "d_values": [15]}, trials=2,
+        config=cfg),
+    "noise-free": lambda cfg: run_noise_sweep(
+        ["fista"], "vary-d",
+        {"n": 30, "k": 2, "d_values": [15], "noise_sigma": 0.0}, trials=2,
+        config=cfg),
+    "corruption": lambda cfg: run_corruption_sweep(
+        {"d": 12, "n": 16, "groups": 2, "coherence": 0.5}, [0.2], ["fista"],
+        trials=2, config=cfg),
+}
+
+
+@pytest.mark.parametrize("lam", [None, 0.02])
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runners_hand_the_solver_the_callers_config(runner, lam,
+                                                    monkeypatch):
+    # the experiments fill in a weight where lam is unset and pass every
+    # other field through, options such as cab_solve's e_weight included
+    cfg = SolverConfig(lam=lam, tol=1e-5, max_iter=30,
+                       stopping=StoppingRule("ground-truth-distance", 0.5),
+                       options={"e_weight": 2.0})
+    seen = []
+
+    def solve_spy(name, P, config):
+        seen.append(config)
+        return SimpleNamespace(x_star=np.zeros(P.n), iterations=0,
+                               wall_time_seconds=0.0)
+
+    def cab_spy(A, b, name, config):
+        seen.append(config)
+        return np.zeros(A.shape[1]), np.zeros(A.shape[0]), None
+
+    monkeypatch.setattr(bench, "solve_named", solve_spy)
+    monkeypatch.setattr(bench, "cab_solve", cab_spy)
+    RUNNERS[runner](cfg)
+    assert len(seen) == 2
+    for c in seen:
+        assert (c.tol, c.max_iter, c.stopping, c.options) == (
+            cfg.tol, cfg.max_iter, cfg.stopping, cfg.options)
+        if lam is None and runner != "corruption":
+            assert c.lam > 0
+        else:
+            assert c.lam == lam
 
 
 class TestWriters:

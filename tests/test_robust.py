@@ -1,6 +1,7 @@
 """Corruption-aware solving: extended dictionaries and alignment."""
 
 import functools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -377,19 +378,24 @@ class TestAlignIst:
         assert abs(F1 - F2) <= 1e-5 * max(1.0, abs(F1))
 
 
-REDUCED_ALIGNERS = {
+ALL_ALIGNERS = {
     "gp": lambda prob, cfg: align_gp_solve(prob, None, cfg),
-    "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
     "homotopy": align_homotopy_solve,
+    "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
+    "palm": align_palm_solve,
 }
 
 
-@pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
+REDUCED_ALIGNERS = {name: solve for name, solve in ALL_ALIGNERS.items()
+                    if name != "palm"}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_ALIGNERS))
 def test_reduced_aligner_rank_deficient_raises(name):
     B = np.ones((4, 2))  # rank 1
     with pytest.raises(IllConditionedError):
-        REDUCED_ALIGNERS[name](AlignmentProblem(B, np.arange(4.0)),
-                               SolverConfig(tol=1e-8, max_iter=50))
+        ALL_ALIGNERS[name](AlignmentProblem(B, np.arange(4.0)),
+                           SolverConfig(tol=1e-8, max_iter=50))
 
 
 @pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
@@ -427,14 +433,6 @@ def test_reduced_aligner_reaches_the_patched_module_global(solver, align,
     assert weights == [0.25] and not np.any(e)
 
 
-ALL_ALIGNERS = {
-    "gp": lambda prob, cfg: align_gp_solve(prob, None, cfg),
-    "homotopy": align_homotopy_solve,
-    "ist": lambda prob, cfg: align_ist_solve(prob, None, cfg),
-    "palm": align_palm_solve,
-}
-
-
 @pytest.mark.parametrize("name", sorted(ALL_ALIGNERS))
 def test_zero_rhs_gives_the_exact_zero_fit(name):
     # the default weight is 0 at b = 0, where (w, e) = (0, 0) is exact
@@ -469,6 +467,16 @@ class TestAlignPalm:
         assert np.linalg.norm(w - w0) <= 1e-8 * np.linalg.norm(w0)
         r = prob.b - prob.B @ w - e
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(prob.b)
+
+    @pytest.mark.parametrize("seed", range(3000, 3010))
+    def test_agrees_with_homotopy_at_zero_weight(self, seed):
+        # at lam = 0 the penalized path ends at the exact-fit problem
+        # palm solves, so the two aligners must land on the same w
+        prob, w0, mask = corrupted_alignment(seed)
+        cfg = SolverConfig(tol=1e-10, max_iter=5000)
+        w_p, _ = align_palm_solve(prob, cfg)
+        w_h, _ = align_homotopy_solve(prob, replace(cfg, lam=0.0))
+        assert np.linalg.norm(w_p - w_h) <= 1e-8 * np.linalg.norm(w_h)
 
     def test_zero_data(self):
         prob = AlignmentProblem(np.random.default_rng(0)

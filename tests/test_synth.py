@@ -18,8 +18,6 @@ class TestGenSpec:
             GenSpec(n=10, d=5, k=0, seed=0)
         with pytest.raises(ValueError):
             GenSpec(n=10, d=5, k=1, seed=0, noise_sigma=-0.1)
-        with pytest.raises(ValueError):
-            GenSpec(n=10, d=5, k=1, seed=0, corruption_fraction=1.5)
 
 
 class TestGaussianDict:
