@@ -346,16 +346,17 @@ _MAX_HALVINGS = 50   # step halvings before a backtracking search gives up
 _ARMIJO = 0.01       # sufficient-decrease share of the Newton decrement
 
 
-def fraction_to_boundary(v, dv):
+def fraction_to_boundary(v, dv, damping=_BOUNDARY):
     """Damped largest step s <= 1 keeping v + s dv positive, for v > 0.
 
     1.0 when no entry of dv is negative; otherwise the smaller of 1 and
-    0.99 times the smallest blocking ratio v_i / -dv_i.
+    damping (0.99 by default) times the smallest blocking ratio
+    v_i / -dv_i. damping=1 gives the undamped step to the boundary.
     """
     neg = dv < 0
     if not np.any(neg):
         return 1.0
-    return min(1.0, _BOUNDARY * float(np.min(-v[neg] / dv[neg])))
+    return min(1.0, damping * float(np.min(-v[neg] / dv[neg])))
 
 
 def box_barrier_value(t, lam, r, u, up, um):

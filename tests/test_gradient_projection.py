@@ -186,7 +186,8 @@ def test_gpsr_stopping_rule_reads_the_target_weight(kind, threshold):
         assert kkt_residual(res.x_star, P, lam) <= threshold
 
 
-@pytest.mark.parametrize("name", ["gpsr", "ist", "fista", "homotopy", "dalm"])
+@pytest.mark.parametrize("name", ["gpsr", "ist", "fista", "homotopy", "dalm",
+                                  "pdipa"])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(-27, 27),
        st.sampled_from([1e-1, 1e-2, 1e-3]))
@@ -195,7 +196,7 @@ def test_scale_covariant(name, seed, log2_scale, rel_lam):
     # b -> s b with lam -> s lam for s = 2^k in [7.5e-9, 1.3e8]: every
     # product and comparison scales exactly, so a units-dependent constant
     # is the only thing that can move the answer or the step count (dalm
-    # reads no weight; tnipm, palm and pdipa still carry such constants)
+    # and pdipa read no weight; tnipm and palm still carry such constants)
     spec = synth.GenSpec(n=40, d=20, k=1 + seed % 5, seed=seed,
                          noise_sigma=0.01)
     P = synth.make_instance(spec)

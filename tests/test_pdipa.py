@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ell1 import homotopy, pdipa, synth
+from ell1 import homotopy, numerics, pdipa, robust, synth
+from ell1.exceptions import NotPositiveDefiniteError
 from ell1.model import ProblemInstance, SolverConfig
 from ell1.pdipa import pdipa_solve
 
@@ -16,15 +17,17 @@ def state(x, y, z):
 
 def newton_step(st, A_ext, b, mu_hat):
     """pdipa's Newton step on the split LP with unit cost: the residuals
-    and weighted normal matrix assembled densely, then solved by the
-    solver's own elimination kernel."""
+    and the weighted normal matrix normalized by mu = x'z / m assembled
+    densely, then solved by the solver's own elimination kernel."""
     x, y, z = st.x, st.y, st.z
     rp = b - A_ext @ x
     rd = np.ones(x.shape[0]) - A_ext.T @ y - z
     rc = mu_hat - x * z
-    M = (A_ext * (x / z)) @ A_ext.T
-    return pdipa._eliminate(x, z, rp, rd, rc, lambda u: A_ext @ u,
-                            lambda v: A_ext.T @ v, M)
+    w = x / z
+    mu = float(x @ z) / x.shape[0]
+    solve = numerics.chol_factor((A_ext * (w / mu)) @ A_ext.T).solve
+    return pdipa._eliminate(z, w, rp, rd, rc, mu, solve,
+                            lambda u: A_ext @ u, lambda v: A_ext.T @ v)
 
 
 def dense_kkt_solve(A_ext, b, st, mu_hat, c=None):
@@ -157,6 +160,86 @@ def test_solve_zero_matrix_stalls():
     r = pdipa_solve(P, SolverConfig())
     assert not r.converged
     assert r.notes == ("stopped on stalled duality measure",)
+
+
+@pytest.mark.parametrize("log2_scale", [-27, -10, 0, 10, 27])
+def test_solve_is_certified_at_every_scale(log2_scale):
+    # b and x0 scaled together: a start or a test in the units of b would
+    # certify a wrong answer at one end and stall at the other
+    P = synth.make_instance(synth.GenSpec(n=200, d=100, k=8, seed=11))
+    ref = pdipa_solve(P, SolverConfig())
+    s = 2.0 ** log2_scale
+    x0 = s * P.ground_truth
+    r = pdipa_solve(ProblemInstance(P.A, s * P.b), SolverConfig())
+    assert r.converged and r.iterations == ref.iterations
+    assert np.linalg.norm(r.x_star - x0) <= 1e-6 * np.linalg.norm(x0)
+
+
+def test_solve_factors_once_per_iteration(counting_view, monkeypatch):
+    # predictor and corrector share the iteration's one factor: one
+    # weighted Gram, and per step two residual and four Newton products
+    P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3))
+    P.A, count = counting_view(P.A)
+    factors = [0]
+    chol_factor = numerics.chol_factor
+
+    def counting(M):
+        factors[0] += 1
+        return chol_factor(M)
+
+    monkeypatch.setattr(pdipa.numerics, "chol_factor", counting)
+    events = []
+    r = pdipa_solve(P, SolverConfig(), observer=events.append)
+    assert r.converged and r.iterations >= 3
+    assert factors[0] == r.iterations
+    assert count[0] == 7 * r.iterations + 2
+    sigmas = [e.state["sigma"] for e in events]
+    assert sigmas[0] is None
+    assert all(0.0 <= sg <= 1.0 for sg in sigmas[1:])
+
+
+def face_query(seed, q, d=150, n=300, groups=15, books=16):
+    """Query q of a stream against bouquet dictionaries: three atoms of
+    one group, then a fifth of the entries replaced by gross errors."""
+    A, labels = synth.gen_bouquet_dict(d, n, groups, 0.6,
+                                       synth.trial_seed(seed, 0, q % books))
+    s = synth.trial_seed(seed, 1, q)
+    rng = np.random.default_rng(s)
+    g = int(rng.integers(groups))
+    active = rng.choice(np.flatnonzero(labels == g), size=3, replace=False)
+    x0 = np.zeros(n)
+    x0[active] = (rng.uniform(0.5, 1.5, size=3)
+                  * rng.choice([-1.0, 1.0], size=3))
+    b = A @ x0
+    scale = float(np.max(np.abs(b)))
+    return A, synth.corrupt_entries(b, 0.2, -scale, scale, s + 100000)[0]
+
+
+def test_solve_falls_back_on_centering():
+    # at step 5 of this [A, I] query the corrector raises mu at every
+    # halving of its unequal primal and dual lengths; the plain centering
+    # step on the same factor carries the solve on to its certificate
+    A, b = face_query(5, 18)
+    _, _, r = robust.cab_solve(A, b, "pdipa",
+                               SolverConfig(tol=1e-8, max_iter=4000))
+    assert r.converged and r.notes == ()
+
+
+def test_jittered_solve_is_refined():
+    # a few huge weights over many small ones, as at the end of a
+    # degenerate solve: Cholesky fails, and the jitter's error in
+    # M dy = r would reappear in the step's primal residual
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((30, 90))
+    M = (A * np.concatenate([np.full(8, 1e18), np.logspace(-4, 4, 82)])) @ A.T
+    r = M @ rng.standard_normal(30)
+    with pytest.raises(NotPositiveDefiniteError):
+        numerics.chol_factor(M)
+    jitter = 1e-12 * np.trace(M) / 30
+    plain = numerics.chol_factor(M + jitter * np.eye(30)).solve(r)
+    refined = pdipa._factor_with_jitter(M)(r)
+    assert (np.linalg.norm(M @ refined - r)
+            <= 0.1 * np.linalg.norm(M @ plain - r))
 
 
 def test_solve_trace_reports_objective_and_residual():
