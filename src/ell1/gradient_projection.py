@@ -24,7 +24,7 @@ _DECAY = 0.2           # gpsr's stage-to-stage weight factor
 _STAGE_TOL = 0.1       # kkt residual, relative to its weight, ending a stage
 _CURV_FLOOR = 1e-14    # relative curvature below this counts as flat
 _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
-PCG_TOL = 1e-4         # relative residual at which tnipm's PCG stops
+PCG_TOL = 0.1          # tnipm's PCG relative residual (l1_ls's cap)
 
 
 def gpsr_direction(z, grad):
@@ -137,38 +137,41 @@ def gpsr_solve(P, config, observer=None):
 def tnipm_solve(P, config, observer=None):
     """Truncated-Newton log-barrier solve of the |x_i| <= u_i form.
 
-    Newton steps on the weighted barrier objective eliminate the bound
-    block exactly, leaving an n-by-n positive definite system solved by
-    conjugate gradients with the diagonal of the reduced Hessian as
-    preconditioner. The barrier weight starts at 1/lambda and grows
-    tenfold whenever the Newton decrement certifies the current center;
-    iteration stops when the gap estimate 2n/t is below tol relative to
-    the objective and the truncated iterate meets the kkt tolerance.
-    Backtracking that cannot find a decreasing interior step raises
-    NumericalBreakdownError, unless the gap test held at the iterate it
-    started from: then that iterate is returned with converged=False and
-    a note, as the barrier weight has outgrown what roundoff can resolve.
-    PCG stops at relative residual PCG_TOL (1e-4) or after as many steps
-    as the dimension. Each iteration records and tests its start point,
-    truncated, before stepping, so the first event is the start of the
-    solve and the last one the returned estimate; an event's state holds x_bar (the untruncated barrier
-    point), u (with |x_bar_i| < u_i) and t, the barrier weight of the step
-    taken from it. Honors config.stopping.
+    As in l1_ls (Kim et al., 2007), Newton steps on the weighted barrier
+    objective eliminate the bound block exactly and solve the n-by-n rest
+    roughly: PCG, preconditioned by its diagonal, stops at relative
+    residual PCG_TOL (0.1) or after n steps, and backtracking keeps each
+    step a descent step. x = 0 is returned after 0 iterations if it meets
+    the kkt tolerance; else the start is u = F(0) / (lam n), t = 2n / gap0,
+    with gap0 the duality gap of x = 0 at b min(1, lam / ||A^T b||_inf).
+    t grows tenfold whenever the Newton decrement certifies a center.
+    Once the central-path gap 2n/t is within tol of F(x), the truncated
+    iterate is returned if it meets the kkt tolerance. A line search
+    finding no interior decrease raises NumericalBreakdownError, unless
+    the gap test held where it started: then t has outgrown roundoff, and
+    that iterate is returned with converged=False and a note. Each
+    iteration records and tests its start point, truncated, before
+    stepping, so the first event is the start of the solve and the last
+    one the returned estimate; an event's state holds x_bar (the
+    untruncated barrier point), u (|x_bar_i| < u_i) and t, the barrier
+    weight of the step taken from it. Honors config.stopping.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
     Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
     mon = Monitor(config, b, P.ground_truth, observer)
-    if float(np.max(np.abs(Atb))) == 0.0:
+    Atb_inf = float(np.max(np.abs(Atb)))
+    if Atb_inf - lam <= config.tol * lam:  # x = 0 meets the kkt test
         return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
 
     col_sq = D.column_norms_sq()
+    F0 = 0.5 * float(b @ b)
     x = np.zeros(n)
-    u = np.ones(n)
-    t = 1.0 / lam
+    u = np.full(n, F0 / (lam * n))
+    t = 2.0 * n / ((1.0 - lam / Atb_inf) ** 2 * F0)
     it = 0
     converged = False
     pcg_capped = 0
@@ -181,7 +184,7 @@ def tnipm_solve(P, config, observer=None):
         if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
             converged = True
             break
-        gap_met = 2.0 * n / t <= config.tol * (1.0 + obj)
+        gap_met = 2.0 * n / t <= config.tol * obj
         if gap_met:
             xt = truncate_small(x)
             ct = D.adjoint(b - D.apply(xt))

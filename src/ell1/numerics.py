@@ -359,27 +359,18 @@ def fraction_to_boundary(v, dv, damping=_BOUNDARY):
     return min(1.0, damping * float(np.min(-v[neg] / dv[neg])))
 
 
-def box_barrier_value(t, lam, r, u, up, um):
-    """t (1/2 ||r||^2 + lam sum(u)) - sum log(up) - sum log(um).
-
-    up = u + v and um = u - v are the slacks of |v| <= u; both must be
-    positive.
-    """
-    return (t * (0.5 * float(r @ r) + lam * float(np.sum(u)))
-            - float(np.sum(np.log(up))) - float(np.sum(np.log(um))))
-
-
 class BoxBarrier:
-    """Newton step on box_barrier_value at a strictly interior (v, u).
+    """Newton step on the barrier value at a strictly interior (v, u).
 
-    The u block is eliminated exactly; the residual r and how it depends
-    on v stay with the caller. The caller adds t times the gradient of
-    1/2 ||r||^2 to g_bar, the barrier part of the v gradient, to get the
-    full v gradient g_v, and solves (t H_r + diag(d_red)) dv =
-    reduced_rhs(g_v) with its own Hessian H_r of 1/2 ||r||^2. Then
-    bound_step(dv) gives du and backtrack the step length. g_u is the u
-    gradient; diag_sum and diag_diff are the barrier Hessian's diagonal
-    blocks on (v, v) and (u, u), and on (v, u).
+    The value is t (1/2 ||r||^2 + lam sum(u)) - sum log(u + v) - sum
+    log(u - v), r the caller's residual at v. The u block is eliminated
+    exactly; r and how it depends on v stay with the caller. The caller
+    adds t times the gradient of 1/2 ||r||^2 to g_bar, the barrier part
+    of the v gradient, to get the full v gradient g_v, and solves
+    (t H_r + diag(d_red)) dv = reduced_rhs(g_v) with its own Hessian H_r
+    of 1/2 ||r||^2. Then bound_step(dv) gives du and backtrack the step
+    length. g_u is the u gradient; diag_sum and diag_diff are the barrier
+    Hessian's diagonal blocks on (v, v) and (u, u), and on (v, u).
     """
 
     __slots__ = ("v", "u", "t", "lam", "up", "um", "g_bar", "g_u",
@@ -408,6 +399,16 @@ class BoxBarrier:
         """du from the bound block's row of the Newton system."""
         return -(self.g_u + self.diag_diff * dv) / self.diag_sum
 
+    def change(self, r, v_new, u_new, r_new):
+        """Value at interior (v_new, u_new), residual r_new, minus the
+        value here, residual r: t (q_new - q) - sum log(up_new / up) -
+        sum log(um_new / um), q = 1/2 ||r||^2 + lam sum(u). The slack
+        ratios cancel a power-of-two rescaling of the data exactly."""
+        dq = (0.5 * (float(r_new @ r_new) - float(r @ r))
+              + self.lam * (float(np.sum(u_new)) - float(np.sum(self.u))))
+        return (self.t * dq - float(np.sum(np.log((u_new + v_new) / self.up)))
+                - float(np.sum(np.log((u_new - v_new) / self.um))))
+
     def backtrack(self, r, dv, du, decrement_sq, trial_residual):
         """Armijo backtracking from the fraction-to-boundary step.
 
@@ -419,18 +420,13 @@ class BoxBarrier:
         """
         s = min(fraction_to_boundary(self.up, du + dv),
                 fraction_to_boundary(self.um, du - dv))
-        t, lam = self.t, self.lam
-        F_t = box_barrier_value(t, lam, r, self.u, self.up, self.um)
         for _ in range(_MAX_HALVINGS + 1):
             v_new = self.v + s * dv
             u_new = self.u + s * du
-            up = u_new + v_new
-            um = u_new - v_new
-            if float(np.min(up)) > 0.0 and float(np.min(um)) > 0.0:
-                F_new = box_barrier_value(t, lam, trial_residual(s), u_new,
-                                          up, um)
-                if F_new <= F_t - _ARMIJO * s * decrement_sq:
-                    return s, v_new, u_new
+            if (np.all(np.abs(v_new) < u_new)
+                    and self.change(r, v_new, u_new, trial_residual(s))
+                    <= -_ARMIJO * s * decrement_sq):
+                return s, v_new, u_new
             s *= 0.5
         return None
 

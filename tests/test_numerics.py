@@ -433,11 +433,15 @@ def test_fraction_to_boundary_stays_strictly_positive(vdv):
 
 
 def test_box_barrier_value_example():
+    # from v = 0, u = 1, r = 0, where every log term is log 1 = 0, to
+    # v = (0.5, -0.5) with r = (1, 2) at t = 2, lam = 0.1
     r = np.array([1.0, 2.0])
     v = np.array([0.5, -0.5])
     u = np.ones(2)
-    want = 2.0 * (0.5 * 5.0 + 0.1 * 2.0) - 2.0 * np.log(1.5) - 2.0 * np.log(0.5)
-    got = numerics.box_barrier_value(2.0, 0.1, r, u, u + v, u - v)
+    bar = numerics.BoxBarrier(np.zeros(2), u, 2.0, 0.1)
+    want = (2.0 * (0.5 * 5.0 + 0.1 * 2.0) - 2.0 * np.log(1.5)
+            - 2.0 * np.log(0.5) - 2.0 * (0.1 * 2.0))
+    got = bar.change(np.zeros(2), v, u, r)
     assert got == pytest.approx(want)
 
 
@@ -471,9 +475,14 @@ def test_box_barrier_step_solves_the_full_newton_system():
     np.testing.assert_array_equal(v_s, v + s * dv)
     np.testing.assert_array_equal(u_s, u + s * du)
     assert np.all(np.abs(v_s) < u_s)
-    F_t = numerics.box_barrier_value(t, lam, r, u, u + v, u - v)
-    F_s = numerics.box_barrier_value(t, lam, A @ v_s - b, u_s, u_s + v_s,
-                                     u_s - v_s)
+
+    def barrier_value(r, u, v):
+        return (t * (0.5 * float(r @ r) + lam * float(np.sum(u)))
+                - float(np.sum(np.log(u + v)))
+                - float(np.sum(np.log(u - v))))
+
+    F_t = barrier_value(r, u, v)
+    F_s = barrier_value(A @ v_s - b, u_s, v_s)
     assert F_s <= F_t - 0.01 * s * decrement_sq
 
 
