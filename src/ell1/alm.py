@@ -2,7 +2,9 @@
 
 Both solvers target min ||x||_1 subject to A x = b. palm_solve attacks the
 primal with an outer multiplier loop whose inner subproblems are inexact
-accelerated shrinkage solves under a geometrically growing penalty.
+accelerated shrinkage solves under a geometrically growing penalty; the
+inner loop restarts its momentum when it points uphill, a test on
+vectors at hand that costs no product.
 dalm_solve runs the three-step dual iteration (box projection, row-Gram
 least squares, multiplier update) on the orthonormalized rows
 R^{-T} A, built once per problem from the factor A A^T = R^T R, so that
@@ -36,25 +38,36 @@ def _inner_shrinkage(grad, x, shrink, tau, tol_rel, cap):
     grad(v) is the gradient of the smooth part f at v, whose Lipschitz
     constant tau bounds; each step is a prox-gradient step of length
     1/tau and threshold shrink (so c = shrink * tau) under the
-    accelerated t-sequence. Stops on iterate change
-    <= tol_rel max(1, ||x||) or after cap steps. Returns the new iterate
-    and the number of steps taken (at least one). palm_solve and
+    accelerated t-sequence. A step from y to x_new after x_prev restarts
+    the momentum when (y - x_new) . (x_new - x_prev) > 0, that is when
+    the momentum pointed uphill (O'Donoghue and Candes, 2015): t_prev
+    goes back to 1, so the next extrapolation weight is 0 and the next
+    y is x_new. The test reads only vectors already at hand, so it costs
+    no product. Stops on iterate change <= tol_rel max(1, ||x||) or
+    after cap steps. Returns the new iterate, the number of steps taken
+    (at least one) and the number of restarts. palm_solve and
     robust.align_palm_solve both run their inner solves here.
     """
     t_prev = 1.0
     x_prev = x
     y_vec = x
-    steps = 0
+    steps = restarts = 0
+    tol_sq = tol_rel * tol_rel
     for _ in range(cap):
         x_new = soft_threshold(y_vec - grad(y_vec) / tau, shrink)
         steps += 1
+        step = x_new - x_prev
+        if float((y_vec - x_new) @ step) > 0.0:
+            # the momentum pointed uphill: with t_prev = 1 the next
+            # extrapolation weight is 0, so the next y is x_new
+            t_prev = 1.0
+            restarts += 1
         t_new = 0.5 * (1.0 + np.sqrt(4.0 * t_prev * t_prev + 1.0))
-        y_vec = x_new + ((t_prev - 1.0) / t_new) * (x_new - x_prev)
-        change = float(np.linalg.norm(x_new - x_prev))
+        y_vec = x_new + ((t_prev - 1.0) / t_new) * step
         x_prev, t_prev = x_new, t_new
-        if change <= tol_rel * max(1.0, float(np.linalg.norm(x_new))):
+        if float(step @ step) <= tol_sq * max(1.0, float(x_new @ x_new)):
             break
-    return x_prev, steps
+    return x_prev, steps, restarts
 
 
 def palm_solve(P, config, observer=None):
@@ -62,23 +75,26 @@ def palm_solve(P, config, observer=None):
 
     Every outer iteration minimizes the penalized Lagrangian in x with
     _inner_shrinkage, on the gradient A^T (A x - b - y/mu) (at most
-    _INNER_CAP = 200 accelerated steps, inner tolerance 1e-2/mu), then
+    _INNER_CAP = 200 accelerated steps, inner tolerance 1e-2/mu, the
+    momentum restarted whenever it points uphill), then
     takes the multiplier ascent step y <- y + mu (b - A x) and grows
     mu <- rho mu, from mu = MU0 = 1 with rho = RHO = 2.
     Converges when ||b - A x|| <= config.tol ||b||; iterations counts
     inner steps, and config.max_iter caps that total. The start point and
     every outer iteration are recorded; an event's state holds mu, the
     penalty of the outer step that produced the iterate (MU0 at the start
-    point). The stopping-rule kkt slot carries the relative primal
-    residual. A residual norm stuck above its minimum, and that above 1e3
-    eps ||b||, for _STALL_STEPS (10) outer steps (b outside the range of
-    A), or a non-finite multiplier or residual, raises
-    NumericalBreakdownError.
+    point), and inner_steps and restarts, the steps and momentum restarts
+    of the inner solve that produced it (0 at the start point). The
+    stopping-rule kkt slot carries the relative primal residual. A
+    residual norm stuck above its minimum, and that above 1e3 eps ||b||,
+    for _STALL_STEPS (10) outer steps (b outside the range of A), or a
+    non-finite multiplier or residual, raises NumericalBreakdownError.
     Set-up takes the step constant tau = 1.01 ||A||^2 from the
     dictionary's norm_sq (for a matrix, numerics.spectral_norm_sq:
     Lanczos, 32 to 44 Gram products, each two dictionary products, on a
     200 x 500 Gaussian A). Each inner step takes 2 products, A y and
-    A^T (A y - b_eff), and each outer step 1 more, b - A x.
+    A^T (A y - b_eff), and each outer step 1 more, b - A x; the restart
+    test takes none.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -90,7 +106,7 @@ def palm_solve(P, config, observer=None):
     tau = 1.01 * D.norm_sq()
     x = np.zeros(n)
     y = np.zeros(P.d)
-    mon.record(0, 0.0, b_norm, x, mu=mu)
+    mon.record(0, 0.0, b_norm, x, mu=mu, inner_steps=0, restarts=0)
     it = 0
     converged = False
     best_res, stalled = b_norm, 0
@@ -99,7 +115,7 @@ def palm_solve(P, config, observer=None):
         # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
         # 1/mu so the gradient step keeps the 1/tau length
         b_eff = b + y / mu
-        x, steps = _inner_shrinkage(
+        x, steps, restarts = _inner_shrinkage(
             lambda v: D.adjoint(D.apply(v) - b_eff), x, 1.0 / (mu * tau),
             tau, 1e-2 / mu, min(_INNER_CAP, config.max_iter - it))
         it += steps
@@ -110,7 +126,8 @@ def palm_solve(P, config, observer=None):
             raise NumericalBreakdownError(
                 "multiplier or residual became non-finite at mu = %g" % mu)
         l1 = float(np.sum(np.abs(x)))
-        mon.record(it, l1, res_norm, x, mu=mu)
+        mon.record(it, l1, res_norm, x, mu=mu, inner_steps=steps,
+                   restarts=restarts)
         rel = res_norm / b_norm
         if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True

@@ -91,11 +91,17 @@ class ExtendedDictionary:
         return self.apply(np.asarray(w, dtype=np.float64))
 
     def apply(self, w):
-        d, n = self.A.shape
-        return self.A @ w[:n] + self.scale * w[n:]
+        n = self.A.shape[1]
+        out = self.A @ w[:n]
+        out += self.scale * w[n:]
+        return out
 
     def adjoint(self, r):
-        return np.concatenate([self.A.T @ r, self.scale * r])
+        d, n = self.A.shape
+        out = np.empty((n + d,) + r.shape[1:])
+        np.matmul(self.A.T, r, out=out[:n])
+        np.multiply(self.scale, r, out=out[n:])
+        return out
 
     def column(self, j):
         d, n = self.A.shape
@@ -298,7 +304,8 @@ def align_palm_solve(prob, config):
     minimizing the penalized Lagrangian over w leaves
     1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, with c = P b. Each outer
     step solves that loosely with palm's alm._inner_shrinkage (step 1, as
-    ||P|| = 1; at most alm._INNER_CAP steps, inner tolerance 1e-2/mu); c
+    ||P|| = 1; at most alm._INNER_CAP steps, inner tolerance 1e-2/mu, the
+    momentum restarted whenever it points uphill, at no product); c
     and y lie in range(P), so the gradient is P e - c - y/mu, two products
     with the d x m Q1. Then y <- y + mu (c - P e) and mu grows from
     alm.MU0 = 1 by the factor alm.RHO = 2. Converges when ||P (b - e)||,
@@ -323,7 +330,7 @@ def align_palm_solve(prob, config):
     it = 0
     while it < config.max_iter:
         c_eff = c + y / mu
-        e, steps = _inner_shrinkage(
+        e, steps, _ = _inner_shrinkage(
             lambda v: project(v) - c_eff, e, 1.0 / mu, 1.0, 1e-2 / mu,
             min(_INNER_CAP, config.max_iter - it))
         it += steps

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ell1 import alm, bench, robust, synth
+from ell1 import alm, bench, numerics, robust, synth
 from ell1.alm import MU0, RHO, dalm_solve, palm_solve
 from ell1.exceptions import IllConditionedError, NumericalBreakdownError
 from ell1.homotopy import homotopy_solve
@@ -55,11 +55,66 @@ def test_palm_budget_returns_best_iterate():
 
 def test_palm_unreachable_tol_on_a_feasible_input_exhausts_the_budget():
     # the residual sits at roundoff and stops falling, which is no sign
-    # that b is outside the range of A
+    # that b is outside the range of A. b = A (x0 + 1e-3 g) is feasible,
+    # but no sparse x fits it to the last bit
     P = synth.make_instance(synth.GenSpec(n=100, d=50, k=4, seed=13))
+    g = np.random.default_rng(13).standard_normal(P.n)
+    P = ProblemInstance(P.A, P.A @ (P.ground_truth + 1e-3 * g))
     res = palm_solve(P, SolverConfig(tol=1e-30, max_iter=20000))
     assert not res.converged and res.iterations == 20000
     assert "inner-iteration budget exhausted" in res.notes
+
+
+def test_palm_exact_fit_meets_an_unreachable_looking_tol():
+    # restarted inner solves land on the sparse x0 to the last bit, so
+    # b - A x is exactly zero and even tol 1e-30 is honestly met
+    P = synth.make_instance(synth.GenSpec(n=100, d=50, k=4, seed=13))
+    res = palm_solve(P, SolverConfig(tol=1e-30, max_iter=20000))
+    assert res.converged
+    assert (np.linalg.norm(P.b - P.A @ res.x_star)
+            <= 1e-30 * np.linalg.norm(P.b))
+
+
+def test_palm_products_per_inner_step(counting_view):
+    # 2 products per inner step (A y, A^T (A y - b_eff)) and 1 per outer
+    # step (b - A x); the momentum restart reads vectors at hand
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    cfg = SolverConfig(tol=1e-8, max_iter=20000)
+    plain = palm_solve(P, cfg)
+    view, setup = counting_view(P.A)
+    numerics.spectral_norm_sq(view)  # palm's set-up: the step constant
+    P.A, count = counting_view(P.A)
+    events = []
+    res = palm_solve(P, cfg, observer=events.append)
+    outer = events[1:]  # the first event is the start point
+    assert res.converged
+    assert sum(e.state["inner_steps"] for e in outer) == res.iterations
+    assert sum(e.state["restarts"] for e in outer) > 0
+    assert count[0] <= setup[0] + 2 * res.iterations + len(outer)
+    assert np.array_equal(res.x_star, plain.x_star)
+    assert res.iterations == plain.iterations
+
+
+def test_cab_palm_bouquet_query_inner_steps():
+    # one face-recognition query: three atoms of one group of a bouquet
+    # dictionary, 20% of the entries grossly corrupted. Plain momentum
+    # took 1,819 inner steps here; the restarted inner loop takes 1,090
+    d, n, groups = 150, 300, 15
+    A, labels = synth.gen_bouquet_dict(d, n, groups, 0.6, 2)
+    rng = np.random.default_rng(2)
+    g = int(rng.integers(groups))
+    active = rng.choice(np.flatnonzero(labels == g), size=3, replace=False)
+    x0 = np.zeros(n)
+    x0[active] = rng.uniform(0.5, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
+    b = A @ x0
+    peak = float(np.max(np.abs(b)))
+    b_bad, _ = synth.corrupt_entries(b, 0.2, -peak, peak, 3)
+    x, e, res = robust.cab_solve(A, b_bad, "palm",
+                                 SolverConfig(tol=1e-8, max_iter=4000))
+    assert res.converged and res.iterations <= 1300
+    energy = [np.linalg.norm(x[labels == k]) for k in range(groups)]
+    assert int(np.argmax(energy)) == g
+    assert np.linalg.norm(x - x0) <= 1e-6 * np.linalg.norm(x0)
 
 
 def test_palm_raises_when_b_is_outside_the_range_of_A():
