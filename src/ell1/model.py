@@ -191,14 +191,19 @@ def kkt_from_correlation(x, c, lam):
     """kkt_residual when the correlation c = A^T (b - A x) is already known.
 
     Iterative solvers compute c as part of their own gradient work; this
-    avoids paying the matrix products twice. One elementwise pass: an
-    entry on the support deviates by |c_i - lam sgn x_i|, one off it by
-    |c_i| - lam, and the worst deviation is floored at 0. A NaN anywhere
-    in x or c makes the result NaN, which fails every tolerance test.
+    avoids paying the matrix products twice. An entry on the support
+    deviates by |c_i - lam sgn x_i|, one off it by |c_i| - lam, and the
+    worst deviation is floored at 0. Off the support lam sgn x_i is a zero
+    and c_i minus it is exact, so both cases are |c - lam sgn x| minus
+    lam where sgn x_i = 0 (and minus an exact 0.0 elsewhere), with no
+    select between two full arrays. A NaN anywhere in x or c makes the
+    result NaN, which fails every tolerance test.
     """
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    dev = np.where(x != 0.0, np.abs(c - lam * np.sign(x)), np.abs(c) - lam)
+    s = np.sign(x)
+    dev = np.abs(c - lam * s)
+    dev -= lam * (s == 0.0)
     return float(dev.max(initial=0.0))
 
 

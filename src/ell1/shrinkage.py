@@ -5,7 +5,11 @@ step lengths and warm-started continuation over a decreasing lambda
 schedule. fista_solve adds momentum extrapolation with the accelerated
 t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
 objective decay, and restarts the momentum whenever it points uphill
-(O'Donoghue and Candes, 2015), which costs no dictionary product.
+(O'Donoghue and Candes, 2015), which costs no dictionary product. Its
+search accepts L once ||A delta||^2 <= L ||delta||^2 for the step delta,
+which for the quadratic loss is exactly the majorization of Beck and
+Teboulle (2009), and lets L fall again to the curvature the steps measure
+(Scheinberg, Goldfarb and Bai, 2014).
 """
 
 import numpy as np
@@ -143,21 +147,28 @@ def fista_t_next(t):
     return t_next
 
 
-def _backtrack(y, L_prev, eta, lam, D, b, g_y, f_y):
+def _backtrack(y, L_prev, eta, lam, D, g_y, r_y):
     """Grow L by eta until the quadratic model majorizes F at the prox point.
 
-    Each trial takes one product with the operator D, D x_next.
+    For the quadratic loss the model at L majorizes F at x_next exactly
+    when ||A delta||^2 <= L ||delta||^2, delta = x_next - y, so the test
+    reads no objective value and needs no slack, and a zero step passes.
+    Each trial takes one product with the operator D, D delta, which
+    carries the residual over from r_y = A y - b: A delta stays accurate
+    to its own size, where r_next - r_y would be the difference of two
+    residuals, each rounded at the size of b. Returns (L, x_next, r_next,
+    q), with r_next = r_y + A delta and q = ||A delta||^2 / ||delta||^2 the
+    curvature of the accepted step (0 for a zero step).
     """
     L = L_prev
     for _ in range(_MAX_BACKTRACK + 1):
         x_next = soft_threshold(y - g_y / L, lam / L)
-        r_next = D.apply(x_next) - b
-        l1 = lam * float(np.sum(np.abs(x_next)))
-        F_next = 0.5 * float(r_next @ r_next) + l1
         delta = x_next - y
-        Q = f_y + float(g_y @ delta) + 0.5 * L * float(delta @ delta) + l1
-        if F_next <= Q + 1e-12 * abs(Q):  # relative slack for exact ties
-            return L, x_next, r_next, F_next
+        Adelta = D.apply(delta)
+        AdAd = float(Adelta @ Adelta)
+        dd = float(delta @ delta)
+        if AdAd <= L * dd:
+            return L, x_next, r_y + Adelta, AdAd / dd if dd > 0.0 else 0.0
         L *= eta
     raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
 
@@ -165,29 +176,37 @@ def _backtrack(y, L_prev, eta, lam, D, b, g_y, f_y):
 def fista_solve(P, config, observer=None):
     """Accelerated shrinkage with per-iteration lambda continuation.
 
-    Backtracking starts from L = L0 (1.0) and grows it by ETA (1.5);
-    continuation shrinks lambda by BETA (0.5) per iteration. Options
-    (config.options): continuation (True) and exact_L (False). exact_L
-    starts backtracking from the measured squared spectral norm times
-    1 + 1e-9 instead, as the convergence-bound analysis assumes: the
-    majorization then holds at the first trial unless roundoff breaks it.
-    A step from y to x_next after x restarts the momentum when
+    Backtracking starts from L = L0 (1.0) and grows it by ETA (1.5) until
+    the step delta = x_next - y has ||A delta||^2 <= L ||delta||^2, the
+    exact majorization test for the quadratic loss (a zero step passes).
+    L may then fall: with q = ||A delta||^2 / ||delta||^2 the curvature
+    of the accepted step, the next search starts at
+    max(ETA q, L / ETA, L_floor) when ETA q <= L, and at L otherwise, so
+    it falls by at most ETA per step. Continuation shrinks lambda by BETA
+    (0.5) per iteration. Options (config.options): continuation (True)
+    and exact_L (False). exact_L sets L to the measured squared spectral
+    norm times 1 + 1e-9, as the convergence-bound analysis assumes, and
+    makes that the floor L_floor (0 otherwise): no step's curvature
+    exceeds it, so every step takes that L at its first trial. A step
+    from y to x_next after x restarts the momentum when
     (y - x_next) . (x_next - x) > 0, that is when the momentum pointed
     uphill: the step is kept and t_prev and t go back to 1, so the next
     step starts from y = x_next with no extrapolation. Every step is
     recorded; an event's weight is the step's continuation weight and its
     state holds y (the extrapolated point the step started from), t_prev,
     t (the momentum weights after the step, both 1 after a restart) and
-    L. config.stopping is checked only once lambda has reached config's
-    weight, with the KKT residual at that weight in its kkt slot.
+    L (the step's accepted L). config.stopping is checked only once
+    lambda has reached config's weight, with the KKT residual at that
+    weight in its kkt slot.
 
     Each iteration takes 2 dictionary products, plus 1 per extra
-    backtracking trial: A x_next, and g = A^T (A x_next - b), which the
-    kkt test needs and the next iteration reuses. The extrapolated point
-    y = x + c (x - x_prev) needs none, because its residual and gradient
-    are the same combination of the carried ones for x and x_prev, and the
-    restart test reads only vectors already at hand. Set-up takes A^T b,
-    plus the spectral norm when exact_L is set.
+    backtracking trial: A delta, which carries the residual
+    A x_next - b = (A y - b) + A delta, and g = A^T (A x_next - b), which
+    the kkt test needs and the next iteration reuses. The extrapolated
+    point y = x + c (x - x_prev) needs none, because its residual and
+    gradient are the same combination of the carried ones for x and
+    x_prev, and the restart test reads only vectors already at hand.
+    Set-up takes A^T b, plus the spectral norm when exact_L is set.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -201,10 +220,11 @@ def fista_solve(P, config, observer=None):
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")
 
-    L = L0
+    L, L_floor = L0, 0.0
     if config.opt("exact_L", False):
-        # tiny inflation keeps the majorization valid under roundoff
-        L = D.norm_sq() * (1.0 + 1e-9)
+        # tiny inflation keeps the majorization valid under roundoff; no
+        # search starts below it, so L stays there
+        L = L_floor = D.norm_sq() * (1.0 + 1e-9)
     lam = max(0.9 * Atb_max, lam_bar) \
         if config.opt("continuation", True) else lam_bar
 
@@ -221,8 +241,12 @@ def fista_solve(P, config, observer=None):
         y = x + c * (x - x_prev)
         r_y = r_x + c * (r_x - r_prev)
         g_y = g_x + c * (g_x - g_prev)
-        L, x_next, r_next, F_next = _backtrack(y, L, ETA, lam, D, b, g_y,
-                                               0.5 * float(r_y @ r_y))
+        L_step, x_next, r_next, q = _backtrack(y, L, ETA, lam, D, g_y, r_y)
+        # the next search starts at ETA q when that is at most L_step, but
+        # never below L_step / ETA or L_floor
+        L = max(min(ETA * q, L_step), L_step / ETA, L_floor)
+        F_next = (0.5 * float(r_next @ r_next)
+                  + lam * float(np.sum(np.abs(x_next))))
         x_prev, x = x, x_next
         r_prev, r_x = r_x, r_next
         g_prev, g_x = g_x, D.adjoint(r_next)
@@ -234,7 +258,7 @@ def fista_solve(P, config, observer=None):
         else:
             t_prev, t_cur = t_cur, fista_t_next(t_cur)
         mon.record(it, F_next, float(np.linalg.norm(r_next)), x, lam, y=y,
-                   t_prev=t_prev, t=t_cur, L=L)
+                   t_prev=t_prev, t=t_cur, L=L_step)
         kkt = kkt_from_correlation(x, -g_x, lam)
         if lam == lam_bar and (kkt <= config.tol * lam_bar
                                or mon.rule_met(x, F_next, kkt)):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ell1 import bench, model, numerics, synth
 from ell1.bench import SOLVER_NAMES, SOLVERS
@@ -167,6 +170,39 @@ def test_kkt_from_correlation_propagates_nan(x, c):
     kkt = model.kkt_from_correlation(np.array(x), np.array(c), 0.5)
     assert np.isnan(kkt)
     assert not kkt <= 1e-6
+
+
+def _kkt_by_select(x, c, lam):
+    """The select form kkt_from_correlation replaced: |c_i - lam sgn x_i|
+    where x_i != 0 and |c_i| - lam elsewhere, worst floored at 0."""
+    dev = np.where(x != 0.0, np.abs(c - lam * np.sign(x)), np.abs(c) - lam)
+    return float(dev.max(initial=0.0))
+
+
+_kkt_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0]),
+    st.floats(-1e300, 1e300))   # bounded: c - lam sgn x cannot overflow
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+           arrays(np.float64, n, elements=_kkt_entries),
+           arrays(np.float64, n, elements=_kkt_entries))),
+       st.one_of(st.just(0.0), st.floats(1e-300, 1e300)))
+@example((np.zeros(0), np.zeros(0)), 0.5)
+@example((np.array([-0.0, 2.0, 0.0]), np.array([0.75, 0.5, -0.0])), 0.5)
+@example((np.array([-0.0, np.nan]), np.array([0.25, 0.5])), 0.5)
+@example((np.array([1.0, 0.0]), np.array([np.nan, -0.0])), 0.5)
+def test_kkt_from_correlation_is_bitwise_the_select_form(xc, lam):
+    # the one-pass form equals the two-array select bit for bit, on the
+    # empty vector, signed zeros and NaN included
+    x, c = xc
+    got = model.kkt_from_correlation(x, c, lam)
+    want = _kkt_by_select(x, c, lam)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------- check_stop

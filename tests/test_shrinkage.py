@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ell1 import homotopy, robust, shrinkage, synth
+from ell1.bench import trial_seed
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation, kkt_residual, objective)
@@ -108,15 +109,34 @@ def test_t_next_rejects_below_one():
 # --- backtracking ----------------------------------------------------------
 
 
+class _CountingOperator:
+    """The dense operator of A, counting the products _backtrack takes."""
+
+    def __init__(self, A):
+        self._D = as_operator(A)
+        self.products = 0
+
+    def apply(self, w):
+        self.products += 1
+        return self._D.apply(w)
+
+
 def backtrack_L(y, L_prev, eta, lam, P):
     """fista's backtracking search from y, with the residual and gradient
-    at y computed afresh; returns (L, x_next)."""
+    at y computed afresh; returns (L, x_next, trials taken)."""
     r_y = P.A @ y - P.b
     g_y = P.A.T @ r_y
-    L, x_next, _, _ = shrinkage._backtrack(y, L_prev, eta, lam,
-                                           as_operator(P.A), P.b, g_y,
-                                           0.5 * float(r_y @ r_y))
-    return L, x_next
+    D = _CountingOperator(P.A)
+    L, x_next, _, _ = shrinkage._backtrack(y, L_prev, eta, lam, D, g_y, r_y)
+    return L, x_next, D.products
+
+
+def curvature(x_next, y, P):
+    """||A (x_next - y)||^2 / ||x_next - y||^2, 0 for a zero step."""
+    delta = x_next - y
+    dd = float(delta @ delta)
+    Ad = P.A @ delta
+    return float(Ad @ Ad) / dd if dd > 0.0 else 0.0
 
 
 def quad_model(x_next, y, L, lam, P):
@@ -133,14 +153,15 @@ def test_backtrack_keeps_sufficient_L():
     A = rng.standard_normal((10, 15))
     P = ProblemInstance(A, rng.standard_normal(10))
     L0 = spectral_norm_sq(A) * 1.01
-    L, x_next = backtrack_L(rng.standard_normal(15), L0, 2.0, 0.1, P)
-    assert L == L0  # already a majorizer: zero growth steps
+    L, x_next, trials = backtrack_L(rng.standard_normal(15), L0, 2.0, 0.1, P)
+    assert L == L0 and trials == 1  # already a majorizer: no growth step
 
 
 def test_backtrack_scalar_case():
     P = ProblemInstance(np.array([[2.0]]), np.array([2.0]))
-    L, _ = backtrack_L(np.array([0.0]), 1.0, 2.0, 0.0, P)
+    L, _, trials = backtrack_L(np.array([0.0]), 1.0, 2.0, 0.0, P)
     assert L == 4.0  # first power of 2 at or above the squared norm
+    assert trials == 3
 
 
 def test_backtrack_postcondition_majorizes():
@@ -150,9 +171,10 @@ def test_backtrack_postcondition_majorizes():
         P = ProblemInstance(A, rng.standard_normal(8))
         y = rng.standard_normal(12)
         lam = float(rng.uniform(0.01, 1.0))
-        L, x_next = backtrack_L(y, 0.5, 1.5, lam, P)
+        L, x_next, _ = backtrack_L(y, 0.5, 1.5, lam, P)
         F = objective(x_next, P, lam)
         assert F <= quad_model(x_next, y, L, lam, P) + 1e-9
+        assert curvature(x_next, y, P) <= L
 
 
 def test_backtrack_nonfinite_gradient_breaks_down():
@@ -332,17 +354,23 @@ def test_fista_objective_bound_with_exact_L():
 
 def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
     """fista_solve's default iteration with A y and A^T (A y - b) taken
-    afresh at every extrapolated point y, as backtrack_L above does: 4
-    products per step. The momentum restarts whenever it pointed uphill,
+    afresh at every extrapolated point y, as backtrack_L above does, and
+    each step's curvature q from a product with x_next - y. The next
+    search starts at max(eta q, L / eta) when eta q <= L, else at L.
+    The momentum restarts whenever it pointed uphill,
     (y - x_next) . (x_next - x) > 0. Returns (x, iterations, backtracking
     trials beyond the first of each step, summed over the run)."""
     A, b = P.A, P.b
     x = x_prev = np.zeros(A.shape[1])
     t_prev = t_cur = L = 1.0
+    extra = 0
     lam = max(0.9 * float(np.max(np.abs(A.T @ b))), lam_bar)
     for it in range(1, max_iter + 1):
         y = x + ((t_prev - 1.0) / t_cur) * (x - x_prev)
-        L, x_next = backtrack_L(y, L, eta, lam, P)
+        L_step, x_next, trials = backtrack_L(y, L, eta, lam, P)
+        extra += trials - 1
+        q = curvature(x_next, y, P)
+        L = max(eta * q, L_step / eta) if eta * q <= L_step else L_step
         if float((y - x_next) @ (x_next - x)) > 0.0:
             x_prev = x = x_next
             t_prev = t_cur = 1.0
@@ -353,8 +381,7 @@ def textbook_fista(P, lam_bar, tol, max_iter, eta=1.5, beta=0.5):
         if lam == lam_bar and kkt <= tol * lam_bar:
             break
         lam = max(beta * lam, lam_bar)
-    # every extra trial multiplied L, which starts at 1, by eta
-    return x, it, round(np.log(L) / np.log(eta))
+    return x, it, extra
 
 
 # setup: one A^T b, for both the default lambda and the continuation start
@@ -363,10 +390,10 @@ _FISTA_CONFIG = SolverConfig(tol=1e-8, max_iter=3000)
 
 
 def test_fista_products_per_iteration(counting_view):
-    # restarted fista meets tol 1e-8 on this instance in under 50 steps;
-    # the tighter tol keeps the run long enough to measure a per-step rate
+    # fista meets tol 1e-8 on this instance in under 50 steps; the
+    # tighter tol keeps the run long enough to measure a per-step rate
     cfg = SolverConfig(tol=1e-12, max_iter=3000)
-    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=12, seed=9))
     x_ref, it_ref, extra = textbook_fista(
         P, cfg.resolved_lambda(P.A.T @ P.b), cfg.tol, cfg.max_iter)
     plain = fista_solve(P, cfg)
@@ -411,7 +438,7 @@ def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
 def test_fista_restart_converges_on_a_bouquet_query():
     # a corrupted query against a coherent bouquet dictionary, as in the
     # face-recognition use case: without restart the momentum runs out
-    # this budget
+    # this budget. A search whose L only grows took 769 steps here
     A, labels = synth.gen_bouquet_dict(150, 300, 15, 0.6, 2)
     rng = np.random.default_rng(9)
     g = int(rng.integers(15))
@@ -423,7 +450,7 @@ def test_fista_restart_converges_on_a_bouquet_query():
     b_bad, _ = synth.corrupt_entries(b, 0.2, -scale, scale, seed=12)
     x, _, res = robust.cab_solve(A, b_bad, "fista",
                                  SolverConfig(tol=1e-8, max_iter=4000))
-    assert res.converged
+    assert res.converged and res.iterations <= 384
     energy = [np.linalg.norm(x[labels == k]) for k in range(15)]
     assert int(np.argmax(energy)) == g
 
@@ -449,6 +476,27 @@ def test_fista_restarts_exactly_when_momentum_points_uphill():
     assert restarts >= 1
 
 
+def check_fista_steps(P, log):
+    """Per-step invariants of fista's events on P. Returns how many times
+    the accepted L fell from one step to the next."""
+    falls = 0
+    L_prev = None
+    for e in log:
+        st, la = e.state, e.weight
+        assert st["t"] ** 2 - st["t"] <= st["t_prev"] ** 2
+        F = objective(e.x, P, la)
+        assert F <= quad_model(e.x, st["y"], st["L"], la, P) \
+            + 1e-9 * max(1.0, abs(F))
+        # the accepted L covers the step's curvature, and the search never
+        # starts more than a factor ETA below the previous step's L
+        assert curvature(e.x, st["y"], P) <= st["L"]
+        if L_prev is not None:
+            assert st["L"] >= L_prev / shrinkage.ETA
+            falls += st["L"] < L_prev
+        L_prev = st["L"]
+    return falls
+
+
 @pytest.mark.invariant
 def test_fista_step_invariants():
     for seed in range(1400, 1510):
@@ -459,14 +507,42 @@ def test_fista_step_invariants():
         log = []
         fista_solve(P, SolverConfig(lam=lam, tol=1e-7, max_iter=2000),
                     observer=log.append)
-        Ls = [e.state["L"] for e in log]
-        assert all(a <= b for a, b in zip(Ls, Ls[1:]))
-        for e in log:
-            st, la = e.state, e.weight
-            assert st["t"] ** 2 - st["t"] <= st["t_prev"] ** 2
-            F = objective(e.x, P, la)
-            assert F <= quad_model(e.x, st["y"], st["L"], la, P) \
-                + 1e-9 * max(1.0, abs(F))
+        check_fista_steps(P, log)
+
+
+def test_fista_step_invariants_on_bouquet_queries():
+    # the corruption-extended system cab_solve hands fista. Here L falls
+    # often, and ends far below ||[A, I]||^2 (about 114): these queries
+    # end near L = 6 to 7.5
+    A, _ = synth.gen_bouquet_dict(150, 300, 15, 0.6, 3)
+    cfg = SolverConfig(tol=1e-8, max_iter=4000)
+    for q in range(3):
+        rng = np.random.default_rng(40 + q)
+        active = rng.choice(300, size=3, replace=False)
+        b = A[:, active] @ rng.uniform(0.5, 1.5, 3)
+        scale = float(np.max(np.abs(b)))
+        b_bad, _ = synth.corrupt_entries(b, 0.2, -scale, scale, seed=q)
+        P = robust._cab_problem(A, b_bad, cfg)
+        log = []
+        assert fista_solve(P, cfg, observer=log.append).converged
+        assert check_fista_steps(P, log) >= 50
+        assert log[-1].state["L"] < 0.2 * P.A.norm_sq()
+
+
+def test_fista_exact_L_pins_every_step():
+    # criterion 3's bound takes L = ||A||^2: with exact_L every step of
+    # its runs, down to roundoff, is taken at that L and no other
+    opts = {"continuation": False, "exact_L": True}
+    for t in range(3):
+        P = synth.make_instance(synth.GenSpec(
+            n=100, d=50, k=8, seed=trial_seed(4000, t)))
+        lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
+        log = []
+        fista_solve(P, SolverConfig(lam=lam, tol=1e-16, max_iter=500,
+                                    options=opts), observer=log.append)
+        assert len(log) == 500
+        L_exact = as_operator(P.A).norm_sq() * (1.0 + 1e-9)
+        assert all(e.state["L"] == L_exact for e in log)
 
 
 @pytest.mark.invariant
