@@ -1,10 +1,10 @@
 """Multiplier-method solvers for equality-constrained l1 minimization.
 
 Both solvers target min ||x||_1 subject to A x = b. palm_solve attacks the
-primal with an outer multiplier loop whose inner subproblems are inexact
-accelerated shrinkage solves under a geometrically growing penalty; the
-inner loop restarts its momentum when it points uphill, a test on
-vectors at hand that costs no product.
+primal with an outer multiplier loop under a penalty that grows
+geometrically from mu0 = 1.25 d / ||b||_1. Its inner subproblems are
+inexact accelerated prox-gradient solves (_inner_solve) on fista's step,
+shrinkage._accel_step: the same Lipschitz search and uphill restart.
 dalm_solve runs the three-step dual iteration (box projection, row-Gram
 least squares, multiplier update) on the orthonormalized rows
 R^{-T} A, built once per problem from the factor A A^T = R^T R, so that
@@ -22,79 +22,62 @@ from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.gradient_projection import _REFRESH_EVERY
 from ell1.model import Monitor
-from ell1.numerics import chol_factor, project_box_linf, soft_threshold
+from ell1.numerics import chol_factor, project_box_linf
 from ell1.operators import as_operator
+from ell1.shrinkage import L0, _accel_step
 
-_INNER_CAP = 200       # inner shrinkage iterations per outer multiplier step
-MU0 = 1.0              # starting penalty weight of the primal multiplier loops
+_INNER_CAP = 200       # inner steps per outer step of the multiplier loops
+MU0_SCALE = 1.25       # their starting penalty, in units of d / ||b||_1
 RHO = 2.0              # their per-outer-iteration penalty growth factor
 _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 _STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
 
 
-def _inner_shrinkage(grad, x, shrink, tau, tol_rel, cap):
-    """Accelerated proximal descent on f(x) + c ||x||_1 from x.
+def _inner_solve(D, lam, x, r, L, tol, budget):
+    """Restarted accelerated prox-gradient on 1/2 ||D x - b||^2 + lam ||x||_1.
 
-    grad(v) is the gradient of the smooth part f at v, whose Lipschitz
-    constant tau bounds; each step is a prox-gradient step of length
-    1/tau and threshold shrink (so c = shrink * tau) under the
-    accelerated t-sequence. A step from y to x_new after x_prev restarts
-    the momentum when (y - x_new) . (x_new - x_prev) > 0, that is when
-    the momentum pointed uphill (O'Donoghue and Candes, 2015): t_prev
-    goes back to 1, so the next extrapolation weight is 0 and the next
-    y is x_new. The test reads only vectors already at hand, so it costs
-    no product. Stops on iterate change <= tol_rel max(1, ||x||) or
-    after cap steps. Returns the new iterate, the number of steps taken
-    (at least one) and the number of restarts. palm_solve and
-    robust.align_palm_solve both run their inner solves here.
+    Runs shrinkage._accel_step from x, whose residual D x - b is r, with
+    fresh momentum and the search starting at L, until a step dx has
+    ||dx|| <= tol ||x|| for the new x, or for _INNER_CAP steps or the
+    budget left. Takes D^T r once to start. Returns (x, r, L, steps,
+    trials, restarts): r is carried to the new x, L is where the next
+    search starts. palm_solve and robust.align_palm_solve run their inner
+    solves here.
     """
-    t_prev = 1.0
-    x_prev = x
-    y_vec = x
-    steps = restarts = 0
-    tol_sq = tol_rel * tol_rel
-    for _ in range(cap):
-        x_new = soft_threshold(y_vec - grad(y_vec) / tau, shrink)
-        steps += 1
-        step = x_new - x_prev
-        if float((y_vec - x_new) @ step) > 0.0:
-            # the momentum pointed uphill: with t_prev = 1 the next
-            # extrapolation weight is 0, so the next y is x_new
-            t_prev = 1.0
-            restarts += 1
-        t_new = 0.5 * (1.0 + np.sqrt(4.0 * t_prev * t_prev + 1.0))
-        y_vec = x_new + ((t_prev - 1.0) / t_new) * step
-        x_prev, t_prev = x_new, t_new
-        if float(step @ step) <= tol_sq * max(1.0, float(x_new @ x_new)):
+    g = D.adjoint(r)
+    t_prev = t = 1.0
+    dx = dr = dg = None
+    trials = restarts = 0
+    for steps in range(1, min(_INNER_CAP, budget) + 1):
+        (x, r, g, dx, dr, dg, t_prev, t, L, _, _, tried,
+         restarted) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t,
+                                  L, 0.0)
+        trials += tried
+        restarts += restarted
+        if float(dx @ dx) <= tol * tol * float(x @ x):
             break
-    return x_prev, steps, restarts
+    return x, r, L, steps, trials, restarts
 
 
 def palm_solve(P, config, observer=None):
-    """Primal multiplier loop with inexact shrinkage inner solves.
+    """Primal multiplier loop with inexact prox-gradient inner solves.
 
-    Every outer iteration minimizes the penalized Lagrangian in x with
-    _inner_shrinkage, on the gradient A^T (A x - b - y/mu) (at most
-    _INNER_CAP = 200 accelerated steps, inner tolerance 1e-2/mu, the
-    momentum restarted whenever it points uphill), then
-    takes the multiplier ascent step y <- y + mu (b - A x) and grows
-    mu <- rho mu, from mu = MU0 = 1 with rho = RHO = 2.
-    Converges when ||b - A x|| <= config.tol ||b||; iterations counts
-    inner steps, and config.max_iter caps that total. The start point and
-    every outer iteration are recorded; an event's state holds mu, the
-    penalty of the outer step that produced the iterate (MU0 at the start
-    point), and inner_steps and restarts, the steps and momentum restarts
-    of the inner solve that produced it (0 at the start point). The
-    stopping-rule kkt slot carries the relative primal residual. A
-    residual norm stuck above its minimum, and that above 1e3 eps ||b||,
-    for _STALL_STEPS (10) outer steps (b outside the range of A), or a
-    non-finite multiplier or residual, raises NumericalBreakdownError.
-    Set-up takes the step constant tau = 1.01 ||A||^2 from the
-    dictionary's norm_sq (for a matrix, numerics.spectral_norm_sq:
-    Lanczos, 32 to 44 Gram products, each two dictionary products, on a
-    200 x 500 Gaussian A). Each inner step takes 2 products, A y and
-    A^T (A y - b_eff), and each outer step 1 more, b - A x; the restart
-    test takes none.
+    Every outer iteration minimizes the penalized Lagrangian
+    1/2 ||A x - b - y/mu||^2 + ||x||_1 / mu in x with _inner_solve, to
+    ||dx|| <= 1e-2 (mu0 / mu) ||x|| or _INNER_CAP (200) steps, each search
+    starting where the last one ended (at shrinkage.L0 first), then takes
+    y <- y + mu (b - A x) and grows mu by RHO (2) from
+    mu0 = MU0_SCALE d / ||b||_1, so b -> s b gives s x in the same steps
+    for s a power of 2. Converges when ||b - A x|| <= config.tol ||b||;
+    iterations counts inner steps, capped by config.max_iter. The start
+    point and every outer iteration are recorded; an event's state holds
+    mu (mu0 at the start) and the inner solve's inner_steps, trials
+    (search trials) and restarts (0 at the start). The stopping-rule kkt
+    slot carries the relative primal residual. A residual norm stuck
+    above its minimum, and that above 1e3 eps ||b||, for _STALL_STEPS
+    (10) outer steps (b outside the range of A), or a non-finite
+    multiplier or residual, raises NumericalBreakdownError. Products: 1
+    per search trial and per inner step, 2 per outer step (A^T r, b - A x).
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -102,24 +85,24 @@ def palm_solve(P, config, observer=None):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return mon.trivial(n)
-    mu = MU0
-    tau = 1.01 * D.norm_sq()
+    mu = mu0 = MU0_SCALE * P.d / float(np.sum(np.abs(b)))
+    L = L0
     x = np.zeros(n)
-    y = np.zeros(P.d)
-    mon.record(0, 0.0, b_norm, x, mu=mu, inner_steps=0, restarts=0)
+    Ax, y = np.zeros(P.d), np.zeros(P.d)
+    mon.record(0, 0.0, b_norm, x, mu=mu, inner_steps=0, trials=0,
+               restarts=0)
     it = 0
     converged = False
     best_res, stalled = b_norm, 0
     floor = _STALL_FLOOR * np.finfo(np.float64).eps * b_norm
     while it < config.max_iter:
-        # inner problem: mu/2 ||A x - (b + y/mu)||^2 + ||x||_1, scaled by
-        # 1/mu so the gradient step keeps the 1/tau length
-        b_eff = b + y / mu
-        x, steps, restarts = _inner_shrinkage(
-            lambda v: D.adjoint(D.apply(v) - b_eff), x, 1.0 / (mu * tau),
-            tau, 1e-2 / mu, min(_INNER_CAP, config.max_iter - it))
+        # inner problem: 1/2 ||A x - (b + y/mu)||^2 + ||x||_1 / mu
+        r = Ax - (b + y / mu)
+        x, _, L, steps, trials, restarts = _inner_solve(
+            D, 1.0 / mu, x, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
         it += steps
-        r = b - D.apply(x)
+        Ax = D.apply(x)
+        r = b - Ax
         res_norm = float(np.linalg.norm(r))
         y = y + mu * r
         if not (np.isfinite(res_norm) and np.all(np.isfinite(y))):
@@ -127,7 +110,7 @@ def palm_solve(P, config, observer=None):
                 "multiplier or residual became non-finite at mu = %g" % mu)
         l1 = float(np.sum(np.abs(x)))
         mon.record(it, l1, res_norm, x, mu=mu, inner_steps=steps,
-                   restarts=restarts)
+                   trials=trials, restarts=restarts)
         rel = res_norm / b_norm
         if rel <= config.tol or mon.rule_met(x, l1, rel):
             converged = True

@@ -15,23 +15,24 @@ Q2^T b; w then follows from the normal equations. align_gp_solve,
 align_ist_solve and align_homotopy_solve run gpsr_solve, ist_solve and
 homotopy_solve on that reduced problem. align_palm_solve, the multiplier
 method on the exact-fit form min ||e||_1 subject to b = B w + e, runs
-palm's inner loop (alm._inner_shrinkage) on the same problem in e, with
+palm's inner solve (alm._inner_solve) on the same problem in e, with
 the projector I - Q1 Q1^T in place of Q2^T, so a product costs O(d m);
 it keeps its own short outer loop because palm_solve's per-call set-up
 and monitor outweigh the work on 200 x 12 problems.
 """
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from ell1.alm import _INNER_CAP, _STALL_FLOOR, MU0, RHO, _inner_shrinkage
+from ell1.alm import _STALL_FLOOR, MU0_SCALE, RHO, _inner_solve
 from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance
 from ell1.numerics import chol_factor, spectral_norm_sq
-from ell1.shrinkage import ist_solve
+from ell1.shrinkage import L0, ist_solve
 
 
 class _AdjointView:
@@ -302,41 +303,43 @@ def align_palm_solve(prob, config):
 
     With the reduced QR B = Q1 R and the projector P = I - Q1 Q1^T,
     minimizing the penalized Lagrangian over w leaves
-    1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, with c = P b. Each outer
-    step solves that loosely with palm's alm._inner_shrinkage (step 1, as
-    ||P|| = 1; at most alm._INNER_CAP steps, inner tolerance 1e-2/mu, the
-    momentum restarted whenever it points uphill, at no product); c
-    and y lie in range(P), so the gradient is P e - c - y/mu, two products
-    with the d x m Q1. Then y <- y + mu (c - P e) and mu grows from
-    alm.MU0 = 1 by the factor alm.RHO = 2. Converges when ||P (b - e)||,
-    the fit residual b - B w - e once w solves the normal equations at the
-    returned e, is at most config.tol * ||b||; config.max_iter caps the
-    inner steps. Returns (w, e). palm_solve on the reduced problem, with
-    its set-up and monitor, took about 1.4x this loop's time on 200 x 12
-    problems.
+    1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, with c = P b, which each
+    outer step solves loosely with alm._inner_solve. c and y lie in
+    range(P), so the gradient is the residual itself, a search trial
+    takes two products with the d x m Q1, and the outer step reads
+    P e - c from the carried residual. y and mu move as in palm_solve,
+    from mu0 = alm.MU0_SCALE d / ||c||_1, so b -> s b gives (s w, s e)
+    for s a power of 2. Converges when ||P (b - e)||, the fit residual
+    once w solves the normal equations at e, is at most
+    config.tol * ||b||; config.max_iter caps the inner steps. c = 0 (b in
+    range(B)) returns the exact least-squares fit, e = 0. Returns (w, e).
     """
     B, b = prob.B, prob.b
     gram = _column_gram_factor(B)
     Q1 = np.linalg.qr(B)[0]
-
-    def project(v):
-        return v - Q1 @ (Q1.T @ v)
-
-    c = project(b)
+    # P as an operator whose adjoint is the identity: P^T r = r for every
+    # r in range(P), and the inner solve carries no other residual
+    proj = SimpleNamespace(apply=lambda v: v - Q1 @ (Q1.T @ v),
+                           adjoint=lambda r: r)
+    c = proj.apply(b)
+    c_l1 = float(np.sum(np.abs(c)))
+    if c_l1 == 0.0:
+        return gram.solve(B.T @ b), np.zeros(prob.d)
     tol_abs = config.tol * float(np.linalg.norm(b))
-    e = np.zeros(prob.d)
-    y = np.zeros(prob.d)
-    mu = MU0
+    e, y, r = np.zeros(prob.d), np.zeros(prob.d), -c
+    mu = mu0 = MU0_SCALE * prob.d / c_l1
+    L = L0
     it = 0
     while it < config.max_iter:
-        c_eff = c + y / mu
-        e, steps, _ = _inner_shrinkage(
-            lambda v: project(v) - c_eff, e, 1.0 / mu, 1.0, 1e-2 / mu,
-            min(_INNER_CAP, config.max_iter - it))
+        e, r, L, steps, _, _ = _inner_solve(
+            proj, 1.0 / mu, e, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
         it += steps
-        r = c - project(e)
-        y = y + mu * r
-        if float(np.linalg.norm(r)) <= tol_abs:
+        # r is the carried P e - c - y/mu, so the multiplier step
+        # y + mu (c - P e) is -mu r and needs no product
+        fit = r + y / mu
+        if float(np.linalg.norm(fit)) <= tol_abs:
             break
+        y = -mu * r
         mu *= RHO
+        r = fit - y / mu
     return gram.solve(B.T @ (b - e)), e

@@ -5,12 +5,14 @@ step lengths and warm-started continuation over a decreasing lambda
 schedule. fista_solve adds momentum extrapolation with the accelerated
 t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
 objective decay, and restarts the momentum whenever it points uphill
-(O'Donoghue and Candes, 2015), which costs no dictionary product. Its
-search accepts L once ||A delta||^2 <= L ||delta||^2 for the step delta,
-which for the quadratic loss is exactly the majorization of Beck and
-Teboulle (2009), and lets L fall again to the curvature the steps measure
-(Scheinberg, Goldfarb and Bai, 2014).
+(O'Donoghue and Candes, 2015). Its search accepts L once
+||A delta||^2 <= L ||delta||^2 for the step delta, which for the quadratic
+loss is exactly the majorization of Beck and Teboulle (2009), and lets L
+fall again to the curvature the steps measure (Scheinberg, Goldfarb and
+Bai, 2014). palm's inner solves take the same step, _accel_step.
 """
+
+import math
 
 import numpy as np
 
@@ -141,9 +143,9 @@ def fista_t_next(t):
     """
     if not t >= 1.0:
         raise ValueError("t must be at least 1")
-    t_next = 0.5 * (1.0 + np.sqrt(4.0 * t * t + 1.0))
+    t_next = 0.5 * (1.0 + math.sqrt(4.0 * t * t + 1.0))
     while t_next * t_next - t_next > t * t:
-        t_next = np.nextafter(t_next, 1.0)
+        t_next = math.nextafter(t_next, 1.0)
     return t_next
 
 
@@ -156,42 +158,76 @@ def _backtrack(y, L_prev, eta, lam, D, g_y, r_y):
     Each trial takes one product with the operator D, D delta, which
     carries the residual over from r_y = A y - b: A delta stays accurate
     to its own size, where r_next - r_y would be the difference of two
-    residuals, each rounded at the size of b. Returns (L, x_next, r_next,
-    q), with r_next = r_y + A delta and q = ||A delta||^2 / ||delta||^2 the
-    curvature of the accepted step (0 for a zero step).
+    residuals, each rounded at the size of b. Returns (L, x_next, delta,
+    r_next, q, trials): r_next = r_y + A delta, q = ||A delta||^2 /
+    ||delta||^2 (0 for a zero step) and the number of L values tried.
     """
     L = L_prev
-    for _ in range(_MAX_BACKTRACK + 1):
+    for trials in range(1, _MAX_BACKTRACK + 2):
         x_next = soft_threshold(y - g_y / L, lam / L)
         delta = x_next - y
         Adelta = D.apply(delta)
         AdAd = float(Adelta @ Adelta)
         dd = float(delta @ delta)
         if AdAd <= L * dd:
-            return L, x_next, r_y + Adelta, AdAd / dd if dd > 0.0 else 0.0
+            return (L, x_next, delta, r_y + Adelta,
+                    AdAd / dd if dd > 0.0 else 0.0, trials)
         L *= eta
     raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
+
+
+def _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t, L, L_floor):
+    """One accelerated prox-gradient step on 1/2 ||D x - b||^2 + lam ||x||_1.
+
+    r = D x - b and g = D^T r are the residual and gradient at x, and dx,
+    dr and dg their changes over the last step. The step extrapolates all
+    three by the weight c = (t_prev - 1) / t (not at all when c is 0),
+    runs _backtrack from L, and starts the next search at
+    max(min(ETA q, L_step), L_step / ETA, L_floor). It takes the adjoint
+    g_next = D^T r_next, and restarts the momentum (t_prev = t = 1) when
+    (y - x_next) . (x_next - x) > 0, that is when it pointed uphill
+    (O'Donoghue and Candes, 2015). dr and dg are formed only when the
+    next weight is nonzero. Returns (x_next, r_next, g_next, dx, dr, dg,
+    t_prev, t, L, L_step, y, trials, restarted).
+    """
+    c = (t_prev - 1.0) / t
+    if c:
+        y = x + c * dx
+        r_y = r + c * dr
+        # an adjoint that returns its argument makes the gradient r itself
+        g_y = r_y if g is r else g + c * dg
+    else:
+        y, r_y, g_y = x, r, g
+    L_step, x_next, delta, r_next, q, trials = _backtrack(
+        y, L, ETA, lam, D, g_y, r_y)
+    L = max(min(ETA * q, L_step), L_step / ETA, L_floor)
+    g_next = D.adjoint(r_next)
+    # with no momentum y is x, so the step is delta and cannot point uphill
+    dx = x_next - x if c else delta
+    restarted = c > 0.0 and float(delta @ dx) < 0.0
+    if restarted:
+        t_prev = t = 1.0
+    else:
+        t_prev, t = t, fista_t_next(t)
+    if t_prev > 1.0:
+        dr = r_next - r
+        dg = dr if g_next is r_next else g_next - g
+    return (x_next, r_next, g_next, dx, dr, dg, t_prev, t, L, L_step, y,
+            trials, restarted)
 
 
 def fista_solve(P, config, observer=None):
     """Accelerated shrinkage with per-iteration lambda continuation.
 
-    Backtracking starts from L = L0 (1.0) and grows it by ETA (1.5) until
-    the step delta = x_next - y has ||A delta||^2 <= L ||delta||^2, the
-    exact majorization test for the quadratic loss (a zero step passes).
-    L may then fall: with q = ||A delta||^2 / ||delta||^2 the curvature
-    of the accepted step, the next search starts at
-    max(ETA q, L / ETA, L_floor) when ETA q <= L, and at L otherwise, so
-    it falls by at most ETA per step. Continuation shrinks lambda by BETA
-    (0.5) per iteration. Options (config.options): continuation (True)
-    and exact_L (False). exact_L sets L to the measured squared spectral
-    norm times 1 + 1e-9, as the convergence-bound analysis assumes, and
-    makes that the floor L_floor (0 otherwise): no step's curvature
-    exceeds it, so every step takes that L at its first trial. A step
-    from y to x_next after x restarts the momentum when
-    (y - x_next) . (x_next - x) > 0, that is when the momentum pointed
-    uphill: the step is kept and t_prev and t go back to 1, so the next
-    step starts from y = x_next with no extrapolation. Every step is
+    Every step is _accel_step: its search starts from L = L0 (1.0), grows
+    L by ETA (1.5) until ||A delta||^2 <= L ||delta||^2, and lets it fall
+    by at most ETA per step towards the curvature the steps measure; the
+    momentum restarts whenever it points uphill. Continuation shrinks
+    lambda by BETA (0.5) per iteration. Options (config.options):
+    continuation (True) and exact_L (False). exact_L sets L to the
+    measured squared spectral norm times 1 + 1e-9, as the
+    convergence-bound analysis assumes, and makes that the floor of every
+    search, so every step takes that L at its first trial. Every step is
     recorded; an event's weight is the step's continuation weight and its
     state holds y (the extrapolated point the step started from), t_prev,
     t (the momentum weights after the step, both 1 after a restart) and
@@ -199,14 +235,9 @@ def fista_solve(P, config, observer=None):
     lambda has reached config's weight, with the KKT residual at that
     weight in its kkt slot.
 
-    Each iteration takes 2 dictionary products, plus 1 per extra
-    backtracking trial: A delta, which carries the residual
-    A x_next - b = (A y - b) + A delta, and g = A^T (A x_next - b), which
-    the kkt test needs and the next iteration reuses. The extrapolated
-    point y = x + c (x - x_prev) needs none, because its residual and
-    gradient are the same combination of the carried ones for x and
-    x_prev, and the restart test reads only vectors already at hand.
-    Set-up takes A^T b, plus the spectral norm when exact_L is set.
+    Each iteration takes 2 dictionary products, plus 1 per extra search
+    trial: A delta and g = A^T (A x - b). Set-up takes A^T b, plus the
+    spectral norm when exact_L is set.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -228,38 +259,21 @@ def fista_solve(P, config, observer=None):
     lam = max(0.9 * Atb_max, lam_bar) \
         if config.opt("continuation", True) else lam_bar
 
-    # residual A x - b and gradient A^T (A x - b) at x and at x_prev
-    x_prev = x.copy()
-    r_x = r_prev = -b
-    g_x = g_prev = -Atb
+    # residual A x - b and gradient A^T (A x - b) at x, and their last changes
+    r, g = -b, -Atb
+    dx = dr = dg = None
     t_prev = t_cur = 1.0
     converged = False
     it = 0
     while it < config.max_iter:
         it += 1
-        c = (t_prev - 1.0) / t_cur
-        y = x + c * (x - x_prev)
-        r_y = r_x + c * (r_x - r_prev)
-        g_y = g_x + c * (g_x - g_prev)
-        L_step, x_next, r_next, q = _backtrack(y, L, ETA, lam, D, g_y, r_y)
-        # the next search starts at ETA q when that is at most L_step, but
-        # never below L_step / ETA or L_floor
-        L = max(min(ETA * q, L_step), L_step / ETA, L_floor)
-        F_next = (0.5 * float(r_next @ r_next)
-                  + lam * float(np.sum(np.abs(x_next))))
-        x_prev, x = x, x_next
-        r_prev, r_x = r_x, r_next
-        g_prev, g_x = g_x, D.adjoint(r_next)
-        if float((y - x) @ (x - x_prev)) > 0.0:
-            # the momentum pointed uphill: keep the step, drop the momentum.
-            # The next extrapolation weight (t_prev - 1) / t is then 0, so
-            # the next y is x exactly and x_prev needs no reset
-            t_prev = t_cur = 1.0
-        else:
-            t_prev, t_cur = t_cur, fista_t_next(t_cur)
-        mon.record(it, F_next, float(np.linalg.norm(r_next)), x, lam, y=y,
+        (x, r, g, dx, dr, dg, t_prev, t_cur, L, L_step, y, _,
+         _) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t_cur, L,
+                          L_floor)
+        F_next = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
+        mon.record(it, F_next, float(np.linalg.norm(r)), x, lam, y=y,
                    t_prev=t_prev, t=t_cur, L=L_step)
-        kkt = kkt_from_correlation(x, -g_x, lam)
+        kkt = kkt_from_correlation(x, -g, lam)
         if lam == lam_bar and (kkt <= config.tol * lam_bar
                                or mon.rule_met(x, F_next, kkt)):
             converged = True

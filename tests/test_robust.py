@@ -484,6 +484,18 @@ class TestAlignPalm:
         w, e = align_palm_solve(prob, SolverConfig(tol=1e-8, max_iter=50))
         assert np.all(w == 0.0) and np.all(e == 0.0)
 
+    @pytest.mark.parametrize("log2_scale", [-27, 27])
+    def test_scale_covariance(self, log2_scale):
+        # b -> s b gives (s w, s e) bitwise for s a power of 2: the start
+        # penalty is in the units of P b and every stopping test relative
+        prob, w0, mask = corrupted_alignment(3051, d=60, m=7)
+        cfg = SolverConfig(tol=1e-9, max_iter=60000)
+        s = 2.0 ** log2_scale
+        w, e = align_palm_solve(prob, cfg)
+        w_s, e_s = align_palm_solve(AlignmentProblem(prob.B, s * prob.b), cfg)
+        np.testing.assert_array_equal(w_s, s * w)
+        np.testing.assert_array_equal(e_s, s * e)
+
 
 @functools.lru_cache(maxsize=None)
 def align_three_way(seed):
