@@ -17,11 +17,10 @@ from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, kkt_from_correlation
 from ell1.numerics import BoxBarrier, pcg_solve, truncate_small
 from ell1.operators import as_operator
-from ell1.shrinkage import default_schedule
+from ell1.shrinkage import _STAGE_TOL, default_schedule
 
 _ALPHA_CAP = 1e8
 _DECAY = 0.2           # gpsr's stage-to-stage weight factor
-_STAGE_TOL = 0.1       # kkt residual, relative to its weight, ending a stage
 _CURV_FLOOR = 1e-14    # relative curvature below this counts as flat
 _REFRESH_EVERY = 64    # full residual recompute cadence (drift control)
 PCG_TOL = 0.1          # tnipm's PCG relative residual (l1_ls's cap)

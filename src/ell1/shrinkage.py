@@ -2,10 +2,11 @@
 
 ist_solve runs iterative soft thresholding with spectral (Barzilai-Borwein)
 step lengths and warm-started continuation over a decreasing lambda
-schedule. fista_solve adds momentum extrapolation with the accelerated
-t-sequence and a backtracking Lipschitz search, giving the O(1/k^2)
-objective decay, and restarts the momentum whenever it points uphill
-(O'Donoghue and Candes, 2015). Its search accepts L once
+schedule, solving each middle stage only to 0.1 of its weight, as
+gpsr_solve does. fista_solve adds momentum extrapolation with the
+accelerated t-sequence and a backtracking Lipschitz search, giving the
+O(1/k^2) objective decay, and restarts the momentum whenever it points
+uphill (O'Donoghue and Candes, 2015). Its search accepts L once
 ||A delta||^2 <= L ||delta||^2 for the step delta, which for the quadratic
 loss is exactly the majorization of Beck and Teboulle (2009), and lets L
 fall again to the curvature the steps measure (Scheinberg, Goldfarb and
@@ -28,6 +29,7 @@ _MAX_BACKTRACK = 100
 L0 = 1.0              # fista's starting Lipschitz estimate
 ETA = 1.5             # fista's backtracking growth factor for L
 BETA = 0.5            # fista's per-iteration lambda decay under continuation
+_STAGE_TOL = 0.1      # kkt residual / weight ending a middle ist or gpsr stage
 
 
 def bb_alpha(s, g):
@@ -84,10 +86,11 @@ def objective_delta(x, cand, Ax, Acand, g, lam):
 def ist_solve(P, config, observer=None):
     """Soft-threshold iterations over default_schedule's stage weights.
 
-    A stage ends at a KKT residual of config.tol times its weight;
-    config.max_iter caps the steps of all stages. Each step must strictly
-    decrease the stage objective; a rejected step doubles alpha (halving
-    the step) up to 50 times before the stage is declared stalled.
+    A middle stage ends at a KKT residual of 0.1 times its weight, as in
+    gpsr_solve, the last one at config.tol * lam; config.max_iter caps the
+    steps of all stages. Each step must strictly decrease the stage
+    objective; a rejected step doubles alpha (halving the step) up to 50
+    times before the stage is declared stalled.
     Every accepted step is recorded; an event's weight is the stage
     weight and its state is empty. config.stopping sees only the last
     stage, whose weight is config's.
@@ -108,8 +111,9 @@ def ist_solve(P, config, observer=None):
     Ax = np.zeros(P.d)
     g = -Atb
     for lam_s in default_schedule(Atb, lam):
+        stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
-               and kkt_from_correlation(x, -g, lam_s) > config.tol * lam_s):
+               and kkt_from_correlation(x, -g, lam_s) > stage_tol):
             for _ in range(_MAX_DOUBLINGS):
                 cand = soft_threshold(x - g / alpha, lam_s / alpha)
                 Acand = D.apply(cand)

@@ -34,6 +34,22 @@ def corrupted_instance(seed, n=120, d=60, k=6, frac=0.2, amp=1.0):
     return P.A, P.ground_truth, b_clean, b_bad, mask
 
 
+def bouquet_query(seed, d=60, n=100, groups=10, level=0.2):
+    """Three atoms of one group of a bouquet dictionary, then ``level`` of
+    the entries replaced by draws up to the peak clean amplitude."""
+    rng = np.random.default_rng(seed)
+    A, labels = gen_bouquet_dict(d, n, groups, 0.6, seed)
+    members = np.flatnonzero(labels == int(rng.integers(groups)))
+    active = rng.choice(members, size=min(3, members.size), replace=False)
+    x0 = np.zeros(n)
+    x0[active] = (rng.uniform(0.5, 1.5, size=active.size)
+                  * rng.choice([-1.0, 1.0], size=active.size))
+    b = A @ x0
+    scale = float(np.max(np.abs(b)))
+    b_bad, _ = corrupt_entries(b, level, -scale, scale, seed=seed + 100000)
+    return A, b_bad
+
+
 class TestExtendedDictionary:
     def test_shape_and_mode(self):
         rng = np.random.default_rng(0)
@@ -222,6 +238,26 @@ class TestCabSolve:
             norms = [np.linalg.norm(x[labels == gg]) for gg in range(20)]
             wins += int(np.argmax(norms)) == g
         assert wins >= 90
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_scale_covariant(self, name):
+        # b -> s b with lam -> s lam for s = 2^k on corrupted bouquet
+        # queries: every product and comparison of every backend scales
+        # exactly, so (x, e) scale bitwise and the step count holds
+        for seed in range(2900, 2903):
+            A, b = bouquet_query(seed)
+            lam = 1e-2 * float(np.max(np.abs(np.concatenate([A.T @ b,
+                                                             b]))))
+            cfg = SolverConfig(lam=lam, tol=1e-8, max_iter=4000)
+            x, e, res = cab_solve(A, b, name, cfg)
+            for log2_scale in (-20, -3, 5, 20):
+                s = 2.0 ** log2_scale
+                x_s, e_s, res_s = cab_solve(A, s * b, name,
+                                            replace(cfg, lam=s * lam))
+                np.testing.assert_array_equal(x_s, s * x)
+                np.testing.assert_array_equal(e_s, s * e)
+                assert res_s.iterations == res.iterations
+                assert res_s.converged == res.converged
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("seed", range(2700, 2810))

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ell1 import homotopy, robust, shrinkage, synth
+from ell1 import gradient_projection, homotopy, robust, shrinkage, synth
 from ell1.bench import trial_seed
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
@@ -286,6 +286,51 @@ def test_ist_objective_strictly_decreases_at_fixed_lambda():
                                            P.A.T @ (Ap - P.b), la)
             assert dF < 0.0
             prev = cur
+
+
+@pytest.mark.parametrize("solve, decay", [
+    (gradient_projection.gpsr_solve, gradient_projection._DECAY),
+    (ist_solve, 0.5)], ids=["gpsr", "ist"])
+@pytest.mark.parametrize("seed", range(1400, 1404))
+def test_continuation_stage_ends_at_its_rule(solve, decay, seed):
+    # a middle stage ends at the first iterate whose kkt residual at the
+    # stage weight is at most 0.1 of that weight, the last stage at
+    # tol * lam; a stage its warm start already meets takes no step
+    P = synth.make_instance(synth.GenSpec(n=40, d=20, k=1 + seed % 5,
+                                          seed=seed, noise_sigma=0.01))
+    D = as_operator(P.A)
+    Atb = D.adjoint(P.b)
+    lam = 1e-3 * float(np.max(np.abs(Atb)))
+    cfg = SolverConfig(lam=lam, tol=1e-8, max_iter=20000)
+    stages = default_schedule(Atb, lam, decay)
+    path = [(np.zeros(P.n), 0)]  # the start point, then every step
+
+    def record(e):
+        if e.iteration:  # gpsr records its start point as iteration 0
+            path.append((e.x, stages.index(e.weight)))
+
+    res = solve(P, cfg, observer=record)
+    assert len(stages) >= 5 and res.iterations == len(path) - 1
+
+    def kkt(x, i):
+        return kkt_from_correlation(x, D.adjoint(P.b - D.apply(x)),
+                                    stages[i])
+
+    def stage_tol(i):
+        last = i == len(stages) - 1
+        return cfg.tol * lam if last else shrinkage._STAGE_TOL * stages[i]
+
+    # gpsr carries its residual, so its kkt residuals differ from these
+    # recomputed ones in the last few bits
+    slack = 1e-9
+    for (x, i), (_, j) in zip(path, path[1:]):
+        assert i <= j
+        for k in range(i, j):  # every stage x ended or skipped
+            assert kkt(x, k) <= (1.0 + slack) * stage_tol(k)
+        assert kkt(x, j) > (1.0 - slack) * stage_tol(j)
+    x, i = path[-1]
+    assert res.converged and i == len(stages) - 1
+    assert kkt(x, i) <= (1.0 + slack) * cfg.tol * lam
 
 
 # --- fista_solve -----------------------------------------------------------
