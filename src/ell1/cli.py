@@ -319,7 +319,8 @@ def _cmd_align(args):
     # part of their contract, so convergence is certified after the fact
     lam_field = None if form == "equality" else cfg.lam
     if form == "penalized" and lam_field is None:
-        lam_field = _default_align_lambda(prob, _column_gram_factor(B))
+        Q1 = _column_gram_factor(B)[0]
+        lam_field = _default_align_lambda(prob, b - Q1 @ (Q1.T @ b))
     if not lam_field:
         # the exact-fit form, and a zero weight, which solves it
         obj = float(np.sum(np.abs(e)))

@@ -9,16 +9,16 @@ corruption parts.
 
 AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
-sparse. With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
-an ordinary penalized l1 problem in e, with dictionary Q2^T and data
-Q2^T b; w then follows from the normal equations. align_gp_solve,
-align_ist_solve and align_homotopy_solve run gpsr_solve, ist_solve and
-homotopy_solve on that reduced problem. align_palm_solve, the multiplier
-method on the exact-fit form min ||e||_1 subject to b = B w + e, runs
-palm's inner solve (alm._inner_solve) on the same problem in e, with
-the projector I - Q1 Q1^T in place of Q2^T, so a product costs O(d m);
-it keeps its own short outer loop because palm_solve's per-call set-up
-and monitor outweigh the work on 200 x 12 problems.
+sparse. Every aligner factors B once, by the reduced QR B = Q1 R: with
+P = I - Q1 Q1^T, minimizing over w leaves an ordinary penalized l1
+problem in e with dictionary P and data c = P b, and w then follows from
+R at the returned e. align_gp_solve, align_ist_solve and
+align_homotopy_solve run gpsr_solve, ist_solve and homotopy_solve on
+that reduced problem. align_palm_solve, the multiplier method on the
+exact-fit form min ||e||_1 subject to b = B w + e, runs palm's inner
+solve (alm._inner_solve) on the same problem in e, with P applied in
+O(d m); it keeps its own short outer loop, since palm_solve on that
+projector measured 1.55x slower on 200 x 12 problems.
 """
 
 from dataclasses import dataclass, replace
@@ -27,11 +27,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from ell1.alm import _STALL_FLOOR, MU0_SCALE, RHO, _inner_solve
-from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
+from ell1.exceptions import IllConditionedError
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance
-from ell1.numerics import chol_factor, spectral_norm_sq
+# chol_factor is not called here: perfbench's tests read robust.chol_factor
+from ell1.numerics import _lower_solve, chol_factor, spectral_norm_sq
 from ell1.shrinkage import L0, ist_solve
 
 
@@ -195,8 +196,8 @@ def cab_solve(A, b, solver, config):
 class AlignmentProblem:
     """Tall regression b ~ B w with sparse gross error e.
 
-    B must have many more rows than columns; rank is checked by the
-    solvers when they factor the column Gram.
+    B must have many more rows than columns, and B and b must be finite;
+    rank is checked by the solvers when they factor B.
     """
 
     B: np.ndarray
@@ -213,6 +214,8 @@ class AlignmentProblem:
             raise ValueError("B must be tall: more rows than columns")
         if self.b.shape != (self.B.shape[0],):
             raise ValueError("b must have length d")
+        if not (np.all(np.isfinite(self.B)) and np.all(np.isfinite(self.b))):
+            raise ValueError("B and b must be finite")
 
     @property
     def d(self):
@@ -224,54 +227,53 @@ class AlignmentProblem:
 
 
 def _column_gram_factor(B):
-    try:
-        return chol_factor(B.T @ B)
-    except NotPositiveDefiniteError as exc:
-        raise IllConditionedError(
-            "B must have full column rank") from exc
+    """(Q1, R) of the reduced QR B = Q1 R, so B^T B = R^T R; R w = v is
+    _lower_solve(R.T, v, 1). cond(B) >= 1/sqrt(eps), where B^T B stops
+    being numerically positive definite, raises IllConditionedError."""
+    Q1, R = np.linalg.qr(B)
+    s = np.linalg.svd(R, compute_uv=False)
+    if not s[-1] > np.sqrt(np.finfo(np.float64).eps) * s[0]:
+        raise IllConditionedError("B must have full column rank")
+    return Q1, R
 
 
-def _default_align_lambda(prob, gram):
-    """1e-2 times the peak least-squares residual, or 0 when that peak is
-    at roundoff, 1e3 eps max|b| or less: then b lies in range(B)."""
-    w0 = gram.solve(prob.B.T @ prob.b)
-    lam0 = float(np.max(np.abs(prob.b - prob.B @ w0)))
-    floor = _STALL_FLOOR * np.finfo(np.float64).eps * float(
-        np.max(np.abs(prob.b)))
+def _default_align_lambda(prob, c):
+    """1e-2 times the peak least-squares residual max|c|, or 0 when that
+    peak is at roundoff, 1e3 eps max|b| or less: then b lies in range(B)."""
+    lam0 = float(np.max(np.abs(c)))
+    floor = _STALL_FLOOR * np.finfo(np.float64).eps * np.max(np.abs(prob.b))
     return 1e-2 * lam0 if lam0 > floor else 0.0
 
 
 def _reduced_align_solve(prob, lam, config, solver):
     """Solve the penalized alignment objective as an l1 problem in e alone.
 
-    With the complete QR B = [Q1 Q2] [R; 0], minimizing over w leaves
-    min over e of 1/2 ||Q2^T (b - e)||^2 + lam ||e||_1: the standard
-    penalized problem with dictionary Q2^T and data Q2^T b. solver, one of
-    the package's penalized solvers, runs on it with config at weight
-    lam; w then comes from the normal equations at the returned e.
-    lam=None uses _default_align_lambda, and its zero weight, for b in
-    range(B) to roundoff, returns the exact least-squares fit with e = 0.
-    Returns (w, e).
+    With the reduced QR B = Q1 R and P = I - Q1 Q1^T, minimizing over w
+    leaves min over e of 1/2 ||P e - c||^2 + lam ||e||_1, c = P b: the
+    standard penalized problem with dictionary P and data c. solver, one
+    of the package's penalized solvers, runs on it with config at weight
+    lam; w = R^{-1} Q1^T (b - e). lam=None uses config.lam, else
+    _default_align_lambda, whose zero weight, for b in range(B) to
+    roundoff, returns the exact least-squares fit with e = 0. Returns (w, e).
     """
-    B, b = prob.B, prob.b
-    gram = _column_gram_factor(B)
+    Q1, R = _column_gram_factor(prob.B)
+    c = prob.b - Q1 @ (Q1.T @ prob.b)
+    lam = config.lam if lam is None else lam
     if lam is None:
-        lam = _default_align_lambda(prob, gram)
+        lam = _default_align_lambda(prob, c)
         if lam == 0.0:  # b lies in range(B): the least-squares fit is exact
-            return gram.solve(B.T @ b), np.zeros(prob.d)
-    Q2t = np.ascontiguousarray(
-        np.linalg.qr(B, mode="complete")[0][:, prob.m:].T)
-    e = solver(ProblemInstance(Q2t, Q2t @ b), replace(config, lam=lam)).x_star
-    return gram.solve(B.T @ (b - e)), e
+            return _lower_solve(R.T, Q1.T @ prob.b, 1), np.zeros(prob.d)
+    P = np.eye(prob.d) - Q1 @ Q1.T
+    e = solver(ProblemInstance(P, c), replace(config, lam=lam)).x_star
+    return _lower_solve(R.T, Q1.T @ (prob.b - e), 1), e
 
 
 def align_gp_solve(prob, lam, config):
     """Gradient projection (GPSR) on the alignment objective.
 
     Runs gpsr_solve on the QR-reduced problem in e (see
-    _reduced_align_solve), then re-solves w from the normal equations.
-    lam=None uses 1e-2 times the peak least-squares residual. Returns
-    (w, e).
+    _reduced_align_solve) and solves for w with R. lam=None uses
+    config.lam, else 1e-2 of the peak least-squares residual. Returns (w, e).
     """
     return _reduced_align_solve(prob, lam, config, gpsr_solve)
 
@@ -280,20 +282,20 @@ def align_homotopy_solve(prob, config):
     """Regularization path of the alignment objective in the error block.
 
     Runs homotopy_solve on the QR-reduced problem in e (see
-    _reduced_align_solve), from the least-squares fit (e = 0, weight at
-    the peak residual) down to config.lam, default 1e-2 of the peak
-    residual, then re-solves w from the normal equations. Returns (w, e).
+    _reduced_align_solve) from the least-squares fit (e = 0, weight at the
+    peak residual) down to config.lam, default 1e-2 of the peak residual,
+    and solves for w with R. Returns (w, e).
     """
-    return _reduced_align_solve(prob, config.lam, config, homotopy_solve)
+    return _reduced_align_solve(prob, None, config, homotopy_solve)
 
 
 def align_ist_solve(prob, lam, config):
     """Soft-threshold iterations on the alignment objective.
 
     Runs ist_solve, with its warm-started continuation down to lam, on the
-    QR-reduced problem in e (see _reduced_align_solve), then re-solves w
-    from the normal equations. lam=None uses 1e-2 times the peak
-    least-squares residual. Returns (w, e).
+    QR-reduced problem in e (see _reduced_align_solve) and solves for w
+    with R. lam=None uses config.lam, else 1e-2 of the peak least-squares
+    residual. Returns (w, e).
     """
     return _reduced_align_solve(prob, lam, config, ist_solve)
 
@@ -301,33 +303,30 @@ def align_ist_solve(prob, lam, config):
 def align_palm_solve(prob, config):
     """Multiplier method for the exact-fit form: min ||e||_1, b = B w + e.
 
-    With the reduced QR B = Q1 R and the projector P = I - Q1 Q1^T,
+    With B = Q1 R and P = I - Q1 Q1^T as in _reduced_align_solve,
     minimizing the penalized Lagrangian over w leaves
-    1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, with c = P b, which each
-    outer step solves loosely with alm._inner_solve. c and y lie in
-    range(P), so the gradient is the residual itself, a search trial
-    takes two products with the d x m Q1, and the outer step reads
-    P e - c from the carried residual. y and mu move as in palm_solve,
-    from mu0 = alm.MU0_SCALE d / ||c||_1, so b -> s b gives (s w, s e)
-    for s a power of 2. Converges when ||P (b - e)||, the fit residual
-    once w solves the normal equations at e, is at most
-    config.tol * ||b||; config.max_iter caps the inner steps. c = 0 (b in
-    range(B)) returns the exact least-squares fit, e = 0. Returns (w, e).
+    1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, which each outer step
+    solves loosely with alm._inner_solve. c and y lie in range(P), so the
+    gradient is the residual itself, a search trial takes two products
+    with the d x m Q1, and the outer step reads P e - c from the carried
+    residual. y and mu move as in palm_solve, from
+    mu0 = alm.MU0_SCALE d / ||c||_1, so b -> s b gives (s w, s e) for s a
+    power of 2. Converges when ||P (b - e)||, the fit residual at
+    w = R^{-1} Q1^T (b - e), is at most config.tol * ||b||; config.max_iter
+    caps the inner steps. For b in range(B) to roundoff, e = 0 and w is the
+    least-squares fit. Returns (w, e).
     """
-    B, b = prob.B, prob.b
-    gram = _column_gram_factor(B)
-    Q1 = np.linalg.qr(B)[0]
+    Q1, R = _column_gram_factor(prob.B)
     # P as an operator whose adjoint is the identity: P^T r = r for every
     # r in range(P), and the inner solve carries no other residual
     proj = SimpleNamespace(apply=lambda v: v - Q1 @ (Q1.T @ v),
                            adjoint=lambda r: r)
-    c = proj.apply(b)
-    c_l1 = float(np.sum(np.abs(c)))
-    if c_l1 == 0.0:
-        return gram.solve(B.T @ b), np.zeros(prob.d)
-    tol_abs = config.tol * float(np.linalg.norm(b))
+    c = proj.apply(prob.b)
+    if _default_align_lambda(prob, c) == 0.0:  # b lies in range(B)
+        return _lower_solve(R.T, Q1.T @ prob.b, 1), np.zeros(prob.d)
+    tol_abs = config.tol * float(np.linalg.norm(prob.b))
     e, y, r = np.zeros(prob.d), np.zeros(prob.d), -c
-    mu = mu0 = MU0_SCALE * prob.d / c_l1
+    mu = mu0 = MU0_SCALE * prob.d / float(np.sum(np.abs(c)))
     L = L0
     it = 0
     while it < config.max_iter:
@@ -342,4 +341,4 @@ def align_palm_solve(prob, config):
         y = -mu * r
         mu *= RHO
         r = fit - y / mu
-    return gram.solve(B.T @ (b - e)), e
+    return _lower_solve(R.T, Q1.T @ (prob.b - e), 1), e

@@ -300,6 +300,14 @@ class TestAlignmentProblem:
         prob = AlignmentProblem(np.ones((5, 2)), np.ones(5))
         assert prob.d == 5 and prob.m == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["B", "b"])
+    def test_non_finite_input_rejected(self, bad, where):
+        B, b = np.ones((5, 2)), np.ones(5)
+        (B if where == "B" else b)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AlignmentProblem(B, b)
+
 
 class TestAlignGp:
     def test_rank_deficient_raises(self):
@@ -426,11 +434,38 @@ REDUCED_ALIGNERS = {name: solve for name, solve in ALL_ALIGNERS.items()
                     if name != "palm"}
 
 
-@pytest.mark.parametrize("name", sorted(ALL_ALIGNERS))
-def test_reduced_aligner_rank_deficient_raises(name):
-    B = np.ones((4, 2))  # rank 1
+def graded_basis(log10_cond, seed=0):
+    # 120 x 6 B = U diag(logspace(0, -k, 6)) V^T has cond(B) = 10^k
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((120, 6)))[0]
+    V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return (U * np.logspace(0, -log10_cond, 6)) @ V.T, rng.standard_normal(6)
+
+
+def cond_1e8_case():
+    B, w0 = graded_basis(8)
+    return B, B @ w0
+
+
+def zero_column_case():
+    B = np.random.default_rng(1).standard_normal((40, 5))
+    B[:, 2] = 0.0
+    return B, np.arange(40.0)
+
+
+@pytest.mark.parametrize("name, make", [
+    pytest.param(name, make, id=name + case)
+    for case, make in [("", lambda: (np.ones((4, 2)), np.arange(4.0))),
+                       ("-cond1e8", cond_1e8_case),
+                       ("-zero-column", zero_column_case)]
+    for name in sorted(ALL_ALIGNERS)])
+def test_reduced_aligner_rank_deficient_raises(name, make):
+    # rank 1, or cond(B) >= 1/sqrt(eps), where B^T B is numerically
+    # singular: no aligner may return a w; a zero column must raise, not
+    # warn
+    B, b = make()
     with pytest.raises(IllConditionedError):
-        ALL_ALIGNERS[name](AlignmentProblem(B, np.arange(4.0)),
+        ALL_ALIGNERS[name](AlignmentProblem(B, b),
                            SolverConfig(tol=1e-8, max_iter=50))
 
 
@@ -451,11 +486,14 @@ def test_reduced_aligner_scale_covariance(name, s):
 @pytest.mark.parametrize("solver, align", [
     ("gpsr_solve", lambda prob, cfg: align_gp_solve(prob, cfg.lam, cfg)),
     ("ist_solve", lambda prob, cfg: align_ist_solve(prob, cfg.lam, cfg)),
-    ("homotopy_solve", align_homotopy_solve)], ids=["gp", "ist", "homotopy"])
+    ("homotopy_solve", align_homotopy_solve),
+    ("gpsr_solve", ALL_ALIGNERS["gp"]), ("ist_solve", ALL_ALIGNERS["ist"])],
+    ids=["gp", "ist", "homotopy", "gp-lam-None", "ist-lam-None"])
 def test_reduced_aligner_reaches_the_patched_module_global(solver, align,
                                                            monkeypatch):
     # a profiler wraps robust.<solver> in place, so the aligners must look
-    # their solver up at call time; it runs with config at the weight
+    # their solver up at call time; it runs with config at the weight,
+    # which lam=None takes from config.lam before any default
     prob, w0, mask = corrupted_alignment(3051, d=60, m=7)
     cfg = SolverConfig(tol=1e-9, max_iter=10, lam=0.25)
     weights = []
@@ -478,19 +516,26 @@ def test_zero_rhs_gives_the_exact_zero_fit(name):
     assert np.all(w == 0.0) and np.all(e == 0.0)
 
 
-@pytest.mark.parametrize("name", sorted(REDUCED_ALIGNERS))
-def test_reduced_aligner_rhs_in_range_fits_exactly(name):
-    # b = B w0 leaves a least-squares residual of roundoff size, so the
-    # default weight is roundoff too; the reduced problem's data is that
-    # residual, and w comes back as the least-squares fit
+def gaussian_basis():
     rng = np.random.default_rng(5)
-    B = rng.standard_normal((40, 5))
-    w0 = rng.standard_normal(5)
-    prob = AlignmentProblem(B, B @ w0)
-    w, e = REDUCED_ALIGNERS[name](prob, SolverConfig(tol=1e-8,
-                                                     max_iter=5000))
-    assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
-    assert np.max(np.abs(e)) <= 1e-12 * np.max(np.abs(prob.b))
+    return rng.standard_normal((40, 5)), rng.standard_normal(5)
+
+
+@pytest.mark.parametrize("name, basis, tol", [
+    pytest.param(name, basis, tol, id=name + case)
+    for case, basis, tol in [("", gaussian_basis, 1e-12),
+                             ("-cond1e6", lambda: graded_basis(6), 1e-9)]
+    for name in sorted(ALL_ALIGNERS)])
+def test_reduced_aligner_rhs_in_range_fits_exactly(name, basis, tol):
+    # b = B w0 leaves a least-squares residual of roundoff size, below the
+    # shared roundoff floor, so every aligner returns the exact
+    # least-squares fit with e = 0; w comes from R, not the normal
+    # equations, so cond(B) = 1e6 costs about 1e6 eps of w, not 1e12 eps
+    B, w0 = basis()
+    w, e = ALL_ALIGNERS[name](AlignmentProblem(B, B @ w0),
+                              SolverConfig(tol=1e-8, max_iter=5000))
+    assert np.linalg.norm(w - w0) <= tol * np.linalg.norm(w0)
+    assert not np.any(e)
 
 
 class TestAlignPalm:
