@@ -21,17 +21,18 @@ _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
 
 def _solve_direction(chol, D, support, sgn):
     """Direction on the support: (D_I^T D_I) d = sgn. Returns d, the factor
-    it came from and v = D_I d. Falls back to a dense refactorization when
-    the maintained factor has drifted; raises DegenerateSupportError when
-    the Gram stays singular."""
+    it came from, v = D_I d and w = D^T v; the drift check reads w on the
+    support. Falls back to a dense refactorization when the maintained
+    factor has drifted; raises DegenerateSupportError when the Gram stays
+    singular."""
     if not support:
-        return np.zeros(0), chol, np.zeros(D.shape[0])
+        return np.zeros(0), chol, np.zeros(D.shape[0]), np.zeros(D.shape[1])
     d_I = chol.solve(sgn)
     v = D.apply_columns(support, d_I)
-    gram_d = D.columns_dot(support, v)
+    w = D.adjoint(v)
     tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
-    if np.linalg.norm(gram_d - sgn) <= tol:
-        return d_I, chol, v
+    if np.linalg.norm(w[support] - sgn) <= tol:
+        return d_I, chol, v, w
     # drifted or singular: dense refactorization
     G = _support_gram(D, support)
     try:
@@ -41,7 +42,8 @@ def _solve_direction(chol, D, support, sgn):
     d_I = fresh.solve(sgn)
     if np.linalg.norm(G @ d_I - sgn) > tol:
         raise DegenerateSupportError("active-set Gram solve failed")
-    return d_I, fresh, D.apply_columns(support, d_I)
+    v = D.apply_columns(support, d_I)
+    return d_I, fresh, v, D.adjoint(v)
 
 
 def _gammas(lam, c, x, d, w, support_mask):
@@ -139,12 +141,11 @@ def homotopy_solve(P, config, observer=None):
         it += 1
         sgn = np.sign(c[support])
         try:
-            d_I, chol, v = _solve_direction(chol, D, support, sgn)
+            d_I, chol, _, w = _solve_direction(chol, D, support, sgn)
         except DegenerateSupportError:
             chol = _ridge_factor(D, support, mon.notes)
             d_I = chol.solve(sgn)
-            v = D.apply_columns(support, d_I)
-        w = D.adjoint(v)
+            w = D.adjoint(D.apply_columns(support, d_I))
         dfull = np.zeros(n)
         dfull[support] = d_I
         g_plus, i_plus, g_minus, i_minus = _gammas(lam, c, x, dfull, w, mask)

@@ -96,6 +96,10 @@ class ProblemInstance:
         return self.A.shape[1]
 
 
+# fista's continuation and exact_L, cab_solve's e_weight
+OPTIONS = frozenset({"continuation", "exact_L", "e_weight"})
+
+
 @dataclass
 class SolverConfig:
     """Common solver knobs; every solver is solve(P, config, observer=None).
@@ -110,8 +114,9 @@ class SolverConfig:
     weight for the penalized solvers and ||b - A x|| / ||b|| for the
     equality-form ones; bench.SOLVERS gives each solver's form. The
     continuation solvers (gpsr, ist, fista) check the rule only once they
-    have reached the target weight. Algorithm-specific constants are read
-    from `options` and documented in the solver docstrings.
+    have reached the target weight. `options` holds the algorithm-specific
+    knobs named in OPTIONS, documented in the solver docstrings; any other
+    key raises ValueError.
     """
 
     lam: float = None
@@ -127,6 +132,10 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
+        unknown = set(self.options) - OPTIONS
+        if unknown:
+            raise ValueError("unknown solver options: %s"
+                             % ", ".join(sorted(map(repr, unknown))))
 
     def resolved_lambda(self, Atb):
         return float(self.lam) if self.lam is not None else default_lambda(Atb)
@@ -244,13 +253,13 @@ def check_stop(history, rule, ground_truth=None):
 
 
 def support_size(x, rel_tol=1e-10):
-    """Number of entries meaningfully away from zero."""
+    """Number of entries above rel_tol of the largest magnitude, so the
+    count does not change when x is rescaled."""
     x = np.asarray(x)
     if x.size == 0:
         return 0
     mag = np.abs(x)
-    cutoff = rel_tol * max(float(mag.max()), 1.0)
-    return int(np.count_nonzero(mag > cutoff))
+    return int(np.count_nonzero(mag > rel_tol * float(mag.max())))
 
 
 class Monitor:

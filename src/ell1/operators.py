@@ -2,7 +2,7 @@
 
 Every solver calls as_operator(P.A) once and then touches the dictionary
 only through the operator protocol: apply (D w), adjoint (D^T r),
-norm_sq, gram_dd, weighted_gram_dd, column_norms_sq and the path solver's
+norm_sq, gram_dd, weighted_gram_dd, column_norms_sq and the column access
 apply_columns, columns_dot and gram_column. DenseDictionary implements it
 for a matrix, robust.ExtendedDictionary for the implicit [A, I].
 """
@@ -54,7 +54,8 @@ class DenseDictionary:
         return np.sum(self.A * self.A, axis=0)
 
     def norm_sq(self):
-        """Largest eigenvalue of D^T D."""
+        """Largest eigenvalue of D^T D, exact to roundoff (one Gram
+        product and one LAPACK eigenvalue)."""
         return numerics.spectral_norm_sq(self.A)
 
     def weighted_gram_dd(self, w):

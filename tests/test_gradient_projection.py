@@ -209,6 +209,8 @@ def test_scale_covariant(name, seed, log2_scale, rel_lam):
     assert res.iterations == ref.iterations
     assert res.converged == ref.converged
     np.testing.assert_array_equal(res.x_star, s * ref.x_star)
+    assert ([e.support_size for e in res.trace]
+            == [e.support_size for e in ref.trace])
     for run, prob, weight in ((ref, P, lam), (res, Ps, s * lam)):
         if not run.converged:
             continue

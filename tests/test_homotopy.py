@@ -23,8 +23,8 @@ def update_direction(st, A):
     """Full-length path direction at a snapshot: the solver's active-set
     solve on the support, zero elsewhere."""
     sgn = np.sign(st.c[st.support])
-    d_I, _, _ = homotopy._solve_direction(st.chol, DenseDictionary(A),
-                                          st.support, sgn)
+    d_I, _, _, _ = homotopy._solve_direction(st.chol, DenseDictionary(A),
+                                             st.support, sgn)
     d = np.zeros(st.x.shape[0])
     d[st.support] = d_I
     return d

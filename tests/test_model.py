@@ -43,6 +43,24 @@ def test_solver_config_validation():
     assert cfg.max_iter == 5000
 
 
+def test_solver_config_rejects_unknown_options():
+    # a misspelt knob must not be silently ignored
+    for options in ({"exact_l": True}, {"continuation": False, "beta": 0.5}):
+        with pytest.raises(ValueError, match="unknown solver options"):
+            SolverConfig(options=options)
+    known = {"continuation": False, "exact_L": True, "e_weight": 2.0}
+    assert SolverConfig(options=known).options == known
+
+
+def test_support_size_is_scale_free():
+    x = np.array([0.0, 3e-12, 1e-9, -2.0, 5e-3])
+    assert model.support_size(x) == 3
+    for k in (-60, -30, 30):
+        assert model.support_size(2.0 ** k * x) == 3
+    assert model.support_size(np.zeros(4)) == 0
+    assert model.support_size(np.zeros(0)) == 0
+
+
 def test_stopping_rule_validation():
     with pytest.raises(ValueError):
         StoppingRule("nonsense", 1e-3)

@@ -318,9 +318,9 @@ def test_spectral_norm_sq_vs_eigendecomposition():
     # DERIVED oracle: full symmetric eigendecomposition of A^T A
     rng = np.random.default_rng(17)
     A = rng.standard_normal((30, 50))
-    est = numerics.spectral_norm_sq(A, tol=1e-8)
+    est = numerics.spectral_norm_sq(A)
     truth = float(np.max(np.linalg.eigvalsh(A.T @ A)))
-    assert abs(est - truth) / truth <= 1e-6
+    assert abs(est - truth) / truth <= 1e-12
 
 
 @pytest.mark.invariant
@@ -330,9 +330,9 @@ def test_spectral_norm_sq_accuracy_property():
         d = int(rng.integers(2, 25))
         n = int(rng.integers(2, 25))
         A = rng.standard_normal((d, n))
-        est = numerics.spectral_norm_sq(A, tol=1e-9)
+        est = numerics.spectral_norm_sq(A)
         truth = float(np.max(np.linalg.eigvalsh(A.T @ A)))
-        assert abs(est - truth) / truth <= 1e-6
+        assert abs(est - truth) / truth <= 1e-12
 
 
 def _gaussian_dictionaries():
@@ -341,18 +341,20 @@ def _gaussian_dictionaries():
 
 
 def test_spectral_norm_sq_lanczos_accuracy():
+    # DERIVED oracle: the top singular value from an SVD
     for A in _gaussian_dictionaries():
-        truth = float(np.max(np.linalg.eigvalsh(A @ A.T)))
+        truth = float(np.linalg.norm(A, 2)) ** 2
         est = numerics.spectral_norm_sq(A)
-        assert abs(est - truth) / truth <= 1e-10
+        assert abs(est - truth) / truth <= 1e-12
 
 
 def test_spectral_norm_sq_gram_product_budget(counting_view):
-    # power iteration took 229 to 972 Gram products on such matrices
-    for A in _gaussian_dictionaries():
+    # the smaller Gram is formed in one product, whichever side it is on
+    wide = _gaussian_dictionaries()[:2]
+    for A in wide + [wide[1].T]:
         view, count = counting_view(A)
         numerics.spectral_norm_sq(view)
-        assert count[0] % 2 == 0 and 2 <= count[0] // 2 <= 60
+        assert count[0] == 1
 
 
 @pytest.mark.parametrize("A, truth", [
@@ -363,37 +365,6 @@ def test_spectral_norm_sq_gram_product_budget(counting_view):
     (np.vstack([np.diag([1.0, 3.0]), np.zeros((4, 2))]), 9.0),
 ], ids=["rank1", "rank1-tall", "diag", "diag-repeated", "tall"])
 def test_spectral_norm_sq_exact_subspaces(A, truth):
-    # the Krylov basis spans an invariant subspace before any Ritz check
-    assert numerics.spectral_norm_sq(A) == pytest.approx(truth, rel=1e-12)
-
-
-def test_spectral_norm_sq_redraws_a_start_the_gram_annihilates(monkeypatch):
-    # the first start vector is e1 and A A^T e1 = 0 exactly, so the first
-    # Krylov space is the invariant subspace of eigenvalue 0
-    A = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
-    real = np.random.default_rng
-
-    class FirstDrawE1:
-        def __init__(self, seed):
-            self._rng = real(seed)
-            self._first = True
-
-        def standard_normal(self, size):
-            if self._first:
-                self._first = False
-                return np.eye(size)[0]
-            return self._rng.standard_normal(size)
-
-    monkeypatch.setattr(np.random, "default_rng", FirstDrawE1)
-    assert numerics.spectral_norm_sq(A) == pytest.approx(9.0, rel=1e-12)
-
-
-def test_spectral_norm_sq_start_annihilated_up_to_roundoff():
-    v0 = np.random.default_rng(numerics._START_SEED).standard_normal(5)
-    B = np.random.default_rng(3).standard_normal((5, 9))
-    A = B - np.outer(v0, v0 @ B) / float(v0 @ v0)
-    assert float(np.linalg.norm(A.T @ v0)) <= 1e-13
-    truth = float(np.max(np.linalg.eigvalsh(A @ A.T)))
     assert numerics.spectral_norm_sq(A) == pytest.approx(truth, rel=1e-12)
 
 

@@ -11,6 +11,7 @@ from ell1 import robust
 from ell1.bench import SOLVER_NAMES, solve_named
 from ell1.exceptions import IllConditionedError
 from ell1.model import SolverConfig, kkt_from_correlation
+from ell1.operators import DenseDictionary
 from ell1.robust import (AlignmentProblem, ExtendedDictionary,
                          align_gp_solve, align_homotopy_solve,
                          align_ist_solve, align_palm_solve, cab_solve)
@@ -98,7 +99,9 @@ class TestExtendedDictionary:
         np.testing.assert_allclose(ext.gram_dd(), dense @ dense.T,
                                    atol=1e-12)
         top_sq = float(np.linalg.norm(dense, 2)) ** 2
-        assert abs(ext.norm_sq() - top_sq) <= 1e-6 * top_sq
+        assert abs(ext.norm_sq() - top_sq) <= 1e-12 * top_sq
+        A_sq = float(np.linalg.norm(ext.A, 2)) ** 2
+        assert abs(DenseDictionary(ext.A).norm_sq() - A_sq) <= 1e-12 * A_sq
 
     @pytest.mark.invariant
     @pytest.mark.parametrize("seed", range(100))
