@@ -3,9 +3,10 @@
 Follows the piecewise-linear path of minimizers of
     F(x) = 1/2 ||b - A x||^2 + lambda ||x||_1
 from lambda = ||A^T b||_inf down to a target value (0 reaches the
-equality-constrained solution on recoverable instances). The active-set
-Gram factor is maintained by rank-1 Cholesky updates, so each breakpoint
-costs O(d^2 + d n).
+equality-constrained solution on recoverable instances). The active
+columns live in one column-block that grows by a column per add and
+shifts left on a remove, and their Gram factor is extended or shrunk to
+match, so a breakpoint gathers no columns and costs O(d^2 + d n).
 """
 
 import numpy as np
@@ -19,22 +20,66 @@ _TIE = 1e-12          # gamma tie window relative to lambda; removal wins in it
 _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
 
 
-def _solve_direction(chol, D, support, sgn):
-    """Direction on the support: (D_I^T D_I) d = sgn. Returns d, the factor
-    it came from, v = D_I d and w = D^T v; the drift check reads w on the
-    support. Falls back to a dense refactorization when the maintained
-    factor has drifted; raises DegenerateSupportError when the Gram stays
-    singular."""
-    if not support:
+class _ActiveSet:
+    """The active columns D_I in factor order: their indices, and their
+    values in one F-ordered (d, cap) block whose capacity doubles when it
+    fills. numpy lays a gather D[:, support] out in F order too, so a
+    product with the block is the BLAS call a gather's product would be.
+    """
+
+    def __init__(self, D):
+        self._D = D
+        self._block = np.empty((D.shape[0], 16), order="F")
+        self._idx = np.empty(16, dtype=np.intp)
+        self.k = 0
+
+    @property
+    def support(self):
+        return self._idx[:self.k]
+
+    @property
+    def cols(self):
+        return self._block[:, :self.k]
+
+    def add(self, j):
+        """Append column j; returns its Gram column D_I^T a_j, whose last
+        entry is the new diagonal ||a_j||^2."""
+        k = self.k
+        if k == self._idx.shape[0]:
+            block = np.empty((self._block.shape[0], 2 * k), order="F")
+            block[:, :k] = self._block
+            self._block = block
+            self._idx = np.concatenate([self._idx, np.empty(k, np.intp)])
+        self._block[:, k] = self._D.column(j)
+        self._idx[k] = j
+        self.k = k + 1
+        return self.cols.T @ self._block[:, k]
+
+    def remove(self, pos):
+        """Drop the column at factor position pos, shifting the later
+        ones left."""
+        k = self.k
+        self._block[:, pos:k - 1] = self._block[:, pos + 1:k]
+        self._idx[pos:k - 1] = self._idx[pos + 1:k]
+        self.k = k - 1
+
+
+def _solve_direction(chol, D, B, support, sgn):
+    """Direction on the support: (B^T B) d = sgn for the active columns B.
+    Returns d, the factor it came from, v = B d and w = D^T v; the drift
+    check reads w on the support. Falls back to a dense refactorization
+    when the maintained factor has drifted; raises DegenerateSupportError
+    when the Gram stays singular."""
+    if not support.size:
         return np.zeros(0), chol, np.zeros(D.shape[0]), np.zeros(D.shape[1])
     d_I = chol.solve(sgn)
-    v = D.apply_columns(support, d_I)
+    v = B @ d_I
     w = D.adjoint(v)
     tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
     if np.linalg.norm(w[support] - sgn) <= tol:
         return d_I, chol, v, w
     # drifted or singular: dense refactorization
-    G = _support_gram(D, support)
+    G = B.T @ B
     try:
         fresh = numerics.chol_factor(G)
     except NotPositiveDefiniteError as exc:
@@ -42,50 +87,38 @@ def _solve_direction(chol, D, support, sgn):
     d_I = fresh.solve(sgn)
     if np.linalg.norm(G @ d_I - sgn) > tol:
         raise DegenerateSupportError("active-set Gram solve failed")
-    v = D.apply_columns(support, d_I)
+    v = B @ d_I
     return d_I, fresh, v, D.adjoint(v)
 
 
 def _gammas(lam, c, x, d, w, support_mask):
     """Step lengths to the next add event (off support: |c - gamma w| hits
-    lambda - gamma) and remove event (on support: x + gamma d crosses 0)."""
+    lambda - gamma) and remove event (on support: x + gamma d crosses 0).
+    Ties between the two add ratios go to lambda - c, then to the lower
+    index."""
+    floor = _MIN_STEP_REL * max(lam, 1e-30)
     off = ~support_mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = (lam - c) / (1.0 - w)
+        r2 = (lam + c) / (1.0 + w)
+        r = -x / d
+        r1 = np.where(off & (r1 > floor), r1, np.inf)
+        r2 = np.where(off & (r2 > floor), r2, np.inf)
+        r = np.where(support_mask & (r > 0), r, np.inf)
+    j1, j2, jm = int(np.argmin(r1)), int(np.argmin(r2)), int(np.argmin(r))
     gamma_plus, i_plus = np.inf, -1
-    if np.any(off):
-        idx = np.nonzero(off)[0]
-        co, wo = c[idx], w[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = (lam - co) / (1.0 - wo)
-            r2 = (lam + co) / (1.0 + wo)
-        floor = _MIN_STEP_REL * max(lam, 1e-30)
-        for ratios in (r1, r2):
-            ok = np.isfinite(ratios) & (ratios > floor)
-            if np.any(ok):
-                j = int(np.argmin(np.where(ok, ratios, np.inf)))
-                if ratios[j] < gamma_plus:
-                    gamma_plus, i_plus = float(ratios[j]), int(idx[j])
+    if r1[j1] < gamma_plus:
+        gamma_plus, i_plus = float(r1[j1]), j1
+    if r2[j2] < gamma_plus:
+        gamma_plus, i_plus = float(r2[j2]), j2
     gamma_minus, i_minus = np.inf, -1
-    sup = np.nonzero(support_mask)[0]
-    if sup.size:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = -x[sup] / d[sup]
-        ok = np.isfinite(r) & (r > 0)
-        if np.any(ok):
-            j = int(np.argmin(np.where(ok, r, np.inf)))
-            gamma_minus, i_minus = float(r[j]), int(sup[j])
+    if r[jm] < gamma_minus:
+        gamma_minus, i_minus = float(r[jm]), jm
     return gamma_plus, i_plus, gamma_minus, i_minus
 
 
-def _support_gram(D, support):
-    """The active-set Gram D_I^T D_I, one column per support entry."""
-    G = np.empty((len(support), len(support)))
-    for col, j in enumerate(support):
-        G[:, col] = D.gram_column(support, j)
-    return G
-
-
-def _ridge_factor(D, support, notes):
-    G = _support_gram(D, support)
+def _ridge_factor(B, notes):
+    G = B.T @ B
     G[np.diag_indices_from(G)] += 1e-12 * max(np.trace(G), 1.0)
     if "ridge-regularized gram" not in notes:
         notes.append("ridge-regularized gram")
@@ -97,9 +130,10 @@ def homotopy_solve(P, config, observer=None):
 
     Each loop pass handles one breakpoint and records it; budget
     exhaustion returns the best iterate unconverged. An event's weight is
-    the path weight at its breakpoint and its state holds support (the
-    active columns, in factor order), c (the correlations A^T (b - A x))
-    and chol (the maintained factor of the active-set Gram).
+    the path weight at its breakpoint and its state holds support (an
+    intp array of the active columns, in factor order), c (the
+    correlations A^T (b - A x)) and chol (the maintained factor of the
+    active-set Gram).
     config.stopping is checked at every breakpoint, with the kkt residual
     at the target weight in its kkt slot. config.lam = 0 follows the path
     to the equality-constrained solution.
@@ -115,12 +149,12 @@ def homotopy_solve(P, config, observer=None):
 
     def record(it, lam, res_norm):
         obj = 0.5 * res_norm ** 2 + lam * float(np.sum(np.abs(x)))
-        mon.record(it, obj, res_norm, x, lam, support=support, c=c,
+        mon.record(it, obj, res_norm, x, lam, support=active.support, c=c,
                    chol=chol)
         return obj
 
     def residual():
-        return b - D.apply_columns(support, x[support])
+        return b - active.cols @ x[active.support]
 
     if lam0 <= target_lambda or lam0 == 0.0:
         # zero is already optimal at the target
@@ -128,9 +162,9 @@ def homotopy_solve(P, config, observer=None):
 
     lam = lam0
     j0 = int(np.argmax(np.abs(c)))
-    support = [j0]
+    active = _ActiveSet(D)
     chol = numerics.chol_append(numerics.CholFactor(np.zeros((0, 0))),
-                                np.zeros(0), float(D.gram_column([j0], j0)[0]))
+                                np.zeros(0), float(active.add(j0)[0]))
     mask = np.zeros(n, dtype=bool)
     mask[j0] = True
     converged = False
@@ -139,13 +173,14 @@ def homotopy_solve(P, config, observer=None):
 
     while it < config.max_iter:
         it += 1
+        support, B = active.support, active.cols
         sgn = np.sign(c[support])
         try:
-            d_I, chol, _, w = _solve_direction(chol, D, support, sgn)
+            d_I, chol, _, w = _solve_direction(chol, D, B, support, sgn)
         except DegenerateSupportError:
-            chol = _ridge_factor(D, support, mon.notes)
+            chol = _ridge_factor(B, mon.notes)
             d_I = chol.solve(sgn)
-            w = D.adjoint(D.apply_columns(support, d_I))
+            w = D.adjoint(B @ d_I)
         dfull = np.zeros(n)
         dfull[support] = d_I
         g_plus, i_plus, g_minus, i_minus = _gammas(lam, c, x, dfull, w, mask)
@@ -165,20 +200,17 @@ def homotopy_solve(P, config, observer=None):
         gamma = g_minus if remove else g_plus
         x[support] += gamma * d_I
         if remove:
-            pos = support.index(i_minus)
+            pos = int(np.flatnonzero(support == i_minus)[0])
             x[i_minus] = 0.0
-            support.pop(pos)
+            active.remove(pos)
             mask[i_minus] = False
             chol = numerics.chol_delete(chol, pos)
         else:
-            gcol = D.gram_column(support, i_plus)
-            diag = float(D.gram_column([i_plus], i_plus)[0])
+            g = active.add(i_plus)
             try:
-                chol = numerics.chol_append(chol, gcol, diag)
-                support.append(i_plus)
+                chol = numerics.chol_append(chol, g[:-1], float(g[-1]))
             except NotPositiveDefiniteError:
-                support.append(i_plus)
-                chol = _ridge_factor(D, support, mon.notes)
+                chol = _ridge_factor(active.cols, mon.notes)
             mask[i_plus] = True
         # fresh correlations each breakpoint: O(dn), same class as the step
         r = residual()
@@ -187,7 +219,8 @@ def homotopy_solve(P, config, observer=None):
         lam_emp = float(np.max(np.abs(c)))
         # derived lambda must match the correlation max; repair any drift
         # (with an empty support the max sits strictly below the path value)
-        if abs(lam_emp - lam_step) <= 1e-9 * max(lam_step, 1e-30) or not support:
+        if (abs(lam_emp - lam_step) <= 1e-9 * max(lam_step, 1e-30)
+                or not active.k):
             lam = lam_step
         else:
             lam = lam_emp

@@ -3,7 +3,8 @@ preconditioned conjugate gradients, the spectral norm, and the
 interior-point pieces: the fraction to boundary, which pdipa and tnipm
 share, and tnipm's box-barrier Newton step with its Armijo backtrack.
 
-The elementwise kernels and the rank-1 factor updates run in ell1._accel.
+The elementwise kernels and the rank-1 factor updates run in ell1._accel;
+chol_delete retriangularizes with one LAPACK QR.
 """
 
 from collections import namedtuple
@@ -69,6 +70,7 @@ def _require_finite(arr):
 # LAPACK's triangular solve, looked up once: solve_triangular repeats the
 # lookup and its argument checks on every call, which dominate small solves
 _TRTRS = get_lapack_funcs("trtrs", (np.empty((0, 0)),))
+_GEQRF = get_lapack_funcs("geqrf", (np.empty((0, 0)),))
 
 
 def _lower_solve(L, rhs, trans, overwrite=0):
@@ -85,7 +87,9 @@ class CholFactor:
     """Upper-triangular factor R with R^T R equal to the factored SPD matrix.
 
     R is checked for finiteness once, here; solves then check only their
-    right-hand side, so a cached factor is never rescanned.
+    right-hand side, so a cached factor is never rescanned. chol_append and
+    chol_delete derive a factor from a checked one, check only the entries
+    they compute, and build it with _unchecked, which skips the scan.
     """
 
     __slots__ = ("R",)
@@ -96,6 +100,14 @@ class CholFactor:
             raise ValueError("factor must be square, got shape %r" % (R.shape,))
         _require_finite(R)
         self.R = R
+
+    @classmethod
+    def _unchecked(cls, R):
+        """A factor of the square, C-ordered R, whose entries the caller
+        has checked."""
+        out = cls.__new__(cls)
+        out.R = R
+        return out
 
     @property
     def dim(self):
@@ -172,40 +184,41 @@ def chol_append(factor, gram_col, diag):
     if g.shape[0] != m:
         raise ValueError("gram column length %d does not match factor dim %d"
                          % (g.shape[0], m))
-    out = np.zeros((m + 1, m + 1))
-    out[:m, :m] = factor.R
-    if m:
-        _require_finite(g)
-        u = _lower_solve(factor.R.T, g, 0)
-        out[:m, m] = u
-        d2 = float(diag) - float(u @ u)
-    else:
-        d2 = float(diag)
+    u = _lower_solve(factor.R.T, g, 0) if m else g
+    _require_finite(u)
+    d2 = float(diag) - float(u @ u)
+    if not np.isfinite(d2):
+        raise ValueError("new diagonal entry must be finite")
     if d2 <= 0.0:
         raise NotPositiveDefiniteError("appended column makes the matrix singular")
+    out = np.empty((m + 1, m + 1))
+    out[:m, :m] = factor.R
+    out[:m, m] = u
+    out[m, :m] = 0.0
     out[m, m] = np.sqrt(d2)
-    return CholFactor(out)
+    return CholFactor._unchecked(out)
 
 
 def chol_delete(factor, k):
     """Remove row/column k from the factored matrix.
 
-    Implemented as a block permutation plus one rank-1 update of the
-    trailing factor block.
+    Dropping column k of R leaves its trailing rows upper Hessenberg; one
+    LAPACK QR makes them triangular again, with its rows signed to a
+    positive diagonal.
     """
     m = factor.dim
     if not 0 <= k < m:
         raise ValueError("index %d out of range for factor dim %d" % (k, m))
     R = factor.R
-    out = np.zeros((m - 1, m - 1))
+    out = np.empty((m - 1, m - 1))
     out[:k, :k] = R[:k, :k]
     out[:k, k:] = R[:k, k + 1:]
+    out[k:, :k] = 0.0
     if k < m - 1:
-        trailing = np.ascontiguousarray(R[k + 1:, k + 1:].copy())
-        w = R[k, k + 1:].copy()
-        _accel.chol_update(trailing, w)
-        out[k:, k:] = trailing
-    return CholFactor(out)
+        T = np.triu(_GEQRF(R[k:, k + 1:])[0][:m - 1 - k])
+        T *= np.copysign(1.0, np.diag(T))[:, None]
+        out[k:, k:] = T
+    return CholFactor._unchecked(out)
 
 
 PcgResult = namedtuple("PcgResult", "x converged iterations residual")

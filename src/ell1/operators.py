@@ -2,9 +2,11 @@
 
 Every solver calls as_operator(P.A) once and then touches the dictionary
 only through the operator protocol: apply (D w), adjoint (D^T r),
-norm_sq, gram_dd, weighted_gram_dd, column_norms_sq and the column access
-apply_columns, columns_dot and gram_column. DenseDictionary implements it
-for a matrix, robust.ExtendedDictionary for the implicit [A, I].
+norm_sq, gram_dd, weighted_gram_dd, column_norms_sq and column (a copy of
+one column, which the path solver fetches once per entering column).
+DenseDictionary implements it for a matrix, robust.ExtendedDictionary for
+the implicit [A, I]. Both also keep the gathers apply_columns, columns_dot
+and gram_column, which no solver calls.
 """
 
 import numpy as np
@@ -40,6 +42,9 @@ class DenseDictionary:
 
     def adjoint(self, r):
         return self.A.T @ r
+
+    def column(self, j):
+        return self.A[:, j].copy()
 
     def apply_columns(self, idx, coeffs):
         return self.A[:, idx] @ coeffs

@@ -9,7 +9,7 @@ import pytest
 from ell1 import homotopy, numerics, synth
 from ell1.exceptions import DegenerateSupportError
 from ell1.homotopy import homotopy_solve
-from ell1.model import ProblemInstance, SolverConfig
+from ell1.model import ProblemInstance, SolverConfig, kkt_from_correlation
 from ell1.operators import DenseDictionary
 
 
@@ -22,9 +22,10 @@ def make_state(A, support, x, lam, c):
 def update_direction(st, A):
     """Full-length path direction at a snapshot: the solver's active-set
     solve on the support, zero elsewhere."""
-    sgn = np.sign(st.c[st.support])
+    support = np.asarray(st.support, dtype=np.intp)
+    sgn = np.sign(st.c[support])
     d_I, _, _, _ = homotopy._solve_direction(st.chol, DenseDictionary(A),
-                                             st.support, sgn)
+                                             A[:, support], support, sgn)
     d = np.zeros(st.x.shape[0])
     d[st.support] = d_I
     return d
@@ -263,7 +264,7 @@ def test_invariant_maintained_factor_matches_fresh():
         P, events = path_run(seed)
         for e in events:
             support = e.state["support"]
-            if not support:
+            if not support.size:
                 continue
             G = P.A[:, support].T @ P.A[:, support]
             fresh = numerics.chol_factor(G)
@@ -300,3 +301,38 @@ def test_no_fresh_factorization_on_clean_path(monkeypatch):
     x0[rng.choice(200, 5, replace=False)] = rng.standard_normal(5)
     homotopy_solve(ProblemInstance(A, A @ x0), SolverConfig(lam=0.0))
     assert not calls  # rank-1 updates only inside the loop
+
+
+def test_breakpoints_never_gather_columns():
+    # the active columns live in the solver's own block: a dictionary whose
+    # gather methods raise still gives the same path, bitwise
+    class NoGathers(DenseDictionary):
+        def apply_columns(self, idx, coeffs):
+            raise AssertionError("apply_columns called")
+
+        def columns_dot(self, idx, v):
+            raise AssertionError("columns_dot called")
+
+        def gram_column(self, idx, j):
+            raise AssertionError("gram_column called")
+
+    P = synth.make_instance(synth.GenSpec(n=500, d=200, k=20, seed=25,
+                                          noise_sigma=0.01))
+    lam = 0.01 * float(np.max(np.abs(P.A.T @ P.b)))
+    config = SolverConfig(lam=lam, max_iter=1000)
+    ref = homotopy_solve(P, config)
+    got = homotopy_solve(ProblemInstance(NoGathers(P.A), P.b), config)
+    assert ref.converged and ref.iterations > 50
+    assert got.iterations == ref.iterations and got.converged
+    assert got.x_star.tobytes() == ref.x_star.tobytes()
+    c = P.A.T @ (P.b - P.A @ got.x_star)
+    assert kkt_from_correlation(got.x_star, c, lam) <= 1e-9 * lam
+
+
+def test_dense_column_is_a_copy():
+    A = np.arange(12.0).reshape(3, 4)
+    D = DenseDictionary(A)
+    col = D.column(2)
+    assert col.tobytes() == A[:, 2].copy().tobytes()
+    col[:] = -1.0
+    assert np.all(A[:, 2] == [2.0, 6.0, 10.0])

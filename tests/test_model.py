@@ -265,14 +265,12 @@ def test_check_stop_kkt_rule():
 # ---------------------------------------------------------------- events
 
 def _poison(value):
-    """Overwrite an array an observer received (or the factor or index
-    list it holds) with garbage."""
+    """Overwrite an array an observer received (or the factor it holds)
+    with garbage: NaN in a float array, -1 in an index array."""
     if isinstance(value, numerics.CholFactor):
         value = value.R
     if isinstance(value, np.ndarray):
-        value[...] = np.nan
-    elif isinstance(value, list):
-        value[:] = [-1] * len(value)
+        value[...] = np.nan if value.dtype.kind == "f" else -1
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)

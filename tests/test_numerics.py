@@ -191,6 +191,19 @@ def test_chol_append_delete_match_fresh_factorization():
                                    rtol=1e-9, atol=1e-9)
 
 
+def test_chol_delete_matches_fresh_factor_at_every_position():
+    rng = np.random.default_rng(30)
+    M = random_spd(rng, 30)
+    F = numerics.chol_factor(M)
+    for k in range(30):
+        keep = [i for i in range(30) if i != k]
+        got = numerics.chol_delete(F, k).R
+        ref = numerics.chol_factor(M[np.ix_(keep, keep)]).R
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(np.diag(got) > 0.0)
+        assert np.all(np.tril(got, -1) == 0.0)
+
+
 def test_chol_solve():
     rng = np.random.default_rng(5)
     M = random_spd(rng, 8)
@@ -238,6 +251,8 @@ def test_chol_factor_rejects_non_finite_entries():
             F.solve(rhs)
         with pytest.raises(ValueError):
             numerics.chol_append(F, rhs, 4.0)
+        with pytest.raises(ValueError):
+            numerics.chol_append(F, np.zeros(3), bad)
 
 
 # ---------------------------------------------------------------- pcg
