@@ -16,13 +16,12 @@ primal one when the dictionary is tall.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.gradient_projection import _REFRESH_EVERY
 from ell1.model import Monitor
-from ell1.numerics import chol_factor, project_box_linf
+from ell1.numerics import _lower_solve, chol_factor, project_box_linf
 from ell1.operators import as_operator
 from ell1.shrinkage import L0, _accel_step
 
@@ -139,7 +138,7 @@ def _row_basis(D):
         raise IllConditionedError(
             "row Gram A A^T is not positive definite; the dual solver "
             "needs full row rank") from exc
-    R_inv = solve_triangular(R, np.eye(R.shape[0]))
+    R_inv = _lower_solve(R.T, np.eye(R.shape[0]), 1)
     return R, np.ascontiguousarray(D.adjoint(R_inv).T)
 
 
@@ -188,7 +187,7 @@ def dalm_solve(P, config, observer=None):
         return mon.trivial(n)
     beta = float(np.sum(np.abs(b))) / P.d
     R, Qt = _row_basis(D)
-    u = solve_triangular(R, b, trans="T")
+    u = _lower_solve(R.T, b, 0)
     if not (np.all(np.isfinite(Qt)) and np.all(np.isfinite(u))):
         raise IllConditionedError(
             "orthonormal row basis R^{-T} A or R^{-T} b is not finite")
@@ -221,7 +220,7 @@ def dalm_solve(P, config, observer=None):
         if done or it == config.max_iter or config.stopping is not None:
             res_norm = float(np.linalg.norm(b - D.apply(x)))
             done = gap_ok and res_norm / b_norm <= config.tol
-        y = solve_triangular(R, v) if observer is not None else None
+        y = _lower_solve(R.T, v, 1) if observer is not None else None
         mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)
         if done or mon.rule_met(x, l1, res_norm / b_norm):
             converged = True

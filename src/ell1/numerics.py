@@ -4,7 +4,8 @@ interior-point pieces: the fraction to boundary, which pdipa and tnipm
 share, and tnipm's box-barrier Newton step with its Armijo backtrack.
 
 The elementwise kernels and the rank-1 factor updates run in ell1._accel;
-chol_delete retriangularizes with one LAPACK QR.
+chol_factor is one LAPACK potrf, chol_delete retriangularizes with one
+LAPACK QR.
 """
 
 from collections import namedtuple
@@ -71,6 +72,7 @@ def _require_finite(arr):
 # lookup and its argument checks on every call, which dominate small solves
 _TRTRS = get_lapack_funcs("trtrs", (np.empty((0, 0)),))
 _GEQRF = get_lapack_funcs("geqrf", (np.empty((0, 0)),))
+_POTRF = get_lapack_funcs("potrf", (np.empty((0, 0)),))
 
 
 def _lower_solve(L, rhs, trans, overwrite=0):
@@ -87,9 +89,10 @@ class CholFactor:
     """Upper-triangular factor R with R^T R equal to the factored SPD matrix.
 
     R is checked for finiteness once, here; solves then check only their
-    right-hand side, so a cached factor is never rescanned. chol_append and
-    chol_delete derive a factor from a checked one, check only the entries
-    they compute, and build it with _unchecked, which skips the scan.
+    right-hand side, so a cached factor is never rescanned. chol_factor
+    checks the matrix it factors, and chol_append and chol_delete derive
+    theirs from a checked factor; all three build it with _unchecked,
+    which skips the scan.
     """
 
     __slots__ = ("R",)
@@ -136,16 +139,21 @@ class CholFactor:
 def chol_factor(M):
     """Dense Cholesky factorization of an SPD matrix, upper convention.
 
-    Raises NotPositiveDefiniteError when M is not positive definite.
+    One LAPACK potrf on the lower triangle of M, into one F-ordered copy
+    L, whose transpose is the C-ordered R. A non-finite entry of M raises
+    ValueError, an M that is not positive definite
+    NotPositiveDefiniteError.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square, got shape %r" % (M.shape,))
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    return CholFactor(np.ascontiguousarray(L.T))
+    _require_finite(M)
+    L, info = _POTRF(M, lower=1, clean=1)
+    # every entry of a row enters its diagonal through a sum of squares,
+    # so a row that overflowed leaves a diagonal that is not positive
+    if info > 0 or not np.all(L.diagonal() > 0.0):
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    return CholFactor._unchecked(L.T)
 
 
 def chol_rank1(factor, v, sign):

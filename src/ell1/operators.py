@@ -64,8 +64,13 @@ class DenseDictionary:
         return numerics.spectral_norm_sq(self.A)
 
     def weighted_gram_dd(self, w):
-        """D diag(w) D^T as a dense (d, d) matrix."""
-        return (self.A * w) @ self.A.T
+        """D diag(w) D^T as a dense (d, d) matrix, for w >= 0: one
+        symmetric rank-N product B B^T with B = D diag(sqrt(w)), which
+        BLAS takes as a syrk at half a general product's flops. The
+        result is exactly symmetric."""
+        # B keeps A's ndarray subclass, so a counting view sees the product
+        B = (self.A * np.sqrt(w)).view(type(self.A))
+        return B @ B.T
 
     def gram_dd(self):
         return self.A @ self.A.T

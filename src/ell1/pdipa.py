@@ -6,9 +6,13 @@ v >= 0. Each iteration takes Mehrotra's predictor-corrector step (Mehrotra,
 1992): an affine predictor aimed at mu = 0 sets the centering weight
 sigma = min(mu_aff / mu, 1)^3 of a corrector that also cancels the
 predictor's second-order term. Eliminating the slack block leaves one
-d x d weighted normal matrix, formed and factored once per iteration and
-solved twice; with the two residuals an iteration takes six products.
-A corrector that cannot lower mu gives way to the plain centering step.
+d x d weighted normal matrix A diag(w) A^T, formed and factored once per
+iteration and solved twice. The dictionary forms it as one symmetric
+rank-n product B B^T with B = A diag(sqrt(w)), exactly symmetric, and
+numerics.chol_factor factors its lower triangle with LAPACK potrf. With
+the two residuals an iteration takes seven products: the Gram and six
+with A. A corrector that cannot lower mu gives way to the plain
+centering step.
 """
 
 import numpy as np

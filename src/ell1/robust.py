@@ -151,8 +151,12 @@ class ExtendedDictionary:
         return spectral_norm_sq(self.A) + self.scale ** 2
 
     def weighted_gram_dd(self, w):
+        """[A, sI] diag(w) [A, sI]^T for w >= 0: the A block as one
+        symmetric rank-n product B B^T with B = A diag(sqrt(w[:n])), plus
+        the diagonal s^2 w[n:]. The result is exactly symmetric."""
         d, n = self.A.shape
-        M = (self.A * w[:n]) @ self.A.T
+        B = self.A * np.sqrt(w[:n])
+        M = B @ B.T
         M[np.diag_indices(d)] += self.scale ** 2 * w[n:]
         return M
 

@@ -124,6 +124,35 @@ def test_chol_factor_reproduces_matrix():
 def test_chol_factor_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         numerics.chol_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    M = random_spd(np.random.default_rng(11), 6)
+    lam_min = float(np.linalg.eigvalsh(M)[0])
+    for bad in (M - 2.0 * lam_min * np.eye(6), -M, np.zeros((6, 6))):
+        with pytest.raises(NotPositiveDefiniteError):
+            numerics.chol_factor(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 129, 200])
+def test_chol_factor_is_a_contiguous_upper_factor(n):
+    rng = np.random.default_rng(n)
+    M = random_spd(rng, n, 1e-3, 1e3)
+    R = numerics.chol_factor(M).R
+    assert R.flags.c_contiguous
+    assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diag(R) > 0.0)
+    assert np.linalg.norm(R.T @ R - M) <= 1e-13 * np.linalg.norm(M)
+    ref = np.linalg.cholesky(M).T
+    assert np.max(np.abs(R - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_chol_factor_matches_numpy_on_bouquet_grams():
+    # potrf and numpy's Cholesky may round differently, by an ulp or so
+    from ell1.robust import ExtendedDictionary
+    from ell1.synth import gen_bouquet_dict, trial_seed
+    for j in range(3):
+        A, _ = gen_bouquet_dict(150, 300, 15, 0.6, trial_seed(0, 0, j))
+        M = ExtendedDictionary(A).gram_dd()
+        R = numerics.chol_factor(M).R
+        ref = np.linalg.cholesky(M).T
+        assert np.max(np.abs(R - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_chol_rank1_diagonal_examples():
@@ -239,6 +268,15 @@ def test_chol_solve_edge_cases():
 
 
 def test_chol_factor_rejects_non_finite_entries():
+    M = random_spd(np.random.default_rng(11), 6)
+    for bad in (np.nan, np.inf, -np.inf):
+        # on, below and above the diagonal: potrf reads only the lower
+        # triangle, and stops with info > 0 on an inf below the diagonal
+        for i, j in ((0, 0), (3, 3), (5, 5), (4, 1), (1, 4), (5, 0)):
+            N = M.copy()
+            N[i, j] = bad
+            with pytest.raises(ValueError):
+                numerics.chol_factor(N)
     for bad in (np.nan, np.inf):
         R = np.eye(3)
         R[0, 2] = bad

@@ -65,6 +65,22 @@ class TestExtendedDictionary:
         with pytest.raises(ValueError):
             ExtendedDictionary(np.ones((2, 3)), identity_scale=0.0)
 
+    def test_weighted_gram_is_symmetric_and_matches_explicit_product(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((30, 70))
+        ext = ExtendedDictionary(A, identity_scale=0.6)
+        for op, dense in ((DenseDictionary(A), A), (ext, materialized(ext))):
+            width = dense.shape[1]
+            for w in (rng.random(width) + 0.1,
+                      10.0 ** rng.uniform(-12, 12, width),
+                      np.where(rng.random(width) < 0.3, 0.0,
+                               10.0 ** rng.uniform(-12, 12, width))):
+                M = op.weighted_gram_dd(w)
+                assert np.array_equal(M, M.T)
+                ref = (dense * w) @ dense.T
+                assert (np.linalg.norm(M - ref)
+                        <= 1e-13 * np.linalg.norm(ref))
+
     def test_column_access_matches_dense(self):
         rng = np.random.default_rng(1)
         ext = ExtendedDictionary(rng.standard_normal((8, 12)),
