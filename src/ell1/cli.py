@@ -35,12 +35,12 @@ from ell1.robust import (AlignmentProblem, _cab_problem, _column_gram_factor,
                          align_palm_solve, cab_solve)
 from ell1.synth import GenSpec, make_instance
 
-# the aligners: form and entry (problem, config) -> (w, e)
+# the aligners (problem, config) -> (w, e); SOLVERS[name].form is theirs
 _ALIGNERS = {
-    "gp": ("penalized", lambda p, c: align_gp_solve(p, c.lam, c)),
-    "homotopy": ("penalized", align_homotopy_solve),
-    "ist": ("penalized", lambda p, c: align_ist_solve(p, c.lam, c)),
-    "palm": ("equality", align_palm_solve),
+    "gp": lambda p, c: align_gp_solve(p, c.lam, c),
+    "homotopy": align_homotopy_solve,
+    "ist": lambda p, c: align_ist_solve(p, c.lam, c),
+    "palm": align_palm_solve,
 }
 _FMT = "%.17g"
 
@@ -65,10 +65,6 @@ def _load_array(path, what):
         raise _CliError("malformed CSV in %s file %r: %s"
                         % (what, path, exc))
     return arr
-
-
-def _load_matrix(path, what="matrix"):
-    return _load_array(path, what)
 
 
 def _load_vector(path, what="vector"):
@@ -157,7 +153,7 @@ def _certificate(algo, P, x, cfg):
 
 
 def _cmd_solve(args):
-    A = _load_matrix(args.matrix)
+    A = _load_array(args.matrix, "matrix")
     b = _load_vector(args.rhs, "rhs")
     _check_rows("matrix", A.shape, "rhs", b.size)
     P = ProblemInstance(A, b)
@@ -285,7 +281,7 @@ def _cmd_noise_sweep(args):
 
 
 def _cmd_cab(args):
-    A = _load_matrix(args.matrix)
+    A = _load_array(args.matrix, "matrix")
     b = _load_vector(args.rhs, "rhs")
     _check_rows("matrix", A.shape, "rhs", b.size)
     cfg = _solver_config(args, tol=1e-8, max_iter=4000)
@@ -302,7 +298,7 @@ def _cmd_cab(args):
 
 
 def _cmd_align(args):
-    B = _load_matrix(args.basis, "basis")
+    B = _load_array(args.basis, "basis")
     b = _load_vector(args.rhs, "rhs")
     _check_rows("basis", B.shape, "rhs", b.size)
     try:
@@ -310,9 +306,9 @@ def _cmd_align(args):
     except ValueError as exc:
         raise _CliError(str(exc))
     cfg = _solver_config(args, tol=1e-8, max_iter=5000)
-    form, entry = _ALIGNERS[args.algo]
+    form = SOLVERS[args.algo].form
     t0 = time.perf_counter()
-    w, e = entry(prob, cfg)
+    w, e = _ALIGNERS[args.algo](prob, cfg)
     wall = time.perf_counter() - t0
     r = b - B @ w - e
     # the alignment solvers return plain (w, e); iteration counts are not

@@ -86,7 +86,7 @@ def gpsr_solve(P, config, observer=None):
     Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
     mon = Monitor(config, b, P.ground_truth, observer)
-    if float(np.max(np.abs(Atb))) == 0.0:
+    if float(np.max(np.abs(Atb))) <= lam:  # x = 0 is optimal
         return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")

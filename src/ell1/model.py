@@ -321,7 +321,7 @@ class Monitor:
     def trivial(self, n, weight=None):
         """x = 0 after 0 iterations, for an input where zero is optimal.
 
-        That is A^T b = 0 for the penalized form at any weight, whose
+        That is ||A^T b||_inf <= weight for the penalized form, whose
         trace entry carries F(0) = 1/2 ||b||^2, and b = 0 for the equality
         form (weight None), whose trace entry carries ||0||_1 = 0.
         """

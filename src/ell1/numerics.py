@@ -322,10 +322,9 @@ def fraction_to_boundary(v, dv, damping=_BOUNDARY):
     damping (0.99 by default) times the smallest blocking ratio
     v_i / -dv_i. damping=1 gives the undamped step to the boundary.
     """
-    neg = dv < 0
-    if not np.any(neg):
-        return 1.0
-    return min(1.0, damping * float(np.min(-v[neg] / dv[neg])))
+    with np.errstate(all="ignore"):
+        ratio = np.min(np.where(dv < 0, -v / dv, np.inf), initial=np.inf)
+    return min(1.0, damping * float(ratio))
 
 
 class BoxBarrier:

@@ -10,15 +10,13 @@ corruption parts.
 AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
 sparse. Every aligner factors B once, by the reduced QR B = Q1 R: with
-P = I - Q1 Q1^T, minimizing over w leaves an ordinary penalized l1
-problem in e with dictionary P and data c = P b, and w then follows from
-R at the returned e. align_gp_solve, align_ist_solve and
-align_homotopy_solve run gpsr_solve, ist_solve and homotopy_solve on
-that reduced problem. align_palm_solve, the multiplier method on the
-exact-fit form min ||e||_1 subject to b = B w + e, runs palm's inner
-solve (alm._inner_solve) on the same problem in e, with P applied in
-O(d m); it keeps its own short outer loop, since palm_solve on that
-projector measured 1.55x slower on 200 x 12 problems.
+P = I - Q1 Q1^T, minimizing over w leaves an l1 problem in e with
+dictionary P and data c = P b, and w follows from R at the returned e.
+_reduced_align_solve builds that problem, with P one implicit operator
+applied in O(d m), for all four aligners. align_gp_solve, align_ist_solve
+and align_homotopy_solve run gpsr_solve, ist_solve and homotopy_solve on
+it; align_palm_solve, for the exact-fit form min ||e||_1 subject to
+b = B w + e, runs its own multiplier loop over alm._inner_solve.
 """
 
 from dataclasses import dataclass, replace
@@ -249,100 +247,106 @@ def _default_align_lambda(prob, c):
     return 1e-2 * lam0 if lam0 > floor else 0.0
 
 
-def _reduced_align_solve(prob, lam, config, solver):
-    """Solve the penalized alignment objective as an l1 problem in e alone.
+def _reduced_align_solve(prob, lam, solve):
+    """Solve an alignment objective as an l1 problem in e alone.
 
-    With the reduced QR B = Q1 R and P = I - Q1 Q1^T, minimizing over w
-    leaves min over e of 1/2 ||P e - c||^2 + lam ||e||_1, c = P b: the
-    standard penalized problem with dictionary P and data c. solver, one
-    of the package's penalized solvers, runs on it with config at weight
-    lam; w = R^{-1} Q1^T (b - e). lam=None uses config.lam, else
+    With B = Q1 R and P = I - Q1 Q1^T, minimizing over w leaves a problem
+    in e with dictionary P and data c = P b. P is implicit: apply and
+    column(j) = e_j - Q1 Q1[j] take products with the d x m Q1, and
+    adjoint returns its argument, which is P^T r for every r in range(P),
+    where c and every residual of the problem lie. solve(P, c, lam)
+    returns e; w = R^{-1} Q1^T (b - e). lam=None takes
     _default_align_lambda, whose zero weight, for b in range(B) to
-    roundoff, returns the exact least-squares fit with e = 0. Returns (w, e).
+    roundoff, returns the exact least-squares fit with e = 0.
+    Returns (w, e).
     """
     Q1, R = _column_gram_factor(prob.B)
-    c = prob.b - Q1 @ (Q1.T @ prob.b)
-    lam = config.lam if lam is None else lam
+    P = SimpleNamespace(shape=(prob.d, prob.d),
+                        apply=lambda v: v - Q1 @ (Q1.T @ v),
+                        adjoint=lambda r: r,
+                        column=lambda j: np.eye(1, prob.d, j)[0] - Q1 @ Q1[j])
+    c = P.apply(prob.b)
     if lam is None:
         lam = _default_align_lambda(prob, c)
         if lam == 0.0:  # b lies in range(B): the least-squares fit is exact
             return _lower_solve(R.T, Q1.T @ prob.b, 1), np.zeros(prob.d)
-    P = np.eye(prob.d) - Q1 @ Q1.T
-    e = solver(ProblemInstance(P, c), replace(config, lam=lam)).x_star
+    e = solve(P, c, lam)
     return _lower_solve(R.T, Q1.T @ (prob.b - e), 1), e
+
+
+def _penalized_align_solve(prob, lam, config, solver):
+    """_reduced_align_solve with solver, a penalized solver, run with
+    config at weight lam, else config.lam, else the default."""
+    return _reduced_align_solve(
+        prob, config.lam if lam is None else lam,
+        lambda P, c, weight: solver(ProblemInstance(P, c),
+                                    replace(config, lam=weight)).x_star)
 
 
 def align_gp_solve(prob, lam, config):
     """Gradient projection (GPSR) on the alignment objective.
 
-    Runs gpsr_solve on the QR-reduced problem in e (see
-    _reduced_align_solve) and solves for w with R. lam=None uses
-    config.lam, else 1e-2 of the peak least-squares residual. Returns (w, e).
+    Runs gpsr_solve on the reduced problem in e (see _reduced_align_solve)
+    and solves for w with R. lam=None uses config.lam, else 1e-2 of the
+    peak least-squares residual. Returns (w, e).
     """
-    return _reduced_align_solve(prob, lam, config, gpsr_solve)
+    return _penalized_align_solve(prob, lam, config, gpsr_solve)
 
 
 def align_homotopy_solve(prob, config):
     """Regularization path of the alignment objective in the error block.
 
-    Runs homotopy_solve on the QR-reduced problem in e (see
+    Runs homotopy_solve on the reduced problem in e (see
     _reduced_align_solve) from the least-squares fit (e = 0, weight at the
     peak residual) down to config.lam, default 1e-2 of the peak residual,
     and solves for w with R. Returns (w, e).
     """
-    return _reduced_align_solve(prob, None, config, homotopy_solve)
+    return _penalized_align_solve(prob, None, config, homotopy_solve)
 
 
 def align_ist_solve(prob, lam, config):
     """Soft-threshold iterations on the alignment objective.
 
     Runs ist_solve, with its warm-started continuation down to lam, on the
-    QR-reduced problem in e (see _reduced_align_solve) and solves for w
-    with R. lam=None uses config.lam, else 1e-2 of the peak least-squares
+    reduced problem in e (see _reduced_align_solve) and solves for w with
+    R. lam=None uses config.lam, else 1e-2 of the peak least-squares
     residual. Returns (w, e).
     """
-    return _reduced_align_solve(prob, lam, config, ist_solve)
+    return _penalized_align_solve(prob, lam, config, ist_solve)
 
 
 def align_palm_solve(prob, config):
     """Multiplier method for the exact-fit form: min ||e||_1, b = B w + e.
 
-    With B = Q1 R and P = I - Q1 Q1^T as in _reduced_align_solve,
-    minimizing the penalized Lagrangian over w leaves
-    1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu in e, which each outer step
-    solves loosely with alm._inner_solve. c and y lie in range(P), so the
-    gradient is the residual itself, a search trial takes two products
-    with the d x m Q1, and the outer step reads P e - c from the carried
-    residual. y and mu move as in palm_solve, from
-    mu0 = alm.MU0_SCALE d / ||c||_1, so b -> s b gives (s w, s e) for s a
-    power of 2. Converges when ||P (b - e)||, the fit residual at
-    w = R^{-1} Q1^T (b - e), is at most config.tol * ||b||; config.max_iter
-    caps the inner steps. For b in range(B) to roundoff, e = 0 and w is the
-    least-squares fit. Returns (w, e).
+    Each outer step solves 1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu, on the
+    reduced problem of _reduced_align_solve, loosely with alm._inner_solve.
+    y and mu move as in palm_solve, from mu0 = alm.MU0_SCALE d / ||c||_1,
+    so b -> s b gives (s w, s e) for s a power of 2. Converges when
+    ||P (b - e)||, the fit residual at the returned w, is at most
+    config.tol * ||b||; config.max_iter caps the inner steps. palm_solve
+    on the same projector measured 1.57x slower than this loop, from its
+    per-step monitor and one more outer step under its ||c|| stop. For b
+    in range(B), e = 0 and w is the least-squares fit. Returns (w, e).
     """
-    Q1, R = _column_gram_factor(prob.B)
-    # P as an operator whose adjoint is the identity: P^T r = r for every
-    # r in range(P), and the inner solve carries no other residual
-    proj = SimpleNamespace(apply=lambda v: v - Q1 @ (Q1.T @ v),
-                           adjoint=lambda r: r)
-    c = proj.apply(prob.b)
-    if _default_align_lambda(prob, c) == 0.0:  # b lies in range(B)
-        return _lower_solve(R.T, Q1.T @ prob.b, 1), np.zeros(prob.d)
-    tol_abs = config.tol * float(np.linalg.norm(prob.b))
-    e, y, r = np.zeros(prob.d), np.zeros(prob.d), -c
-    mu = mu0 = MU0_SCALE * prob.d / float(np.sum(np.abs(c)))
-    L = L0
-    it = 0
-    while it < config.max_iter:
-        e, r, L, steps, _, _ = _inner_solve(
-            proj, 1.0 / mu, e, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
-        it += steps
-        # r is the carried P e - c - y/mu, so the multiplier step
-        # y + mu (c - P e) is -mu r and needs no product
-        fit = r + y / mu
-        if float(np.linalg.norm(fit)) <= tol_abs:
-            break
-        y = -mu * r
-        mu *= RHO
-        r = fit - y / mu
-    return _lower_solve(R.T, Q1.T @ (prob.b - e), 1), e
+
+    def multiplier_loop(P, c, _):
+        tol_abs = config.tol * float(np.linalg.norm(prob.b))
+        e, y, r = np.zeros(prob.d), np.zeros(prob.d), -c
+        mu = mu0 = MU0_SCALE * prob.d / float(np.sum(np.abs(c)))
+        L = L0
+        it = 0
+        while it < config.max_iter:
+            e, r, L, steps, _, _ = _inner_solve(
+                P, 1.0 / mu, e, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
+            it += steps
+            # r is the carried P e - c - y/mu, so the multiplier step
+            # y + mu (c - P e) is -mu r and needs no product
+            fit = r + y / mu
+            if float(np.linalg.norm(fit)) <= tol_abs:
+                break
+            y = -mu * r
+            mu *= RHO
+            r = fit - y / mu
+        return e
+
+    return _reduced_align_solve(prob, None, multiplier_loop)

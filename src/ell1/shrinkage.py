@@ -100,7 +100,7 @@ def ist_solve(P, config, observer=None):
     mon = Monitor(config, b, P.ground_truth, observer)
     Atb = D.adjoint(b)
     lam = config.resolved_lambda(Atb)
-    if float(np.max(np.abs(Atb))) == 0.0:
+    if float(np.max(np.abs(Atb))) <= lam:  # x = 0 is optimal
         return mon.trivial(n, lam)
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -250,7 +250,7 @@ def fista_solve(P, config, observer=None):
     lam_bar = config.resolved_lambda(Atb)
     x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
-    if Atb_max == 0.0:
+    if Atb_max <= lam_bar:  # x = 0 is optimal
         return mon.trivial(n, lam_bar)
     if not lam_bar > 0:
         raise ValueError("lambda must be positive")

@@ -15,7 +15,7 @@ from ell1.gradient_projection import (gpsr_direction, gpsr_solve,
                                       gpsr_step_size, tnipm_solve)
 from ell1.homotopy import homotopy_solve
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
-                        kkt_residual, objective)
+                        TraceEntry, kkt_residual, objective)
 from ell1.numerics import PcgResult, pcg_solve, soft_threshold
 
 
@@ -230,10 +230,10 @@ def test_zero_is_returned_at_a_weight_above_the_threshold(name, factor):
     P = synth.make_instance(synth.GenSpec(n=200, d=100, k=8, seed=11))
     lam = factor * float(np.max(np.abs(P.A.T @ P.b)))
     res = solve_named(name, P, SolverConfig(lam=lam))
-    assert res.converged and res.iterations <= 1
+    assert res.converged and res.iterations == 0
     assert np.array_equal(res.x_star, np.zeros(P.n))
-    if name == "tnipm":
-        assert res.iterations == 0
+    assert res.trace == [TraceEntry(0, 0.5 * float(np.linalg.norm(P.b)) ** 2,
+                                    float(np.linalg.norm(P.b)), 0)]
 
 
 # --- tnipm_solve -----------------------------------------------------------

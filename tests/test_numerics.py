@@ -438,6 +438,22 @@ def test_fraction_to_boundary_examples():
     assert numerics.fraction_to_boundary(v, np.array([-0.5, 0.0, 0.0])) == 1.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("damping", [0.99, 1.0])
+def test_fraction_to_boundary_matches_the_masked_formula(seed, damping):
+    # the one-pass minimum takes the same quotients as a min over the
+    # gathered blocking entries, so the step is bitwise the same
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(1e-3, 10.0, 1000)
+    dv = rng.standard_normal(1000) * rng.choice([0.0, 1.0], 1000)
+    assert np.any(dv < 0) and np.any(dv == 0) and np.any(dv > 0)
+    neg = dv < 0
+    expected = min(1.0, damping * float(np.min(-v[neg] / dv[neg])))
+    assert numerics.fraction_to_boundary(v, dv, damping) == expected
+    dv_up = np.abs(dv)
+    assert numerics.fraction_to_boundary(v, dv_up, damping) == 1.0
+
+
 @pytest.mark.invariant
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 30).flatmap(lambda n: st.tuples(

@@ -10,7 +10,7 @@ import pytest
 from ell1 import robust
 from ell1.bench import SOLVER_NAMES, solve_named
 from ell1.exceptions import IllConditionedError
-from ell1.model import SolverConfig, kkt_from_correlation
+from ell1.model import ProblemInstance, SolverConfig, kkt_from_correlation
 from ell1.operators import DenseDictionary
 from ell1.robust import (AlignmentProblem, ExtendedDictionary,
                          align_gp_solve, align_homotopy_solve,
@@ -555,6 +555,73 @@ def test_reduced_aligner_rhs_in_range_fits_exactly(name, basis, tol):
                               SolverConfig(tol=1e-8, max_iter=5000))
     assert np.linalg.norm(w - w0) <= tol * np.linalg.norm(w0)
     assert not np.any(e)
+
+
+def implicit_projector(prob):
+    """The projector and data _reduced_align_solve hands its solve, the
+    Q1 of B, and the dense I - Q1 Q1^T it stands for."""
+    seen = []
+
+    def capture(P, c, lam):
+        seen.append((P, c))
+        return np.zeros(prob.d)
+
+    robust._reduced_align_solve(prob, 1.0, capture)
+    Q1 = robust._column_gram_factor(prob.B)[0]
+    (P, c), = seen
+    return P, c, Q1, np.eye(prob.d) - Q1 @ Q1.T
+
+
+@pytest.mark.parametrize("seed", [3061, 3062])
+def test_implicit_projector_matches_the_dense_one(seed):
+    prob, w0, mask = corrupted_alignment(seed, d=60, m=7)
+    P, c, Q1, dense = implicit_projector(prob)
+    assert P.shape == dense.shape
+    np.testing.assert_allclose(c, dense @ prob.b, rtol=0, atol=1e-14
+                               * np.linalg.norm(prob.b))
+    v = np.random.default_rng(seed).standard_normal(prob.d)
+    np.testing.assert_allclose(P.apply(v), dense @ v, rtol=0,
+                               atol=1e-14 * np.linalg.norm(v))
+    for j in range(prob.d):
+        np.testing.assert_allclose(P.column(j), dense[:, j], rtol=0,
+                                   atol=1e-15)
+    # the identity adjoint is P^T on range(P), where c and every residual
+    # of the reduced problem lie
+    r = dense @ v
+    np.testing.assert_allclose(P.adjoint(r), dense.T @ r, rtol=0,
+                               atol=1e-14 * np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("name, solver", [("gp", "gpsr_solve"),
+                                          ("ist", "ist_solve"),
+                                          ("homotopy", "homotopy_solve")])
+@pytest.mark.parametrize("seed", [3071, 3072])
+def test_implicit_projector_aligners_match_the_dense_projector(
+        name, solver, seed, monkeypatch):
+    # the solver on the dense ProblemInstance(I - Q1 Q1^T, c) at the same
+    # weight takes the same steps to the same (w, e), up to roundoff
+    prob, w0, mask = corrupted_alignment(seed, d=80, m=9)
+    cfg = SolverConfig(tol=1e-8, max_iter=40000)
+    Q1, R = robust._column_gram_factor(prob.B)
+    c = prob.b - Q1 @ (Q1.T @ prob.b)
+    lam = robust._default_align_lambda(prob, c)
+    solve = getattr(robust, solver)
+    ref = solve(ProblemInstance(np.eye(prob.d) - Q1 @ Q1.T, c),
+                replace(cfg, lam=lam))
+    w_ref = np.linalg.solve(R, Q1.T @ (prob.b - ref.x_star))
+    runs = []
+
+    def recorded(P, config):
+        runs.append(solve(P, config))
+        return runs[-1]
+
+    monkeypatch.setattr(robust, solver, recorded)
+    w, e = ALL_ALIGNERS[name](prob, cfg)
+    (run,) = runs
+    assert run.iterations > 1
+    assert (run.iterations, run.converged) == (ref.iterations, ref.converged)
+    assert np.linalg.norm(e - ref.x_star) <= 1e-12 * np.linalg.norm(e)
+    assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w)
 
 
 class TestAlignPalm:
