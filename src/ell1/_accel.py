@@ -14,7 +14,8 @@ def soft_threshold(u, a):
 
 
 def project_box_linf(z):
-    return np.clip(z, -1.0, 1.0)
+    # np.clip's result for NaN, +-0 and +-inf, at a third of its call cost
+    return np.minimum(np.maximum(z, -1.0), 1.0)
 
 
 def chol_update(R, v):

@@ -14,7 +14,7 @@ preconditioned conjugate gradients.
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
-from ell1.model import Monitor, kkt_from_correlation
+from ell1.model import Monitor, _kkt_screened, kkt_from_correlation
 from ell1.numerics import BoxBarrier, pcg_solve, truncate_small
 from ell1.operators import as_operator
 from ell1.shrinkage import _STAGE_TOL, default_schedule
@@ -80,6 +80,12 @@ def gpsr_solve(P, config, observer=None):
     every step are recorded; an event's weight is the stage weight and its
     state holds z. config.stopping sees only the last stage, whose weight
     is lam.
+
+    The stage test runs before every step: the full KKT residual is
+    computed only when max|A^T r| - lam_s does not already exceed the
+    stage tolerance, and for config.stopping only when a rule is set. The
+    split gradient and the projected step live in two 2n buffers
+    allocated once per solve.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -96,17 +102,24 @@ def gpsr_solve(P, config, observer=None):
     x = np.zeros(n)
     r = -b.copy()          # A x - b
     grad_x = -Atb
+    grad = np.empty(2 * n)   # split gradient [grad_x + lam_s; lam_s - grad_x]
+    delta = np.empty(2 * n)  # projected step
     mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x, stages[0],
                z=z)
     it, alpha = 0, None
     for lam_s in stages:
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
-               and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
-            grad = np.concatenate([grad_x + lam_s, lam_s - grad_x])
+               and _kkt_screened(x, grad_x, lam_s, stage_tol) > stage_tol):
+            np.add(grad_x, lam_s, out=grad[:n])
+            np.subtract(lam_s, grad_x, out=grad[n:])
             if alpha is None:
                 alpha = gpsr_step_size(gpsr_direction(z, grad), D)
-            delta = np.maximum(z - alpha * grad, 0.0) - z
+            # delta = max(z - alpha grad, 0) - z
+            np.multiply(grad, alpha, out=delta)
+            np.subtract(z, delta, out=delta)
+            np.maximum(delta, 0.0, out=delta)
+            delta -= z
             dd = float(delta @ delta)
             if dd == 0.0:  # a fixed point of the projection
                 mon.notes.append("zero projected step at lambda %g" % lam_s)
@@ -115,8 +128,8 @@ def gpsr_solve(P, config, observer=None):
             gamma = float(Adx @ Adx)
             step = min(-float(grad @ delta) / gamma, 1.0) if gamma else 1.0
             it += 1
-            z = z + step * delta
-            x = z[:n] - z[n:]
+            z += step * delta
+            np.subtract(z[:n], z[n:], out=x)
             if it % _REFRESH_EVERY == 0:
                 r = D.apply(x) - b
             else:
@@ -124,7 +137,7 @@ def gpsr_solve(P, config, observer=None):
             grad_x = D.adjoint(r)
             alpha = _bb_step(dd, gamma)
             rr = float(r @ r)
-            F_cur = 0.5 * rr + lam_s * float(np.sum(np.abs(x)))
+            F_cur = 0.5 * rr + lam_s * float(np.abs(x).sum())
             mon.record(it, F_cur, float(np.sqrt(rr)), x, lam_s, z=z)
             if lam_s == lam and mon.rule_met(
                     x, F_cur, lambda: kkt_from_correlation(x, -grad_x, lam)):

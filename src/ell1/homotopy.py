@@ -7,6 +7,14 @@ equality-constrained solution on recoverable instances). The active
 columns live in one column-block that grows by a column per add and
 shifts left on a remove, and their Gram factor is extended or shrunk to
 match, so a breakpoint gathers no columns and costs O(d^2 + d n).
+
+A breakpoint takes one adjoint, w = A^T (D_I d_I) for the step; the new
+correlations are c - gamma w (Donoho and Tsaig, 2008), not a second
+adjoint A^T r. A fresh A^T r is taken every _REFRESH (16) breakpoints to
+bound the drift of the update, and at every breakpoint whose test can
+end the solve, so each stop is certified on fresh correlations. An
+operator whose adjoint returns its argument gets a fresh A^T r at every
+breakpoint, since it costs nothing.
 """
 
 import numpy as np
@@ -18,6 +26,7 @@ from ell1.operators import as_operator
 
 _TIE = 1e-12          # gamma tie window relative to lambda; removal wins in it
 _MIN_STEP_REL = 1e-10  # guards against zero-length re-add cycles
+_REFRESH = 16         # breakpoints between fresh adjoints D^T r
 
 
 class _ActiveSet:
@@ -132,7 +141,8 @@ def homotopy_solve(P, config, observer=None):
     exhaustion returns the best iterate unconverged. An event's weight is
     the path weight at its breakpoint and its state holds support (an
     intp array of the active columns, in factor order), c (the
-    correlations A^T (b - A x)) and chol (the maintained factor of the
+    correlations A^T (b - A x), fresh at a refresh and at the last event,
+    updated to roundoff in between) and chol (the maintained factor of the
     active-set Gram).
     config.stopping is checked at every breakpoint, with the kkt residual
     at the target weight in its kkt slot. config.lam = 0 follows the path
@@ -156,6 +166,15 @@ def homotopy_solve(P, config, observer=None):
     def residual():
         return b - active.cols @ x[active.support]
 
+    def path_weight(lam_step):
+        # derived lambda must match the correlation max; repair any drift
+        # (with an empty support the max sits strictly below the path value)
+        lam_emp = float(np.max(np.abs(c)))
+        if (abs(lam_emp - lam_step) <= 1e-9 * max(lam_step, 1e-30)
+                or not active.k):
+            return lam_step
+        return lam_emp
+
     if lam0 <= target_lambda or lam0 == 0.0:
         # zero is already optimal at the target
         return mon.trivial(n, target_lambda)
@@ -170,6 +189,10 @@ def homotopy_solve(P, config, observer=None):
     converged = False
     it = 0
     finish_floor = max(target_lambda, 1e-12 * lam0)
+    # every breakpoint takes D^T r afresh when a stopping rule may end the
+    # solve there, or when the adjoint returns its argument (the aligners'
+    # projector) and so costs nothing
+    always_fresh = c is b or config.stopping is not None
 
     while it < config.max_iter:
         it += 1
@@ -212,18 +235,17 @@ def homotopy_solve(P, config, observer=None):
             except NotPositiveDefiniteError:
                 chol = _ridge_factor(active.cols, mon.notes)
             mask[i_plus] = True
-        # fresh correlations each breakpoint: O(dn), same class as the step
+        # the step moved A x by gamma D_I d_I, so the correlations moved by
+        # gamma w; a fresh D^T r every _REFRESH breakpoints bounds the drift
         r = residual()
-        c = D.adjoint(r)
-        lam_step = lam - gamma
-        lam_emp = float(np.max(np.abs(c)))
-        # derived lambda must match the correlation max; repair any drift
-        # (with an empty support the max sits strictly below the path value)
-        if (abs(lam_emp - lam_step) <= 1e-9 * max(lam_step, 1e-30)
-                or not active.k):
-            lam = lam_step
-        else:
-            lam = lam_emp
+        fresh = always_fresh or it % _REFRESH == 0
+        c = D.adjoint(r) if fresh else c - gamma * w
+        lam_next = path_weight(lam - gamma)
+        if not fresh and lam_next <= finish_floor:
+            # a stop is certified on fresh correlations only
+            c = D.adjoint(r)
+            lam_next = path_weight(lam - gamma)
+        lam = lam_next
         obj = record(it, lam, float(np.linalg.norm(r)))
         if lam <= finish_floor or mon.rule_met(
                 x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):

@@ -6,6 +6,7 @@ and the equality-constrained solvers target min ||x||_1 subject to A x = b.
 """
 
 import copy
+import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -214,6 +215,25 @@ def kkt_from_correlation(x, c, lam):
     dev = np.abs(c - lam * s)
     dev -= lam * (s == 0.0)
     return float(dev.max(initial=0.0))
+
+
+def _kkt_screened(x, g, lam, tol):
+    """kkt_from_correlation(x, -g, lam), or a lower bound on it above tol.
+
+    g = A^T (A x - b) is the gradient, so -g is the correlation. Every
+    entry deviates by at least |g_i| - lam, and in floating point too
+    (rounding is monotone), so max|g| - lam > tol settles that the
+    residual exceeds tol at the cost of two reductions over g and one
+    over x; only when it does not is the full residual computed. Compared
+    with tol by > or <=, the result decides as the full residual does.
+    The reductions propagate NaN: a NaN in g makes the bound NaN, which
+    fails the test, and a NaN in x sends the test to the full residual,
+    so either gives NaN as kkt_from_correlation does.
+    """
+    bound = max(float(g.max(initial=0.0)), -float(g.min(initial=0.0))) - lam
+    if bound > tol and not math.isnan(float(x.max(initial=0.0))):
+        return bound
+    return kkt_from_correlation(x, -g, lam)
 
 
 def check_stop(history, rule, ground_truth=None):

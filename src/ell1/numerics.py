@@ -8,6 +8,7 @@ chol_factor is one LAPACK potrf, chol_delete retriangularizes with one
 LAPACK QR.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -264,24 +265,25 @@ def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
     z = apply_m(r)
     p = z.copy()
     rz = float(r @ z)
-    best_x = x.copy()
+    # x is rebound at every step, never written in place
+    best_x = x
     best_res = rhs_norm
     for k in range(1, max_iter + 1):
         Ap = matvec(p)
         pAp = float(p @ Ap)
-        if not np.isfinite(pAp):
+        if not math.isfinite(pAp):
             raise NumericalBreakdownError("non-finite curvature in PCG")
         if pAp <= 0.0:
             return PcgResult(best_x, False, k, best_res / rhs_norm)
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        res = float(np.linalg.norm(r))
-        if not np.isfinite(res):
+        res = math.sqrt(float(r @ r))
+        if not math.isfinite(res):
             raise NumericalBreakdownError("non-finite residual in PCG")
         if res < best_res:
             best_res = res
-            best_x = x.copy()
+            best_x = x
         if res <= tol * rhs_norm:
             return PcgResult(x, True, k, res / rhs_norm)
         z = apply_m(r)

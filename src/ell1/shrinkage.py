@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from ell1.exceptions import NumericalBreakdownError
-from ell1.model import Monitor, kkt_from_correlation
+from ell1.model import Monitor, _kkt_screened, kkt_from_correlation
 from ell1.numerics import soft_threshold
 from ell1.operators import as_operator
 
@@ -93,7 +93,9 @@ def ist_solve(P, config, observer=None):
     times before the stage is declared stalled.
     Every accepted step is recorded; an event's weight is the stage
     weight and its state is empty. config.stopping sees only the last
-    stage, whose weight is config's.
+    stage, whose weight is config's. The stage test computes the full KKT
+    residual only when max|A^T r| - lam_s does not already exceed the
+    stage tolerance, as gpsr_solve's does.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -113,7 +115,7 @@ def ist_solve(P, config, observer=None):
     for lam_s in default_schedule(Atb, lam):
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
-               and kkt_from_correlation(x, -g, lam_s) > stage_tol):
+               and _kkt_screened(x, g, lam_s, stage_tol) > stage_tol):
             for _ in range(_MAX_DOUBLINGS):
                 cand = soft_threshold(x - g / alpha, lam_s / alpha)
                 Acand = D.apply(cand)
@@ -129,7 +131,7 @@ def ist_solve(P, config, observer=None):
             x, Ax, g = cand, Acand, g_new
             resid = b - Ax
             F_cur = (0.5 * float(resid @ resid)
-                     + lam_s * float(np.sum(np.abs(x))))
+                     + lam_s * float(np.abs(x).sum()))
             mon.record(it, F_cur, float(np.linalg.norm(resid)), x, lam_s)
             if lam_s == lam and mon.rule_met(
                     x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
@@ -237,7 +239,9 @@ def fista_solve(P, config, observer=None):
     t (the momentum weights after the step, both 1 after a restart) and
     L (the step's accepted L). config.stopping is checked only once
     lambda has reached config's weight, with the KKT residual at that
-    weight in its kkt slot.
+    weight in its kkt slot. The KKT residual is computed only at that
+    weight: for the tolerance test when max|A^T r| - lam does not already
+    exceed it, and for config.stopping when a rule is set.
 
     Each iteration takes 2 dictionary products, plus 1 per extra search
     trial: A delta and g = A^T (A x - b). Set-up takes A^T b, plus the
@@ -267,6 +271,7 @@ def fista_solve(P, config, observer=None):
     r, g = -b, -Atb
     dx = dr = dg = None
     t_prev = t_cur = 1.0
+    kkt_tol = config.tol * lam_bar
     converged = False
     it = 0
     while it < config.max_iter:
@@ -274,12 +279,13 @@ def fista_solve(P, config, observer=None):
         (x, r, g, dx, dr, dg, t_prev, t_cur, L, L_step, y, _,
          _) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t_cur, L,
                           L_floor)
-        F_next = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
+        F_next = 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
         mon.record(it, F_next, float(np.linalg.norm(r)), x, lam, y=y,
                    t_prev=t_prev, t=t_cur, L=L_step)
-        kkt = kkt_from_correlation(x, -g, lam)
-        if lam == lam_bar and (kkt <= config.tol * lam_bar
-                               or mon.rule_met(x, F_next, kkt)):
+        if lam == lam_bar and (
+                _kkt_screened(x, g, lam, kkt_tol) <= kkt_tol
+                or mon.rule_met(
+                    x, F_next, lambda: kkt_from_correlation(x, -g, lam))):
             converged = True
             break
         lam = max(BETA * lam, lam_bar)

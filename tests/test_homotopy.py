@@ -9,7 +9,8 @@ import pytest
 from ell1 import homotopy, numerics, synth
 from ell1.exceptions import DegenerateSupportError
 from ell1.homotopy import homotopy_solve
-from ell1.model import ProblemInstance, SolverConfig, kkt_from_correlation
+from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
+                        kkt_from_correlation)
 from ell1.operators import DenseDictionary
 
 
@@ -327,6 +328,42 @@ def test_breakpoints_never_gather_columns():
     assert got.x_star.tobytes() == ref.x_star.tobytes()
     c = P.A.T @ (P.b - P.A @ got.x_star)
     assert kkt_from_correlation(got.x_star, c, lam) <= 1e-9 * lam
+
+
+def test_one_adjoint_per_breakpoint(counting_view):
+    # between refreshes the correlations are updated by c - gamma w, so a
+    # breakpoint's only product with A is the adjoint w = A^T (D_I d_I)
+    P = synth.make_instance(synth.GenSpec(n=500, d=200, k=20, seed=25,
+                                          noise_sigma=0.01))
+    lam = 0.01 * float(np.max(np.abs(P.A.T @ P.b)))
+    P.A, count = counting_view(P.A)
+    res = homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000))
+    assert res.converged and res.iterations > 50
+    assert count[0] <= 1.1 * res.iterations
+
+
+@pytest.mark.parametrize("lam_frac, rule_frac", [
+    (0.01, None),     # stops at the target weight
+    (0.0, None),      # stops at the path-weight floor
+    (0.0, 0.05),      # stops on a kkt-residual rule
+])
+def test_stop_is_certified_on_fresh_correlations(lam_frac, rule_frac):
+    # the last event's c is D^T r taken afresh, not the updated c - gamma w,
+    # so it equals the same products taken outside the solver bit for bit
+    P = synth.make_instance(synth.GenSpec(n=200, d=80, k=10, seed=24))
+    scale = float(np.max(np.abs(P.A.T @ P.b)))
+    rule = rule_frac and StoppingRule("kkt-residual", rule_frac * scale)
+    events = []
+    res = homotopy_solve(P, SolverConfig(lam=lam_frac * scale, stopping=rule),
+                         observer=events.append)
+    # a stop between the scheduled refreshes
+    assert res.converged and res.iterations % homotopy._REFRESH > 1
+    support = events[-1].state["support"]
+    c = events[-1].state["c"]
+    fresh = P.A.T @ (P.b - P.A[:, support] @ res.x_star[support])
+    assert c.tobytes() == fresh.tobytes()
+    np.testing.assert_allclose(c, P.A.T @ (P.b - P.A @ res.x_star),
+                               rtol=0, atol=1e-12 * scale)
 
 
 def test_dense_column_is_a_copy():

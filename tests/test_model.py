@@ -223,6 +223,42 @@ def test_kkt_from_correlation_is_bitwise_the_select_form(xc, lam):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+_screen_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-1e300, 1e300))
+# tol at the screen's own bound, one ulp to either side of it, at the full
+# residual, or anywhere
+_screen_tols = st.one_of(st.sampled_from(["bound", "below", "above", "kkt"]),
+                         st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+           arrays(np.float64, n, elements=_screen_entries),
+           arrays(np.float64, n, elements=_screen_entries))),
+       st.one_of(st.sampled_from([0.5, 1.0]), st.floats(1e-300, 1e300)),
+       _screen_tols)
+@example((np.zeros(0), np.zeros(0)), 0.5, "bound")
+@example((np.zeros(0), np.zeros(0)), 0.5, -1.0)
+@example((np.array([0.0, -0.0]), np.array([2.0, -0.25])), 0.5, "below")
+@example((np.array([1.0, 0.0]), np.array([0.5, -0.5])), 0.5, "bound")
+@example((np.array([1.0, 0.0]), np.array([3.0, np.nan])), 0.5, 1e-6)
+@example((np.array([np.nan, 0.0]), np.array([3.0, 0.1])), 0.5, 1e-6)
+@example((np.array([-2.0, 0.0]), np.array([0.25, -3.0])), 0.5, "kkt")
+def test_kkt_screen_decides_as_the_full_residual(xc, lam, tol):
+    # max|c| - lam > tol settles kkt > tol; either way the screened value
+    # compares with tol as the full residual does, NaN in x or c included
+    x, c = xc
+    kkt = model.kkt_from_correlation(x, c, lam)
+    bound = float(np.max(np.abs(c), initial=0.0)) - lam
+    tol = {"bound": bound, "below": np.nextafter(bound, -np.inf),
+           "above": np.nextafter(bound, np.inf), "kkt": kkt}.get(tol, tol)
+    got = model._kkt_screened(x, -c, lam, tol)
+    assert (got > tol) == (kkt > tol)
+    assert (got <= tol) == (kkt <= tol)
+    assert got <= kkt or np.isnan(kkt)
+
+
 # ---------------------------------------------------------------- check_stop
 
 def test_check_stop_relative_objective():

@@ -102,6 +102,16 @@ def test_project_box_examples():
                             [[1.0, 0.0], [0.0, -0.5]])
 
 
+def test_project_box_is_bitwise_np_clip():
+    # the minimum-of-maximum form gives clip's bits on NaN, signed zeros,
+    # infinities and the box edges
+    z = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5,
+                  -5e-324, 1e308])
+    got = numerics.project_box_linf(z)
+    assert got.tobytes() == np.clip(z, -1.0, 1.0).tobytes()
+
+
 @pytest.mark.invariant
 @settings(max_examples=150, deadline=None)
 @given(arrays(np.float64, st.integers(1, 50), elements=finite_floats))
