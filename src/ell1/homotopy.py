@@ -12,9 +12,9 @@ A breakpoint takes one adjoint, w = A^T (D_I d_I) for the step; the new
 correlations are c - gamma w (Donoho and Tsaig, 2008), not a second
 adjoint A^T r. A fresh A^T r is taken every _REFRESH (16) breakpoints to
 bound the drift of the update, and at every breakpoint whose test can
-end the solve, so each stop is certified on fresh correlations. An
-operator whose adjoint returns its argument gets a fresh A^T r at every
-breakpoint, since it costs nothing.
+end the solve (the path reaching its floor, a stopping rule, the last
+breakpoint of the budget), so each stop is certified on fresh
+correlations.
 """
 
 import numpy as np
@@ -142,8 +142,8 @@ def homotopy_solve(P, config, observer=None):
     the path weight at its breakpoint and its state holds support (an
     intp array of the active columns, in factor order), c (the
     correlations A^T (b - A x), fresh at a refresh and at the last event,
-    updated to roundoff in between) and chol (the maintained factor of the
-    active-set Gram).
+    converged or not, updated to roundoff in between) and chol (the
+    maintained factor of the active-set Gram).
     config.stopping is checked at every breakpoint, with the kkt residual
     at the target weight in its kkt slot. config.lam = 0 follows the path
     to the equality-constrained solution.
@@ -189,10 +189,6 @@ def homotopy_solve(P, config, observer=None):
     converged = False
     it = 0
     finish_floor = max(target_lambda, 1e-12 * lam0)
-    # every breakpoint takes D^T r afresh when a stopping rule may end the
-    # solve there, or when the adjoint returns its argument (the aligners'
-    # projector) and so costs nothing
-    always_fresh = c is b or config.stopping is not None
 
     while it < config.max_iter:
         it += 1
@@ -236,9 +232,11 @@ def homotopy_solve(P, config, observer=None):
                 chol = _ridge_factor(active.cols, mon.notes)
             mask[i_plus] = True
         # the step moved A x by gamma D_I d_I, so the correlations moved by
-        # gamma w; a fresh D^T r every _REFRESH breakpoints bounds the drift
+        # gamma w; a fresh D^T r every _REFRESH breakpoints bounds the drift,
+        # and one at every breakpoint a stopping rule or the budget can end
         r = residual()
-        fresh = always_fresh or it % _REFRESH == 0
+        fresh = (it % _REFRESH == 0 or config.stopping is not None
+                 or it == config.max_iter)
         c = D.adjoint(r) if fresh else c - gamma * w
         lam_next = path_weight(lam - gamma)
         if not fresh and lam_next <= finish_floor:

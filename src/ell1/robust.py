@@ -93,18 +93,14 @@ class ExtendedDictionary:
     def apply(self, w):
         n = self.A.shape[1]
         out = self.A @ w[:n]
-        # the default scale 1 changes no value, so it takes no multiply
-        out += w[n:] if self.scale == 1.0 else self.scale * w[n:]
+        out += self.scale * w[n:]
         return out
 
     def adjoint(self, r):
         d, n = self.A.shape
         out = np.empty((n + d,) + r.shape[1:])
         np.matmul(self.A.T, r, out=out[:n])
-        if self.scale == 1.0:
-            out[n:] = r
-        else:
-            np.multiply(self.scale, r, out=out[n:])
+        np.multiply(self.scale, r, out=out[n:])
         return out
 
     def column(self, j):

@@ -342,22 +342,26 @@ def test_one_adjoint_per_breakpoint(counting_view):
     assert count[0] <= 1.1 * res.iterations
 
 
-@pytest.mark.parametrize("lam_frac, rule_frac", [
-    (0.01, None),     # stops at the target weight
-    (0.0, None),      # stops at the path-weight floor
-    (0.0, 0.05),      # stops on a kkt-residual rule
+@pytest.mark.parametrize("lam_frac, rule_frac, max_iter", [
+    (0.01, None, 1000),    # stops at the target weight
+    (0.0, None, 1000),     # stops at the path-weight floor
+    (0.0, 0.05, 1000),     # stops on a kkt-residual rule
+    (0.0, None, 12),       # stops unconverged with the budget spent
 ])
-def test_stop_is_certified_on_fresh_correlations(lam_frac, rule_frac):
+def test_stop_is_certified_on_fresh_correlations(lam_frac, rule_frac,
+                                                 max_iter):
     # the last event's c is D^T r taken afresh, not the updated c - gamma w,
     # so it equals the same products taken outside the solver bit for bit
     P = synth.make_instance(synth.GenSpec(n=200, d=80, k=10, seed=24))
     scale = float(np.max(np.abs(P.A.T @ P.b)))
     rule = rule_frac and StoppingRule("kkt-residual", rule_frac * scale)
     events = []
-    res = homotopy_solve(P, SolverConfig(lam=lam_frac * scale, stopping=rule),
+    res = homotopy_solve(P, SolverConfig(lam=lam_frac * scale, stopping=rule,
+                                         max_iter=max_iter),
                          observer=events.append)
     # a stop between the scheduled refreshes
-    assert res.converged and res.iterations % homotopy._REFRESH > 1
+    assert res.converged == (res.iterations < max_iter)
+    assert res.iterations % homotopy._REFRESH > 1
     support = events[-1].state["support"]
     c = events[-1].state["c"]
     fresh = P.A.T @ (P.b - P.A[:, support] @ res.x_star[support])
