@@ -69,7 +69,7 @@ def palm_solve(P, config, observer=None):
     mu0 = MU0_SCALE d / ||b||_1, so b -> s b gives s x in the same steps
     for s a power of 2. Converges when ||b - A x|| <= config.tol ||b||;
     iterations counts inner steps, capped by config.max_iter. The start
-    point and every outer iteration are recorded; an event's state holds
+    point and every outer iteration give one event each; its state holds
     mu (mu0 at the start) and the inner solve's inner_steps, trials
     (search trials) and restarts (0 at the start). The stopping-rule kkt
     slot carries the relative primal residual. A residual norm stuck
@@ -169,10 +169,10 @@ def dalm_solve(P, config, observer=None):
     certifies the l1 value itself. The screened residual only screens:
     an iteration that can end the solve (the gap test and the last
     measured residual pass, the budget is spent, or config.stopping is
-    set) takes the product b - A x, and records and tests that value.
-    The start point and every iteration are recorded. An entry's
+    set) takes the product b - A x, and reports and tests that value.
+    The start point and every iteration give one event each. An event's
     residual_norm is the last measured one, from a refresh or from
-    b - A x, so the final entry holds the true ||b - A x_star||. An
+    b - A x, so the final event holds the true ||b - A x_star||. An
     event's state holds y (solved from v only when an observer is set),
     z (inside the unit l-inf ball), Aty, the A^T y = Q v the step used,
     and x_prev, the x the iteration started from (x itself at the start

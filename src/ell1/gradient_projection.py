@@ -77,7 +77,7 @@ def gpsr_solve(P, config, observer=None):
     all stages. A step projects z - alpha grad onto z >= 0, moves to the
     exact minimizer on the segment to that point and sets the next alpha
     by Barzilai-Borwein: 2 products, no backtracking. The start point and
-    every step are recorded; an event's weight is the stage weight and its
+    every step give one event each; its weight is the stage weight and its
     state holds z. config.stopping sees only the last stage, whose weight
     is lam.
 
@@ -162,7 +162,7 @@ def tnipm_solve(P, config, observer=None):
     finding no interior decrease raises NumericalBreakdownError, unless
     the gap test held where it started: then t has outgrown roundoff, and
     that iterate is returned with converged=False and a note. Each
-    iteration records and tests its start point, truncated, before
+    iteration reports and tests its start point, truncated, before
     stepping, so the first event is the start of the solve and the last
     one the returned estimate; an event's state holds x_bar (the
     untruncated barrier point), u (|x_bar_i| < u_i) and t, the barrier

@@ -137,7 +137,7 @@ def _ridge_factor(B, notes):
 def homotopy_solve(P, config, observer=None):
     """Run the path of instance P down to config's weight.
 
-    Each loop pass handles one breakpoint and records it; budget
+    Each loop pass handles one breakpoint and gives its event; budget
     exhaustion returns the best iterate unconverged. An event's weight is
     the path weight at its breakpoint and its state holds support (an
     intp array of the active columns, in factor order), c (the

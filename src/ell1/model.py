@@ -15,17 +15,15 @@ import numpy as np
 
 from ell1.operators import as_operator, is_operator
 
-TraceEntry = namedtuple("TraceEntry", "iteration objective residual_norm support_size")
-
-
 class Event(namedtuple("Event",
                        "iteration objective residual_norm x weight state")):
-    """What an observer receives with every trace entry of a solve.
+    """What an observer receives for every recorded iterate of a solve.
 
-    The first three fields equal those of the TraceEntry recorded with it.
-    x is the iterate, weight the weight the objective is taken at (None
-    for the equality form), and state a dict of the solver's own
-    variables; the solver docstrings name its keys.
+    iteration is the step count, objective the solver's objective at x
+    and residual_norm ||b - A x||. x is the iterate, weight the weight
+    the objective is taken at (None for the equality form), and state a
+    dict of the solver's own variables; the solver docstrings name its
+    keys. support_size(e.x) gives the iterate's support count.
     """
 
     __slots__ = ()
@@ -153,14 +151,11 @@ class SolverResult:
     iterations: int
     wall_time_seconds: float
     converged: bool
-    trace: list
     notes: tuple = ()
 
     def __post_init__(self):
         if self.iterations < 0 or self.wall_time_seconds < 0:
             raise ValueError("iterations and wall time must be nonnegative")
-        if len(self.trace) > self.iterations + 1:
-            raise ValueError("trace may hold at most one entry per iteration")
 
 
 def default_lambda(Atb):
@@ -283,12 +278,12 @@ def support_size(x, rel_tol=1e-10):
 
 
 class Monitor:
-    """Clock, trace, notes, observer and user stopping rule of one run.
+    """Clock, notes, observer and user stopping rule of one run.
 
-    Built at the start of a solve; every solver records its trace through
-    it, asks it whether config.stopping holds, and gets its SolverResult
-    from it, including the single answer to an input whose optimum is
-    x = 0. It is the only caller of the solve's observer.
+    Built at the start of a solve; every solver records its iterates
+    through it, asks it whether config.stopping holds, and gets its
+    SolverResult from it, including the single answer to an input whose
+    optimum is x = 0. It is the only caller of the solve's observer.
     """
 
     def __init__(self, config, b, ground_truth=None, observer=None):
@@ -298,19 +293,16 @@ class Monitor:
         self._ground_truth = ground_truth
         self._observer = observer
         self._last = ()
-        self.trace = []
         self.notes = []
 
     def record(self, it, objective, residual_norm, x, weight=None, **state):
-        """Append the trace entry of iterate x and tell the observer.
+        """Tell the observer, if one is set, about iterate x.
 
-        With an observer set, it is called with one Event carrying the
-        entry's fields, x, weight and state. It gets copies of x and of
-        every state value, so a solver passes its live arrays and nothing
-        is copied when no observer is set.
+        It is called with one Event carrying it, objective, residual_norm,
+        x, weight and state. It gets copies of x and of every state value,
+        so a solver passes its live arrays; with no observer set nothing
+        is built or copied.
         """
-        self.trace.append(TraceEntry(it, objective, residual_norm,
-                                     support_size(x)))
         if self._observer is not None:
             self._observer(Event(it, objective, residual_norm, x.copy(),
                                  weight, copy.deepcopy(state)))
@@ -336,14 +328,14 @@ class Monitor:
     def result(self, x, iterations, converged):
         """The run's SolverResult, timed from the monitor's creation."""
         return SolverResult(x, iterations, time.perf_counter() - self._t0,
-                            converged, self.trace, notes=tuple(self.notes))
+                            converged, notes=tuple(self.notes))
 
     def trivial(self, n, weight=None):
         """x = 0 after 0 iterations, for an input where zero is optimal.
 
-        That is ||A^T b||_inf <= weight for the penalized form, whose
-        trace entry carries F(0) = 1/2 ||b||^2, and b = 0 for the equality
-        form (weight None), whose trace entry carries ||0||_1 = 0.
+        That is ||A^T b||_inf <= weight for the penalized form, whose one
+        event carries F(0) = 1/2 ||b||^2, and b = 0 for the equality form
+        (weight None), whose one event carries ||0||_1 = 0.
         """
         x = np.zeros(n)
         b_norm = float(np.linalg.norm(self._b))

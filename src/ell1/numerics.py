@@ -3,9 +3,10 @@ preconditioned conjugate gradients, the spectral norm, and the
 interior-point pieces: the fraction to boundary, which pdipa and tnipm
 share, and tnipm's box-barrier Newton step with its Armijo backtrack.
 
-The elementwise kernels and the rank-1 factor updates run in ell1._accel;
-chol_factor is one LAPACK potrf, chol_delete retriangularizes with one
-LAPACK QR.
+The elementwise kernels run in ell1._accel. chol_factor is one LAPACK
+potrf; homotopy grows its factor with chol_append and shrinks it with
+chol_delete, which retriangularizes with one LAPACK QR. The rank-1
+updates of _accel serve only chol_rank1, which no solver calls.
 """
 
 import math

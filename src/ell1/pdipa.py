@@ -83,7 +83,7 @@ def pdipa_solve(P, config, observer=None):
     forms and factors one weighted Gram and solves with the factor twice,
     predictor and corrector.
 
-    Returns the recombined signed estimate. Each iteration records and
+    Returns the recombined signed estimate. Each iteration reports and
     tests its start point before stepping, so the first event is the start
     of the solve and the last one the returned estimate; the
     observer's event state holds v (the split primal, length 2n, > 0), y,

@@ -91,7 +91,7 @@ def ist_solve(P, config, observer=None):
     steps of all stages. Each step must strictly decrease the stage
     objective; a rejected step doubles alpha (halving the step) up to 50
     times before the stage is declared stalled.
-    Every accepted step is recorded; an event's weight is the stage
+    Every accepted step gives one event; its weight is the stage
     weight and its state is empty. config.stopping sees only the last
     stage, whose weight is config's. The stage test computes the full KKT
     residual only when max|A^T r| - lam_s does not already exceed the
@@ -233,8 +233,8 @@ def fista_solve(P, config, observer=None):
     continuation (True) and exact_L (False). exact_L sets L to the
     measured squared spectral norm times 1 + 1e-9, as the
     convergence-bound analysis assumes, and makes that the floor of every
-    search, so every step takes that L at its first trial. Every step is
-    recorded; an event's weight is the step's continuation weight and its
+    search, so every step takes that L at its first trial. Every step
+    gives one event; its weight is the step's continuation weight and its
     state holds y (the extrapolated point the step started from), t_prev,
     t (the momentum weights after the step, both 1 after a restart) and
     L (the step's accepted L). config.stopping is checked only once

@@ -16,7 +16,7 @@ from ell1.bench import (SOLVER_NAMES, PhaseGrid, SweepResult,
                         solve_named, sweep_svg, sweep_to_csv,
                         write_summary_json)
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
-                        TraceEntry)
+                        support_size)
 from ell1.synth import GenSpec, make_instance
 
 
@@ -101,13 +101,16 @@ class TestSolveNamed:
                           np.array([0.0, 1.0])))
         # the default weight 1e-2 ||A^T b||_inf is 0 on these inputs
         for (A, b), lam in itertools.product(cases, (0.1, None)):
-            res = solve_named(name, ProblemInstance(A, b),
-                              SolverConfig(lam=lam))
+            events = []
+            res = getattr(bench, name + "_solve")(
+                ProblemInstance(A, b), SolverConfig(lam=lam), events.append)
             assert res.converged and res.iterations == 0
             assert np.array_equal(res.x_star, np.zeros(3))
             b_norm = float(np.linalg.norm(b))
             want = 0.5 * b_norm ** 2 if penalized else 0.0
-            assert res.trace == [TraceEntry(0, want, b_norm, 0)]
+            assert ([(e.iteration, e.objective, e.residual_norm,
+                      support_size(e.x)) for e in events]
+                    == [(0, want, b_norm, 0)])
 
 
 class TestPhaseGridRuns:

@@ -164,18 +164,20 @@ def test_gammas_match_exhaustive_enumeration():
 
 def test_solve_identity_reaches_soft_threshold():
     P = ProblemInstance(np.eye(2), np.array([3.0, 1.0]))
-    r = homotopy_solve(P, SolverConfig(lam=1.0))
+    events = []
+    r = homotopy_solve(P, SolverConfig(lam=1.0), events.append)
     assert np.allclose(r.x_star, [2.0, 0.0], rtol=0, atol=1e-12)
     assert r.converged and r.iterations == 1
-    assert len(r.trace) == r.iterations
+    assert len(events) == r.iterations
 
 
 def test_solve_zero_rhs():
     P = ProblemInstance(np.eye(2), np.zeros(2))
-    r = homotopy_solve(P, SolverConfig(lam=0.0))
+    events = []
+    r = homotopy_solve(P, SolverConfig(lam=0.0), events.append)
     assert np.all(r.x_star == 0.0)
     assert r.converged and r.iterations == 0
-    assert len(r.trace) == 1
+    assert len(events) == 1
 
 
 def test_solve_target_above_start_returns_zero():

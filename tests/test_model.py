@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ell1 import bench, model, numerics, synth
+from ell1 import bench, model, numerics, robust, synth
 from ell1.bench import SOLVER_NAMES, SOLVERS
 from ell1.model import (ProblemInstance, SolverConfig, SolverResult, StopRecord,
                         StoppingRule)
@@ -68,9 +68,12 @@ def test_stopping_rule_validation():
         StoppingRule("relative-objective", 0.0)
 
 
-def test_solver_result_trace_bound():
+def test_solver_result_rejects_negative_counts():
     with pytest.raises(ValueError):
-        SolverResult(np.zeros(2), 1, 0.0, True, trace=[None] * 3)
+        SolverResult(np.zeros(2), -1, 0.0, True)
+    with pytest.raises(ValueError):
+        SolverResult(np.zeros(2), 1, -1.0, True)
+    assert SolverResult(np.zeros(2), 1, 0.0, True, []).notes == []
 
 
 def test_default_lambda():
@@ -311,45 +314,76 @@ def _poison(value):
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 def test_event_contract(name):
-    # one Event per trace entry, with the entry's fields; the observer owns
-    # what it receives, so wrecking it leaves the solve untouched
+    # the observer owns what it receives, so wrecking it leaves the events
+    # and the answer of the solve untouched; observing changes no answer
     P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3,
                                           noise_sigma=0.01))
     cfg = SolverConfig(max_iter=300)
     solve = getattr(bench, name + "_solve")
     plain = solve(P, cfg)
     events = []
+    kept = solve(P, cfg, events.append)
+    wrecked = []
 
     def observer(e):
-        events.append(e)
         assert e.x.shape == (P.n,) and isinstance(e.state, dict)
+        wrecked.append(e._replace(x=e.x.copy(), state=None))
         for value in [e.x, *e.state.values()]:
             _poison(value)
 
     seen = solve(P, cfg, observer)
-    assert seen.iterations >= 2
-    assert ([(e.iteration, e.objective, e.residual_norm) for e in events]
-            == [t[:3] for t in seen.trace])
+    assert seen.iterations >= 2 and len(wrecked) == len(events)
+    for a, e in zip(wrecked, events):
+        assert a[:3] == e[:3] and a.weight == e.weight
+        np.testing.assert_array_equal(a.x, e.x)
     penalized = SOLVERS[name].form != "equality"
     assert all((e.weight is not None) == penalized for e in events)
-    assert np.array_equal(seen.x_star, plain.x_star)
-    assert seen.iterations == plain.iterations
-    assert seen.trace == plain.trace
+    for run in (kept, seen):
+        assert np.array_equal(run.x_star, plain.x_star)
+        assert run.iterations == plain.iterations
+        assert run.converged == plain.converged
 
 
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 def test_budget_exit_records_the_returned_estimate(name):
-    # a run cut by max_iter still ends its trace and its events on the
-    # x_star it returns
+    # a run cut by max_iter still ends its events on the x_star it returns
     P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3))
     events = []
     res = getattr(bench, name + "_solve")(P, SolverConfig(max_iter=3),
                                           events.append)
     assert not res.converged and res.iterations == 3
-    assert res.trace[-1].iteration == res.iterations
-    assert res.trace[-1].residual_norm == pytest.approx(
+    assert events[-1].iteration == res.iterations
+    assert events[-1].residual_norm == pytest.approx(
         np.linalg.norm(P.b - P.A @ res.x_star), rel=1e-12)
     np.testing.assert_array_equal(events[-1].x, res.x_star)
+
+
+def test_an_unobserved_solve_does_no_per_iteration_output_work(monkeypatch):
+    # with no observer, no solve, cab_solve backend or aligner builds an
+    # Event or counts a support: both raise here, and every run completes
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-iteration output work with no observer")
+
+    monkeypatch.setattr(model, "Event", refuse)
+    monkeypatch.setattr(model, "support_size", refuse)
+    P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=3,
+                                          noise_sigma=0.01))
+    cfg = SolverConfig(max_iter=300)
+    for name in SOLVER_NAMES:
+        assert getattr(bench, name + "_solve")(P, cfg).iterations >= 1
+    for backend in ("ist", "dalm"):
+        x, e, res = robust.cab_solve(P.A, P.b, backend, cfg)
+        assert res.iterations >= 1 and np.all(np.isfinite(x))
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((40, 3))
+    b = B @ np.array([1.0, -2.0, 0.5])
+    b[rng.choice(40, 4, replace=False)] += 5.0
+    prob = robust.AlignmentProblem(B, b)
+    for w, e in (robust.align_gp_solve(prob, None, cfg),
+                 robust.align_homotopy_solve(prob, cfg),
+                 robust.align_ist_solve(prob, None, cfg),
+                 robust.align_palm_solve(prob, cfg)):
+        assert w.shape == (3,) and np.all(np.isfinite(w))
 
 
 # ---------------------------------------------------------------- invariants

@@ -244,9 +244,10 @@ def test_jittered_solve_is_refined():
 
 def test_solve_trace_reports_objective_and_residual():
     P = ProblemInstance(np.array([[1.0, 2.0]]), np.array([2.0]))
-    r = pdipa_solve(P, SolverConfig())
-    assert len(r.trace) == r.iterations + 1
-    assert r.trace[-1].residual_norm <= 1e-8 * 2.0
+    events = []
+    r = pdipa_solve(P, SolverConfig(), events.append)
+    assert len(events) == r.iterations + 1
+    assert events[-1].residual_norm <= 1e-8 * 2.0
 
 
 # --- invariants ------------------------------------------------------------

@@ -390,11 +390,12 @@ def test_fista_objective_bound_with_exact_L():
     ref = homotopy.homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000))
     assert ref.converged
     F_star = objective(ref.x_star, P, lam)
-    run = fista_solve(P, SolverConfig(lam=lam, tol=1e-15, max_iter=300,
-                                      options=fixed))
+    events = []
+    fista_solve(P, SolverConfig(lam=lam, tol=1e-15, max_iter=300,
+                                options=fixed), events.append)
     L_f = spectral_norm_sq(A)
     dist0 = float(np.linalg.norm(ref.x_star)) ** 2
-    for t in run.trace:
+    for t in events:
         bound = 2.0 * L_f * dist0 / (t.iteration + 1) ** 2
         assert t.objective - F_star <= bound
 
