@@ -136,12 +136,14 @@ def gpsr_solve(P, config, observer=None):
                 r = r + step * Adx
             grad_x = D.adjoint(r)
             alpha = _bb_step(dd, gamma)
-            rr = float(r @ r)
-            F_cur = 0.5 * rr + lam_s * float(np.abs(x).sum())
-            mon.record(it, F_cur, float(np.sqrt(rr)), x, lam_s, z=z)
-            if lam_s == lam and mon.rule_met(
-                    x, F_cur, lambda: kkt_from_correlation(x, -grad_x, lam)):
-                return mon.result(x, it, True)
+            if mon.watched:
+                rr = float(r @ r)
+                F_cur = 0.5 * rr + lam_s * float(np.abs(x).sum())
+                mon.record(it, F_cur, float(np.sqrt(rr)), x, lam_s, z=z)
+                if lam_s == lam and mon.rule_met(
+                        x, F_cur,
+                        lambda: kkt_from_correlation(x, -grad_x, lam)):
+                    return mon.result(x, it, True)
     converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
     return mon.result(x, it, converged)
 
@@ -191,11 +193,13 @@ def tnipm_solve(P, config, observer=None):
         r = D.apply(x) - b
         Ar = D.adjoint(r)
         obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(x)))
-        mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x), lam,
-                   x_bar=x, u=u, t=t)
-        if mon.rule_met(x, obj, lambda: kkt_from_correlation(x, -Ar, lam)):
-            converged = True
-            break
+        if mon.watched:
+            mon.record(it, obj, float(np.linalg.norm(r)), truncate_small(x),
+                       lam, x_bar=x, u=u, t=t)
+            if mon.rule_met(x, obj,
+                            lambda: kkt_from_correlation(x, -Ar, lam)):
+                converged = True
+                break
         gap_met = 2.0 * n / t <= config.tol * obj
         if gap_met:
             xt = truncate_small(x)

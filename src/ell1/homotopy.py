@@ -14,7 +14,9 @@ adjoint A^T r. A fresh A^T r is taken every _REFRESH (16) breakpoints to
 bound the drift of the update, and at every breakpoint whose test can
 end the solve (the path reaching its floor, a stopping rule, the last
 breakpoint of the budget), so each stop is certified on fresh
-correlations.
+correlations. The residual r = b - D_I x_I is taken only there, or at
+every breakpoint when the run is watched (an observer or a stopping
+rule), whose objective and residual norm it feeds.
 """
 
 import numpy as np
@@ -100,29 +102,30 @@ def _solve_direction(chol, D, B, support, sgn):
     return d_I, fresh, v, D.adjoint(v)
 
 
-def _gammas(lam, c, x, d, w, support_mask):
+def _gammas(lam, c, w, x_I, d_I, support, ratio, den):
     """Step lengths to the next add event (off support: |c - gamma w| hits
-    lambda - gamma) and remove event (on support: x + gamma d crosses 0).
-    Ties between the two add ratios go to lambda - c, then to the lower
-    index."""
+    lambda - gamma) and remove event (on support: x_I + gamma d_I crosses
+    0). The add ratios (lambda - c) / (1 - w) and (lambda + c) / (1 + w)
+    fill the two rows of ratio, with den as scratch, so one flat argmin
+    sends ties to lambda - c, then to the lower index. Ties between
+    remove ratios go to the lower column index."""
+    n = c.shape[0]
     floor = _MIN_STEP_REL * max(lam, 1e-30)
-    off = ~support_mask
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = (lam - c) / (1.0 - w)
-        r2 = (lam + c) / (1.0 + w)
-        r = -x / d
-        r1 = np.where(off & (r1 > floor), r1, np.inf)
-        r2 = np.where(off & (r2 > floor), r2, np.inf)
-        r = np.where(support_mask & (r > 0), r, np.inf)
-    j1, j2, jm = int(np.argmin(r1)), int(np.argmin(r2)), int(np.argmin(r))
-    gamma_plus, i_plus = np.inf, -1
-    if r1[j1] < gamma_plus:
-        gamma_plus, i_plus = float(r1[j1]), j1
-    if r2[j2] < gamma_plus:
-        gamma_plus, i_plus = float(r2[j2]), j2
-    gamma_minus, i_minus = np.inf, -1
-    if r[jm] < gamma_minus:
-        gamma_minus, i_minus = float(r[jm]), jm
+        np.subtract(lam, c, out=ratio[0])
+        np.add(lam, c, out=ratio[1])
+        np.subtract(1.0, w, out=den[0])
+        np.add(1.0, w, out=den[1])
+        np.divide(ratio, den, out=ratio)
+        r = -x_I / d_I
+    np.putmask(ratio, ~(ratio > floor), np.inf)
+    ratio[:, support] = np.inf
+    j = int(ratio.argmin())
+    gamma_plus = float(ratio.flat[j])
+    gamma_minus = float(r.min(initial=np.inf, where=r > 0))
+    i_plus = j % n if gamma_plus < np.inf else -1
+    i_minus = (int(support.min(initial=n, where=r == gamma_minus))
+               if gamma_minus < np.inf else -1)
     return gamma_plus, i_plus, gamma_minus, i_minus
 
 
@@ -157,7 +160,11 @@ def homotopy_solve(P, config, observer=None):
     x = np.zeros(n)
     lam0 = float(np.max(np.abs(c))) if n else 0.0
 
-    def record(it, lam, res_norm):
+    def record(it, lam, r):
+        # only a watcher reads the objective, so only a watched run builds it
+        if not mon.watched:
+            return None
+        res_norm = float(np.linalg.norm(r))
         obj = 0.5 * res_norm ** 2 + lam * float(np.sum(np.abs(x)))
         mon.record(it, obj, res_norm, x, lam, support=active.support, c=c,
                    chol=chol)
@@ -184,8 +191,7 @@ def homotopy_solve(P, config, observer=None):
     active = _ActiveSet(D)
     chol = numerics.chol_append(numerics.CholFactor(np.zeros((0, 0))),
                                 np.zeros(0), float(active.add(j0)[0]))
-    mask = np.zeros(n, dtype=bool)
-    mask[j0] = True
+    ratio, den = np.empty((2, n)), np.empty((2, n))  # _gammas' buffers
     converged = False
     it = 0
     finish_floor = max(target_lambda, 1e-12 * lam0)
@@ -200,9 +206,8 @@ def homotopy_solve(P, config, observer=None):
             chol = _ridge_factor(B, mon.notes)
             d_I = chol.solve(sgn)
             w = D.adjoint(B @ d_I)
-        dfull = np.zeros(n)
-        dfull[support] = d_I
-        g_plus, i_plus, g_minus, i_minus = _gammas(lam, c, x, dfull, w, mask)
+        g_plus, i_plus, g_minus, i_minus = _gammas(
+            lam, c, w, x[support], d_I, support, ratio, den)
         g_event = min(g_plus, g_minus)
         cap = lam - target_lambda
 
@@ -211,7 +216,7 @@ def homotopy_solve(P, config, observer=None):
             lam = target_lambda
             r = residual()
             c = D.adjoint(r)
-            record(it, lam, float(np.linalg.norm(r)))
+            record(it, lam, r)
             converged = True
             break
 
@@ -222,7 +227,6 @@ def homotopy_solve(P, config, observer=None):
             pos = int(np.flatnonzero(support == i_minus)[0])
             x[i_minus] = 0.0
             active.remove(pos)
-            mask[i_minus] = False
             chol = numerics.chol_delete(chol, pos)
         else:
             g = active.add(i_plus)
@@ -230,21 +234,22 @@ def homotopy_solve(P, config, observer=None):
                 chol = numerics.chol_append(chol, g[:-1], float(g[-1]))
             except NotPositiveDefiniteError:
                 chol = _ridge_factor(active.cols, mon.notes)
-            mask[i_plus] = True
         # the step moved A x by gamma D_I d_I, so the correlations moved by
         # gamma w; a fresh D^T r every _REFRESH breakpoints bounds the drift,
-        # and one at every breakpoint a stopping rule or the budget can end
-        r = residual()
+        # and one at every breakpoint a stopping rule or the budget can end;
+        # the residual is taken only for a fresh D^T r or for a watcher
         fresh = (it % _REFRESH == 0 or config.stopping is not None
                  or it == config.max_iter)
+        r = residual() if fresh or mon.watched else None
         c = D.adjoint(r) if fresh else c - gamma * w
         lam_next = path_weight(lam - gamma)
         if not fresh and lam_next <= finish_floor:
             # a stop is certified on fresh correlations only
+            r = residual() if r is None else r
             c = D.adjoint(r)
             lam_next = path_weight(lam - gamma)
         lam = lam_next
-        obj = record(it, lam, float(np.linalg.norm(r)))
+        obj = record(it, lam, r)
         if lam <= finish_floor or mon.rule_met(
                 x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):
             converged = True

@@ -284,6 +284,9 @@ class Monitor:
     through it, asks it whether config.stopping holds, and gets its
     SolverResult from it, including the single answer to an input whose
     optimum is x = 0. It is the only caller of the solve's observer.
+    A run is watched when an observer or a stopping rule is set, for a
+    rule reads the objective and iterate too; an unwatched solver skips
+    the values only record and rule_met would read.
     """
 
     def __init__(self, config, b, ground_truth=None, observer=None):
@@ -294,6 +297,12 @@ class Monitor:
         self._observer = observer
         self._last = ()
         self.notes = []
+
+    @property
+    def watched(self):
+        """Whether an observer or a stopping rule is set: the only
+        readers of what a solver hands record and rule_met."""
+        return self._observer is not None or self._rule is not None
 
     def record(self, it, objective, residual_norm, x, weight=None, **state):
         """Tell the observer, if one is set, about iterate x.

@@ -66,7 +66,7 @@ def truncate_small(x):
 
 
 def _require_finite(arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -195,7 +195,7 @@ def chol_append(factor, gram_col, diag):
         raise ValueError("gram column length %d does not match factor dim %d"
                          % (g.shape[0], m))
     u = _lower_solve(factor.R.T, g, 0) if m else g
-    _require_finite(u)
+    # a non-finite u makes u @ u, and so d2, non-finite too
     d2 = float(diag) - float(u @ u)
     if not np.isfinite(d2):
         raise ValueError("new diagonal entry must be finite")

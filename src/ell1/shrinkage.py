@@ -129,13 +129,14 @@ def ist_solve(P, config, observer=None):
             g_new = D.adjoint(Acand - b)
             alpha = bb_alpha(cand - x, g_new - g)
             x, Ax, g = cand, Acand, g_new
-            resid = b - Ax
-            F_cur = (0.5 * float(resid @ resid)
-                     + lam_s * float(np.abs(x).sum()))
-            mon.record(it, F_cur, float(np.linalg.norm(resid)), x, lam_s)
-            if lam_s == lam and mon.rule_met(
-                    x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
-                return mon.result(x, it, True)
+            if mon.watched:
+                resid = b - Ax
+                F_cur = (0.5 * float(resid @ resid)
+                         + lam_s * float(np.abs(x).sum()))
+                mon.record(it, F_cur, float(np.linalg.norm(resid)), x, lam_s)
+                if lam_s == lam and mon.rule_met(
+                        x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
+                    return mon.result(x, it, True)
     converged = kkt_from_correlation(x, -g, lam) <= config.tol * lam
     return mon.result(x, it, converged)
 
@@ -272,6 +273,7 @@ def fista_solve(P, config, observer=None):
     dx = dr = dg = None
     t_prev = t_cur = 1.0
     kkt_tol = config.tol * lam_bar
+    F_next = None  # built only when watched
     converged = False
     it = 0
     while it < config.max_iter:
@@ -279,9 +281,10 @@ def fista_solve(P, config, observer=None):
         (x, r, g, dx, dr, dg, t_prev, t_cur, L, L_step, y, _,
          _) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t_cur, L,
                           L_floor)
-        F_next = 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
-        mon.record(it, F_next, float(np.linalg.norm(r)), x, lam, y=y,
-                   t_prev=t_prev, t=t_cur, L=L_step)
+        if mon.watched:
+            F_next = 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
+            mon.record(it, F_next, float(np.linalg.norm(r)), x, lam, y=y,
+                       t_prev=t_prev, t=t_cur, L=L_step)
         if lam == lam_bar and (
                 _kkt_screened(x, g, lam, kkt_tol) <= kkt_tol
                 or mon.rule_met(

@@ -33,12 +33,14 @@ def update_direction(st, A):
 
 
 def breakpoint_gammas(st, d, A):
-    """The solver's step lengths to the next add and remove events."""
+    """The solver's step lengths to the next add and remove events, from
+    the full-length direction d at a snapshot."""
     D = DenseDictionary(A)
-    w = D.adjoint(D.apply_columns(st.support, d[st.support]))
-    mask = np.zeros(st.c.shape[0], dtype=bool)
-    mask[st.support] = True
-    return homotopy._gammas(st.lam, st.c, st.x, d, w, mask)
+    support = np.asarray(st.support, dtype=np.intp)
+    w = D.adjoint(D.apply_columns(support, d[support]))
+    n = st.c.shape[0]
+    return homotopy._gammas(st.lam, st.c, w, st.x[support], d[support],
+                            support, np.empty((2, n)), np.empty((2, n)))
 
 
 def random_state(seed):
@@ -145,6 +147,35 @@ def test_gammas_frozen_cases():
     gp, ip, gm, im = breakpoint_gammas(st, d, A)
     assert gp == pytest.approx(0.10713572596767527, rel=1e-12) and ip == 1
     assert gm == pytest.approx(0.19888143972140085, rel=1e-12) and im == 12
+
+
+def test_gammas_remove_tie_goes_to_the_lower_column():
+    # support held out of index order: both entries reach zero at gamma 2
+    A = np.eye(20)
+    x = np.zeros(20)
+    x[12], x[3] = 1.0, -2.0
+    c = np.full(20, 0.1)
+    c[12], c[3] = 1.0, -1.0
+    st = make_state(A, [12, 3], x, 1.0, c)
+    d = np.zeros(20)
+    d[12], d[3] = -0.5, 1.0
+    _, _, gm, im = breakpoint_gammas(st, d, A)
+    assert gm == 2.0 and im == 3
+
+
+def test_gammas_no_positive_finite_remove_ratio():
+    # ratios -1 (moving away from zero), NaN (0/0), -inf, +inf and -0.0
+    A = np.eye(10)
+    support = [1, 4, 6, 8, 9]
+    x = np.zeros(10)
+    x[support] = [1.0, 0.0, 2.0, -2.0, 0.0]
+    c = np.full(10, 0.1)
+    c[support] = [1.0, 1.0, 1.0, -1.0, 1.0]
+    st = make_state(A, support, x, 1.0, c)
+    d = np.zeros(10)
+    d[support] = [1.0, 0.0, 0.0, 0.0, 1.0]
+    _, _, gm, im = breakpoint_gammas(st, d, A)
+    assert gm == np.inf and im == -1
 
 
 def test_gammas_match_exhaustive_enumeration():
@@ -342,6 +373,27 @@ def test_one_adjoint_per_breakpoint(counting_view):
     res = homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000))
     assert res.converged and res.iterations > 50
     assert count[0] <= 1.1 * res.iterations
+
+
+def test_residual_is_taken_only_when_fresh_or_watched(counting_view):
+    # the active-block residual b - D_I x_I feeds a fresh D^T r and the
+    # observer's residual norm, so an unwatched path takes it only at a
+    # fresh breakpoint (every _REFRESH-th and the last) and an observed one
+    # at every breakpoint, with the same answer
+    P = synth.make_instance(synth.GenSpec(n=500, d=200, k=20, seed=25,
+                                          noise_sigma=0.01))
+    lam = 0.01 * float(np.max(np.abs(P.A.T @ P.b)))
+    config = SolverConfig(lam=lam, max_iter=1000)
+    b = P.b
+    runs = []
+    for observer in (None, lambda e: None):
+        P.b, count = counting_view(b, np.subtract)
+        runs.append((homotopy_solve(P, config, observer), count[0]))
+    (plain, unwatched), (observed, watched) = runs
+    assert plain.converged and plain.iterations > 50
+    assert unwatched <= plain.iterations // homotopy._REFRESH + 1
+    assert watched == observed.iterations == plain.iterations
+    assert observed.x_star.tobytes() == plain.x_star.tobytes()
 
 
 @pytest.mark.parametrize("lam_frac, rule_frac, max_iter", [

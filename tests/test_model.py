@@ -386,6 +386,14 @@ def test_an_unobserved_solve_does_no_per_iteration_output_work(monkeypatch):
         assert w.shape == (3,) and np.all(np.isfinite(w))
 
 
+def test_monitor_is_watched_by_an_observer_or_a_rule():
+    b = np.ones(3)
+    rule = StoppingRule("kkt-residual", 1e-3)
+    assert not model.Monitor(SolverConfig(), b).watched
+    assert model.Monitor(SolverConfig(), b, observer=lambda e: None).watched
+    assert model.Monitor(SolverConfig(stopping=rule), b).watched
+
+
 # ---------------------------------------------------------------- invariants
 
 @pytest.mark.invariant
