@@ -15,7 +15,3 @@ class NumericalBreakdownError(NumericalError):
 
 class IllConditionedError(NumericalError):
     """A linear system was too ill-conditioned to solve reliably."""
-
-
-class DegenerateSupportError(NumericalError):
-    """An active-set subsystem stayed singular after refactorization and ridge."""

@@ -22,7 +22,7 @@ rule), whose objective and residual norm it feeds.
 import numpy as np
 
 from ell1 import numerics
-from ell1.exceptions import DegenerateSupportError, NotPositiveDefiniteError
+from ell1.exceptions import NotPositiveDefiniteError
 from ell1.model import Monitor, kkt_from_correlation
 from ell1.operators import as_operator
 
@@ -32,17 +32,23 @@ _REFRESH = 16         # breakpoints between fresh adjoints D^T r
 
 
 class _ActiveSet:
-    """The active columns D_I in factor order: their indices, and their
-    values in one F-ordered (d, cap) block whose capacity doubles when it
-    fills. numpy lays a gather D[:, support] out in F order too, so a
-    product with the block is the BLAS call a gather's product would be.
+    """The active columns D_I in factor order: their indices, their values
+    in one F-ordered (d, cap) block whose capacity doubles when it fills,
+    and chol, the Cholesky factor of their Gram D_I^T D_I. numpy lays a
+    gather D[:, support] out in F order too, so a product with the block
+    is the BLAS call a gather's product would be. add and remove change
+    the three together; a Gram that is not positive definite is factored
+    with a small ridge on its diagonal, noted once in notes.
     """
 
-    def __init__(self, D):
+    def __init__(self, D, j0, notes):
         self._D = D
+        self._notes = notes
         self._block = np.empty((D.shape[0], 16), order="F")
         self._idx = np.empty(16, dtype=np.intp)
         self.k = 0
+        self.chol = numerics.CholFactor(np.zeros((0, 0)))
+        self.add(j0)
 
     @property
     def support(self):
@@ -53,8 +59,7 @@ class _ActiveSet:
         return self._block[:, :self.k]
 
     def add(self, j):
-        """Append column j; returns its Gram column D_I^T a_j, whose last
-        entry is the new diagonal ||a_j||^2."""
+        """Append column j and extend the factor by its Gram column."""
         k = self.k
         if k == self._idx.shape[0]:
             block = np.empty((self._block.shape[0], 2 * k), order="F")
@@ -64,7 +69,11 @@ class _ActiveSet:
         self._block[:, k] = self._D.column(j)
         self._idx[k] = j
         self.k = k + 1
-        return self.cols.T @ self._block[:, k]
+        g = self.cols.T @ self._block[:, k]
+        try:
+            self.chol = numerics.chol_append(self.chol, g[:-1], float(g[-1]))
+        except NotPositiveDefiniteError:
+            self._ridge()
 
     def remove(self, pos):
         """Drop the column at factor position pos, shifting the later
@@ -73,33 +82,41 @@ class _ActiveSet:
         self._block[:, pos:k - 1] = self._block[:, pos + 1:k]
         self._idx[pos:k - 1] = self._idx[pos + 1:k]
         self.k = k - 1
+        self.chol = numerics.chol_delete(self.chol, pos)
 
+    def direction(self, sgn):
+        """(d_I, w): the solve of (D_I^T D_I) d_I = sgn and w = D^T (D_I d_I).
 
-def _solve_direction(chol, D, B, support, sgn):
-    """Direction on the support: (B^T B) d = sgn for the active columns B.
-    Returns d, the factor it came from, v = B d and w = D^T v; the drift
-    check reads w on the support. Falls back to a dense refactorization
-    when the maintained factor has drifted; raises DegenerateSupportError
-    when the Gram stays singular."""
-    if not support.size:
-        return np.zeros(0), chol, np.zeros(D.shape[0]), np.zeros(D.shape[1])
-    d_I = chol.solve(sgn)
-    v = B @ d_I
-    w = D.adjoint(v)
-    tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
-    if np.linalg.norm(w[support] - sgn) <= tol:
-        return d_I, chol, v, w
-    # drifted or singular: dense refactorization
-    G = B.T @ B
-    try:
-        fresh = numerics.chol_factor(G)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateSupportError("active-set Gram is singular") from exc
-    d_I = fresh.solve(sgn)
-    if np.linalg.norm(G @ d_I - sgn) > tol:
-        raise DegenerateSupportError("active-set Gram solve failed")
-    v = B @ d_I
-    return d_I, fresh, v, D.adjoint(v)
+        When w on the support misses sgn, the maintained factor has
+        drifted and the Gram is refactored densely; when that fails or its
+        solve misses sgn too, the Gram is singular and gets the ridge.
+        """
+        if not self.k:
+            return np.zeros(0), np.zeros(self._D.shape[1])
+        d_I = self.chol.solve(sgn)
+        w = self._D.adjoint(self.cols @ d_I)
+        tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
+        if np.linalg.norm(w[self.support] - sgn) <= tol:
+            return d_I, w
+        G = self.cols.T @ self.cols
+        try:
+            self.chol = numerics.chol_factor(G)
+        except NotPositiveDefiniteError:
+            solved = False
+        else:
+            d_I = self.chol.solve(sgn)
+            solved = np.linalg.norm(G @ d_I - sgn) <= tol
+        if not solved:
+            self._ridge()
+            d_I = self.chol.solve(sgn)
+        return d_I, self._D.adjoint(self.cols @ d_I)
+
+    def _ridge(self):
+        G = self.cols.T @ self.cols
+        G[np.diag_indices_from(G)] += 1e-12 * max(np.trace(G), 1.0)
+        if "ridge-regularized gram" not in self._notes:
+            self._notes.append("ridge-regularized gram")
+        self.chol = numerics.chol_factor(G)
 
 
 def _gammas(lam, c, w, x_I, d_I, support, ratio, den):
@@ -127,14 +144,6 @@ def _gammas(lam, c, w, x_I, d_I, support, ratio, den):
     i_minus = (int(support.min(initial=n, where=r == gamma_minus))
                if gamma_minus < np.inf else -1)
     return gamma_plus, i_plus, gamma_minus, i_minus
-
-
-def _ridge_factor(B, notes):
-    G = B.T @ B
-    G[np.diag_indices_from(G)] += 1e-12 * max(np.trace(G), 1.0)
-    if "ridge-regularized gram" not in notes:
-        notes.append("ridge-regularized gram")
-    return numerics.chol_factor(G)
 
 
 def homotopy_solve(P, config, observer=None):
@@ -167,7 +176,7 @@ def homotopy_solve(P, config, observer=None):
         res_norm = float(np.linalg.norm(r))
         obj = 0.5 * res_norm ** 2 + lam * float(np.sum(np.abs(x)))
         mon.record(it, obj, res_norm, x, lam, support=active.support, c=c,
-                   chol=chol)
+                   chol=active.chol)
         return obj
 
     def residual():
@@ -188,9 +197,7 @@ def homotopy_solve(P, config, observer=None):
 
     lam = lam0
     j0 = int(np.argmax(np.abs(c)))
-    active = _ActiveSet(D)
-    chol = numerics.chol_append(numerics.CholFactor(np.zeros((0, 0))),
-                                np.zeros(0), float(active.add(j0)[0]))
+    active = _ActiveSet(D, j0, mon.notes)
     ratio, den = np.empty((2, n)), np.empty((2, n))  # _gammas' buffers
     converged = False
     it = 0
@@ -198,14 +205,8 @@ def homotopy_solve(P, config, observer=None):
 
     while it < config.max_iter:
         it += 1
-        support, B = active.support, active.cols
-        sgn = np.sign(c[support])
-        try:
-            d_I, chol, _, w = _solve_direction(chol, D, B, support, sgn)
-        except DegenerateSupportError:
-            chol = _ridge_factor(B, mon.notes)
-            d_I = chol.solve(sgn)
-            w = D.adjoint(B @ d_I)
+        support = active.support
+        d_I, w = active.direction(np.sign(c[support]))
         g_plus, i_plus, g_minus, i_minus = _gammas(
             lam, c, w, x[support], d_I, support, ratio, den)
         g_event = min(g_plus, g_minus)
@@ -227,28 +228,22 @@ def homotopy_solve(P, config, observer=None):
             pos = int(np.flatnonzero(support == i_minus)[0])
             x[i_minus] = 0.0
             active.remove(pos)
-            chol = numerics.chol_delete(chol, pos)
         else:
-            g = active.add(i_plus)
-            try:
-                chol = numerics.chol_append(chol, g[:-1], float(g[-1]))
-            except NotPositiveDefiniteError:
-                chol = _ridge_factor(active.cols, mon.notes)
+            active.add(i_plus)
         # the step moved A x by gamma D_I d_I, so the correlations moved by
         # gamma w; a fresh D^T r every _REFRESH breakpoints bounds the drift,
-        # and one at every breakpoint a stopping rule or the budget can end;
-        # the residual is taken only for a fresh D^T r or for a watcher
+        # and one at every breakpoint a stopping rule, the budget or the
+        # floor can end certifies the stop; the residual is taken only for
+        # a fresh D^T r or for a watcher
+        lam_step = lam - gamma
+        c = c - gamma * w
+        lam = path_weight(lam_step)
         fresh = (it % _REFRESH == 0 or config.stopping is not None
-                 or it == config.max_iter)
+                 or it == config.max_iter or lam <= finish_floor)
         r = residual() if fresh or mon.watched else None
-        c = D.adjoint(r) if fresh else c - gamma * w
-        lam_next = path_weight(lam - gamma)
-        if not fresh and lam_next <= finish_floor:
-            # a stop is certified on fresh correlations only
-            r = residual() if r is None else r
+        if fresh:
             c = D.adjoint(r)
-            lam_next = path_weight(lam - gamma)
-        lam = lam_next
+            lam = path_weight(lam_step)
         obj = record(it, lam, r)
         if lam <= finish_floor or mon.rule_met(
                 x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):

@@ -95,8 +95,8 @@ class ProblemInstance:
         return self.A.shape[1]
 
 
-# fista's continuation and exact_L, cab_solve's e_weight
-OPTIONS = frozenset({"continuation", "exact_L", "e_weight"})
+# fista's exact_L, cab_solve's e_weight
+OPTIONS = frozenset({"exact_L", "e_weight"})
 
 
 @dataclass

@@ -237,8 +237,8 @@ PcgResult = namedtuple("PcgResult", "x converged iterations residual")
 def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
     """Preconditioned conjugate gradients for an SPD system op x = rhs.
 
-    op is a dense matrix or a matvec callable; precond is None, a vector of
-    diagonal entries, or a callable applying the inverse preconditioner.
+    op is a dense matrix or a matvec callable; precond is None or a vector
+    of diagonal entries.
     Converges when ||r|| <= tol * ||rhs||. On indefinite breakdown returns
     the best iterate seen with converged=False; non-finite values raise
     NumericalBreakdownError.
@@ -248,8 +248,6 @@ def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
     matvec = (lambda v, _A=op: _A @ v) if isinstance(op, np.ndarray) else op
     if precond is None:
         apply_m = lambda r: r
-    elif callable(precond):
-        apply_m = precond
     else:
         dvec = _as_vector(precond)
         if dvec.shape[0] != n or np.any(dvec <= 0):

@@ -324,9 +324,12 @@ def align_palm_solve(prob, config):
     so b -> s b gives (s w, s e) for s a power of 2. Converges when
     ||P (b - e)||, the fit residual at the returned w, is at most
     config.tol * ||b||; config.max_iter caps the inner steps. palm_solve
-    on the same projector measured 1.57x slower than this loop, from its
-    per-step monitor and one more outer step under its ||c|| stop. For b
-    in range(B), e = 0 and w is the least-squares fit. Returns (w, e).
+    on the same projector, stopped at the same tol * ||b||, gives the same
+    (w, e) to 1e-15 but measured 1.3x-1.45x slower: these problems take
+    about 13 outer steps for 20 inner ones, and palm's outer step forms
+    b - A x afresh, where this loop reads the residual the inner solve
+    carries. For b in range(B), e = 0 and w is the least-squares fit.
+    Returns (w, e).
     """
 
     def multiplier_loop(P, c, _):

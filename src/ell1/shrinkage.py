@@ -230,11 +230,11 @@ def fista_solve(P, config, observer=None):
     L by ETA (1.5) until ||A delta||^2 <= L ||delta||^2, and lets it fall
     by at most ETA per step towards the curvature the steps measure; the
     momentum restarts whenever it points uphill. Continuation shrinks
-    lambda by BETA (0.5) per iteration. Options (config.options):
-    continuation (True) and exact_L (False). exact_L sets L to the
-    measured squared spectral norm times 1 + 1e-9, as the
-    convergence-bound analysis assumes, and makes that the floor of every
-    search, so every step takes that L at its first trial. Every step
+    lambda by BETA (0.5) per iteration. The one option (config.options)
+    is exact_L (False), the fixed problem the convergence bound assumes:
+    L is the measured squared spectral norm times 1 + 1e-9, the floor of
+    every search, so every step takes that L at its first trial, and
+    lambda is config's weight from the first step. Every step
     gives one event; its weight is the step's continuation weight and its
     state holds y (the extrapolated point the step started from), t_prev,
     t (the momentum weights after the step, both 1 after a restart) and
@@ -261,12 +261,12 @@ def fista_solve(P, config, observer=None):
         raise ValueError("lambda must be positive")
 
     L, L_floor = L0, 0.0
+    lam = max(0.9 * Atb_max, lam_bar)
     if config.opt("exact_L", False):
         # tiny inflation keeps the majorization valid under roundoff; no
         # search starts below it, so L stays there
         L = L_floor = D.norm_sq() * (1.0 + 1e-9)
-    lam = max(0.9 * Atb_max, lam_bar) \
-        if config.opt("continuation", True) else lam_bar
+        lam = lam_bar
 
     # residual A x - b and gradient A^T (A x - b) at x, and their last changes
     r, g = -b, -Atb

@@ -90,7 +90,7 @@ def test_criterion_3_momentum_convergence_bound():
     # restarts its momentum, and the bound is checked for the restarted
     # iteration on these instances, not proved for it
     worst_margin = np.inf
-    opts = {"continuation": False, "exact_L": True}
+    opts = {"exact_L": True}
     for t in range(10):
         P = make_instance(GenSpec(n=100, d=50, k=8,
                                   seed=trial_seed(4000, t)))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ell1 import homotopy, numerics, synth
-from ell1.exceptions import DegenerateSupportError
 from ell1.homotopy import homotopy_solve
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation)
@@ -15,18 +14,24 @@ from ell1.operators import DenseDictionary
 
 
 def make_state(A, support, x, lam, c):
-    G = A[:, support].T @ A[:, support]
-    return SimpleNamespace(x=x, support=list(support), lam=lam, c=c,
-                           chol=numerics.chol_factor(G))
+    return SimpleNamespace(x=x, support=list(support), lam=lam, c=c)
+
+
+def active_set(A, support, notes=None):
+    """The solver's active set over the columns support of A, added in
+    that order."""
+    active = homotopy._ActiveSet(DenseDictionary(A), support[0],
+                                 [] if notes is None else notes)
+    for j in support[1:]:
+        active.add(j)
+    return active
 
 
 def update_direction(st, A):
     """Full-length path direction at a snapshot: the solver's active-set
     solve on the support, zero elsewhere."""
     support = np.asarray(st.support, dtype=np.intp)
-    sgn = np.sign(st.c[support])
-    d_I, _, _, _ = homotopy._solve_direction(st.chol, DenseDictionary(A),
-                                             A[:, support], support, sgn)
+    d_I, _ = active_set(A, st.support).direction(np.sign(st.c[support]))
     d = np.zeros(st.x.shape[0])
     d[st.support] = d_I
     return d
@@ -35,9 +40,8 @@ def update_direction(st, A):
 def breakpoint_gammas(st, d, A):
     """The solver's step lengths to the next add and remove events, from
     the full-length direction d at a snapshot."""
-    D = DenseDictionary(A)
     support = np.asarray(st.support, dtype=np.intp)
-    w = D.adjoint(D.apply_columns(support, d[support]))
+    w = A.T @ (A[:, support] @ d[support])
     n = st.c.shape[0]
     return homotopy._gammas(st.lam, st.c, w, st.x[support], d[support],
                             support, np.empty((2, n)), np.empty((2, n)))
@@ -83,14 +87,49 @@ def test_direction_off_support_exactly_zero():
     assert np.all(d[off] == 0.0)
 
 
-def test_direction_singular_gram_raises():
-    # duplicated column: the active-set Gram is rank 1
+def test_direction_refactors_a_stale_factor():
+    # a factor of some other Gram misses sgn on the support, so the
+    # direction comes from a dense refactorization of the true Gram
+    st, A = random_state(1234)
+    notes = []
+    active = active_set(A, st.support, notes)
+    active.chol = numerics.chol_factor(np.eye(4))
+    sgn = np.sign(st.c[st.support])
+    d_I, w = active.direction(sgn)
+    B = A[:, st.support]
+    np.testing.assert_allclose(B.T @ B @ d_I, sgn, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w, A.T @ (B @ d_I), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(active.chol.matrix(), B.T @ B,
+                               rtol=0, atol=1e-13)
+    assert not notes
+
+
+def test_direction_singular_gram_ridges():
+    # duplicated column: the active-set Gram is rank 1, so a stale factor's
+    # dense refactorization fails and the direction comes from the ridge
     A = np.array([[1.0, 1.0], [0.0, 0.0]])
-    stale = numerics.chol_factor(np.eye(2))
-    st = SimpleNamespace(x=np.zeros(2), support=[0, 1], lam=1.0,
-                         c=np.array([1.0, 1.0]), chol=stale)
-    with pytest.raises(DegenerateSupportError):
-        update_direction(st, A)
+    notes = []
+    active = active_set(A, [0, 1], notes)
+    active.chol = numerics.chol_factor(np.eye(2))
+    d_I, w = active.direction(np.array([1.0, 1.0]))
+    assert np.all(np.isfinite(d_I)) and np.all(np.isfinite(w))
+    np.testing.assert_allclose(w, [1.0, 1.0], rtol=0, atol=1e-9)
+    assert notes == ["ridge-regularized gram"]
+
+
+def test_add_dependent_column_ridges():
+    # the appended column repeats an active one, so the extended Gram is
+    # singular and the factor is of the Gram plus 1e-12 trace(G) I instead
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    notes = []
+    active = active_set(A, [0, 1], notes)
+    assert not notes
+    active.add(2)
+    assert notes == ["ridge-regularized gram"]
+    assert active.support.tolist() == [0, 1, 2]
+    np.testing.assert_allclose(active.chol.matrix(),
+                               A.T @ A + 3e-12 * np.eye(3),
+                               rtol=0, atol=1e-14)
 
 
 # --- breakpoint step lengths -----------------------------------------------
@@ -335,6 +374,31 @@ def test_no_fresh_factorization_on_clean_path(monkeypatch):
     x0[rng.choice(200, 5, replace=False)] = rng.standard_normal(5)
     homotopy_solve(ProblemInstance(A, A @ x0), SolverConfig(lam=0.0))
     assert not calls  # rank-1 updates only inside the loop
+
+
+def test_factor_updates_match_support_changes(monkeypatch):
+    # perfbench's tracer counts factor updates by patching these two
+    # names on numerics: every growth of the support is one chol_append
+    # (the first column included) and every shrink one chol_delete
+    calls = {"chol_append": 0, "chol_delete": 0}
+    for name in calls:
+        orig = getattr(numerics, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(numerics, name, counted)
+    P = synth.make_instance(synth.GenSpec(n=500, d=200, k=20, seed=25,
+                                          noise_sigma=0.01))
+    lam = 0.01 * float(np.max(np.abs(P.A.T @ P.b)))
+    events = []
+    res = homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000),
+                         events.append)
+    assert res.converged
+    sizes = np.diff([0, 1] + [e.state["support"].size for e in events])
+    assert calls["chol_append"] == np.sum(sizes > 0)
+    assert calls["chol_delete"] == np.sum(sizes < 0) > 0
 
 
 def test_breakpoints_never_gather_columns():

@@ -45,10 +45,11 @@ def test_solver_config_validation():
 
 def test_solver_config_rejects_unknown_options():
     # a misspelt knob must not be silently ignored
-    for options in ({"exact_l": True}, {"continuation": False, "beta": 0.5}):
+    for options in ({"exact_l": True}, {"continuation": False},
+                    {"exact_L": True, "beta": 0.5}):
         with pytest.raises(ValueError, match="unknown solver options"):
             SolverConfig(options=options)
-    known = {"continuation": False, "exact_L": True, "e_weight": 2.0}
+    known = {"exact_L": True, "e_weight": 2.0}
     assert SolverConfig(options=known).options == known
 
 

@@ -385,7 +385,7 @@ def test_fista_objective_bound_with_exact_L():
     x0[rng.choice(100, 5, replace=False)] = rng.standard_normal(5)
     P = ProblemInstance(A, A @ x0)
     lam = 0.05
-    fixed = {"exact_L": True, "continuation": False}
+    fixed = {"exact_L": True}
     # the path solver lands on the minimizer exactly, up to roundoff
     ref = homotopy.homotopy_solve(P, SolverConfig(lam=lam, max_iter=1000))
     assert ref.converged
@@ -580,7 +580,7 @@ def test_fista_step_invariants_on_bouquet_queries():
 def test_fista_exact_L_pins_every_step():
     # criterion 3's bound takes L = ||A||^2: with exact_L every step of
     # its runs, down to roundoff, is taken at that L and no other
-    opts = {"continuation": False, "exact_L": True}
+    opts = {"exact_L": True}
     for t in range(3):
         P = synth.make_instance(synth.GenSpec(
             n=100, d=50, k=8, seed=trial_seed(4000, t)))
