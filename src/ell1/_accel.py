@@ -1,9 +1,10 @@
 """The four inner kernels that numerics builds on, in numpy.
 
 soft_threshold and project_box_linf work on float64 arrays of any shape
-and return new arrays; chol_update and chol_downdate modify an upper
-Cholesky factor in place. numerics calls them as ``_accel.<name>``, so a
-caller that replaces a kernel here (a profiler, say) sees every call.
+and return new arrays (project_box_linf writes into out when given one);
+chol_update and chol_downdate modify an upper Cholesky factor in place.
+numerics calls them as ``_accel.<name>``, so a caller that replaces a
+kernel here (a profiler, say) sees every call.
 """
 
 import numpy as np
@@ -13,9 +14,9 @@ def soft_threshold(u, a):
     return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
 
 
-def project_box_linf(z):
+def project_box_linf(z, out=None):
     # np.clip's result for NaN, +-0 and +-inf, at a third of its call cost
-    return np.minimum(np.maximum(z, -1.0), 1.0)
+    return np.minimum(np.maximum(z, -1.0, out=out), 1.0, out=out)
 
 
 def chol_update(R, v):

@@ -1,7 +1,8 @@
-"""Shared numerical kernels: shrinkage, box projection, Cholesky machinery,
-preconditioned conjugate gradients, the spectral norm, and the
-interior-point pieces: the fraction to boundary, which pdipa and tnipm
-share, and tnipm's box-barrier Newton step with its Armijo backtrack.
+"""Shared numerical kernels: shrinkage, box projection, a matrix buffer
+with 64-byte-aligned rows, Cholesky machinery, preconditioned conjugate
+gradients, the spectral norm, and the interior-point pieces: the
+fraction to boundary, which pdipa and tnipm share, and tnipm's
+box-barrier Newton step with its Armijo backtrack.
 
 The elementwise kernels run in ell1._accel. chol_factor is one LAPACK
 potrf; homotopy grows its factor with chol_append and shrinks it with
@@ -42,13 +43,31 @@ def soft_threshold(u, a):
     return np.asarray(_accel.soft_threshold(u, a))
 
 
-def project_box_linf(z):
+def project_box_linf(z, out=None):
     """Orthogonal projection onto the unit l-inf ball (clamp to [-1, 1]).
 
-    Accepts any array shape; returns a new float64 array of that shape.
+    Accepts any array shape; returns a new float64 array of that shape,
+    or writes into out (a float64 array of that shape, z itself allowed)
+    and returns it.
     """
     z = np.asarray(z, dtype=np.float64)
-    return np.asarray(_accel.project_box_linf(z))
+    return np.asarray(_accel.project_box_linf(z, out))
+
+
+def padded_rows(m, n):
+    """Zeroed row-major float64 (m, n) array whose first element and
+    every row start on a 64-byte boundary.
+
+    Rows are padded to a multiple of 8 doubles, so the result is a view
+    of an (m, n_pad) block. numpy's allocator leaves the first address
+    mod 64 to chance, and BLAS products with a matrix run at a speed that
+    moves with it; the padding only moves where rows start, so products
+    give the same values.
+    """
+    stride = -(-n // 8) * 8
+    block = np.zeros(m * stride + 8)
+    start = -block.ctypes.data % 64 // 8
+    return block[start:start + m * stride].reshape(m, stride)[:, :n]
 
 
 def truncate_small(x):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from ell1 import alm, bench, robust, synth
+from ell1 import alm, bench, operators, robust, synth
 from ell1.alm import MU0_SCALE, RHO, dalm_solve, palm_solve
 from ell1.exceptions import IllConditionedError, NumericalBreakdownError
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance, SolverConfig, StoppingRule
-from ell1.numerics import CholFactor
+from ell1.numerics import CholFactor, _lower_solve
 from ell1.pdipa import pdipa_solve
 
 
@@ -282,12 +282,69 @@ def _count_basis_products(monkeypatch, counting_view):
 
     def counting(A):
         R, Qt = row_basis(A)
+        assert Qt.ctypes.data % 64 == 0 and Qt.strides[0] % 64 == 0
         Qt, count = counting_view(Qt)
         counts.append(count)
         return R, Qt
 
     monkeypatch.setattr(alm, "_row_basis", counting)
     return counts
+
+
+def _off_line_copy(a, offset=16):
+    """C-contiguous copy of a whose first element sits offset bytes past
+    a 64-byte line, with rows packed end to end."""
+    block = np.empty(a.size + 16)
+    start = (-block.ctypes.data % 64 + offset) // 8
+    out = block[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_row_basis_is_aligned_and_bitwise_the_contiguous_copy(extended):
+    # n = 125 and n + d = 185 are no multiples of 8, so rows are padded
+    P = synth.make_instance(synth.GenSpec(n=125, d=60, k=6, seed=9))
+    D = (robust.ExtendedDictionary(P.A) if extended
+         else operators.DenseDictionary(P.A))
+    R, Qt = alm._row_basis(D)
+    assert Qt.shape == D.shape
+    assert Qt.ctypes.data % 64 == 0 and Qt.strides[1] == 8
+    assert Qt.strides[0] % 64 == 0 and Qt.strides[0] > 8 * D.shape[1]
+    R_inv = _lower_solve(R.T, np.eye(P.d), 1)
+    plain = np.ascontiguousarray(D.adjoint(R_inv).T)
+    assert Qt.tobytes() == plain.tobytes()
+
+
+def test_dalm_basis_layout_moves_no_answer(monkeypatch):
+    # the padded, aligned basis against a packed copy at 16 mod 64 bytes
+    P = synth.make_instance(synth.GenSpec(n=125, d=60, k=6, seed=9))
+    b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
+    cfg = SolverConfig(tol=1e-7, max_iter=400)
+
+    def runs():
+        res = dalm_solve(P, cfg)
+        x, e, cab = robust.cab_solve(P.A, b_bad, "dalm", cfg)
+        return ((res.x_star, res.iterations, res.converged),
+                (np.concatenate([x, e]), cab.iterations, cab.converged))
+
+    aligned = runs()
+    row_basis = alm._row_basis
+    packed = []
+
+    def packed_basis(D):
+        R, Qt = row_basis(D)
+        Qt = _off_line_copy(Qt)
+        packed.append(Qt.ctypes.data % 64 == 16 and Qt.flags.c_contiguous)
+        return R, Qt
+
+    monkeypatch.setattr(alm, "_row_basis", packed_basis)
+    moved = runs()
+    assert packed == [True, True]
+    for (x, its, conv), (x_p, its_p, conv_p) in zip(aligned, moved):
+        assert its >= alm._REFRESH_EVERY
+        assert x.tobytes() == x_p.tobytes()
+        assert its == its_p and conv is conv_p
 
 
 def _basis_products(iterations):

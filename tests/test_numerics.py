@@ -112,6 +112,29 @@ def test_project_box_is_bitwise_np_clip():
     assert got.tobytes() == np.clip(z, -1.0, 1.0).tobytes()
 
 
+def test_project_box_out_is_bitwise_the_allocating_call():
+    z = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5,
+                  -5e-324, 1e308])
+    want = numerics.project_box_linf(z).tobytes()
+    out = np.full_like(z, 7.0)
+    assert numerics.project_box_linf(z, out=out) is out
+    assert out.tobytes() == want
+    inplace = z.copy()
+    assert numerics.project_box_linf(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (4, 8), (5, 9),
+                                  (200, 500), (150, 450)])
+def test_padded_rows_layout(m, n):
+    a = numerics.padded_rows(m, n)
+    assert a.shape == (m, n) and a.dtype == np.float64
+    assert a.ctypes.data % 64 == 0 and a.strides[1] == 8
+    assert a.strides[0] % 64 == 0 and n * 8 <= a.strides[0] < n * 8 + 64
+    assert not a.any()
+
+
 @pytest.mark.invariant
 @settings(max_examples=150, deadline=None)
 @given(arrays(np.float64, st.integers(1, 50), elements=finite_floats))
