@@ -1,17 +1,22 @@
 """The four inner kernels that numerics builds on, in numpy.
 
 soft_threshold and project_box_linf work on float64 arrays of any shape
-and return new arrays (project_box_linf writes into out when given one);
-chol_update and chol_downdate modify an upper Cholesky factor in place.
-numerics calls them as ``_accel.<name>``, so a caller that replaces a
-kernel here (a profiler, say) sees every call.
+and return new arrays, or write into out when given one (soft_threshold
+then leaves sgn(u) in u); chol_update and chol_downdate modify an upper
+Cholesky factor in place. numerics, and the accelerated step of
+shrinkage on its own buffers, call them as ``_accel.<name>``, so a
+caller that replaces a kernel here (a profiler, say) sees every call.
 """
 
 import numpy as np
 
 
-def soft_threshold(u, a):
-    return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
+def soft_threshold(u, a, out=None):
+    if out is None:
+        return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
+    # the same operations with no temporary: u is left holding sgn(u)
+    np.maximum(np.subtract(np.abs(u, out=out), a, out=out), 0.0, out=out)
+    return np.multiply(np.sign(u, out=u), out, out=out)
 
 
 def project_box_linf(z, out=None):

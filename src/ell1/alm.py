@@ -3,8 +3,9 @@
 Both solvers target min ||x||_1 subject to A x = b. palm_solve attacks the
 primal with an outer multiplier loop under a penalty that grows
 geometrically from mu0 = 1.25 d / ||b||_1. Its inner subproblems are
-inexact accelerated prox-gradient solves (_inner_solve) on fista's step,
-shrinkage._accel_step: the same Lipschitz search and uphill restart.
+inexact accelerated prox-gradient solves on fista's step (the same
+Lipschitz search and uphill restart), run by shrinkage._Accel.solve in
+buffers that hold x and its residual across the outer steps.
 dalm_solve runs the three-step dual iteration (box projection, row-Gram
 least squares, multiplier update) on the orthonormalized rows
 R^{-T} A, built once per problem from the factor A A^T = R^T R, so that
@@ -27,7 +28,7 @@ from ell1.model import Monitor
 from ell1.numerics import (_lower_solve, chol_factor, padded_rows,
                            project_box_linf)
 from ell1.operators import as_operator
-from ell1.shrinkage import L0, _accel_step
+from ell1.shrinkage import L0, _Accel
 
 _INNER_CAP = 200       # inner steps per outer step of the multiplier loops
 MU0_SCALE = 1.25       # their starting penalty, in units of d / ||b||_1
@@ -36,37 +37,12 @@ _STALL_STEPS = 10      # palm outer steps without a lower residual: infeasible
 _STALL_FLOOR = 1e3     # residuals below this many eps ||b|| never stall
 
 
-def _inner_solve(D, lam, x, r, L, tol, budget):
-    """Restarted accelerated prox-gradient on 1/2 ||D x - b||^2 + lam ||x||_1.
-
-    Runs shrinkage._accel_step from x, whose residual D x - b is r, with
-    fresh momentum and the search starting at L, until a step dx has
-    ||dx|| <= tol ||x|| for the new x, or for _INNER_CAP steps or the
-    budget left. Takes D^T r once to start. Returns (x, r, L, steps,
-    trials, restarts): r is carried to the new x, L is where the next
-    search starts. palm_solve and robust.align_palm_solve run their inner
-    solves here.
-    """
-    g = D.adjoint(r)
-    t_prev = t = 1.0
-    dx = dr = dg = None
-    trials = restarts = 0
-    for steps in range(1, min(_INNER_CAP, budget) + 1):
-        (x, r, g, dx, dr, dg, t_prev, t, L, _, _, tried,
-         restarted) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t,
-                                  L, 0.0)
-        trials += tried
-        restarts += restarted
-        if float(dx @ dx) <= tol * tol * float(x @ x):
-            break
-    return x, r, L, steps, trials, restarts
-
-
 def palm_solve(P, config, observer=None):
     """Primal multiplier loop with inexact prox-gradient inner solves.
 
     Every outer iteration minimizes the penalized Lagrangian
-    1/2 ||A x - b - y/mu||^2 + ||x||_1 / mu in x with _inner_solve, to
+    1/2 ||A x - b - y/mu||^2 + ||x||_1 / mu in x with an inner solve
+    (shrinkage._Accel.solve) from the last x, to
     ||dx|| <= 1e-2 (mu0 / mu) ||x|| or _INNER_CAP (200) steps, each search
     starting where the last one ended (at shrinkage.L0 first), then takes
     y <- y + mu (b - A x) and grows mu by RHO (2) from
@@ -89,8 +65,8 @@ def palm_solve(P, config, observer=None):
     if b_norm == 0.0:
         return mon.trivial(n)
     mu = mu0 = MU0_SCALE * P.d / float(np.sum(np.abs(b)))
-    L = L0
-    x = np.zeros(n)
+    acc = _Accel(D, n, P.d, L0)
+    x = acc.x
     Ax, y = np.zeros(P.d), np.zeros(P.d)
     mon.record(0, 0.0, b_norm, x, mu=mu, inner_steps=0, trials=0,
                restarts=0)
@@ -100,10 +76,11 @@ def palm_solve(P, config, observer=None):
     floor = _STALL_FLOOR * np.finfo(np.float64).eps * b_norm
     while it < config.max_iter:
         # inner problem: 1/2 ||A x - (b + y/mu)||^2 + ||x||_1 / mu
-        r = Ax - (b + y / mu)
-        x, _, L, steps, trials, restarts = _inner_solve(
-            D, 1.0 / mu, x, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
+        np.subtract(Ax, b + y / mu, out=acc.r)
+        steps, trials, restarts = acc.solve(
+            1.0 / mu, 1e-2 * mu0 / mu, min(_INNER_CAP, config.max_iter - it))
         it += steps
+        x = acc.x
         Ax = D.apply(x)
         r = b - Ax
         res_norm = float(np.linalg.norm(r))
@@ -126,7 +103,7 @@ def palm_solve(P, config, observer=None):
         mu *= RHO
     if not converged and it >= config.max_iter:
         mon.notes.append("inner-iteration budget exhausted")
-    return mon.result(x, it, converged)
+    return mon.result(x.copy(), it, converged)
 
 
 def _row_basis(D):
@@ -196,7 +173,8 @@ def dalm_solve(P, config, observer=None):
     z (inside the unit l-inf ball), Aty, the A^T y = Q v the step used,
     and x_prev, the x the iteration started from (x itself at the start
     point). The stopping-rule kkt slot carries the relative primal
-    residual.
+    residual. An unwatched iteration (no observer, no rule) makes no
+    record or rule call, as in gpsr, ist and fista.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -238,18 +216,20 @@ def dalm_solve(P, config, observer=None):
             res_norm = float(np.linalg.norm(R.T @ drift))
         else:
             drift = None
-        l1 = float(np.abs(x, out=w).sum())
+        l1 = float(np.add.reduce(np.abs(x, out=w)))
         # certified gap: y scaled into the dual box bounds the optimum
         # from below, so l1 minus the bound brackets the suboptimality
-        scale = max(1.0, float(np.abs(Aty, out=w).max()))
-        gap_ok = l1 - float(u @ v) / scale <= config.tol * l1
+        scale = max(1.0, float(np.maximum.reduce(np.abs(Aty, out=w))))
+        gap_ok = l1 - float(u.dot(v)) / scale <= config.tol * l1
         done = gap_ok and res_norm / b_norm <= config.tol
         if done or it == config.max_iter or config.stopping is not None:
             res_norm = float(np.linalg.norm(b - D.apply(x)))
             done = gap_ok and res_norm / b_norm <= config.tol
-        y = _lower_solve(R.T, v, 1) if observer is not None else None
-        mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)
-        if done or mon.rule_met(x, l1, res_norm / b_norm):
+        if mon.watched:
+            y = _lower_solve(R.T, v, 1) if observer is not None else None
+            mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)
+            done = done or mon.rule_met(x, l1, res_norm / b_norm)
+        if done:
             converged = True
             break
     if not converged and it >= config.max_iter:

@@ -343,7 +343,8 @@ def fraction_to_boundary(v, dv, damping=_BOUNDARY):
     v_i / -dv_i. damping=1 gives the undamped step to the boundary.
     """
     with np.errstate(all="ignore"):
-        ratio = np.min(np.where(dv < 0, -v / dv, np.inf), initial=np.inf)
+        ratio = np.minimum.reduce(np.where(dv < 0, -v / dv, np.inf),
+                                  initial=np.inf)
     return min(1.0, damping * float(ratio))
 
 
@@ -392,10 +393,11 @@ class BoxBarrier:
         value here, residual r: t (q_new - q) - sum log(up_new / up) -
         sum log(um_new / um), q = 1/2 ||r||^2 + lam sum(u). The slack
         ratios cancel a power-of-two rescaling of the data exactly."""
+        add = np.add.reduce  # np.sum's value without its Python wrapper
         dq = (0.5 * (float(r_new @ r_new) - float(r @ r))
-              + self.lam * (float(np.sum(u_new)) - float(np.sum(self.u))))
-        return (self.t * dq - float(np.sum(np.log((u_new + v_new) / self.up)))
-                - float(np.sum(np.log((u_new - v_new) / self.um))))
+              + self.lam * (float(add(u_new)) - float(add(self.u))))
+        return (self.t * dq - float(add(np.log((u_new + v_new) / self.up)))
+                - float(add(np.log((u_new - v_new) / self.um))))
 
     def backtrack(self, r, dv, du, decrement_sq, trial_residual):
         """Armijo backtracking from the fraction-to-boundary step.
@@ -411,7 +413,7 @@ class BoxBarrier:
         for _ in range(_MAX_HALVINGS + 1):
             v_new = self.v + s * dv
             u_new = self.u + s * du
-            if (np.all(np.abs(v_new) < u_new)
+            if (np.logical_and.reduce(np.abs(v_new) < u_new)
                     and self.change(r, v_new, u_new, trial_residual(s))
                     <= -_ARMIJO * s * decrement_sq):
                 return s, v_new, u_new

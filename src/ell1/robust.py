@@ -16,7 +16,7 @@ _reduced_align_solve builds that problem, with P one implicit operator
 applied in O(d m), for all four aligners. align_gp_solve, align_ist_solve
 and align_homotopy_solve run gpsr_solve, ist_solve and homotopy_solve on
 it; align_palm_solve, for the exact-fit form min ||e||_1 subject to
-b = B w + e, runs its own multiplier loop over alm._inner_solve.
+b = B w + e, runs its own multiplier loop over palm's inner solves.
 """
 
 from dataclasses import dataclass, replace
@@ -24,14 +24,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ell1.alm import _STALL_FLOOR, MU0_SCALE, RHO, _inner_solve
+from ell1.alm import _INNER_CAP, _STALL_FLOOR, MU0_SCALE, RHO
 from ell1.exceptions import IllConditionedError
 from ell1.gradient_projection import gpsr_solve
 from ell1.homotopy import homotopy_solve
 from ell1.model import ProblemInstance
 # chol_factor is not called here: perfbench's tests read robust.chol_factor
 from ell1.numerics import _lower_solve, chol_factor, spectral_norm_sq
-from ell1.shrinkage import L0, ist_solve
+from ell1.shrinkage import L0, _Accel, ist_solve
 
 
 class _AdjointView:
@@ -319,8 +319,10 @@ def align_palm_solve(prob, config):
     """Multiplier method for the exact-fit form: min ||e||_1, b = B w + e.
 
     Each outer step solves 1/2 ||P e - c - y/mu||^2 + ||e||_1 / mu, on the
-    reduced problem of _reduced_align_solve, loosely with alm._inner_solve.
-    y and mu move as in palm_solve, from mu0 = alm.MU0_SCALE d / ||c||_1,
+    reduced problem of _reduced_align_solve, loosely with palm's inner
+    solve (shrinkage._Accel.solve), whose buffers keep e and the carried
+    residual across outer steps; there the gradient is the residual. y and
+    mu move as in palm_solve, from mu0 = alm.MU0_SCALE d / ||c||_1,
     so b -> s b gives (s w, s e) for s a power of 2. Converges when
     ||P (b - e)||, the fit residual at the returned w, is at most
     config.tol * ||b||; config.max_iter caps the inner steps. palm_solve
@@ -334,22 +336,24 @@ def align_palm_solve(prob, config):
 
     def multiplier_loop(P, c, _):
         tol_abs = config.tol * float(np.linalg.norm(prob.b))
-        e, y, r = np.zeros(prob.d), np.zeros(prob.d), -c
+        y = np.zeros(prob.d)
         mu = mu0 = MU0_SCALE * prob.d / float(np.sum(np.abs(c)))
-        L = L0
+        # e and the residual r = P e - c - y/mu stay in the step's buffers
+        acc = _Accel(P, prob.d, prob.d, L0)
+        np.negative(c, out=acc.r)
         it = 0
         while it < config.max_iter:
-            e, r, L, steps, _, _ = _inner_solve(
-                P, 1.0 / mu, e, r, L, 1e-2 * mu0 / mu, config.max_iter - it)
+            steps, _, _ = acc.solve(1.0 / mu, 1e-2 * mu0 / mu,
+                                    min(_INNER_CAP, config.max_iter - it))
             it += steps
             # r is the carried P e - c - y/mu, so the multiplier step
             # y + mu (c - P e) is -mu r and needs no product
-            fit = r + y / mu
+            fit = acc.r + y / mu
             if float(np.linalg.norm(fit)) <= tol_abs:
                 break
-            y = -mu * r
+            y = -mu * acc.r
             mu *= RHO
-            r = fit - y / mu
-        return e
+            np.subtract(fit, y / mu, out=acc.r)
+        return acc.x.copy()
 
     return _reduced_align_solve(prob, None, multiplier_loop)

@@ -10,13 +10,15 @@ uphill (O'Donoghue and Candes, 2015). Its search accepts L once
 ||A delta||^2 <= L ||delta||^2 for the step delta, which for the quadratic
 loss is exactly the majorization of Beck and Teboulle (2009), and lets L
 fall again to the curvature the steps measure (Scheinberg, Goldfarb and
-Bai, 2014). palm's inner solves take the same step, _accel_step.
+Bai, 2014). palm's inner solves take the same step, _Accel.step, in
+buffers allocated once per solve: numpy calls, not products, set its time.
 """
 
 import math
 
 import numpy as np
 
+from ell1 import _accel
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, _kkt_screened, kkt_from_correlation
 from ell1.numerics import soft_threshold
@@ -156,77 +158,126 @@ def fista_t_next(t):
     return t_next
 
 
-def _backtrack(y, L_prev, eta, lam, D, g_y, r_y):
-    """Grow L by eta until the quadratic model majorizes F at the prox point.
+class _Accel:
+    """Accelerated prox-gradient steps on 1/2 ||D x - b||^2 + lam ||x||_1,
+    in place, for fista_solve and palm's inner solves (solve).
 
-    For the quadratic loss the model at L majorizes F at x_next exactly
-    when ||A delta||^2 <= L ||delta||^2, delta = x_next - y, so the test
-    reads no objective value and needs no slack, and a zero step passes.
-    Each trial takes one product with the operator D, D delta, which
-    carries the residual over from r_y = A y - b: A delta stays accurate
-    to its own size, where r_next - r_y would be the difference of two
-    residuals, each rounded at the size of b. Returns (L, x_next, delta,
-    r_next, q, trials): r_next = r_y + A delta, q = ||A delta||^2 /
-    ||delta||^2 (0 for a zero step) and the number of L values tried.
+    The buffers are allocated once per solve and keep the state across
+    palm's outer steps. x, r = D x - b and g = D^T r sit side by side in
+    one row and their last changes in another, so extrapolating all three
+    is 2 ufunc calls and their changes 1; g is r itself when D's adjoint
+    returns its argument (the aligners' projector). Why: at 200 x 500 on
+    one BLAS thread, a step's two products take about half of palm's
+    time, and numpy calls and their glue the rest; with fresh arrays a
+    step took some 28 calls, here a one-trial step takes 16, with the
+    _accel shrinkage kernel called directly. The float operations and
+    their order are the plain formulas', so are the answers. step
+    restarts the momentum (t_prev = t = 1) when it pointed uphill,
+    (y - x_next) . (x_next - x) > 0 (O'Donoghue and Candes, 2015).
     """
-    L = L_prev
-    for trials in range(1, _MAX_BACKTRACK + 2):
-        x_next = soft_threshold(y - g_y / L, lam / L)
-        delta = x_next - y
-        Adelta = D.apply(delta)
-        AdAd = float(Adelta @ Adelta)
-        dd = float(delta @ delta)
-        if AdAd <= L * dd:
-            return (L, x_next, delta, r_y + Adelta,
-                    AdAd / dd if dd > 0.0 else 0.0, trials)
-        L *= eta
-    raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
 
+    def __init__(self, D, n, d, L):
+        """x = 0, search starting at L; the caller writes r before start."""
+        self.D, self.L, self._n, self._d = D, L, n, d
+        # two state rows (current and next), their change, the point y
+        self._rows = np.zeros((4, 2 * n + d))
+        self._u, self._delta = np.empty((2, n))  # prox argument, step
+        self._shared = None
+        self.x, self.r = self._rows[0, :n], self._rows[0, n:n + d]
 
-def _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t, L, L_floor):
-    """One accelerated prox-gradient step on 1/2 ||D x - b||^2 + lam ||x||_1.
+    def start(self, g=None):
+        """Fresh momentum at x, whose residual the caller has written into
+        r; g is its gradient, D^T r (one product) when None."""
+        if g is None:
+            g = self.D.adjoint(self.r)
+        if self._shared is None:  # the first start fixes the layout
+            self._shared = shared = g is self.r
+            n, d = self._n, self._d
+            rows = self._rows[:, :n + d if shared else None]
+            self._cur, self._nxt, self._chg, self._ext = [
+                (row, row[:n], r, r if shared else row[n + d:])
+                for row, r in zip(rows, rows[:, n:n + d])]
+        if not self._shared:
+            self._cur[3][...] = g
+        self.t_prev = self.t = 1.0
+        _, self.x, self.r, self.g = self._cur
 
-    r = D x - b and g = D^T r are the residual and gradient at x, and dx,
-    dr and dg their changes over the last step. The step extrapolates all
-    three by the weight c = (t_prev - 1) / t (not at all when c is 0),
-    runs _backtrack from L, and starts the next search at
-    max(min(ETA q, L_step), L_step / ETA, L_floor). It takes the adjoint
-    g_next = D^T r_next, and restarts the momentum (t_prev = t = 1) when
-    (y - x_next) . (x_next - x) > 0, that is when it pointed uphill
-    (O'Donoghue and Candes, 2015). dr and dg are formed only when the
-    next weight is nonzero. Returns (x_next, r_next, g_next, dx, dr, dg,
-    t_prev, t, L, L_step, y, trials, restarted).
-    """
-    c = (t_prev - 1.0) / t
-    if c:
-        y = x + c * dx
-        r_y = r + c * dr
-        # an adjoint that returns its argument makes the gradient r itself
-        g_y = r_y if g is r else g + c * dg
-    else:
-        y, r_y, g_y = x, r, g
-    L_step, x_next, delta, r_next, q, trials = _backtrack(
-        y, L, ETA, lam, D, g_y, r_y)
-    L = max(min(ETA * q, L_step), L_step / ETA, L_floor)
-    g_next = D.adjoint(r_next)
-    # with no momentum y is x, so the step is delta and cannot point uphill
-    dx = x_next - x if c else delta
-    restarted = c > 0.0 and float(delta @ dx) < 0.0
-    if restarted:
-        t_prev = t = 1.0
-    else:
-        t_prev, t = t, fista_t_next(t)
-    if t_prev > 1.0:
-        dr = r_next - r
-        dg = dr if g_next is r_next else g_next - g
-    return (x_next, r_next, g_next, dx, dr, dg, t_prev, t, L, L_step, y,
-            trials, restarted)
+    def _search(self, y, r_y, g_y, lam, L, eta, x_next, r_next):
+        """Grow L by eta until ||A delta||^2 <= L ||delta||^2 for
+        delta = x_next - y, x_next the prox point at L: for the quadratic
+        loss, exactly when the model at y majorizes F there, so no slack
+        is needed and a zero step passes. Each trial takes one product,
+        A delta, which carries r_next = r_y + A delta accurate to the
+        step's size. Writes x_next and r_next; returns (L, q, trials),
+        q = ||A delta||^2 / ||delta||^2 (0 for a zero step)."""
+        u, delta = self._u, self._delta
+        for trials in range(1, _MAX_BACKTRACK + 2):
+            np.divide(g_y, L, out=u)
+            np.subtract(y, u, out=u)
+            _accel.soft_threshold(u, lam / L, x_next)
+            np.subtract(x_next, y, out=delta)
+            Adelta = self.D.apply(delta)
+            AdAd = float(Adelta.dot(Adelta))
+            dd = float(delta.dot(delta))
+            if AdAd <= L * dd:
+                np.add(r_y, Adelta, out=r_next)
+                return L, AdAd / dd if dd > 0.0 else 0.0, trials
+            L *= eta
+        raise NumericalBreakdownError("backtracking exceeded 100 growth steps")
+
+    def step(self, lam, L_floor):
+        """One step at weight lam from y = x + c dx, c = (t_prev - 1) / t;
+        the next search starts at max(min(ETA q, L_step), L_step / ETA,
+        L_floor). Sets x, r, g, dx, y, L_step (the accepted L), L, t_prev
+        and t; returns (trials, restarted)."""
+        cur, nxt = self._cur, self._nxt
+        t = self.t
+        c = (self.t_prev - 1.0) / t
+        if c:
+            ext = self._ext
+            np.multiply(c, self._chg[0], out=ext[0])
+            np.add(cur[0], ext[0], out=ext[0])
+            _, y, r_y, g_y = ext
+        else:
+            _, y, r_y, g_y = cur
+        L_step, q, trials = self._search(y, r_y, g_y, lam, self.L, ETA,
+                                         nxt[1], nxt[2])
+        self.L = max(min(ETA * q, L_step), L_step / ETA, L_floor)
+        g_next = self.D.adjoint(nxt[2])
+        if not self._shared:
+            nxt[3][...] = g_next
+        dx = self._delta  # from a start y is x, and dr, dg go unread
+        if t > 1.0:  # [dx | dr | dg] for the next extrapolation
+            np.subtract(nxt[0], cur[0], out=self._chg[0])
+            dx = self._chg[1]
+        restarted = c > 0.0 and float(self._delta.dot(dx)) < 0.0
+        self.t_prev, self.t = ((1.0, 1.0) if restarted
+                               else (t, fista_t_next(t)))
+        self.dx, self.y, self.L_step = dx, y, L_step
+        self._cur, self._nxt = nxt, cur
+        _, self.x, self.r, self.g = nxt
+        return trials, restarted
+
+    def solve(self, lam, tol, steps):
+        """Restarted inner solve: start, then step until ||dx|| <= tol ||x||
+        for the new x, or for steps steps. Returns (steps taken, search
+        trials, restarts)."""
+        self.start()
+        trials = restarts = 0
+        for taken in range(1, steps + 1):
+            tried, restarted = self.step(lam, 0.0)
+            trials += tried
+            restarts += restarted
+            dx, x = self.dx, self.x
+            if float(dx.dot(dx)) <= tol * tol * float(x.dot(x)):
+                break
+        return taken, trials, restarts
 
 
 def fista_solve(P, config, observer=None):
     """Accelerated shrinkage with per-iteration lambda continuation.
 
-    Every step is _accel_step: its search starts from L = L0 (1.0), grows
+    Every step is _Accel.step: its search starts from L = L0 (1.0), grows
     L by ETA (1.5) until ||A delta||^2 <= L ||delta||^2, and lets it fall
     by at most ETA per step towards the curvature the steps measure; the
     momentum restarts whenever it points uphill. Continuation shrinks
@@ -253,7 +304,6 @@ def fista_solve(P, config, observer=None):
     mon = Monitor(config, b, P.ground_truth, observer)
     Atb = D.adjoint(b)
     lam_bar = config.resolved_lambda(Atb)
-    x = np.zeros(n)
     Atb_max = float(np.max(np.abs(Atb)))
     if Atb_max <= lam_bar:  # x = 0 is optimal
         return mon.trivial(n, lam_bar)
@@ -268,23 +318,22 @@ def fista_solve(P, config, observer=None):
         L = L_floor = D.norm_sq() * (1.0 + 1e-9)
         lam = lam_bar
 
-    # residual A x - b and gradient A^T (A x - b) at x, and their last changes
-    r, g = -b, -Atb
-    dx = dr = dg = None
-    t_prev = t_cur = 1.0
+    # residual A x - b and gradient A^T (A x - b) at x = 0
+    acc = _Accel(D, n, b.size, L)
+    np.negative(b, out=acc.r)
+    acc.start(-Atb)
     kkt_tol = config.tol * lam_bar
     F_next = None  # built only when watched
     converged = False
     it = 0
     while it < config.max_iter:
         it += 1
-        (x, r, g, dx, dr, dg, t_prev, t_cur, L, L_step, y, _,
-         _) = _accel_step(D, lam, x, r, g, dx, dr, dg, t_prev, t_cur, L,
-                          L_floor)
+        acc.step(lam, L_floor)
+        x, r, g = acc.x, acc.r, acc.g
         if mon.watched:
             F_next = 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
-            mon.record(it, F_next, float(np.linalg.norm(r)), x, lam, y=y,
-                       t_prev=t_prev, t=t_cur, L=L_step)
+            mon.record(it, F_next, float(np.linalg.norm(r)), x, lam,
+                       y=acc.y, t_prev=acc.t_prev, t=acc.t, L=acc.L_step)
         if lam == lam_bar and (
                 _kkt_screened(x, g, lam, kkt_tol) <= kkt_tol
                 or mon.rule_met(
@@ -292,4 +341,4 @@ def fista_solve(P, config, observer=None):
             converged = True
             break
         lam = max(BETA * lam, lam_bar)
-    return mon.result(x, it, converged)
+    return mon.result(acc.x.copy(), it, converged)

@@ -125,6 +125,21 @@ def test_project_box_out_is_bitwise_the_allocating_call():
     assert inplace.tobytes() == want
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1e300])
+def test_soft_threshold_out_is_bitwise_the_allocating_call(a):
+    # the in-place kernel the accelerated step runs on its buffers: the
+    # same value, signed zeros and NaN included, and sgn(u) left in u
+    from ell1 import _accel
+    u = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0,
+                  np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.5,
+                  -0.5, -5e-324, 5e-324, 1e308, -1e308])
+    want = numerics.soft_threshold(u, a).tobytes()
+    scratch, out = u.copy(), np.full_like(u, 7.0)
+    assert _accel.soft_threshold(scratch, a, out) is out
+    assert out.tobytes() == want
+    assert scratch.tobytes() == np.sign(u).tobytes()
+
+
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 7), (4, 8), (5, 9),
                                   (200, 500), (150, 450)])
 def test_padded_rows_layout(m, n):
@@ -503,6 +518,72 @@ def test_fraction_to_boundary_stays_strictly_positive(vdv):
         assert s == min(1.0, 0.99 * np.min(v[neg] / -dv[neg]))
     else:
         assert s == 1.0
+
+
+def _parent_fraction_to_boundary(v, dv, damping=0.99):
+    with np.errstate(all="ignore"):
+        ratio = np.min(np.where(dv < 0, -v / dv, np.inf), initial=np.inf)
+    return min(1.0, damping * float(ratio))
+
+
+def _parent_change(bar, r, v_new, u_new, r_new):
+    dq = (0.5 * (float(r_new @ r_new) - float(r @ r))
+          + bar.lam * (float(np.sum(u_new)) - float(np.sum(bar.u))))
+    return (bar.t * dq - float(np.sum(np.log((u_new + v_new) / bar.up)))
+            - float(np.sum(np.log((u_new - v_new) / bar.um))))
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _with_specials(rng, x, share=0.05):
+    # scatter NaN, +inf and -inf over about share of the entries
+    x = x.copy()
+    hit = rng.random(x.size) < share
+    x[hit] = rng.choice([np.nan, np.inf, -np.inf], int(hit.sum()))
+    return x
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("damping", [0.99, 1.0])
+def test_fraction_to_boundary_is_bitwise_the_wrapped_reductions(seed,
+                                                                damping):
+    # the direct minimum.reduce gives np.min's value, and no warning
+    # escapes for dv = 0, NaN or +-inf (warnings are errors in tier-1)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    v = rng.uniform(1e-3, 10.0, n)
+    dv = rng.standard_normal(n) * rng.choice([0.0, 1.0], n)
+    for vv, dd in ((v, dv), (_with_specials(rng, v), dv),
+                   (v, _with_specials(rng, dv)),
+                   (_with_specials(rng, v), _with_specials(rng, dv)),
+                   (np.zeros(n), dv), (v, np.zeros(n))):
+        assert _same_float(numerics.fraction_to_boundary(vv, dd, damping),
+                           _parent_fraction_to_boundary(vv, dd, damping))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_box_barrier_change_is_bitwise_the_wrapped_reductions(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    u = rng.uniform(0.5, 2.0, n)
+    v = u * rng.uniform(-0.9, 0.9, n)
+    bar = numerics.BoxBarrier(v, u, float(rng.uniform(0.5, 50.0)),
+                              float(rng.uniform(0.01, 1.0)))
+    r = rng.standard_normal(int(rng.integers(1, 50)))
+    u_new = u * rng.uniform(0.5, 1.5, n)
+    v_new = u_new * rng.uniform(-0.9, 0.9, n)
+    r_new = r + rng.standard_normal(r.size)
+    v_new[rng.random(n) < 0.2] = 0.0
+    # an interior trial: no warning escapes, and the value is bitwise
+    assert _same_float(bar.change(r, v_new, u_new, r_new),
+                       _parent_change(bar, r, v_new, u_new, r_new))
+    with np.errstate(all="ignore"):  # either formula warns on these
+        for args in ((r, _with_specials(rng, v_new), u_new, r_new),
+                     (r, v_new, _with_specials(rng, u_new), r_new),
+                     (r, v_new, u_new, _with_specials(rng, r_new))):
+            assert _same_float(bar.change(*args), _parent_change(bar, *args))
 
 
 def test_box_barrier_value_example():

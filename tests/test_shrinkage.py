@@ -110,7 +110,7 @@ def test_t_next_rejects_below_one():
 
 
 class _CountingOperator:
-    """The dense operator of A, counting the products _backtrack takes."""
+    """The dense operator of A, counting the products the search takes."""
 
     def __init__(self, A):
         self._D = as_operator(A)
@@ -127,8 +127,9 @@ def backtrack_L(y, L_prev, eta, lam, P):
     r_y = P.A @ y - P.b
     g_y = P.A.T @ r_y
     D = _CountingOperator(P.A)
-    L, x_next, _, _, _, _ = shrinkage._backtrack(y, L_prev, eta, lam, D, g_y,
-                                                 r_y)
+    x_next, r_next = np.empty_like(y), np.empty_like(r_y)
+    L, _, _ = shrinkage._Accel(D, y.size, r_y.size, L_prev)._search(
+        y, r_y, g_y, lam, L_prev, eta, x_next, r_next)
     return L, x_next, D.products
 
 
