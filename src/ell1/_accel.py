@@ -3,8 +3,8 @@
 soft_threshold and project_box_linf work on float64 arrays of any shape
 and return new arrays, or write into out when given one (soft_threshold
 then leaves sgn(u) in u); chol_update and chol_downdate modify an upper
-Cholesky factor in place. numerics, and the accelerated step of
-shrinkage on its own buffers, call them as ``_accel.<name>``, so a
+Cholesky factor in place. numerics, and the accelerated and ist steps
+of shrinkage on their own buffers, call them as ``_accel.<name>``, so a
 caller that replaces a kernel here (a profiler, say) sees every call.
 """
 

@@ -4,8 +4,9 @@ gpsr_solve rewrites the penalized least-squares objective over the
 nonnegative split z = [positive part; negative part] and runs monotone
 GPSR-BB (Figueiredo, Nowak and Wright, 2007): a projected step of
 Barzilai-Borwein length, then the exact minimizer along the segment it
-spans, at 2 dictionary products per step. A warm-started continuation
-lowers the weight to its target in stages. tnipm_solve instead follows the
+spans, at 2 dictionary products per step, in place on buffers allocated
+once per solve. A warm-started continuation lowers the weight to its
+target in stages. tnipm_solve instead follows the
 central path of the constrained form |x_i| <= u_i, taking damped Newton
 steps whose reduced linear systems are solved inexactly by diagonally
 preconditioned conjugate gradients.
@@ -84,8 +85,11 @@ def gpsr_solve(P, config, observer=None):
     The stage test runs before every step: the full KKT residual is
     computed only when max|A^T r| - lam_s does not already exceed the
     stage tolerance, and for config.stopping only when a rule is set. The
-    split gradient and the projected step live in two 2n buffers
-    allocated once per solve.
+    step runs in place, with the float operations of the plain formulas:
+    the split gradient, the projected step (then scaled by the step
+    length), its change in x and the residual live in buffers allocated
+    once per solve, and a step takes 2 products plus 1 every 64 steps,
+    when the residual is recomputed from x.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -103,7 +107,8 @@ def gpsr_solve(P, config, observer=None):
     r = -b.copy()          # A x - b
     grad_x = -Atb
     grad = np.empty(2 * n)   # split gradient [grad_x + lam_s; lam_s - grad_x]
-    delta = np.empty(2 * n)  # projected step
+    delta = np.empty(2 * n)  # projected step, then step * delta
+    dx = np.empty(n)         # its change in x, delta[:n] - delta[n:]
     mon.record(0, 0.5 * float(b @ b), float(np.linalg.norm(b)), x, stages[0],
                z=z)
     it, alpha = 0, None
@@ -120,20 +125,22 @@ def gpsr_solve(P, config, observer=None):
             np.subtract(z, delta, out=delta)
             np.maximum(delta, 0.0, out=delta)
             delta -= z
-            dd = float(delta @ delta)
+            dd = float(delta.dot(delta))
             if dd == 0.0:  # a fixed point of the projection
                 mon.notes.append("zero projected step at lambda %g" % lam_s)
                 break
-            Adx = D.apply(delta[:n] - delta[n:])
-            gamma = float(Adx @ Adx)
-            step = min(-float(grad @ delta) / gamma, 1.0) if gamma else 1.0
+            Adx = D.apply(np.subtract(delta[:n], delta[n:], out=dx))
+            gamma = float(Adx.dot(Adx))
+            step = min(-float(grad.dot(delta)) / gamma, 1.0) if gamma else 1.0
             it += 1
-            z += step * delta
+            z += np.multiply(step, delta, out=delta)
             np.subtract(z[:n], z[n:], out=x)
+            # r may be grad_x (D^T returning its argument): neither is
+            # read again before grad_x is taken afresh
             if it % _REFRESH_EVERY == 0:
-                r = D.apply(x) - b
+                np.subtract(D.apply(x), b, out=r)
             else:
-                r = r + step * Adx
+                r += np.multiply(step, Adx, out=Adx)
             grad_x = D.adjoint(r)
             alpha = _bb_step(dd, gamma)
             if mon.watched:

@@ -225,8 +225,10 @@ def _kkt_screened(x, g, lam, tol):
     fails the test, and a NaN in x sends the test to the full residual,
     so either gives NaN as kkt_from_correlation does.
     """
-    bound = max(float(g.max(initial=0.0)), -float(g.min(initial=0.0))) - lam
-    if bound > tol and not math.isnan(float(x.max(initial=0.0))):
+    bound = max(float(np.maximum.reduce(g, None, initial=0.0)),
+                -float(np.minimum.reduce(g, None, initial=0.0))) - lam
+    if bound > tol and not math.isnan(
+            float(np.maximum.reduce(x, None, initial=0.0))):
         return bound
     return kkt_from_correlation(x, -g, lam)
 

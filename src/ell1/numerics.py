@@ -282,13 +282,13 @@ def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
     r = rhs.copy()
     z = apply_m(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(r.dot(z))
     # x is rebound at every step, never written in place
     best_x = x
     best_res = rhs_norm
     for k in range(1, max_iter + 1):
         Ap = matvec(p)
-        pAp = float(p @ Ap)
+        pAp = float(p.dot(Ap))
         if not math.isfinite(pAp):
             raise NumericalBreakdownError("non-finite curvature in PCG")
         if pAp <= 0.0:
@@ -296,7 +296,7 @@ def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        res = math.sqrt(float(r @ r))
+        res = math.sqrt(float(r.dot(r)))
         if not math.isfinite(res):
             raise NumericalBreakdownError("non-finite residual in PCG")
         if res < best_res:
@@ -305,7 +305,7 @@ def pcg_solve(op, rhs, precond=None, tol=1e-8, max_iter=None):
         if res <= tol * rhs_norm:
             return PcgResult(x, True, k, res / rhs_norm)
         z = apply_m(r)
-        rz_new = float(r @ z)
+        rz_new = float(r.dot(z))
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new

@@ -12,6 +12,7 @@ loss is exactly the majorization of Beck and Teboulle (2009), and lets L
 fall again to the curvature the steps measure (Scheinberg, Goldfarb and
 Bai, 2014). palm's inner solves take the same step, _Accel.step, in
 buffers allocated once per solve: numpy calls, not products, set its time.
+ist_solve steps in place too, on rows allocated once per solve.
 """
 
 import math
@@ -21,7 +22,6 @@ import numpy as np
 from ell1 import _accel
 from ell1.exceptions import NumericalBreakdownError
 from ell1.model import Monitor, _kkt_screened, kkt_from_correlation
-from ell1.numerics import soft_threshold
 from ell1.operators import as_operator
 
 _ALPHA_MIN = 1e-30
@@ -42,8 +42,8 @@ def bb_alpha(s, g):
     """
     s = np.asarray(s, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    ss = float(s @ s)
-    ratio = float(s @ g) / ss if ss > 0.0 else 0.0
+    ss = float(s.dot(s))
+    ratio = float(s.dot(g)) / ss if ss > 0.0 else 0.0
     return min(max(ratio, _ALPHA_MIN), _ALPHA_MAX)
 
 
@@ -81,7 +81,7 @@ def objective_delta(x, cand, Ax, Acand, g, lam):
     """
     delta = cand - x
     Adelta = Acand - Ax
-    return (float(g @ delta) + 0.5 * float(Adelta @ Adelta)
+    return (float(g.dot(delta)) + 0.5 * float(Adelta.dot(Adelta))
             + lam * float(np.sum(np.abs(cand) - np.abs(x))))
 
 
@@ -92,12 +92,22 @@ def ist_solve(P, config, observer=None):
     gpsr_solve, the last one at config.tol * lam; config.max_iter caps the
     steps of all stages. Each step must strictly decrease the stage
     objective; a rejected step doubles alpha (halving the step) up to 50
-    times before the stage is declared stalled.
-    Every accepted step gives one event; its weight is the stage
-    weight and its state is empty. config.stopping sees only the last
-    stage, whose weight is config's. The stage test computes the full KKT
-    residual only when max|A^T r| - lam_s does not already exceed the
-    stage tolerance, as gpsr_solve's does.
+    times before the stage is declared stalled, with a note, and the next
+    stage starts. Every accepted step gives one event; its weight is the
+    stage weight and its state is empty. config.stopping sees only the
+    last stage, whose weight is config's. The stage test computes the
+    full KKT residual only when max|A^T r| - lam_s does not already
+    exceed the stage tolerance, as gpsr_solve's does.
+
+    Each search trial takes one product, A cand, and each step one more,
+    g = A^T (A x - b). The steps run in place: the iterate and the
+    candidate keep [x | A x | |x|] in one row each, so one subtraction
+    gives the change [delta | A delta | |cand| - |x|] that
+    objective_delta's three terms and bb_alpha read, an accepted trial
+    swaps the rows, and the residual alternates between two buffers, as
+    D^T may return its argument (the aligners' projector), which then is
+    g. The float operations and their order are the plain formulas', so
+    are the answers.
     """
     D, b = as_operator(P.A), P.b
     n = P.n
@@ -109,38 +119,56 @@ def ist_solve(P, config, observer=None):
     if not lam > 0:
         raise ValueError("lambda must be positive")
 
+    d = P.d
+    # the iterate's and the candidate's rows [x | A x | |x|], and their
+    # change, each as (row, x, A x, |x|)
+    cur, nxt, chg = [(row, row[:n], row[n:n + d], row[n + d:])
+                     for row in np.zeros((3, 2 * n + d))]
+    u, dg = np.empty((2, n))  # prox argument, gradient change
+    res = np.empty((2, d))    # A x - b, the two alternating
+    _, delta, Adelta, dabs = chg
     it = 0
     alpha = 1.0
-    x = np.zeros(n)
-    Ax = np.zeros(P.d)
     g = -Atb
     for lam_s in default_schedule(Atb, lam):
         stage_tol = config.tol * lam if lam_s == lam else _STAGE_TOL * lam_s
         while (it < config.max_iter
-               and _kkt_screened(x, g, lam_s, stage_tol) > stage_tol):
+               and _kkt_screened(cur[1], g, lam_s, stage_tol) > stage_tol):
             for _ in range(_MAX_DOUBLINGS):
-                cand = soft_threshold(x - g / alpha, lam_s / alpha)
-                Acand = D.apply(cand)
-                dF = objective_delta(x, cand, Ax, Acand, g, lam_s)
+                np.divide(g, alpha, out=u)
+                np.subtract(cur[1], u, out=u)
+                _accel.soft_threshold(u, lam_s / alpha, nxt[1])
+                nxt[2][...] = D.apply(nxt[1])
+                np.abs(nxt[1], out=nxt[3])
+                np.subtract(nxt[0], cur[0], out=chg[0])
+                # objective_delta's terms, read off the change row
+                dF = (float(g.dot(delta)) + 0.5 * float(Adelta.dot(Adelta))
+                      + lam_s * float(np.add.reduce(dabs)))
                 if dF < 0.0:
                     break
                 alpha = min(alpha * 2.0, _ALPHA_MAX)
             else:  # stalled: no step decreases the stage objective
+                mon.notes.append("stage stalled: no decrease in %d step "
+                                 "halvings at lambda %g"
+                                 % (_MAX_DOUBLINGS, lam_s))
                 break
             it += 1
-            g_new = D.adjoint(Acand - b)
-            alpha = bb_alpha(cand - x, g_new - g)
-            x, Ax, g = cand, Acand, g_new
+            # not g's buffer: D^T may return its argument (the projector)
+            r = res[it % 2]
+            np.subtract(nxt[2], b, out=r)
+            g_new = D.adjoint(r)
+            alpha = bb_alpha(delta, np.subtract(g_new, g, out=dg))
+            cur, nxt, g = nxt, cur, g_new
             if mon.watched:
-                resid = b - Ax
-                F_cur = (0.5 * float(resid @ resid)
-                         + lam_s * float(np.abs(x).sum()))
-                mon.record(it, F_cur, float(np.linalg.norm(resid)), x, lam_s)
+                x = cur[1]
+                F_cur = (0.5 * float(r.dot(r))
+                         + lam_s * float(np.add.reduce(cur[3])))
+                mon.record(it, F_cur, float(np.linalg.norm(r)), x, lam_s)
                 if lam_s == lam and mon.rule_met(
                         x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
-                    return mon.result(x, it, True)
-    converged = kkt_from_correlation(x, -g, lam) <= config.tol * lam
-    return mon.result(x, it, converged)
+                    return mon.result(x.copy(), it, True)
+    converged = kkt_from_correlation(cur[1], -g, lam) <= config.tol * lam
+    return mon.result(cur[1].copy(), it, converged)
 
 
 def fista_t_next(t):

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ell1 import bench, synth
+from ell1 import bench, gradient_projection, synth
 from ell1.bench import SOLVER_NAMES, SOLVERS
 from ell1.exceptions import NumericalBreakdownError
 from ell1.gradient_projection import (gpsr_direction, gpsr_solve,
                                       gpsr_step_size, tnipm_solve)
 from ell1.homotopy import homotopy_solve
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
-                        kkt_residual, objective, support_size)
+                        kkt_from_correlation, kkt_residual, objective,
+                        support_size)
 from ell1.numerics import PcgResult, pcg_solve, soft_threshold
+from ell1.operators import as_operator
+from ell1.shrinkage import _STAGE_TOL, default_schedule
 
 
 def observed(name, P, config):
@@ -152,6 +155,68 @@ def test_gpsr_budget_returns_best_iterate():
     res = gpsr_solve(P, SolverConfig(tol=1e-12, max_iter=3), events.append)
     assert not res.converged and res.iterations == 3
     assert len(events) == 4
+
+
+def textbook_gpsr(P, config):
+    """gpsr_solve's iteration from the plain formulas on fresh arrays,
+    with the full KKT residual for the stage tests. P needs only A and b.
+    Returns (x, iterations, converged)."""
+    D, b = as_operator(P.A), P.b
+    n = D.shape[1]
+    Atb = D.adjoint(b)
+    lam = config.resolved_lambda(Atb)
+    z, x, r, grad_x = np.zeros(2 * n), np.zeros(n), -b, -Atb
+    it, alpha = 0, None
+    for lam_s in default_schedule(Atb, lam, gradient_projection._DECAY):
+        stage_tol = (config.tol * lam if lam_s == lam
+                     else _STAGE_TOL * lam_s)
+        while (it < config.max_iter
+               and kkt_from_correlation(x, -grad_x, lam_s) > stage_tol):
+            grad = np.concatenate([grad_x + lam_s, lam_s - grad_x])
+            if alpha is None:
+                alpha = gpsr_step_size(gpsr_direction(z, grad), D)
+            delta = np.maximum(z - grad * alpha, 0.0) - z
+            dd = float(delta @ delta)
+            if dd == 0.0:
+                break
+            Adx = D.apply(delta[:n] - delta[n:])
+            gamma = float(Adx @ Adx)
+            step = min(-float(grad @ delta) / gamma, 1.0) if gamma else 1.0
+            it += 1
+            z = z + step * delta
+            x = z[:n] - z[n:]
+            r = D.apply(x) - b if it % 64 == 0 else r + step * Adx
+            grad_x = D.adjoint(r)
+            alpha = gradient_projection._bb_step(dd, gamma)
+    converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
+    return x, it, converged
+
+
+@pytest.mark.parametrize("case", ["dense", "cab", "align"])
+def test_gpsr_is_bitwise_the_plain_formulas(case, solved_on):
+    # the step runs in place on buffers allocated once per solve; the
+    # answer, the step count and the flag must be those of the plain
+    # formulas, bit for bit, also when r is the gradient (the projector)
+    P, cfg, res = solved_on(case, "gpsr")
+    x, it, converged = textbook_gpsr(P, cfg)
+    assert res.converged
+    # the projector's problems take some 20 steps, the others > 64, so
+    # a residual refresh too
+    assert res.iterations >= (18 if case == "align" else 64)
+    assert (res.iterations, res.converged) == (it, converged)
+    assert res.x_star.tobytes() == x.tobytes()
+
+
+def test_gpsr_products_per_step(counting_view):
+    # set-up's A^T b and the first step length's product, then 2 per
+    # step (A dx, A^T r) and 1 per 64-step residual refresh (A x)
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=12, seed=9,
+                                          noise_sigma=0.01))
+    cfg = SolverConfig(tol=1e-10, max_iter=300)
+    P.A, count = counting_view(P.A)
+    res = gpsr_solve(P, cfg)
+    assert res.iterations == 300
+    assert count[0] == 2 + 2 * 300 + 300 // 64
 
 
 def test_gpsr_rejects_nonpositive_lambda():

@@ -334,6 +334,83 @@ def test_continuation_stage_ends_at_its_rule(solve, decay, seed):
     assert kkt(x, i) <= (1.0 + slack) * cfg.tol * lam
 
 
+# --- ist_solve against the plain formulas ----------------------------------
+
+
+def textbook_ist(P, config):
+    """ist_solve's iteration from the plain formulas on fresh arrays:
+    numerics' checked soft_threshold, objective_delta, bb_alpha and the
+    full KKT residual for the stage tests. P needs only A and b. Returns
+    (x, iterations, converged, search trials over the run)."""
+    D, b = as_operator(P.A), P.b
+    d, n = D.shape
+    Atb = D.adjoint(b)
+    lam = config.resolved_lambda(Atb)
+    it = trials = 0
+    alpha = 1.0
+    x, Ax, g = np.zeros(n), np.zeros(d), -Atb
+    for lam_s in default_schedule(Atb, lam):
+        stage_tol = (config.tol * lam if lam_s == lam
+                     else shrinkage._STAGE_TOL * lam_s)
+        while (it < config.max_iter
+               and kkt_from_correlation(x, -g, lam_s) > stage_tol):
+            for _ in range(shrinkage._MAX_DOUBLINGS):
+                trials += 1
+                cand = soft_threshold(x - g / alpha, lam_s / alpha)
+                Acand = D.apply(cand)
+                dF = shrinkage.objective_delta(x, cand, Ax, Acand, g, lam_s)
+                if dF < 0.0:
+                    break
+                alpha = min(alpha * 2.0, shrinkage._ALPHA_MAX)
+            else:
+                break
+            it += 1
+            g_new = D.adjoint(Acand - b)
+            alpha = bb_alpha(cand - x, g_new - g)
+            x, Ax, g = cand, Acand, g_new
+    converged = kkt_from_correlation(x, -g, lam) <= config.tol * lam
+    return x, it, converged, trials
+
+
+@pytest.mark.parametrize("case", ["dense", "cab", "align"])
+def test_ist_is_bitwise_the_plain_formulas(case, solved_on):
+    # the step runs in place on preallocated rows; the answer, the step
+    # count and the flag must be those of the plain formulas, bit for bit
+    P, cfg, res = solved_on(case, "ist")
+    x, it, converged, _ = textbook_ist(P, cfg)
+    assert res.converged and res.iterations >= 20
+    assert (res.iterations, res.converged) == (it, converged)
+    assert res.x_star.tobytes() == x.tobytes()
+    if case == "align":  # the residual must not be reused as the gradient
+        r = np.ones(P.b.size)
+        assert as_operator(P.A).adjoint(r) is r
+
+
+def test_ist_products_per_step(counting_view):
+    # one product per search trial (A cand) and one per step (the
+    # gradient A^T r), after set-up's one A^T b
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=12, seed=9,
+                                          noise_sigma=0.01))
+    cfg = SolverConfig(tol=1e-8, max_iter=5000)
+    _, it, _, trials = textbook_ist(P, cfg)
+    P.A, count = counting_view(P.A)
+    res = ist_solve(P, cfg)
+    assert res.converged and res.iterations == it and trials > it
+    assert count[0] == 1 + trials + it
+
+
+def test_ist_notes_a_stalled_stage():
+    # at a tolerance below roundoff no step lowers the objective: the
+    # search gives up after 50 halvings and the run says so
+    P = synth.make_instance(synth.GenSpec(n=40, d=20, k=3, seed=0,
+                                          noise_sigma=0.01))
+    lam = 0.05 * float(np.max(np.abs(P.A.T @ P.b)))
+    res = ist_solve(P, SolverConfig(lam=lam, tol=1e-17, max_iter=5000))
+    assert not res.converged and res.iterations < 5000
+    assert res.notes == ("stage stalled: no decrease in 50 step halvings "
+                         "at lambda %g" % lam,)
+
+
 # --- fista_solve -----------------------------------------------------------
 
 
