@@ -8,5 +8,5 @@ synthetic instance generators, and a benchmark harness with a CLI.
 __version__ = "0.1.0"
 
 # every kernel is numpy; the flag stays for the run records that carry it
-# (perfbench environment, bench summaries)
+# (perfbench environment)
 kernels_compiled = False

@@ -96,6 +96,14 @@ class PhaseGrid:
             raise ValueError("success_tol must be positive")
 
 
+# CSV column of each grid and sweep field; report reads them back by name
+_GRID_COLUMNS = ("rho", "delta", "success_rate")
+_SWEEP_COLUMNS = {"mean_time": "mean_time_seconds",
+                  "mean_rel_error": "mean_rel_error",
+                  "mean_iterations": "mean_iterations",
+                  "success_rate": "success_rate"}
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Per-solver metrics along one experimental axis.
@@ -118,8 +126,7 @@ class SweepResult:
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         want = (len(self.solvers), len(self.axis_values))
-        for name in ("mean_time", "mean_rel_error", "mean_iterations",
-                     "success_rate"):
+        for name in _SWEEP_COLUMNS:
             mat = getattr(self, name)
             if mat is None:
                 continue
@@ -335,10 +342,11 @@ def _fmt(v):
 
 
 def phase_grid_to_csv(grid, path):
-    """One row per grid cell: rho, delta, success_rate. Deterministic."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rho", "delta", "success_rate"])
+    """One row per grid cell: rho, delta, success_rate. Deterministic;
+    UTF-8 with LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(_GRID_COLUMNS)
         for i, rho in enumerate(grid.rho_values):
             for j, delta in enumerate(grid.delta_values):
                 w.writerow([_fmt(rho), _fmt(delta),
@@ -350,19 +358,15 @@ def sweep_to_csv(sweep, path):
     """One row per (axis value, solver) with the metrics that exist.
 
     All columns except mean_time_seconds are bit-deterministic for a
-    fixed configuration; times vary with the machine.
+    fixed configuration; times vary with the machine. UTF-8 with LF line
+    endings.
     """
-    metrics = [(name, getattr(sweep, name))
-               for name in ("mean_time", "mean_rel_error",
-                            "mean_iterations", "success_rate")
+    metrics = [(col, getattr(sweep, name))
+               for name, col in _SWEEP_COLUMNS.items()
                if getattr(sweep, name) is not None]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = [sweep.axis_name, "solver"]
-        for name, _ in metrics:
-            header.append("mean_time_seconds" if name == "mean_time"
-                          else name)
-        w.writerow(header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow([sweep.axis_name, "solver"] + [col for col, _ in metrics])
         for j, val in enumerate(sweep.axis_values):
             for s, solver in enumerate(sweep.solvers):
                 row = [_fmt(val), solver]
@@ -379,7 +383,6 @@ def environment_metadata():
         "numpy": np.__version__,
         "rng": RNG_NAME,
         "platform": platform.platform(),
-        "compiled_kernels": ell1.kernels_compiled,
     }
 
 

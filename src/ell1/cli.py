@@ -1,9 +1,10 @@
 """Command-line front end: solve, generate, benchmark, report.
 
 File formats are plain CSV (UTF-8, LF, one matrix row per line, "%.17g"
-numbers, no header; vectors are single-column) and JSON with a fixed key
-order. Relative output paths are resolved against the directory named by
-the ELL1_OUT_DIR environment variable when it is set.
+numbers, no header; vectors are single-column), the grid and sweep CSVs
+(UTF-8, LF, one header row) and JSON with a fixed key order. Relative
+output paths are resolved against the directory named by the
+ELL1_OUT_DIR environment variable when it is set.
 
 Exit codes: 0 success, 1 the solver finished without meeting its
 convergence test (results are still written) or broke down numerically,
@@ -17,14 +18,16 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
-from ell1.bench import (SOLVERS, PhaseGrid, SweepResult,
-                        interpolate_success_contour, phase_contour_svg,
-                        phase_grid_to_csv, run_noise_sweep, run_phase_grid,
-                        solve_named, sweep_svg, sweep_to_csv,
-                        write_summary_json)
+from ell1.bench import (_GRID_COLUMNS, _SWEEP_COLUMNS, SOLVERS, PhaseGrid,
+                        SweepResult, interpolate_success_contour,
+                        phase_contour_svg, phase_grid_to_csv,
+                        run_noise_sweep, run_phase_grid, solve_named,
+                        sweep_svg, sweep_to_csv, write_summary_json)
 from ell1.exceptions import NumericalError
 from ell1.model import (ProblemInstance, SolverConfig, kkt_from_correlation,
                         kkt_residual, objective)
@@ -58,16 +61,15 @@ def _out_path(path):
 
 def _load_array(path, what):
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError as exc:
         raise _CliError("cannot read %s file %r: %s" % (what, path, exc))
     except ValueError as exc:
         raise _CliError("malformed CSV in %s file %r: %s"
                         % (what, path, exc))
-    return arr
 
 
-def _load_vector(path, what="vector"):
+def _load_vector(path, what):
     arr = _load_array(path, what)
     if arr.shape[1] != 1:
         raise _CliError("%s file %r must be a single-column CSV, got "
@@ -90,18 +92,11 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _check_rows(label_a, shape, label_b, length):
-    if shape[0] != length:
-        raise _CliError("%s is %dx%d but %s has length %d"
-                        % (label_a, shape[0], shape[1], label_b, length))
-
-
 def _solver_config(args, tol, max_iter):
-    lam = getattr(args, "lam", None)
     options = {}
     if getattr(args, "e_weight", None) is not None:
         options["e_weight"] = args.e_weight
-    return SolverConfig(lam=lam,
+    return SolverConfig(lam=args.lam,
                         tol=args.tol if args.tol is not None else tol,
                         max_iter=(args.max_iter if args.max_iter is not None
                                   else max_iter),
@@ -112,27 +107,6 @@ def _config_echo(cfg):
     echo = {"tol": cfg.tol, "max_iter": cfg.max_iter, "lam": cfg.lam}
     echo.update(sorted(cfg.options.items()))
     return echo
-
-
-def _result_payload(algo, n, d, lam, iterations, converged, wall_time, x,
-                    obj, kkt, cfg, seed, e=None):
-    payload = {
-        "algo": algo,
-        "n": n,
-        "d": d,
-        "lambda": lam,
-        "iterations": iterations,
-        "converged": converged,
-        "wall_time_seconds": wall_time,
-        "x": [float(v) for v in x],
-    }
-    if e is not None:
-        payload["e"] = [float(v) for v in e]
-    payload["objective"] = obj
-    payload["kkt_residual"] = kkt
-    payload["config_echo"] = _config_echo(cfg)
-    payload["seed"] = seed
-    return payload
 
 
 def _certificate(algo, P, x, cfg):
@@ -152,17 +126,86 @@ def _certificate(algo, P, x, cfg):
     return lam, objective(x, P, lam), kkt_residual(x, P, lam)
 
 
-def _cmd_solve(args):
-    A = _load_array(args.matrix, "matrix")
-    b = _load_vector(args.rhs, "rhs")
-    _check_rows("matrix", A.shape, "rhs", b.size)
+def _solve_run(algo, A, b, cfg):
     P = ProblemInstance(A, b)
-    cfg = _solver_config(args, tol=1e-6, max_iter=5000)
-    res = solve_named(args.algo, P, cfg)
-    lam, obj, kkt = _certificate(args.algo, P, res.x_star, cfg)
-    payload = _result_payload(args.algo, P.n, P.d, lam, res.iterations,
-                              bool(res.converged), res.wall_time_seconds,
-                              res.x_star, obj, kkt, cfg, args.seed)
+    res = solve_named(algo, P, cfg)
+    return res.x_star, None, res, _certificate(algo, P, res.x_star, cfg)
+
+
+def _cab_run(algo, A, b, cfg):
+    x, e, res = cab_solve(A, b, algo, cfg)
+    # certified on the stacked answer and system the backend saw
+    return x, e, res, _certificate(algo, _cab_problem(A, b, cfg),
+                                   res.x_star, cfg)
+
+
+def _align_run(algo, B, b, cfg):
+    prob = AlignmentProblem(B, b)
+    form = SOLVERS[algo].form
+    t0 = time.perf_counter()
+    w, e = _ALIGNERS[algo](prob, cfg)
+    wall = time.perf_counter() - t0
+    r = b - B @ w - e
+    # the alignment solvers return plain (w, e); iteration counts are not
+    # part of their contract, so convergence is certified after the fact
+    lam = None if form == "equality" else cfg.lam
+    if form == "penalized" and lam is None:
+        Q1 = _column_gram_factor(B)[0]
+        lam = _default_align_lambda(prob, b - Q1 @ (Q1.T @ b))
+    if not lam:
+        # the exact-fit form, and a zero weight, which solves it
+        obj = float(np.sum(np.abs(e)))
+        kkt = float(np.max(np.abs(r)))
+        converged = bool(np.linalg.norm(r)
+                         <= 10.0 * cfg.tol * np.linalg.norm(b))
+    else:
+        obj = 0.5 * float(r @ r) + lam * float(np.sum(np.abs(e)))
+        grad_w = float(np.max(np.abs(B.T @ r)))
+        kkt = max(grad_w, kkt_from_correlation(e, r, lam))
+        scale = float(np.max(np.abs(B.T @ b)))
+        converged = bool(grad_w <= 10.0 * cfg.tol * scale
+                         and kkt_from_correlation(e, r, lam)
+                         <= 10.0 * cfg.tol * lam)
+    record = SimpleNamespace(iterations=None, converged=converged,
+                             wall_time_seconds=wall)
+    return w, e, record, (lam, obj, kkt)
+
+
+# What solve, cab and align differ in: the matrix flag, the default tol and
+# budget, the --algo choices and default, and the run (algo, M, b, config)
+# -> (x, e or None, record with iterations, converged and
+# wall_time_seconds, (lambda, objective, KKT residual)).
+_Fit = namedtuple("_Fit", "matrix tol max_iter algos algo run help")
+_FITS = {
+    "solve": _Fit("matrix", 1e-6, 5000, tuple(SOLVERS), "fista", _solve_run,
+                  "run one solver on a CSV instance"),
+    "cab": _Fit("matrix", 1e-8, 4000, tuple(SOLVERS), "homotopy", _cab_run,
+                "split a CSV instance into sparse signal plus sparse "
+                "corruption"),
+    "align": _Fit("basis", 1e-8, 5000, tuple(_ALIGNERS), "palm", _align_run,
+                  "tall regression with sparse gross errors"),
+}
+
+
+def _cmd_fit(args):
+    """solve, cab and align: fit one CSV instance and write its JSON."""
+    fit = _FITS[args.subcommand]
+    M = _load_array(getattr(args, fit.matrix), fit.matrix)
+    b = _load_vector(args.rhs, "rhs")
+    if M.shape[0] != b.size:
+        raise _CliError("%s is %dx%d but rhs has length %d"
+                        % (fit.matrix, M.shape[0], M.shape[1], b.size))
+    cfg = _solver_config(args, fit.tol, fit.max_iter)
+    x, e, res, (lam, obj, kkt) = fit.run(args.algo, M, b, cfg)
+    payload = {"algo": args.algo, "n": M.shape[1], "d": M.shape[0],
+               "lambda": lam, "iterations": res.iterations,
+               "converged": bool(res.converged),
+               "wall_time_seconds": res.wall_time_seconds,
+               "x": [float(v) for v in x]}
+    if e is not None:
+        payload["e"] = [float(v) for v in e]
+    payload.update(objective=obj, kkt_residual=kkt,
+                   config_echo=_config_echo(cfg), seed=args.seed)
     _write_json(args.out, payload)
     return 0 if res.converged else 1
 
@@ -253,9 +296,12 @@ def _cmd_noise_sweep(args):
     if args.mode == "vary-d":
         if args.k is None or args.d_values is None:
             raise _CliError("vary-d needs --k and --d-values")
+        d_values = _parse_float_list(args.d_values, "--d-values")
+        if not all(v.is_integer() for v in d_values):
+            raise _CliError("--d-values must be whole numbers, got %r"
+                            % args.d_values)
         spec = {"n": args.n, "k": args.k,
-                "d_values": [int(v) for v in
-                             _parse_float_list(args.d_values, "--d-values")]}
+                "d_values": [int(v) for v in d_values]}
     else:
         if args.d is None or args.rho_values is None:
             raise _CliError("vary-k needs --d and --rho-values")
@@ -274,69 +320,9 @@ def _cmd_noise_sweep(args):
             _out_path(args.summary), "noise-sweep",
             {"mode": args.mode, "solvers": list(solvers),
              "trials": args.trials, "seed": args.seed,
-             "noise_sigma": args.noise_sigma,
-             "spec": {k: v for k, v in sorted(spec.items())}},
+             "noise_sigma": args.noise_sigma, "spec": spec},
             results={"axis": list(sweep.axis_values)})
     return 0
-
-
-def _cmd_cab(args):
-    A = _load_array(args.matrix, "matrix")
-    b = _load_vector(args.rhs, "rhs")
-    _check_rows("matrix", A.shape, "rhs", b.size)
-    cfg = _solver_config(args, tol=1e-8, max_iter=4000)
-    x, e, res = cab_solve(A, b, args.algo, cfg)
-    d, n = A.shape
-    # certified on the stacked answer and system the backend saw
-    lam, obj, kkt = _certificate(args.algo, _cab_problem(A, b, cfg),
-                                 res.x_star, cfg)
-    payload = _result_payload(args.algo, n, d, lam, res.iterations,
-                              bool(res.converged), res.wall_time_seconds,
-                              x, obj, kkt, cfg, args.seed, e=e)
-    _write_json(args.out, payload)
-    return 0 if res.converged else 1
-
-
-def _cmd_align(args):
-    B = _load_array(args.basis, "basis")
-    b = _load_vector(args.rhs, "rhs")
-    _check_rows("basis", B.shape, "rhs", b.size)
-    try:
-        prob = AlignmentProblem(B, b)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    cfg = _solver_config(args, tol=1e-8, max_iter=5000)
-    form = SOLVERS[args.algo].form
-    t0 = time.perf_counter()
-    w, e = _ALIGNERS[args.algo](prob, cfg)
-    wall = time.perf_counter() - t0
-    r = b - B @ w - e
-    # the alignment solvers return plain (w, e); iteration counts are not
-    # part of their contract, so convergence is certified after the fact
-    lam_field = None if form == "equality" else cfg.lam
-    if form == "penalized" and lam_field is None:
-        Q1 = _column_gram_factor(B)[0]
-        lam_field = _default_align_lambda(prob, b - Q1 @ (Q1.T @ b))
-    if not lam_field:
-        # the exact-fit form, and a zero weight, which solves it
-        obj = float(np.sum(np.abs(e)))
-        kkt = float(np.max(np.abs(r)))
-        converged = bool(np.linalg.norm(r)
-                         <= 10.0 * cfg.tol * np.linalg.norm(b))
-    else:
-        obj = (0.5 * float(r @ r)
-               + lam_field * float(np.sum(np.abs(e))))
-        grad_w = float(np.max(np.abs(B.T @ r)))
-        kkt = max(grad_w, kkt_from_correlation(e, r, lam_field))
-        scale = float(np.max(np.abs(B.T @ b)))
-        converged = bool(grad_w <= 10.0 * cfg.tol * scale
-                         and kkt_from_correlation(e, r, lam_field)
-                         <= 10.0 * cfg.tol * lam_field)
-    payload = _result_payload(args.algo, prob.m, prob.d, lam_field, None,
-                              converged, wall, w, obj, kkt, cfg, args.seed,
-                              e=e)
-    _write_json(args.out, payload)
-    return 0 if converged else 1
 
 
 def _read_csv_table(path):
@@ -354,10 +340,7 @@ def _read_csv_table(path):
     return header, rows
 
 
-def _grid_from_csv(path):
-    header, rows = _read_csv_table(path)
-    if header != ["rho", "delta", "success_rate"]:
-        raise _CliError("%r is not a phase grid CSV" % path)
+def _grid_from_rows(path, rows):
     try:
         data = [(float(a), float(b), float(c)) for a, b, c in rows]
     except ValueError:
@@ -378,17 +361,11 @@ def _grid_from_csv(path):
                      success_tol=1e-3)
 
 
-_METRIC_BY_COLUMN = {"mean_time_seconds": "mean_time",
-                     "mean_rel_error": "mean_rel_error",
-                     "mean_iterations": "mean_iterations",
-                     "success_rate": "success_rate"}
-
-
-def _sweep_from_csv(path):
-    header, rows = _read_csv_table(path)
+def _sweep_from_rows(path, header, rows):
     if len(header) < 3 or header[1] != "solver":
         raise _CliError("%r is not a sweep CSV" % path)
-    metrics = [_METRIC_BY_COLUMN.get(col) for col in header[2:]]
+    field_of = {col: name for name, col in _SWEEP_COLUMNS.items()}
+    metrics = [field_of.get(col) for col in header[2:]]
     if None in metrics:
         raise _CliError("unknown metric column in %r" % path)
     axis, solvers = [], []
@@ -402,7 +379,8 @@ def _sweep_from_csv(path):
         raise _CliError("%r does not cover a full axis x solver table"
                         % path)
     if "mean_time" not in metrics:
-        raise _CliError("%r lacks the mean_time_seconds column" % path)
+        raise _CliError("%r lacks the %s column"
+                        % (path, _SWEEP_COLUMNS["mean_time"]))
     columns = {name: np.zeros((len(solvers), len(axis)))
                for name in metrics}
     ai = {v: i for i, v in enumerate(axis)}
@@ -411,17 +389,13 @@ def _sweep_from_csv(path):
         for name, cell in zip(metrics, row[2:]):
             columns[name][si[row[1]], ai[float(row[0])]] = float(cell)
     return SweepResult(axis_name=header[0], axis_values=tuple(axis),
-                       solvers=tuple(solvers), trials=1,
-                       mean_time=columns["mean_time"],
-                       mean_rel_error=columns.get("mean_rel_error"),
-                       mean_iterations=columns.get("mean_iterations"),
-                       success_rate=columns.get("success_rate"))
+                       solvers=tuple(solvers), trials=1, **columns)
 
 
 def _cmd_report(args):
-    header, _ = _read_csv_table(args.input)
-    if header == ["rho", "delta", "success_rate"]:
-        grid = _grid_from_csv(args.input)
+    header, rows = _read_csv_table(args.input)
+    if tuple(header) == _GRID_COLUMNS:
+        grid = _grid_from_rows(args.input, rows)
         levels = _parse_levels(args.levels)
         phase_contour_svg(grid, levels, _out_path(args.svg),
                           title=args.title)
@@ -431,15 +405,14 @@ def _cmd_report(args):
                        "%g" % lv: len(interpolate_success_contour(grid, lv))
                        for lv in levels}}
     else:
-        sweep = _sweep_from_csv(args.input)
+        sweep = _sweep_from_rows(args.input, header, rows)
         metric = args.metric
         if metric is None:
-            for candidate in ("mean_rel_error", "success_rate",
-                              "mean_time"):
-                if getattr(sweep, candidate) is not None:
-                    metric = candidate
-                    break
-        if getattr(sweep, metric, None) is None:
+            # mean_time is always present
+            metric = next(name for name in ("mean_rel_error", "success_rate",
+                                            "mean_time")
+                          if getattr(sweep, name) is not None)
+        if metric not in _SWEEP_COLUMNS or getattr(sweep, metric) is None:
             raise _CliError("metric %r is not present in %r"
                             % (metric, args.input))
         sweep_svg(sweep, metric, _out_path(args.svg), title=args.title)
@@ -451,14 +424,34 @@ def _cmd_report(args):
     return 0
 
 
-def _add_config_flags(sub, with_lambda=True):
-    if with_lambda:
-        sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                         help="penalty weight (default: per-solver rule)")
+def _add_config_flags(sub):
+    sub.add_argument("--lambda", dest="lam", type=float, default=None,
+                     help="penalty weight (default: per-solver rule)")
     sub.add_argument("--tol", type=float, default=None,
                      help="convergence tolerance")
     sub.add_argument("--max-iter", type=int, default=None,
                      help="iteration budget")
+
+
+def _add_fit_parser(subs, name):
+    """The flags solve, cab and align share, from their _FITS row."""
+    fit = _FITS[name]
+    sp = subs.add_parser(name, help=fit.help)
+    sp.add_argument("--algo", choices=fit.algos, default=fit.algo)
+    sp.add_argument("--" + fit.matrix, required=True)
+    sp.add_argument("--rhs", required=True)
+    _add_config_flags(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--out", required=True)
+    sp.set_defaults(func=_cmd_fit)
+    return sp
+
+
+def _add_output_flags(sub, svg_required=False):
+    """The plot and summary flags of phase, noise-sweep and report."""
+    sub.add_argument("--svg", required=svg_required, default=None)
+    sub.add_argument("--title", default=None)
+    sub.add_argument("--summary", default=None)
 
 
 def build_parser():
@@ -468,14 +461,7 @@ def build_parser():
                     "file I/O.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = subs.add_parser("solve", help="run one solver on a CSV instance")
-    sp.add_argument("--algo", choices=tuple(SOLVERS), default="fista")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--rhs", required=True)
-    _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_solve)
+    _add_fit_parser(subs, "solve")
 
     sp = subs.add_parser("gen", help="write a synthetic instance as CSV")
     sp.add_argument("--n", type=int, required=True)
@@ -500,11 +486,9 @@ def build_parser():
     _add_config_flags(sp)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--svg", default=None)
     sp.add_argument("--levels", default="50,90",
                     help="contour percentages for --svg")
-    sp.add_argument("--title", default=None)
-    sp.add_argument("--summary", default=None)
+    _add_output_flags(sp)
     sp.set_defaults(func=_cmd_phase)
 
     sp = subs.add_parser("noise-sweep", help="error/time trends against "
@@ -523,42 +507,22 @@ def build_parser():
     _add_config_flags(sp)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--svg", default=None)
     sp.add_argument("--metric", default="mean_rel_error")
-    sp.add_argument("--title", default=None)
-    sp.add_argument("--summary", default=None)
+    _add_output_flags(sp)
     sp.set_defaults(func=_cmd_noise_sweep)
 
-    sp = subs.add_parser("cab", help="split a CSV instance into sparse "
-                                     "signal plus sparse corruption")
-    sp.add_argument("--algo", choices=tuple(SOLVERS), default="homotopy")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("--rhs", required=True)
-    _add_config_flags(sp)
+    sp = _add_fit_parser(subs, "cab")
     sp.add_argument("--e-weight", dest="e_weight", type=float,
                     default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_cab)
 
-    sp = subs.add_parser("align", help="tall regression with sparse "
-                                       "gross errors")
-    sp.add_argument("--algo", choices=tuple(_ALIGNERS), default="palm")
-    sp.add_argument("--basis", required=True)
-    sp.add_argument("--rhs", required=True)
-    _add_config_flags(sp)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_align)
+    _add_fit_parser(subs, "align")
 
     sp = subs.add_parser("report", help="render a saved CSV as SVG")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--svg", required=True)
     sp.add_argument("--metric", default=None,
                     help="sweep column to plot (default: first present)")
     sp.add_argument("--levels", default="50,90")
-    sp.add_argument("--title", default=None)
-    sp.add_argument("--summary", default=None)
+    _add_output_flags(sp, svg_required=True)
     sp.set_defaults(func=_cmd_report)
     return parser
 

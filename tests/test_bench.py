@@ -352,6 +352,22 @@ class TestWriters:
                            "success_rate"]
         assert rows[1][3] == "0.75"
 
+    def test_csv_writers_use_lf_and_utf8(self, tmp_path):
+        g = PhaseGrid(n=10, rho_values=(0.1, 0.2), delta_values=(0.5,),
+                      success_rate=np.array([[1.0], [0.5]]),
+                      trials_per_cell=1, base_seed=0, success_tol=1e-3)
+        sw = SweepResult(axis_name="\u03b4", axis_values=(10, 20),
+                         solvers=("fista",), trials=1,
+                         mean_time=np.array([[0.25, 0.5]]))
+        phase_grid_to_csv(g, tmp_path / "g.csv")
+        sweep_to_csv(sw, tmp_path / "s.csv")
+        assert (tmp_path / "g.csv").read_bytes() == (
+            b"rho,delta,success_rate\n0.10000000000000001,0.5,1\n"
+            b"0.20000000000000001,0.5,0.5\n")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            "\u03b4,solver,mean_time_seconds\n10,fista,0.25\n"
+            "20,fista,0.5\n").encode("utf-8")
+
     def test_summary_json(self, tmp_path):
         path = tmp_path / "summary.json"
         write_summary_json(path, "phase", {"n": 100, "solver": "fista"},
@@ -360,9 +376,8 @@ class TestWriters:
         assert payload["kind"] == "phase"
         assert payload["parameters"]["n"] == 100
         env = payload["environment"]
-        for key in ("package_version", "python", "numpy", "rng",
-                    "platform", "compiled_kernels"):
-            assert key in env
+        assert sorted(env) == ["numpy", "package_version", "platform",
+                               "python", "rng"]
         assert "PCG64" in env["rng"]
         # stable serialization
         write_summary_json(tmp_path / "again.json", "phase",
@@ -372,7 +387,9 @@ class TestWriters:
 
     def test_environment_metadata_standalone(self):
         env = environment_metadata()
-        assert isinstance(env["compiled_kernels"], bool)
+        assert sorted(env) == ["numpy", "package_version", "platform",
+                               "python", "rng"]
+        assert all(isinstance(value, str) for value in env.values())
 
     def test_sweep_svg(self, tmp_path):
         sw = SweepResult(axis_name="d", axis_values=(10, 20, 30),

@@ -1,12 +1,13 @@
 """Command-line interface: file I/O, exit codes, determinism."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from ell1.bench import SOLVERS
-from ell1.cli import run
+from ell1.cli import build_parser, run
 
 
 @pytest.fixture
@@ -22,6 +23,57 @@ def write_instance(path, seed=7, n=60, d=30, k=4):
               "--truth", str(path / "x0.csv")])
     assert rc == 0
     return path / "A.csv", path / "b.csv", path / "x0.csv"
+
+
+REQUIRED = "<required>"
+ALL_SOLVERS = ("pdipa", "homotopy", "gpsr", "tnipm", "ist", "fista", "palm",
+               "dalm", "gp")
+CONFIG_FLAGS = {"--lambda": None, "--tol": None, "--max-iter": None}
+OUTPUT_FLAGS = {"--svg": None, "--title": None, "--summary": None}
+# option -> default, or (default, choices); REQUIRED stands for the default
+# of a required option
+PARSER = {
+    "solve": {"--algo": ("fista", ALL_SOLVERS), "--matrix": REQUIRED,
+              "--rhs": REQUIRED, **CONFIG_FLAGS, "--seed": None,
+              "--out": REQUIRED},
+    "gen": {"--n": REQUIRED, "--d": REQUIRED, "--k": REQUIRED,
+            "--noise-sigma": 0.0, "--seed": 0, "--matrix": REQUIRED,
+            "--rhs": REQUIRED, "--truth": None},
+    "phase": {"--algo": (REQUIRED, ALL_SOLVERS), "--n": REQUIRED,
+              "--grid": REQUIRED, "--trials": 20, "--seed": 0,
+              "--success-tol": 1e-3, **CONFIG_FLAGS, "--jobs": 1,
+              "--out": REQUIRED, "--levels": "50,90", **OUTPUT_FLAGS},
+    "noise-sweep": {"--mode": (REQUIRED, ("vary-d", "vary-k")),
+                    "--solvers": REQUIRED, "--n": REQUIRED, "--k": None,
+                    "--d-values": None, "--d": None, "--rho-values": None,
+                    "--noise-sigma": 0.1, "--trials": 10, "--seed": 0,
+                    **CONFIG_FLAGS, "--jobs": 1, "--out": REQUIRED,
+                    "--metric": "mean_rel_error", **OUTPUT_FLAGS},
+    "cab": {"--algo": ("homotopy", ALL_SOLVERS), "--matrix": REQUIRED,
+            "--rhs": REQUIRED, **CONFIG_FLAGS, "--e-weight": None,
+            "--seed": None, "--out": REQUIRED},
+    "align": {"--algo": ("palm", ("gp", "homotopy", "ist", "palm")),
+              "--basis": REQUIRED, "--rhs": REQUIRED, **CONFIG_FLAGS,
+              "--seed": None, "--out": REQUIRED},
+    "report": {"--input": REQUIRED, "--svg": REQUIRED, "--metric": None,
+               "--levels": "50,90", "--title": None, "--summary": None},
+}
+
+
+def test_parser_options_defaults_and_choices():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for name, sub in subs.choices.items():
+        seen[name] = {}
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            default = REQUIRED if action.required else action.default
+            seen[name][action.option_strings[0]] = (
+                default if action.choices is None
+                else (default, tuple(action.choices)))
+    assert seen == PARSER
 
 
 class TestGen:
@@ -148,6 +200,26 @@ class TestSolve:
         assert run(["solve", "--matrix", "A.csv", "--rhs", "b.csv",
                     "--out", "r.json"]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "cab", "align"])
+    def test_readme_key_order(self, workdir, command):
+        rng = np.random.default_rng(2)
+        M = rng.standard_normal((12, 4) if command == "align" else (12, 24))
+        np.savetxt(workdir / "M.csv", M, fmt="%.17g", delimiter=",")
+        np.savetxt(workdir / "b.csv", rng.standard_normal((12, 1)),
+                   fmt="%.17g", delimiter=",")
+        flag = "--basis" if command == "align" else "--matrix"
+        rc = run([command, flag, "M.csv", "--rhs", "b.csv", "--max-iter",
+                  "50", "--out", "r.json"])
+        assert rc in (0, 1)
+        payload = json.loads((workdir / "r.json").read_text())
+        keys = ["algo", "n", "d", "lambda", "iterations", "converged",
+                "wall_time_seconds", "x", "e", "objective", "kkt_residual",
+                "config_echo", "seed"]
+        if command == "solve":
+            keys.remove("e")
+        assert list(payload) == keys
+        assert (payload["n"], payload["d"]) == (M.shape[1], M.shape[0])
+
     def test_unknown_flag_exit_2(self, workdir):
         assert run(["solve", "--matrix", "A.csv", "--rhs", "b.csv",
                     "--out", "r.json", "--frobnicate"]) == 2
@@ -180,7 +252,8 @@ class TestPhase:
         summary = json.loads((workdir / "g.json").read_text())
         assert summary["kind"] == "phase"
         assert summary["parameters"]["grid"] == "2x2"
-        assert "compiled_kernels" in summary["environment"]
+        assert sorted(summary["environment"]) == [
+            "numpy", "package_version", "platform", "python", "rng"]
 
     def test_bad_grid_and_levels(self, workdir):
         assert run(["phase", "--algo", "ist", "--n", "20", "--grid",
@@ -209,6 +282,14 @@ class TestNoiseSweep:
         assert (workdir / "rep.svg").read_text().count("<polyline") == 2
         summary = json.loads((workdir / "rep.json").read_text())
         assert summary["results"]["metric"] == "mean_iterations"
+
+    def test_d_values_must_be_whole(self, workdir, capsys):
+        rc = run(["noise-sweep", "--mode", "vary-d", "--solvers", "fista",
+                  "--n", "40", "--k", "3", "--d-values", "10.7,15",
+                  "--out", "s.csv"])
+        assert rc == 2
+        assert "--d-values" in capsys.readouterr().err
+        assert not (workdir / "s.csv").exists()
 
     def test_flag_requirements(self, workdir):
         assert run(["noise-sweep", "--mode", "vary-d", "--solvers",
@@ -409,6 +490,19 @@ class TestReportCommand:
                   "--levels", "95"])
         assert rc == 0
         assert "<polyline" in (workdir / "g.svg").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--algo", "homotopy", "--n", "40", "--grid", "3x3",
+         "--trials", "2", "--seed", "1"],
+        ["noise-sweep", "--mode", "vary-k", "--solvers", "homotopy,ist",
+         "--n", "30", "--d", "15", "--rho-values", "0.1,0.2",
+         "--trials", "1"]])
+    def test_round_trip_reproduces_svg(self, workdir, argv):
+        assert run(argv + ["--out", "t.csv", "--svg", "t.svg"]) == 0
+        assert "<polyline" in (workdir / "t.svg").read_text()
+        assert run(["report", "--input", "t.csv", "--svg", "r.svg"]) == 0
+        assert (workdir / "r.svg").read_bytes() == \
+            (workdir / "t.svg").read_bytes()
 
     def test_missing_metric_and_garbage(self, workdir):
         (workdir / "s.csv").write_text(
