@@ -113,13 +113,10 @@ def _row_basis(D):
     operator D, as (A^T R^{-1})^T, so an implicit dictionary needs no
     dense form: two dictionary products, the Gram and A^T R^{-1}.
     The transposing copy writes Q^T into numerics.padded_rows: its first
-    element and every row start on a 64-byte line. One Q^T z plus Q v
-    pair on one BLAS thread of a shared 2-CPU Xeon took 24 us at
-    200 x 500 with a contiguous copy's base at 0 or 32 mod 64 bytes and
-    33 us at 16 or 48, where numpy's allocator leaves it to chance, and
-    21.0 us padded to rows of 504 doubles; at 150 x 450 (the face
-    [A, I]) 21.7 to 23.5 us at any base and 16.9 us padded to 456. The
-    values, and so the products, are those of the contiguous copy.
+    element and every row start on a 64-byte line, where numpy's
+    allocator leaves the base address, and with it the speed of BLAS
+    products, to chance. The values, and so the products, are those of
+    the contiguous copy.
     """
     try:
         R = chol_factor(D.gram_dd()).R

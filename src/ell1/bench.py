@@ -151,8 +151,8 @@ def _trial_means(task, cells, trials, base_seed, jobs):
     processes with identical results. task returns a number or an array
     of them. Returns an array of shape (len(cells),) + that shape.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if trials < 1 or jobs < 1:
+        raise ValueError("trials and jobs must be at least 1")
     work = [(cell, trial_seed(base_seed, *index, t))
             for index, cell in cells for t in range(trials)]
     if jobs <= 1:

@@ -249,6 +249,7 @@ def _parse_levels(text):
 
 def _cmd_phase(args):
     rho, delta = _parse_grid(args.grid)
+    levels = _parse_levels(args.levels)
     cfg = _solver_config(args, tol=1e-8, max_iter=20000)
     grid = run_phase_grid(args.algo, args.n, rho, delta,
                           trials=args.trials,
@@ -256,8 +257,8 @@ def _cmd_phase(args):
                           base_seed=args.seed, config=cfg, jobs=args.jobs)
     phase_grid_to_csv(grid, _out_path(args.out))
     if args.svg is not None:
-        phase_contour_svg(grid, _parse_levels(args.levels),
-                          _out_path(args.svg), title=args.title)
+        phase_contour_svg(grid, levels, _out_path(args.svg),
+                          title=args.title)
     if args.summary is not None:
         write_summary_json(
             _out_path(args.summary), "phase",
@@ -507,7 +508,8 @@ def build_parser():
     _add_config_flags(sp)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--metric", default="mean_rel_error")
+    sp.add_argument("--metric", default="mean_rel_error", choices=[
+        name for name in _SWEEP_COLUMNS if name != "success_rate"])
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_noise_sweep)
 

@@ -152,6 +152,8 @@ def gpsr_solve(P, config, observer=None):
                         lambda: kkt_from_correlation(x, -grad_x, lam)):
                     return mon.result(x, it, True)
     converged = kkt_from_correlation(x, -grad_x, lam) <= config.tol * lam
+    if not converged and it >= config.max_iter:
+        mon.notes.append("iteration budget exhausted")
     return mon.result(x, it, converged)
 
 
@@ -215,6 +217,7 @@ def tnipm_solve(P, config, observer=None):
                 converged = True
                 break
         if it == config.max_iter:
+            mon.notes.append("iteration budget exhausted")
             break
         bar = BoxBarrier(x, u, t, lam)
         g_x = t * Ar + bar.g_bar

@@ -3,21 +3,24 @@
 Follows the piecewise-linear path of minimizers of
     F(x) = 1/2 ||b - A x||^2 + lambda ||x||_1
 from lambda = ||A^T b||_inf down to a target value (0 reaches the
-equality-constrained solution on recoverable instances). The active
-columns live in one column-block that grows by a column per add and
-shifts left on a remove, and their Gram factor is extended or shrunk to
-match, so a breakpoint gathers no columns and costs O(d^2 + d n).
+equality-constrained solution on recoverable instances).
 
-A breakpoint takes one adjoint, w = A^T (D_I d_I) for the step; the new
-correlations are c - gamma w (Donoho and Tsaig, 2008), not a second
-adjoint A^T r. A fresh A^T r is taken every _REFRESH (16) breakpoints to
-bound the drift of the update, and at every breakpoint whose test can
-end the solve (the path reaching its floor, a stopping rule, the last
-breakpoint of the budget), so each stop is certified on fresh
-correlations. The residual r = b - D_I x_I is taken only there, or at
-every breakpoint when the run is watched (an observer or a stopping
-rule), whose objective and residual norm it feeds.
+A breakpoint (Donoho and Tsaig, 2008) takes one adjoint w = A^T (D_I d_I)
+and moves the correlations to c - gamma w; D_I d_I and two triangular
+solves with the Gram factor of the active columns, kept in one block that
+grows and shifts in place; and elementwise passes over c for the step
+lengths. An add takes a Gram column and a third solve. Each step calls
+the ufunc or LAPACK routine directly: numpy's Python-level wrappers cost
+more than the arithmetic at these sizes. A fresh A^T r is taken every
+_REFRESH (16) breakpoints to bound the drift of the update, and at every
+breakpoint whose test can end the solve (the path reaching its floor, a
+stopping rule, the last breakpoint of the budget), so each stop is
+certified on fresh correlations. The residual r = b - D_I x_I is taken
+only there, or at every breakpoint when the run is watched (an observer
+or a stopping rule), whose objective and residual norm it feeds.
 """
+
+import math
 
 import numpy as np
 
@@ -95,8 +98,9 @@ class _ActiveSet:
             return np.zeros(0), np.zeros(self._D.shape[1])
         d_I = self.chol.solve(sgn)
         w = self._D.adjoint(self.cols @ d_I)
-        tol = 1e-6 * max(1.0, float(np.linalg.norm(sgn)))
-        if np.linalg.norm(w[self.support] - sgn) <= tol:
+        tol = 1e-6 * max(1.0, math.sqrt(sgn.dot(sgn)))
+        miss = w[self.support] - sgn  # norms as sqrt(v . v), as numpy's
+        if math.sqrt(miss.dot(miss)) <= tol:
             return d_I, w
         G = self.cols.T @ self.cols
         try:
@@ -135,14 +139,14 @@ def _gammas(lam, c, w, x_I, d_I, support, ratio, den):
         np.add(1.0, w, out=den[1])
         np.divide(ratio, den, out=ratio)
         r = -x_I / d_I
-    np.putmask(ratio, ~(ratio > floor), np.inf)
-    ratio[:, support] = np.inf
+    ratio[~(ratio > floor)] = math.inf
+    ratio[0][support] = ratio[1][support] = math.inf
     j = int(ratio.argmin())
-    gamma_plus = float(ratio.flat[j])
-    gamma_minus = float(r.min(initial=np.inf, where=r > 0))
-    i_plus = j % n if gamma_plus < np.inf else -1
-    i_minus = (int(support.min(initial=n, where=r == gamma_minus))
-               if gamma_minus < np.inf else -1)
+    gamma_plus = ratio.item(j)
+    gamma_minus = float(np.minimum.reduce(r[r > 0], initial=math.inf))
+    i_plus = j % n if gamma_plus < math.inf else -1
+    i_minus = (-1 if gamma_minus == math.inf else int(np.minimum.reduce(
+        support, initial=n, where=r == gamma_minus)))
     return gamma_plus, i_plus, gamma_minus, i_minus
 
 
@@ -167,7 +171,7 @@ def homotopy_solve(P, config, observer=None):
     _, n = D.shape
     mon = Monitor(config, b, P.ground_truth, observer)
     x = np.zeros(n)
-    lam0 = float(np.max(np.abs(c))) if n else 0.0
+    lam0 = float(np.maximum.reduce(np.abs(c))) if n else 0.0
 
     def record(it, lam, r):
         # only a watcher reads the objective, so only a watched run builds it
@@ -185,7 +189,7 @@ def homotopy_solve(P, config, observer=None):
     def path_weight(lam_step):
         # derived lambda must match the correlation max; repair any drift
         # (with an empty support the max sits strictly below the path value)
-        lam_emp = float(np.max(np.abs(c)))
+        lam_emp = float(np.maximum.reduce(np.abs(c)))
         if (abs(lam_emp - lam_step) <= 1e-9 * max(lam_step, 1e-30)
                 or not active.k):
             return lam_step
@@ -196,7 +200,7 @@ def homotopy_solve(P, config, observer=None):
         return mon.trivial(n, target_lambda)
 
     lam = lam0
-    j0 = int(np.argmax(np.abs(c)))
+    j0 = int(np.abs(c).argmax())
     active = _ActiveSet(D, j0, mon.notes)
     ratio, den = np.empty((2, n)), np.empty((2, n))  # _gammas' buffers
     converged = False
@@ -225,7 +229,7 @@ def homotopy_solve(P, config, observer=None):
         gamma = g_minus if remove else g_plus
         x[support] += gamma * d_I
         if remove:
-            pos = int(np.flatnonzero(support == i_minus)[0])
+            pos = int((support == i_minus).argmax())
             x[i_minus] = 0.0
             active.remove(pos)
         else:
@@ -245,9 +249,11 @@ def homotopy_solve(P, config, observer=None):
             c = D.adjoint(r)
             lam = path_weight(lam_step)
         obj = record(it, lam, r)
-        if lam <= finish_floor or mon.rule_met(
+        if lam <= finish_floor or config.stopping is not None and mon.rule_met(
                 x, obj, lambda: kkt_from_correlation(x, c, target_lambda)):
             converged = True
             break
 
+    if not converged:
+        mon.notes.append("iteration budget exhausted")
     return mon.result(x, it, converged)

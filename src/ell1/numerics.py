@@ -85,12 +85,12 @@ def truncate_small(x):
 
 
 def _require_finite(arr):
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError("array must not contain infs or NaNs")
 
 
-# LAPACK's triangular solve, looked up once: solve_triangular repeats the
-# lookup and its argument checks on every call, which dominate small solves
+# LAPACK's triangular solve, looked up once and called by position (a, b,
+# lower, trans, unitdiag, lda, overwrite_b): keywords cost more than a solve
 _TRTRS = get_lapack_funcs("trtrs", (np.empty((0, 0)),))
 _GEQRF = get_lapack_funcs("geqrf", (np.empty((0, 0)),))
 _POTRF = get_lapack_funcs("potrf", (np.empty((0, 0)),))
@@ -99,7 +99,7 @@ _POTRF = get_lapack_funcs("potrf", (np.empty((0, 0)),))
 def _lower_solve(L, rhs, trans, overwrite=0):
     """Solve L y = rhs (trans=0) or L^T y = rhs (trans=1) for a lower
     triangular, F-ordered L, which LAPACK then reads in place."""
-    y, info = _TRTRS(L, rhs, lower=1, trans=trans, overwrite_b=overwrite)
+    y, info = _TRTRS(L, rhs, 1, trans, 0, L.shape[0], overwrite)
     if info > 0:
         raise LinAlgError("singular matrix: resolution failed at diagonal %d"
                           % (info - 1))
@@ -149,8 +149,8 @@ class CholFactor:
                              % (rhs.shape[0], self.dim))
         if not rhs.size:
             return np.zeros(rhs.shape)
-        y = _lower_solve(self.R.T, rhs, 0)
-        return _lower_solve(self.R.T, y, 1, overwrite=1)
+        L = self.R.T
+        return _lower_solve(L, _lower_solve(L, rhs, 0), 1, overwrite=1)
 
     def matrix(self):
         """Reassemble R^T R (testing and refactorization checks)."""
@@ -214,9 +214,9 @@ def chol_append(factor, gram_col, diag):
         raise ValueError("gram column length %d does not match factor dim %d"
                          % (g.shape[0], m))
     u = _lower_solve(factor.R.T, g, 0) if m else g
-    # a non-finite u makes u @ u, and so d2, non-finite too
-    d2 = float(diag) - float(u @ u)
-    if not np.isfinite(d2):
+    # a non-finite u makes u . u, and so d2, non-finite too
+    d2 = float(diag) - float(u.dot(u))
+    if not math.isfinite(d2):
         raise ValueError("new diagonal entry must be finite")
     if d2 <= 0.0:
         raise NotPositiveDefiniteError("appended column makes the matrix singular")
@@ -224,7 +224,7 @@ def chol_append(factor, gram_col, diag):
     out[:m, :m] = factor.R
     out[:m, m] = u
     out[m, :m] = 0.0
-    out[m, m] = np.sqrt(d2)
+    out[m, m] = math.sqrt(d2)
     return CholFactor._unchecked(out)
 
 

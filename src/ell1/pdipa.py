@@ -131,6 +131,7 @@ def pdipa_solve(P, config, observer=None):
             converged = True
             break
         if it == config.max_iter:
+            mon.notes.append("iteration budget exhausted")
             break
         if not mu > 0.0:
             mon.notes.append(_STALLED)

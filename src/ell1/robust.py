@@ -261,10 +261,15 @@ def _reduced_align_solve(prob, lam, solve):
     Returns (w, e).
     """
     Q1, R = _column_gram_factor(prob.B)
+
+    def column(j):
+        out = np.zeros(prob.d)
+        out[j] = 1.0
+        out -= Q1 @ Q1[j]
+        return out
     P = SimpleNamespace(shape=(prob.d, prob.d),
                         apply=lambda v: v - Q1 @ (Q1.T @ v),
-                        adjoint=lambda r: r,
-                        column=lambda j: np.eye(1, prob.d, j)[0] - Q1 @ Q1[j])
+                        adjoint=lambda r: r, column=column)
     c = P.apply(prob.b)
     if lam is None:
         lam = _default_align_lambda(prob, c)
@@ -325,10 +330,8 @@ def align_palm_solve(prob, config):
     mu move as in palm_solve, from mu0 = alm.MU0_SCALE d / ||c||_1,
     so b -> s b gives (s w, s e) for s a power of 2. Converges when
     ||P (b - e)||, the fit residual at the returned w, is at most
-    config.tol * ||b||; config.max_iter caps the inner steps. palm_solve
-    on the same projector, stopped at the same tol * ||b||, gives the same
-    (w, e) to 1e-15 but measured 1.3x-1.45x slower: these problems take
-    about 13 outer steps for 20 inner ones, and palm's outer step forms
+    config.tol * ||b||; config.max_iter caps the inner steps. It keeps
+    this loop rather than calling palm_solve, whose outer step forms
     b - A x afresh, where this loop reads the residual the inner solve
     carries. For b in range(B), e = 0 and w is the least-squares fit.
     Returns (w, e).

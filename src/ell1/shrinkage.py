@@ -168,6 +168,8 @@ def ist_solve(P, config, observer=None):
                         x, F_cur, lambda: kkt_from_correlation(x, -g, lam)):
                     return mon.result(x.copy(), it, True)
     converged = kkt_from_correlation(cur[1], -g, lam) <= config.tol * lam
+    if not converged and it >= config.max_iter:
+        mon.notes.append("iteration budget exhausted")
     return mon.result(cur[1].copy(), it, converged)
 
 
@@ -194,12 +196,11 @@ class _Accel:
     palm's outer steps. x, r = D x - b and g = D^T r sit side by side in
     one row and their last changes in another, so extrapolating all three
     is 2 ufunc calls and their changes 1; g is r itself when D's adjoint
-    returns its argument (the aligners' projector). Why: at 200 x 500 on
-    one BLAS thread, a step's two products take about half of palm's
-    time, and numpy calls and their glue the rest; with fresh arrays a
-    step took some 28 calls, here a one-trial step takes 16, with the
-    _accel shrinkage kernel called directly. The float operations and
-    their order are the plain formulas', so are the answers. step
+    returns its argument (the aligners' projector). Why: besides its two
+    products, a step's time goes to numpy calls and their glue, which
+    the buffers and a direct call of the _accel shrinkage kernel cut.
+    The float operations and their order are the plain formulas', so
+    are the answers. step
     restarts the momentum (t_prev = t = 1) when it pointed uphill,
     (y - x_next) . (x_next - x) > 0 (O'Donoghue and Candes, 2015).
     """
@@ -369,4 +370,6 @@ def fista_solve(P, config, observer=None):
             converged = True
             break
         lam = max(BETA * lam, lam_bar)
+    if not converged:
+        mon.notes.append("iteration budget exhausted")
     return mon.result(acc.x.copy(), it, converged)

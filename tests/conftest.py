@@ -29,11 +29,11 @@ def counting_view():
 
 @pytest.fixture
 def solved_on(monkeypatch):
-    """solved_on(case, name) runs the penalized solver name ("ist" or
-    "gpsr") on one instance of case: "dense", "cab" (through cab_solve's
-    implicit [A, I]) or "align" (through the aligner's projector, whose
-    adjoint returns its argument). Returns the (P, config, result) of the
-    one solve that took."""
+    """solved_on(case, name) runs the penalized solver name ("ist",
+    "gpsr" or "homotopy") on one instance of case: "dense", "cab"
+    (through cab_solve's implicit [A, I]) or "align" (through the
+    aligner's projector, whose adjoint returns its argument). Returns the
+    (P, config, result) of the one solve that took."""
     from ell1 import bench, robust, synth
     from ell1.model import SolverConfig
 
@@ -62,7 +62,9 @@ def solved_on(monkeypatch):
             b_bad, _ = synth.corrupt_entries(
                 B @ rng.standard_normal(11), 0.1, -3.0, 3.0, seed=507)
             aligner = {"ist": robust.align_ist_solve,
-                       "gpsr": robust.align_gp_solve}[name]
+                       "gpsr": robust.align_gp_solve,
+                       "homotopy": lambda prob, lam, cfg:
+                           robust.align_homotopy_solve(prob, cfg)}[name]
             aligner(robust.AlignmentProblem(B, b_bad), None, cfg)
         (call,) = calls
         return call

@@ -136,6 +136,12 @@ class TestPhaseGridRuns:
                            jobs=3, **kw)
         assert np.array_equal(a.success_rate, b.success_rate)
 
+    @pytest.mark.parametrize("trials, jobs", [(0, 1), (1, 0), (2, -1)])
+    def test_trials_and_jobs_below_one_rejected(self, trials, jobs):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_phase_grid("homotopy", 20, [0.1], [0.5], trials=trials,
+                           jobs=jobs)
+
 
 class TestContour:
     def test_two_point_interpolation(self):
@@ -421,3 +427,23 @@ class TestWriters:
         assert text.startswith("<svg")
         assert "<polyline" in text
         assert "80%" in text
+
+
+def noisy_instance():
+    return make_instance(GenSpec(n=200, d=80, k=10, seed=37,
+                                 noise_sigma=0.01))
+
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_budget_stop_is_noted(name):
+    # a run cut off by its iteration budget says so in its notes, and a
+    # run that converges does not
+    P = noisy_instance()
+    lam = 1e-2 * float(np.max(np.abs(P.A.T @ P.b)))
+    res = solve_named(name, P, SolverConfig(lam=lam, max_iter=2))
+    assert not res.converged
+    assert any(note.endswith("iteration budget exhausted")
+               for note in res.notes), res.notes
+    res = solve_named(name, P, SolverConfig(lam=lam, max_iter=20000))
+    assert res.converged
+    assert not any("budget" in note for note in res.notes), res.notes

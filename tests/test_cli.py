@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from ell1 import bench
 from ell1.bench import SOLVERS
 from ell1.cli import build_parser, run
 
@@ -23,6 +24,10 @@ def write_instance(path, seed=7, n=60, d=30, k=4):
               "--truth", str(path / "x0.csv")])
     assert rc == 0
     return path / "A.csv", path / "b.csv", path / "x0.csv"
+
+
+def trial_ran(*args, **kwargs):
+    raise AssertionError("a trial ran")
 
 
 REQUIRED = "<required>"
@@ -48,7 +53,10 @@ PARSER = {
                     "--d-values": None, "--d": None, "--rho-values": None,
                     "--noise-sigma": 0.1, "--trials": 10, "--seed": 0,
                     **CONFIG_FLAGS, "--jobs": 1, "--out": REQUIRED,
-                    "--metric": "mean_rel_error", **OUTPUT_FLAGS},
+                    "--metric": ("mean_rel_error",
+                                 ("mean_time", "mean_rel_error",
+                                  "mean_iterations")),
+                    **OUTPUT_FLAGS},
     "cab": {"--algo": ("homotopy", ALL_SOLVERS), "--matrix": REQUIRED,
             "--rhs": REQUIRED, **CONFIG_FLAGS, "--e-weight": None,
             "--seed": None, "--out": REQUIRED},
@@ -262,6 +270,22 @@ class TestPhase:
                     "2x2", "--trials", "1", "--out", "g.csv",
                     "--svg", "g.svg", "--levels", "150"]) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--svg", "g.svg", "--levels", "150"], "levels"),
+        (["--jobs", "0"], "jobs"),
+        (["--jobs", "-3"], "jobs"),
+    ])
+    def test_bad_flags_stop_before_any_trial(self, workdir, capsys,
+                                             monkeypatch, flags, named):
+        # a flag that would fail the run or its outputs is caught before
+        # the first trial: no trial, no CSV
+        monkeypatch.setattr(bench, "_phase_task", trial_ran)
+        rc = run(["phase", "--algo", "ist", "--n", "20", "--grid", "2x2",
+                  "--trials", "1", "--out", "g.csv"] + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "g.csv").exists()
+
 
 class TestNoiseSweep:
     def test_small_sweep_and_report(self, workdir):
@@ -290,6 +314,33 @@ class TestNoiseSweep:
         assert rc == 2
         assert "--d-values" in capsys.readouterr().err
         assert not (workdir / "s.csv").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--svg", "s.svg", "--metric", "trials"], "--metric"),
+        (["--metric", "success_rate"], "--metric"),
+        (["--jobs", "0"], "jobs"),
+    ])
+    def test_bad_flags_stop_before_any_trial(self, workdir, capsys,
+                                             monkeypatch, flags, named):
+        monkeypatch.setattr(bench, "_noise_task", trial_ran)
+        rc = run(["noise-sweep", "--mode", "vary-d", "--solvers", "fista",
+                  "--n", "40", "--k", "3", "--d-values", "20",
+                  "--trials", "1", "--out", "s.csv"] + flags)
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "s.csv").exists()
+
+    def test_every_noise_metric_is_accepted(self, workdir):
+        # the metrics --metric accepts are the columns the sweep CSV holds
+        metrics = PARSER["noise-sweep"]["--metric"][1]
+        for metric in metrics:
+            assert run(["noise-sweep", "--mode", "vary-d", "--solvers",
+                        "fista", "--n", "30", "--k", "2", "--d-values",
+                        "15", "--trials", "1", "--out", "s.csv",
+                        "--svg", "s.svg", "--metric", metric]) == 0
+        header = (workdir / "s.csv").read_text().splitlines()[0]
+        assert header.split(",")[2:] == [bench._SWEEP_COLUMNS[m]
+                                         for m in metrics]
 
     def test_flag_requirements(self, workdir):
         assert run(["noise-sweep", "--mode", "vary-d", "--solvers",

@@ -1,16 +1,17 @@
 """Tests for the solution-path solver."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ell1 import homotopy, numerics, synth
+from ell1 import homotopy, numerics, robust, synth
 from ell1.homotopy import homotopy_solve
 from ell1.model import (ProblemInstance, SolverConfig, StoppingRule,
                         kkt_from_correlation)
-from ell1.operators import DenseDictionary
+from ell1.operators import DenseDictionary, as_operator
 
 
 def make_state(A, support, x, lam, c):
@@ -495,3 +496,102 @@ def test_dense_column_is_a_copy():
     assert col.tobytes() == A[:, 2].copy().tobytes()
     col[:] = -1.0
     assert np.all(A[:, 2] == [2.0, 6.0, 10.0])
+
+
+class CountedAdjoint:
+    """The operator of a solved instance, counting its adjoint products."""
+
+    def __init__(self, A):
+        self._D = as_operator(A)
+        self.shape = self._D.shape
+        self.adjoints = 0
+
+    def adjoint(self, r):
+        self.adjoints += 1
+        return self._D.adjoint(r)
+
+    def column(self, j):
+        return self._D.column(j)
+
+
+def path_instance(case):
+    """A noisy instance whose path runs past several refreshes, on a dense
+    dictionary, on cab_solve's implicit [A, I] or on the aligner's
+    projector."""
+    P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9,
+                                          noise_sigma=0.01))
+    if case == "dense":
+        return P
+    if case == "cab":
+        b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
+        return robust._cab_problem(P.A, b_bad, SolverConfig())
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((200, 12))
+    b = B @ rng.standard_normal(12) + 0.01 * rng.standard_normal(200)
+    b_bad, _ = synth.corrupt_entries(b, 0.2, -3.0, 3.0, seed=507)
+    seen = []
+    robust._reduced_align_solve(
+        robust.AlignmentProblem(B, b_bad), 1.0,
+        lambda P, c, lam: seen.append(ProblemInstance(P, c)) or c)
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["dense", "cab", "align"])
+def test_breakpoint_work_is_pinned(case, monkeypatch):
+    # on a path that never refactors, every breakpoint takes one adjoint
+    # w = D^T (D_I d_I) and one factor solve for d_I, and every add one
+    # chol_append; the fresh D^T r of every _REFRESH-th and of the last
+    # breakpoint and the start's D^T b come on top
+    P = path_instance(case)
+    lam0 = float(np.max(np.abs(as_operator(P.A).adjoint(P.b))))
+    cfg = SolverConfig(lam=1e-3 * lam0, max_iter=5000)
+    res = homotopy_solve(P, cfg)
+    calls = {"solve": 0, "chol_append": 0, "chol_factor": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(numerics.CholFactor, "solve",
+                        counted("solve", numerics.CholFactor.solve))
+    for name in ("chol_append", "chol_factor"):
+        monkeypatch.setattr(numerics, name,
+                            counted(name, getattr(numerics, name)))
+    D = CountedAdjoint(P.A)
+    events = []
+    got = homotopy_solve(ProblemInstance(D, P.b), cfg, events.append)
+    assert got.x_star.tobytes() == res.x_star.tobytes()
+    it = got.iterations
+    assert got.converged and it == res.iterations > 2 * homotopy._REFRESH
+    assert calls["chol_factor"] == 0
+    assert calls["solve"] == it
+    assert D.adjoints == 1 + it + (it - 1) // homotopy._REFRESH + 1
+    sizes = np.diff([0, 1] + [e.state["support"].size for e in events])
+    assert calls["chol_append"] == np.sum(sizes > 0)
+
+
+@pytest.mark.parametrize("case", ["dense", "cab"])
+def test_degenerate_columns_raise_no_runtime_warning(case):
+    # a copy of an active column meets the add ratios with w = +-1 and
+    # c = +-lam, 0/0, and a zero column with w = c = 0; neither warns
+    P = synth.make_instance(synth.GenSpec(n=60, d=30, k=4, seed=35,
+                                          noise_sigma=0.01))
+    A = P.A.copy()
+    j, spare = np.flatnonzero(P.ground_truth)[0], np.flatnonzero(
+        P.ground_truth == 0.0)[:2]
+    A[:, spare[0]] = A[:, j]
+    A[:, spare[1]] = 0.0
+    noise = np.random.default_rng(35).standard_normal(30)
+    b = A @ P.ground_truth + 0.01 * noise
+    lam = 1e-3 * float(np.max(np.abs(A.T @ b)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if case == "dense":
+            res = homotopy_solve(ProblemInstance(A, b), SolverConfig(lam=lam))
+        else:
+            _, _, res = robust.cab_solve(A, b, "homotopy",
+                                         SolverConfig(lam=lam))
+    assert res.iterations > 10 and np.all(np.isfinite(res.x_star))
+    assert res.x_star[spare[1]] == 0.0
