@@ -2,7 +2,8 @@
 
 soft_threshold and project_box_linf work on float64 arrays of any shape
 and return new arrays, or write into out when given one (soft_threshold
-then leaves sgn(u) in u); chol_update and chol_downdate modify an upper
+then leaves sgn(u) in u, and max(|u| - a, 0), which is |out|, in mag
+when given one); chol_update and chol_downdate modify an upper
 Cholesky factor in place. numerics, and the accelerated and ist steps
 of shrinkage on their own buffers, call them as ``_accel.<name>``, so a
 caller that replaces a kernel here (a profiler, say) sees every call.
@@ -11,12 +12,13 @@ caller that replaces a kernel here (a profiler, say) sees every call.
 import numpy as np
 
 
-def soft_threshold(u, a, out=None):
+def soft_threshold(u, a, out=None, mag=None):
     if out is None:
         return np.sign(u) * np.maximum(np.abs(u) - a, 0.0)
     # the same operations with no temporary: u is left holding sgn(u)
-    np.maximum(np.subtract(np.abs(u, out=out), a, out=out), 0.0, out=out)
-    return np.multiply(np.sign(u, out=u), out, out=out)
+    mag = out if mag is None else mag
+    np.maximum(np.subtract(np.abs(u, out=mag), a, out=mag), 0.0, out=mag)
+    return np.multiply(np.sign(u, out=u), mag, out=out)
 
 
 def project_box_linf(z, out=None):

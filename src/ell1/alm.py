@@ -8,7 +8,8 @@ Lipschitz search and uphill restart), run by shrinkage._Accel.solve in
 buffers that hold x and its residual across the outer steps.
 dalm_solve runs the three-step dual iteration (box projection, row-Gram
 least squares, multiplier update) on the orthonormalized rows
-R^{-T} A, built once per problem from the factor A A^T = R^T R, so that
+R^{-T} A, built from the factor A A^T = R^T R once per problem, or once
+per dictionary where the operator keeps them (cab_solve's), so that
 the least-squares step is a product and the loop never touches A: two
 products with the basis per step, and one more every 64 steps to measure
 the roundoff drift of the constraint. The basis sits in rows that start
@@ -25,8 +26,7 @@ from ell1.exceptions import (IllConditionedError, NotPositiveDefiniteError,
                              NumericalBreakdownError)
 from ell1.gradient_projection import _REFRESH_EVERY
 from ell1.model import Monitor
-from ell1.numerics import (_lower_solve, chol_factor, padded_rows,
-                           project_box_linf)
+from ell1.numerics import _lower_solve, chol_factor, padded_rows
 from ell1.operators import as_operator
 from ell1.shrinkage import L0, _Accel
 
@@ -128,6 +128,9 @@ def _row_basis(D):
     Qt = D.adjoint(R_inv).T
     out = padded_rows(*Qt.shape)
     out[...] = Qt
+    if not np.all(np.isfinite(out)):
+        raise IllConditionedError(
+            "orthonormal row basis R^{-T} A is not finite")
     return R, out
 
 
@@ -138,7 +141,8 @@ def dalm_solve(P, config, observer=None):
     y from the row-Gram least-squares step
     beta A A^T y = beta A z - (A x - b), then x <- x - beta (z - A^T y).
     Set-up factors A A^T = R^T R and builds the orthonormal rows
-    Q^T = R^{-T} A and u = R^{-T} b, so that A x = b is Q^T x = u and,
+    Q^T = R^{-T} A (or takes both from D.row_basis(), where the operator
+    keeps them) and u = R^{-T} b, so that A x = b is Q^T x = u and,
     with v = R y, A^T y = Q v and the least-squares step is a product:
     v = Q^T z - (Q^T x - u)/beta, and b'y = u'v. Since Q^T Q = I, that
     step sets Q^T x = u, so the drift Q^T x - u is roundoff alone: it is
@@ -180,23 +184,25 @@ def dalm_solve(P, config, observer=None):
     if b_norm == 0.0:
         return mon.trivial(n)
     beta = float(np.sum(np.abs(b))) / P.d
-    R, Qt = _row_basis(D)
+    R, Qt = getattr(D, "row_basis", lambda: _row_basis(D))()
     u = _lower_solve(R.T, b, 0)
-    if not (np.all(np.isfinite(Qt)) and np.all(np.isfinite(u))):
-        raise IllConditionedError(
-            "orthonormal row basis R^{-T} A or R^{-T} b is not finite")
+    if not np.all(np.isfinite(u)):
+        raise IllConditionedError("R^{-T} b is not finite")
+    tol, max_iter, stopping = config.tol, config.max_iter, config.stopping
     # the step runs in place: x and x_prev swap buffers every step, and
-    # w holds beta (z - Aty), then |x| and |Aty|
+    # w holds beta (z - Aty), then |x| and, if the gap test reads it, |Aty|
     x, x_prev, z, w, Aty = padded_rows(5, n)
     drift = -u  # Q^T x - u at x = 0
     res_norm = b_norm
     mon.record(0, 0.0, res_norm, x, y=np.zeros(P.d), z=z, x_prev=x, Aty=Aty)
     it = 0
     converged = False
-    while it < config.max_iter:
+    while it < max_iter:
         np.divide(x, beta, out=z)
         np.add(Aty, z, out=z)
-        project_box_linf(z, out=z)
+        # numerics.project_box_linf's clamp, without its two wrappers
+        np.maximum(z, -1.0, out=z)
+        np.minimum(z, 1.0, out=z)
         v = Qt @ z
         if drift is not None:
             v -= drift / beta
@@ -215,13 +221,19 @@ def dalm_solve(P, config, observer=None):
             drift = None
         l1 = float(np.add.reduce(np.abs(x, out=w)))
         # certified gap: y scaled into the dual box bounds the optimum
-        # from below, so l1 minus the bound brackets the suboptimality
-        scale = max(1.0, float(np.maximum.reduce(np.abs(Aty, out=w))))
-        gap_ok = l1 - float(u.dot(v)) / scale <= config.tol * l1
-        done = gap_ok and res_norm / b_norm <= config.tol
-        if done or it == config.max_iter or config.stopping is not None:
+        # from below, so l1 minus the bound brackets the suboptimality.
+        # For b'y = u'v >= 0 the scale (>= 1) can only shrink the bound,
+        # so a gap that fails unscaled fails scaled: skip max|A^T y|
+        uv = float(u.dot(v))
+        if uv >= 0.0 and l1 - uv > tol * l1:
+            gap_ok = False
+        else:
+            scale = max(1.0, float(np.maximum.reduce(np.abs(Aty, out=w))))
+            gap_ok = l1 - uv / scale <= tol * l1
+        done = gap_ok and res_norm / b_norm <= tol
+        if done or it == max_iter or stopping is not None:
             res_norm = float(np.linalg.norm(b - D.apply(x)))
-            done = gap_ok and res_norm / b_norm <= config.tol
+            done = gap_ok and res_norm / b_norm <= tol
         if mon.watched:
             y = _lower_solve(R.T, v, 1) if observer is not None else None
             mon.record(it, l1, res_norm, x, y=y, z=z, x_prev=x_prev, Aty=Aty)
@@ -229,6 +241,6 @@ def dalm_solve(P, config, observer=None):
         if done:
             converged = True
             break
-    if not converged and it >= config.max_iter:
+    if not converged and it >= max_iter:
         mon.notes.append("iteration budget exhausted")
     return mon.result(x, it, converged)

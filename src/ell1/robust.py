@@ -5,7 +5,8 @@ of the eight solvers absorb gross corruption into an identity block
 without ever materializing the d x (n + d) matrix: it implements the
 operator protocol of operators.py. cab_solve routes one extended instance
 through a chosen solver and splits the answer into the signal and
-corruption parts.
+corruption parts. Queries on one dictionary array share its finiteness
+check and dalm's row basis while the array lives and keeps its content.
 
 AlignmentProblem carries the tall-dictionary regression min over (w, e) of
 1/2 ||b - B w - e||^2 + lambda ||e||_1, where only the error vector is
@@ -19,11 +20,14 @@ it; align_palm_solve, for the exact-fit form min ||e||_1 subject to
 b = B w + e, runs its own multiplier loop over palm's inner solves.
 """
 
+import functools
+import weakref
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
+from ell1 import alm
 from ell1.alm import _INNER_CAP, _STALL_FLOOR, MU0_SCALE, RHO
 from ell1.exceptions import IllConditionedError
 from ell1.gradient_projection import gpsr_solve
@@ -65,7 +69,7 @@ class ExtendedDictionary:
     spectral norm taken from A alone. The matmul-style products (D @ w
     and D.T @ r) are kept only because perfbench/tracer.py patches them
     by name; the library itself calls apply and adjoint. A must be
-    finite.
+    finite. row_basis gives dalm its rows once per dictionary.
     """
 
     def __init__(self, A, identity_scale=1.0):
@@ -77,6 +81,17 @@ class ExtendedDictionary:
         if not identity_scale > 0:
             raise ValueError("identity_scale must be positive")
         self.scale = float(identity_scale)
+        self._basis = []
+
+    def row_basis(self):
+        """dalm's factor R and rows Q^T of [A, sI] (alm._row_basis),
+        built on the first call and then kept, read-only, in a list
+        that operators on the same dictionary share."""
+        if not self._basis:
+            R, Qt = alm._row_basis(self)
+            R.flags.writeable = Qt.flags.writeable = False
+            self._basis.append((R, Qt))
+        return self._basis[0]
 
     @property
     def shape(self):
@@ -165,13 +180,44 @@ class ExtendedDictionary:
         return M
 
 
+# id(A) of a caller's dictionary -> (weak reference to A, whose callback
+# drops the entry, identity scale, copy of A, basis list of A's operators)
+_EXTENDED = {}
+
+
+def _extended(A, scale):
+    """ExtendedDictionary(A, scale), sharing what depends on A alone.
+
+    While the caller's array A holds the content, and the scale is the
+    one, of the first operator built on it (each call compares the bits
+    of A, so signed zeros too, with a copy taken then), the next
+    operators read A unchecked and share the first one's row_basis. An A
+    that takes no weak reference (a nested list) is not kept.
+    """
+    hit = _EXTENDED.get(id(A))
+    if (hit is not None and hit[0]() is A and hit[1] == scale and
+            np.array_equal(hit[2], np.asarray(A, np.float64).view(np.uint64))):
+        op = ExtendedDictionary.__new__(ExtendedDictionary)
+        op.A = np.ascontiguousarray(A, dtype=np.float64)
+        op.scale, op._basis = scale, hit[3]
+        return op
+    op = ExtendedDictionary(A, identity_scale=scale)
+    try:
+        # the callback holds the dict, not the module global (None when A
+        # dies at interpreter exit); the reference it gets is pop's default
+        ref = weakref.ref(A, functools.partial(_EXTENDED.pop, id(A)))
+    except TypeError:
+        return op
+    _EXTENDED[id(A)] = (ref, scale, op.A.view(np.uint64).copy(), op._basis)
+    return op
+
+
 def _cab_problem(A, b, config):
     """The stacked system b = [A, sI] w with s = 1 / option "e_weight"."""
     e_weight = float(config.opt("e_weight", 1.0))
     if not e_weight > 0:
         raise ValueError("e_weight must be positive")
-    return ProblemInstance(
-        ExtendedDictionary(A, identity_scale=1.0 / e_weight), b)
+    return ProblemInstance(_extended(A, 1.0 / e_weight), b)
 
 
 def cab_solve(A, b, solver, config):

@@ -137,9 +137,9 @@ def ist_solve(P, config, observer=None):
             for _ in range(_MAX_DOUBLINGS):
                 np.divide(g, alpha, out=u)
                 np.subtract(cur[1], u, out=u)
-                _accel.soft_threshold(u, lam_s / alpha, nxt[1])
+                # the shrinkage leaves |cand| in the candidate's row too
+                _accel.soft_threshold(u, lam_s / alpha, nxt[1], nxt[3])
                 nxt[2][...] = D.apply(nxt[1])
-                np.abs(nxt[1], out=nxt[3])
                 np.subtract(nxt[0], cur[0], out=chg[0])
                 # objective_delta's terms, read off the change row
                 dF = (float(g.dot(delta)) + 0.5 * float(Adelta.dot(Adelta))

@@ -28,6 +28,31 @@ def counting_view():
 
 
 @pytest.fixture
+def count_extended(monkeypatch):
+    """count_extended() makes every operator robust.cab_solve builds from
+    then on count the products taken with its A, whether it is checked
+    (a first query on an array) or shares an earlier one's check and row
+    basis (a repeat query). Returns the list that gets one counter per
+    operator."""
+    from ell1 import robust
+
+    def install():
+        counts = []
+        extended = robust._extended
+
+        def counted(A, scale):
+            op = extended(A, scale)
+            op.A, count = _counting_view(op.A)
+            counts.append(count)
+            return op
+
+        monkeypatch.setattr(robust, "_extended", counted)
+        return counts
+
+    return install
+
+
+@pytest.fixture
 def solved_on(monkeypatch):
     """solved_on(case, name) runs the penalized solver name ("ist",
     "gpsr" or "homotopy") on one instance of case: "dense", "cab"

@@ -271,7 +271,8 @@ def test_dalm_recovers_dense_spike_regime():
 
 # set-up: the row Gram and A^T R^{-1}; then one b - A x for the
 # certificate of the iteration that converges
-_DALM_A_PRODUCTS = 3
+_DALM_SETUP_PRODUCTS = 2
+_DALM_A_PRODUCTS = _DALM_SETUP_PRODUCTS + 1
 
 
 def _count_basis_products(monkeypatch, counting_view):
@@ -322,13 +323,13 @@ def test_dalm_basis_layout_moves_no_answer(monkeypatch):
     b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
     cfg = SolverConfig(tol=1e-7, max_iter=400)
 
-    def runs():
+    def runs(A):
         res = dalm_solve(P, cfg)
-        x, e, cab = robust.cab_solve(P.A, b_bad, "dalm", cfg)
+        x, e, cab = robust.cab_solve(A, b_bad, "dalm", cfg)
         return ((res.x_star, res.iterations, res.converged),
                 (np.concatenate([x, e]), cab.iterations, cab.converged))
 
-    aligned = runs()
+    aligned = runs(P.A)
     row_basis = alm._row_basis
     packed = []
 
@@ -339,12 +340,18 @@ def test_dalm_basis_layout_moves_no_answer(monkeypatch):
         return R, Qt
 
     monkeypatch.setattr(alm, "_row_basis", packed_basis)
-    moved = runs()
+    # its own array: cab_solve builds the basis of a first query
+    A = P.A.copy()
+    moved = runs(A)
     assert packed == [True, True]
-    for (x, its, conv), (x_p, its_p, conv_p) in zip(aligned, moved):
-        assert its >= alm._REFRESH_EVERY
-        assert x.tobytes() == x_p.tobytes()
-        assert its == its_p and conv is conv_p
+    # a repeat query on that array runs on the packed basis it kept
+    again = runs(A)
+    assert packed == [True, True, True]
+    for run in (moved, again):
+        for (x, its, conv), (x_p, its_p, conv_p) in zip(aligned, run):
+            assert its >= alm._REFRESH_EVERY
+            assert x.tobytes() == x_p.tobytes()
+            assert its == its_p and conv is conv_p
 
 
 def _basis_products(iterations):
@@ -366,27 +373,27 @@ def test_dalm_products_per_iteration(counting_view, monkeypatch):
     assert np.array_equal(res.x_star, plain.x_star)
 
 
-def test_cab_dalm_products_per_iteration(monkeypatch, counting_view):
+def test_cab_dalm_products_per_iteration(monkeypatch, counting_view,
+                                        count_extended):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
     cfg = SolverConfig(tol=1e-7, max_iter=400)
     plain = robust.cab_solve(P.A, b_bad, "dalm", cfg)
-    counts = []
-    init = robust.ExtendedDictionary.__init__
-
-    def counting_init(self, A, identity_scale=1.0):
-        init(self, A, identity_scale)
-        self.A, count = counting_view(self.A)
-        counts.append(count)
-
-    monkeypatch.setattr(robust.ExtendedDictionary, "__init__",
-                        counting_init)
+    counts = count_extended()
     basis = _count_basis_products(monkeypatch, counting_view)
-    x, e, res = robust.cab_solve(P.A, b_bad, "dalm", cfg)
+    # its own array: a first query builds the basis
+    A = P.A.copy()
+    x, e, res = robust.cab_solve(A, b_bad, "dalm", cfg)
     assert len(counts) == 1 and len(basis) == 1
     assert res.converged and res.iterations >= alm._REFRESH_EVERY
     assert counts[0][0] == _DALM_A_PRODUCTS
     assert basis[0][0] == _basis_products(res.iterations)
+    assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
+    # a repeat query on that array takes no set-up product and no basis
+    x, e, res = robust.cab_solve(A, b_bad, "dalm", cfg)
+    assert len(counts) == 2 and len(basis) == 1
+    assert counts[1][0] == _DALM_A_PRODUCTS - _DALM_SETUP_PRODUCTS
+    assert basis[0][0] == 2 * _basis_products(res.iterations)
     assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
 
 

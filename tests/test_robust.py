@@ -1,13 +1,19 @@
 """Corruption-aware solving: extended dictionaries and alignment."""
 
 import functools
+import gc
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ell1 import robust
+import ell1
+from ell1 import alm, robust
 from ell1.bench import SOLVER_NAMES, solve_named
 from ell1.exceptions import IllConditionedError
 from ell1.model import ProblemInstance, SolverConfig, kkt_from_correlation
@@ -288,6 +294,134 @@ class TestCabSolve:
         x, e, _ = cab_solve(P.A, P.b, "homotopy",
                          SolverConfig(tol=1e-8, max_iter=2000))
         assert np.sum(np.abs(e)) <= 1e-2 * np.sum(np.abs(P.b))
+
+
+def uncached(A, b, name, cfg, scale=1.0):
+    """cab_solve's answer from an operator built afresh, outside the
+    memo of robust._extended."""
+    res = solve_named(name, ProblemInstance(ExtendedDictionary(A, scale), b),
+                      cfg)
+    n = A.shape[1]
+    return res.x_star[:n], scale * res.x_star[n:], res
+
+
+def same_answer(got, want):
+    (x, e, res), (x_w, e_w, res_w) = got, want
+    assert x.tobytes() == x_w.tobytes() and e.tobytes() == e_w.tobytes()
+    assert res.iterations == res_w.iterations
+    assert res.converged == res_w.converged
+
+
+class TestCabMemo:
+    cfg = SolverConfig(tol=1e-8, max_iter=4000)
+
+    @pytest.fixture
+    def row_bases(self, monkeypatch):
+        """The list that gets one entry per alm._row_basis call."""
+        calls = []
+        row_basis = alm._row_basis
+
+        def counted(D):
+            calls.append(D)
+            return row_basis(D)
+
+        monkeypatch.setattr(alm, "_row_basis", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_repeat_query_is_bitwise_the_first(self, name):
+        A, b = bouquet_query(2950)
+        fresh = uncached(A.copy(), b, name, self.cfg)
+        first = cab_solve(A, b, name, self.cfg)
+        again = cab_solve(A, b, name, self.cfg)
+        same_answer(first, fresh)
+        same_answer(again, fresh)
+
+    def test_repeat_dalm_query_reuses_the_basis(self, row_bases):
+        A, b = bouquet_query(2951)
+        _, _, first = cab_solve(A, b, "dalm", self.cfg)
+        _, _, again = cab_solve(A, 0.5 * b, "dalm", self.cfg)
+        assert len(row_bases) == 1
+        R, Qt = row_bases[0].row_basis()
+        assert not (R.flags.writeable or Qt.flags.writeable)
+
+    def test_dictionary_changed_in_place_gets_a_new_basis(self, row_bases):
+        A, b = bouquet_query(2952)
+        cab_solve(A, b, "dalm", self.cfg)
+        A[:, 0] *= 0.5
+        got = cab_solve(A, b, "dalm", self.cfg)
+        assert len(row_bases) == 2
+        same_answer(got, uncached(A.copy(), b, "dalm", self.cfg))
+
+    def test_signed_zero_is_a_change(self, row_bases):
+        A, b = bouquet_query(2956)
+        A[0, 0] = 0.0
+        cab_solve(A, b, "dalm", self.cfg)
+        A[0, 0] = -0.0
+        got = cab_solve(A, b, "dalm", self.cfg)
+        assert len(row_bases) == 2
+        same_answer(got, uncached(A.copy(), b, "dalm", self.cfg))
+
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray, lambda A: A.astype(np.float32),
+        lambda A: np.repeat(A, 2, axis=1)[:, ::2]])
+    def test_any_array_layout_is_kept(self, row_bases, layout):
+        A, b = bouquet_query(2957)
+        A = layout(A)
+        want = uncached(np.array(A, dtype=np.float64), b, "dalm", self.cfg)
+        row_bases.clear()
+        for _ in range(2):
+            same_answer(cab_solve(A, b, "dalm", self.cfg), want)
+        assert len(row_bases) == 1
+
+    def test_other_e_weight_misses(self, row_bases):
+        A, b = bouquet_query(2953)
+        cab_solve(A, b, "dalm", self.cfg)
+        weighted = replace(self.cfg, options={"e_weight": 2.0})
+        got = cab_solve(A, b, "dalm", weighted)
+        assert len(row_bases) == 2
+        same_answer(cab_solve(A, b, "dalm", weighted), got)
+        assert len(row_bases) == 2
+        same_answer(got, uncached(A.copy(), b, "dalm", self.cfg, 0.5))
+
+    def test_entry_goes_with_the_array(self):
+        A, b = bouquet_query(2954)
+        cab_solve(A, b, "dalm", self.cfg)
+        key, alive = id(A), weakref.ref(A)
+        assert robust._EXTENDED[key][0]() is A
+        del A
+        gc.collect()
+        assert alive() is None and key not in robust._EXTENDED
+
+    def test_list_dictionary_is_solved_uncached(self, row_bases):
+        A, b = bouquet_query(2955)
+        rows = A.tolist()
+        first = cab_solve(rows, b, "dalm", self.cfg)
+        again = cab_solve(rows, b, "dalm", self.cfg)
+        assert len(row_bases) == 2 and id(rows) not in robust._EXTENDED
+        same_answer(first, uncached(A, b, "dalm", self.cfg))
+        same_answer(again, first)
+
+    def test_interpreter_exit_is_quiet(self):
+        # the entry's weak-reference callback may run after the module's
+        # globals are gone, when the array dies at interpreter exit
+        script = (
+            "import numpy as np\n"
+            "from ell1 import robust\n"
+            "from ell1.model import SolverConfig\n"
+            "A = np.random.default_rng(0).standard_normal((20, 40))\n"
+            "b = 1.5 * A[:, 3]\n"
+            "cfg = SolverConfig(tol=1e-6, max_iter=500)\n"
+            "robust.cab_solve(A, b, 'dalm', cfg)\n"
+            "robust.cab_solve(A, b, 'dalm', cfg)\n")
+        src = os.path.dirname(os.path.dirname(ell1.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path
+                   else src + os.pathsep + path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def make_dense_problem(A, b):

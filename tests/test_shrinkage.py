@@ -533,7 +533,7 @@ def test_fista_products_per_iteration(counting_view):
         <= 1e-10 * np.linalg.norm(x_ref)
 
 
-def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
+def test_cab_fista_products_per_iteration(count_extended):
     P = synth.make_instance(synth.GenSpec(n=120, d=60, k=6, seed=9))
     b_bad, _ = synth.corrupt_entries(P.b, 0.1, -3.0, 3.0, seed=5)
     ext = SimpleNamespace(A=robust.ExtendedDictionary(P.A), b=b_bad)
@@ -541,17 +541,10 @@ def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
         ext, 1e-2 * float(np.max(np.abs(ext.A.T @ b_bad))),
         _FISTA_CONFIG.tol, _FISTA_CONFIG.max_iter)
     plain = robust.cab_solve(P.A, b_bad, "fista", _FISTA_CONFIG)
-    counts = []
-    init = robust.ExtendedDictionary.__init__
-
-    def counting_init(self, A, identity_scale=1.0):
-        init(self, A, identity_scale)
-        self.A, count = counting_view(self.A)
-        counts.append(count)
-
-    monkeypatch.setattr(robust.ExtendedDictionary, "__init__",
-                        counting_init)
-    x, e, res = robust.cab_solve(P.A, b_bad, "fista", _FISTA_CONFIG)
+    counts = count_extended()
+    # its own array: a first query
+    A = P.A.copy()
+    x, e, res = robust.cab_solve(A, b_bad, "fista", _FISTA_CONFIG)
     assert len(counts) == 1
     assert res.converged and res.iterations >= 50
     assert counts[0][0] <= 2 * res.iterations + extra + _FISTA_SETUP_PRODUCTS
@@ -559,6 +552,11 @@ def test_cab_fista_products_per_iteration(monkeypatch, counting_view):
     assert res.iterations == it_ref
     assert np.linalg.norm(res.x_star - x_ref) \
         <= 1e-10 * np.linalg.norm(x_ref)
+    # a repeat query on that array takes the same products to the answer
+    x, e, again = robust.cab_solve(A, b_bad, "fista", _FISTA_CONFIG)
+    assert len(counts) == 2 and counts[1][0] == counts[0][0]
+    assert np.array_equal(x, plain[0]) and np.array_equal(e, plain[1])
+    assert again.iterations == it_ref
 
 
 def test_fista_restart_converges_on_a_bouquet_query():
