@@ -29,11 +29,8 @@ class Event(namedtuple("Event",
     __slots__ = ()
 
 
-StopRecord = namedtuple("StopRecord", "x objective kkt")
-StopRecord.__new__.__defaults__ = (None,)
-
-_RELATIVE_KINDS = ("relative-objective", "relative-estimate")
-_STOP_KINDS = _RELATIVE_KINDS + ("ground-truth-distance", "kkt-residual")
+_STOP_KINDS = ("relative-objective", "relative-estimate",
+               "ground-truth-distance", "kkt-residual")
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,8 @@ class StoppingRule:
         if self.kind not in _STOP_KINDS:
             raise ValueError("unknown stopping rule %r (choose from %s)"
                              % (self.kind, ", ".join(_STOP_KINDS)))
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError("threshold must be finite and positive")
 
 
 @dataclass
@@ -114,8 +111,11 @@ class SolverConfig:
     equality-form ones; bench.SOLVERS gives each solver's form. The
     continuation solvers (gpsr, ist, fista) check the rule only once they
     have reached the target weight. `options` holds the algorithm-specific
-    knobs named in OPTIONS, documented in the solver docstrings; any other
-    key raises ValueError.
+    knobs named in OPTIONS, documented in the solver docstrings.
+    Construction raises ValueError unless lam is None or finite and >= 0,
+    tol is finite and > 0, max_iter is an integer >= 1 (Python or numpy,
+    not a float or bool), stopping is None or a StoppingRule, every option
+    is named in OPTIONS, e_weight is finite and > 0 and exact_L is a bool.
     """
 
     lam: float = None
@@ -125,16 +125,24 @@ class SolverConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lam is not None and not self.lam >= 0:
-            raise ValueError("lambda must be nonnegative")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be finite and nonnegative")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise ValueError("max_iter must be an integer of at least 1")
+        if not isinstance(self.stopping, (type(None), StoppingRule)):
+            raise ValueError("stopping must be a StoppingRule, got %r"
+                             % (self.stopping,))
         unknown = set(self.options) - OPTIONS
         if unknown:
             raise ValueError("unknown solver options: %s"
                              % ", ".join(sorted(map(repr, unknown))))
+        if not 0 < self.opt("e_weight", 1.0) < math.inf:
+            raise ValueError("option e_weight must be finite and positive")
+        if not isinstance(self.opt("exact_L", False), (bool, np.bool_)):
+            raise ValueError("option exact_L must be a bool")
 
     def resolved_lambda(self, Atb):
         return float(self.lam) if self.lam is not None else default_lambda(Atb)
@@ -233,42 +241,6 @@ def _kkt_screened(x, g, lam, tol):
     return kkt_from_correlation(x, -g, lam)
 
 
-def check_stop(history, rule, ground_truth=None):
-    """Evaluate a stopping rule on the latest iterate snapshot(s).
-
-    history is a sequence of StopRecord(x, objective, kkt); relative rules
-    need the last two records, the others only the last.
-    """
-    if not isinstance(rule, StoppingRule):
-        raise ValueError("rule must be a StoppingRule")
-    if len(history) == 0:
-        raise ValueError("history is empty")
-    last = history[-1]
-    if rule.kind in _RELATIVE_KINDS:
-        if len(history) < 2:
-            raise ValueError("relative rules need at least two history entries")
-        prev = history[-2]
-        if rule.kind == "relative-objective":
-            denom = abs(prev.objective)
-            delta = abs(last.objective - prev.objective)
-        else:
-            denom = float(np.linalg.norm(prev.x))
-            delta = float(np.linalg.norm(np.asarray(last.x) - np.asarray(prev.x)))
-        return delta <= rule.threshold * denom
-    if rule.kind == "ground-truth-distance":
-        if ground_truth is None:
-            raise ValueError("ground-truth-distance rule needs a ground truth")
-        gt = np.asarray(ground_truth, dtype=np.float64)
-        denom = float(np.linalg.norm(gt))
-        if denom == 0.0:
-            raise ValueError("ground truth must be nonzero")
-        return float(np.linalg.norm(np.asarray(last.x) - gt)) <= rule.threshold * denom
-    # kkt-residual
-    if last.kkt is None:
-        raise ValueError("kkt-residual rule needs records carrying kkt values")
-    return last.kkt <= rule.threshold
-
-
 def support_size(x, rel_tol=1e-10):
     """Number of entries above rel_tol of the largest magnitude, so the
     count does not change when x is rescaled."""
@@ -285,20 +257,29 @@ class Monitor:
     Built at the start of a solve; every solver records its iterates
     through it, asks it whether config.stopping holds, and gets its
     SolverResult from it, including the single answer to an input whose
-    optimum is x = 0. It is the only caller of the solve's observer.
-    A run is watched when an observer or a stopping rule is set, for a
-    rule reads the objective and iterate too; an unwatched solver skips
-    the values only record and rule_met would read.
+    optimum is x = 0. It alone calls the observer and judges the rule,
+    and it raises ValueError when built for a ground-truth-distance rule
+    without a finite, nonzero ground truth. A run is watched when an
+    observer or a stopping rule is set, for a rule reads the objective
+    and iterate too; an unwatched solver skips the values only record and
+    rule_met would read.
     """
 
     def __init__(self, config, b, ground_truth=None, observer=None):
         self._t0 = time.perf_counter()
-        self._rule = config.stopping
+        self._rule = rule = config.stopping
         self._b = b
-        self._ground_truth = ground_truth
         self._observer = observer
-        self._last = ()
+        self._last = None
         self.notes = []
+        if rule is not None and rule.kind == "ground-truth-distance":
+            self._ground_truth = np.asarray(
+                () if ground_truth is None else ground_truth, np.float64)
+            gt_norm = float(np.linalg.norm(self._ground_truth))
+            if not 0 < gt_norm < math.inf:
+                raise ValueError("a ground-truth-distance rule needs a "
+                                 "finite, nonzero ground truth")
+            self._gt_bound = rule.threshold * gt_norm
 
     @property
     def watched(self):
@@ -322,19 +303,25 @@ class Monitor:
         """Whether config.stopping holds at iterate x.
 
         kkt is the value the kkt-residual rule compares, or a callable
-        returning it. With no rule set this does nothing and returns
-        False; otherwise the record joins the last one and check_stop
-        decides (a relative rule needs two records).
+        returning it, called only under that rule. A relative rule compares
+        with the previous call, so its first call returns False. With no
+        rule set this does nothing and returns False.
         """
         rule = self._rule
         if rule is None:
             return False
-        if callable(kkt):
-            kkt = kkt()
-        self._last = self._last[-1:] + (StopRecord(x.copy(), objective, kkt),)
-        if rule.kind in _RELATIVE_KINDS and len(self._last) < 2:
+        if rule.kind == "kkt-residual":
+            return (kkt() if callable(kkt) else kkt) <= rule.threshold
+        if rule.kind == "ground-truth-distance":
+            return (float(np.linalg.norm(x - self._ground_truth))
+                    <= self._gt_bound)
+        prev, self._last = self._last, (x.copy(), objective)
+        if prev is None:
             return False
-        return check_stop(self._last, rule, ground_truth=self._ground_truth)
+        if rule.kind == "relative-objective":
+            return abs(objective - prev[1]) <= rule.threshold * abs(prev[1])
+        return (float(np.linalg.norm(x - prev[0]))
+                <= rule.threshold * float(np.linalg.norm(prev[0])))
 
     def result(self, x, iterations, converged):
         """The run's SolverResult, timed from the monitor's creation."""

@@ -215,8 +215,6 @@ def _extended(A, scale):
 def _cab_problem(A, b, config):
     """The stacked system b = [A, sI] w with s = 1 / option "e_weight"."""
     e_weight = float(config.opt("e_weight", 1.0))
-    if not e_weight > 0:
-        raise ValueError("e_weight must be positive")
     return ProblemInstance(_extended(A, 1.0 / e_weight), b)
 
 

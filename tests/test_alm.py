@@ -129,6 +129,15 @@ def test_palm_raises_when_b_is_outside_the_range_of_A():
         bench.solve_named("palm", P, SolverConfig(lam=0.1))
 
 
+def test_palm_raises_on_a_non_finite_multiplier(monkeypatch):
+    # a penalty that overflows to inf at the second outer step turns the
+    # finite residual's multiplier update y + mu r non-finite
+    monkeypatch.setattr(alm, "RHO", np.inf)
+    P = synth.make_instance(synth.GenSpec(n=40, d=20, k=3, seed=5))
+    with pytest.raises(NumericalBreakdownError, match="mu = inf"):
+        palm_solve(P, SolverConfig(tol=1e-10))
+
+
 @pytest.mark.parametrize("log2_scale", [-27, -20, -10, 20])
 def test_palm_certifies_a_feasible_input_at_any_scale(log2_scale):
     # a start penalty tied to the units of b keeps x at 0 at small scales

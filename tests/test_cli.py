@@ -228,6 +228,22 @@ class TestSolve:
         assert list(payload) == keys
         assert (payload["n"], payload["d"]) == (M.shape[1], M.shape[0])
 
+    @pytest.mark.parametrize("command", ["solve", "cab"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "inf", "lambda must be finite"),
+        ("--lambda", "nan", "lambda must be finite"),
+        ("--tol", "inf", "tol must be finite"),
+        ("--max-iter", "0", "max_iter must be an integer")])
+    def test_unhonourable_config_exit_2_without_json(self, workdir, capsys,
+                                                     command, flag, value,
+                                                     message):
+        A_path, b_path, _ = write_instance(workdir)
+        rc = run([command, "--algo", "fista", "--matrix", str(A_path),
+                  "--rhs", str(b_path), flag, value, "--out", "r.json"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
+
     def test_unknown_flag_exit_2(self, workdir):
         assert run(["solve", "--matrix", "A.csv", "--rhs", "b.csv",
                     "--out", "r.json", "--frobnicate"]) == 2
@@ -423,6 +439,16 @@ class TestCabCommand:
             np.sum(np.abs(x)) + np.sum(np.abs(e)))
         assert payload["kkt_residual"] <= 1e-10
         assert payload["kkt_residual"] == pytest.approx(violation, abs=1e-14)
+
+    @pytest.mark.parametrize("value", ["inf", "0", "-1"])
+    def test_bad_e_weight_is_named(self, workdir, capsys, value):
+        self.make_corrupted(workdir)
+        rc = run(["cab", "--matrix", "A.csv", "--rhs", "b.csv",
+                  "--e-weight", value, "--out", "c.json"])
+        assert rc == 2
+        assert "option e_weight must be finite and positive" in (
+            capsys.readouterr().err)
+        assert not (workdir / "c.json").exists()
 
     def test_e_weight_echoed(self, workdir):
         self.make_corrupted(workdir)

@@ -400,6 +400,29 @@ def test_tnipm_solves_its_newton_systems_inexactly(monkeypatch):
     assert sum(steps) <= 400
 
 
+def test_tnipm_notes_each_capped_inner_solve(monkeypatch):
+    def capped_pcg(*args, **kwargs):
+        return pcg_solve(*args, **kwargs)._replace(converged=False)
+
+    monkeypatch.setattr("ell1.gradient_projection.pcg_solve", capped_pcg)
+    P = synth.make_instance(synth.GenSpec(n=30, d=15, k=3, seed=22))
+    res = tnipm_solve(P, SolverConfig(max_iter=3))
+    assert not res.converged and res.iterations == 3
+    assert res.notes == ("iteration budget exhausted",
+                         "pcg hit its iteration cap 3 times")
+
+
+def test_gpsr_stops_at_a_fixed_point_of_the_projection():
+    # a tolerance below roundoff: the projected step rounds to zero before
+    # the kkt test can pass, and the run ends there, unconverged
+    rng = np.random.default_rng(2)
+    P = ProblemInstance(rng.standard_normal((6, 6)), rng.standard_normal(6))
+    lam = 0.1 * float(np.max(np.abs(P.A.T @ P.b)))
+    res = gpsr_solve(P, SolverConfig(lam=lam, tol=1e-17, max_iter=20000))
+    assert not res.converged and res.iterations < 20000
+    assert res.notes == ("zero projected step at lambda %g" % lam,)
+
+
 def test_tnipm_keeps_a_nearly_solved_iterate_when_the_search_fails():
     # the benchmark's gauss-clean instance trial_seed(2004, 1, 8): the gap
     # test has held for long when, at t = 1.1e19, the line search finds no

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from ell1 import bench, model, numerics, robust, synth
 from ell1.bench import SOLVER_NAMES, SOLVERS
-from ell1.model import (ProblemInstance, SolverConfig, SolverResult, StopRecord,
+from ell1.model import (ProblemInstance, SolverConfig, SolverResult,
                         StoppingRule)
 from ell1.operators import DenseDictionary
 from ell1.robust import ExtendedDictionary
@@ -43,6 +43,33 @@ def test_solver_config_validation():
     assert cfg.max_iter == 5000
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("lam", np.inf, "lambda"), ("lam", np.nan, "lambda"),
+    ("tol", np.inf, "tol"), ("tol", np.nan, "tol"),
+    ("max_iter", 2.5, "max_iter"), ("max_iter", 100.0, "max_iter"),
+    ("max_iter", np.inf, "max_iter"), ("max_iter", True, "max_iter"),
+    ("max_iter", np.int64(0), "max_iter")])
+def test_solver_config_rejects_what_a_solve_cannot_honour(field, value,
+                                                          message):
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_numbers():
+    cfg = SolverConfig(lam=np.float64(0.5), tol=np.float32(1e-4),
+                       max_iter=np.int64(30), options={"exact_L": np.True_})
+    assert cfg.max_iter == 30
+
+
+@pytest.mark.parametrize("options, name", [
+    ({"e_weight": 0.0}, "e_weight"), ({"e_weight": -1.0}, "e_weight"),
+    ({"e_weight": np.inf}, "e_weight"), ({"e_weight": np.nan}, "e_weight"),
+    ({"exact_L": 1}, "exact_L"), ({"exact_L": "yes"}, "exact_L")])
+def test_solver_config_checks_option_values_by_name(options, name):
+    with pytest.raises(ValueError, match="option " + name):
+        SolverConfig(options=options)
+
+
 def test_solver_config_rejects_unknown_options():
     # a misspelt knob must not be silently ignored
     for options in ({"exact_l": True}, {"continuation": False},
@@ -67,6 +94,9 @@ def test_stopping_rule_validation():
         StoppingRule("nonsense", 1e-3)
     with pytest.raises(ValueError):
         StoppingRule("relative-objective", 0.0)
+    for threshold in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            StoppingRule("kkt-residual", threshold)
 
 
 def test_solver_result_rejects_negative_counts():
@@ -263,43 +293,97 @@ def test_kkt_screen_decides_as_the_full_residual(xc, lam, tol):
     assert got <= kkt or np.isnan(kkt)
 
 
-# ---------------------------------------------------------------- check_stop
+# ---------------------------------------------------------------- stopping rules
+
+def rule_monitor(kind, threshold, ground_truth=None):
+    return model.Monitor(SolverConfig(stopping=StoppingRule(kind, threshold)),
+                         np.ones(2), ground_truth)
+
 
 def test_check_stop_relative_objective():
-    hist = [StopRecord(np.zeros(2), 1.0), StopRecord(np.zeros(2), 1.0)]
-    assert model.check_stop(hist, StoppingRule("relative-objective", 1e-12))
+    mon = rule_monitor("relative-objective", 1e-12)
+    mon.rule_met(np.zeros(2), 1.0, None)
+    assert mon.rule_met(np.zeros(2), 1.0, None)
 
 
 def test_check_stop_relative_estimate_constant():
     x = np.array([1.0, 2.0])
-    hist = [StopRecord(x, 3.0), StopRecord(x.copy(), 2.9)]
-    assert model.check_stop(hist, StoppingRule("relative-estimate", 1e-9))
+    mon = rule_monitor("relative-estimate", 1e-9)
+    mon.rule_met(x, 3.0, None)
+    assert mon.rule_met(x.copy(), 2.9, None)
 
 
 def test_check_stop_ground_truth():
     gt = np.array([1.0, 0.0])
     x = gt + np.array([1e-2, 0.0])
-    hist = [StopRecord(x, 1.0)]
-    assert not model.check_stop(hist, StoppingRule("ground-truth-distance", 1e-3), gt)
-    assert model.check_stop(hist, StoppingRule("ground-truth-distance", 2e-2), gt)
+    assert not rule_monitor("ground-truth-distance", 1e-3, gt).rule_met(
+        x, 1.0, None)
+    assert rule_monitor("ground-truth-distance", 2e-2, gt).rule_met(
+        x, 1.0, None)
 
 
 def test_check_stop_ground_truth_missing():
-    hist = [StopRecord(np.zeros(2), 1.0)]
     with pytest.raises(ValueError):
-        model.check_stop(hist, StoppingRule("ground-truth-distance", 1e-3))
+        rule_monitor("ground-truth-distance", 1e-3)
 
 
 def test_check_stop_relative_needs_two_entries():
-    hist = [StopRecord(np.zeros(2), 1.0)]
-    with pytest.raises(ValueError):
-        model.check_stop(hist, StoppingRule("relative-objective", 1e-3))
+    mon = rule_monitor("relative-objective", 1e-3)
+    assert not mon.rule_met(np.zeros(2), 1.0, None)
 
 
 def test_check_stop_kkt_rule():
-    hist = [StopRecord(np.zeros(2), 1.0, kkt=1e-7)]
-    assert model.check_stop(hist, StoppingRule("kkt-residual", 1e-6))
-    assert not model.check_stop(hist, StoppingRule("kkt-residual", 1e-8))
+    assert rule_monitor("kkt-residual", 1e-6).rule_met(np.zeros(2), 1.0, 1e-7)
+    assert not rule_monitor("kkt-residual", 1e-8).rule_met(
+        np.zeros(2), 1.0, 1e-7)
+
+
+def test_relative_estimate_keeps_a_copy_of_the_iterate():
+    # solvers hand rule_met their live iterate and update it in place
+    x = np.array([1.0, 2.0])
+    mon = rule_monitor("relative-estimate", 1e-3)
+    mon.rule_met(x, 3.0, None)
+    x += 1.0
+    assert not mon.rule_met(x, 3.0, None)
+
+
+@pytest.mark.parametrize("stopping", ["kkt-residual", 1e-3,
+                                      ("relative-objective", 1e-3)])
+def test_config_rejects_a_stopping_that_is_not_a_rule(stopping):
+    with pytest.raises(ValueError, match="StoppingRule"):
+        SolverConfig(stopping=stopping)
+
+
+@pytest.mark.parametrize("ground_truth", [None, np.zeros(12),
+                                          np.full(12, np.nan)])
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_ground_truth_rule_fails_before_the_first_iteration(name,
+                                                            ground_truth):
+    # b = 0 makes A^T b = 0, whose answer x = 0 is returned without a step
+    A = make_problem(np.random.default_rng(4)).A
+    cfg = SolverConfig(stopping=StoppingRule("ground-truth-distance", 1e-3))
+    for b in (np.ones(8), np.zeros(8)):
+        P, events = ProblemInstance(A, b, ground_truth), []
+        with pytest.raises(ValueError, match="ground truth"):
+            getattr(bench, name + "_solve")(P, cfg, events.append)
+        assert events == []
+
+
+@pytest.mark.parametrize("kind", ["relative-objective", "relative-estimate",
+                                  "ground-truth-distance"])
+def test_kkt_callable_is_called_only_by_the_kkt_rule(kind):
+    calls = []
+
+    def kkt():
+        calls.append(1)
+        return 0.0
+
+    mon = rule_monitor(kind, 1e-3, np.ones(2))
+    for _ in range(3):
+        mon.rule_met(np.ones(2), 1.0, kkt)
+    assert calls == []
+    mon = rule_monitor("kkt-residual", 1e-3)
+    assert mon.rule_met(np.ones(2), 1.0, kkt) and calls == [1]
 
 
 # ---------------------------------------------------------------- events

@@ -380,6 +380,31 @@ def test_pcg_nonfinite_raises():
         numerics.pcg_solve(bad_op, np.array([1.0, 1.0]), tol=1e-8, max_iter=3)
 
 
+def test_pcg_zero_rhs_returns_zero_at_once():
+    calls = []
+    res = numerics.pcg_solve(lambda v: calls.append(v) or v, np.zeros(3))
+    assert res.converged and res.iterations == 0 and res.residual == 0.0
+    assert np.array_equal(res.x, np.zeros(3)) and calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pcg_nonfinite_residual_raises():
+    # the curvature p'Ap = 1 is finite, but the residual's norm overflows
+    def op(v):
+        return np.array([v[0], 1e200 * v[0]])
+    with pytest.raises(NumericalBreakdownError, match="residual"):
+        numerics.pcg_solve(op, np.array([1.0, 0.0]), tol=1e-8, max_iter=3)
+
+
+def test_pcg_budget_returns_the_best_iterate_unconverged():
+    M = np.diag([1.0, 2.0, 3.0])
+    res = numerics.pcg_solve(M, np.ones(3), tol=1e-12, max_iter=1)
+    assert not res.converged and res.iterations == 1
+    r = np.ones(3) - M @ res.x
+    assert res.residual == pytest.approx(np.linalg.norm(r) / np.sqrt(3))
+    assert 0.0 < res.residual < 1.0
+
+
 def test_pcg_diagonal_preconditioner():
     rng = np.random.default_rng(31)
     d = rng.uniform(1, 1e4, 30)

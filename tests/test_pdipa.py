@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ell1 import homotopy, numerics, pdipa, robust, synth
-from ell1.exceptions import NotPositiveDefiniteError
+from ell1.exceptions import IllConditionedError, NotPositiveDefiniteError
 from ell1.model import ProblemInstance, SolverConfig
 from ell1.pdipa import pdipa_solve
 
@@ -159,6 +159,55 @@ def test_solve_zero_matrix_stalls():
     P = ProblemInstance(np.array([[0.0]]), np.array([1.0]))
     r = pdipa_solve(P, SolverConfig())
     assert not r.converged
+    assert r.notes == ("stopped on stalled duality measure",)
+
+
+def small_instance():
+    return synth.make_instance(synth.GenSpec(n=20, d=10, k=2, seed=4))
+
+
+def test_solve_stops_on_ill_conditioned_normal_matrix(monkeypatch):
+    def refuse(M):
+        raise IllConditionedError("normal matrix")
+
+    monkeypatch.setattr(pdipa, "_factor_with_jitter", refuse)
+    r = pdipa_solve(small_instance(), SolverConfig())
+    assert not r.converged and r.iterations == 1
+    assert r.notes == ("stopped on ill-conditioned normal matrix",)
+
+
+def test_solve_stops_on_non_finite_step(monkeypatch):
+    # the predictor (odd calls) stays finite and the corrector overflows
+    real, calls = pdipa._eliminate, []
+
+    def corrector_overflows(*args):
+        calls.append(1)
+        dv, dy, dz = real(*args)
+        return (dv, dy, dz) if len(calls) % 2 else (dv * np.inf, dy, dz)
+
+    monkeypatch.setattr(pdipa, "_eliminate", corrector_overflows)
+    r = pdipa_solve(small_instance(), SolverConfig())
+    assert not r.converged and len(calls) == 2
+    assert r.notes == ("stopped on non-finite step",)
+
+
+def test_solve_stalls_when_no_damped_step_lowers_mu(monkeypatch):
+    # the corrector and the plain centering step are both refused
+    calls = []
+    monkeypatch.setattr(pdipa, "_damped_step",
+                        lambda *args: calls.append(1))
+    r = pdipa_solve(small_instance(), SolverConfig())
+    assert not r.converged and r.iterations == 1 and len(calls) == 2
+    assert r.notes == ("stopped on stalled duality measure",)
+
+
+def test_solve_stalls_on_a_zero_duality_measure(monkeypatch):
+    events = []
+    monkeypatch.setattr(pdipa, "_damped_step",
+                        lambda v, y, z, mu, *step: (v, y, z, 0.0))
+    r = pdipa_solve(small_instance(), SolverConfig(), events.append)
+    assert not r.converged and r.iterations == 1
+    assert [e.state["mu"] for e in events][1:] == [0.0]
     assert r.notes == ("stopped on stalled duality measure",)
 
 

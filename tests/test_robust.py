@@ -149,10 +149,11 @@ class TestCabSolve:
                       SolverConfig(tol=1e-6, max_iter=10))
 
     def test_bad_e_weight(self):
-        cfg = SolverConfig(tol=1e-6, max_iter=10,
-                           options={"e_weight": -1.0})
-        with pytest.raises(ValueError):
-            cab_solve(np.eye(3), np.ones(3), "ist", cfg)
+        # the config names the option before cab_solve is reached
+        with pytest.raises(ValueError, match="e_weight"):
+            cab_solve(np.eye(3), np.ones(3), "ist",
+                      SolverConfig(tol=1e-6, max_iter=10,
+                                   options={"e_weight": -1.0}))
 
     def test_gp_and_gpsr_are_one_backend(self):
         A, x0, b_clean, b_bad, mask = corrupted_instance(3)
